@@ -24,6 +24,7 @@ from .errors import (
     NotInKernel,
     NotMixedCase,
     SingularBase,
+    WitnessUnverified,
     WordSyntaxError,
 )
 from .groupring import (

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Literal, Optional
 
 from .derived import analyze_v, second_decide
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, WitnessUnverified
 from .surface import project
 from .tables import TableReport, degree_two_witness, instantiate_witness, table_branch
 from .tables import verify_tables as _verify_tables
@@ -81,7 +81,7 @@ def _exists(spec: EquationSpec, v: Word, x_ad: Word, y_ad: Word, branch: str, tr
     result = verify_solution(spec, v, first, second)
     in_class = solution_is_faithful(spec, first, second) == (spec.solution_class == "faithful")
     if not (result.holds and in_class):
-        raise AssertionError(f"unverified witness for branch {branch}")
+        raise WitnessUnverified(f"unverified witness for branch {branch}")
     return Verdict("exists", branch, (first, second), True, trace=trace or {})
 
 

@@ -57,5 +57,9 @@ class ExtractionFailed(FgquadError, ArithmeticError):
     """A Wicks match did not reassemble into a verified solution."""
 
 
+class WitnessUnverified(FgquadError, ArithmeticError):
+    """A branch witness failed its substitution check or its solution class."""
+
+
 class BudgetExceeded(FgquadError, RuntimeError):
     """Search exceeded its configured budget."""

@@ -193,22 +193,33 @@ def alt_geom_ratio(x: PiElement, two_d: int, ell: int) -> RingElement:
 
 
 def fox_derivative(w: Word, gen: str) -> RingElement:
-    """The quotient-projected free derivative of ``w`` by generator 'a' or 'b'."""
+    """The quotient-projected free derivative of ``w`` by generator 'a' or 'b'.
+
+    The prefix walks canonical coordinates ``(r, s)``: a letter alpha^{+-1}
+    moves r by +-sigma(s) and a letter beta^{+-1} moves s by +-1.
+    """
     if w.basis.kind != "adapted":
         w = change_basis(w, BasisTag.adapted(w.basis.epsilon))
     eps = w.basis.epsilon
     idx = 0 if gen == "a" else 1
-    items: list[tuple[PiElement, int]] = []
-    prefix = PiElement.identity(eps)
+    acc: dict[tuple[int, int], int] = {}
+    r = s = 0
     for g, e in w.syls:
-        base = PiElement(eps, 1, 0) if g == 0 else PiElement(eps, 0, 1)
+        sigma = -1 if eps == -1 and s & 1 else 1
         if g == idx:
-            if e > 0:
-                items.extend((prefix * base**j, 1) for j in range(e))
-            else:
-                items.extend((prefix * base**(-j), -1) for j in range(1, -e + 1))
-        prefix = prefix * base**e
-    return RingElement.make(eps, items)
+            # a letter adds the prefix before it, an inverse letter subtracts
+            # the prefix after it
+            c = 1 if e > 0 else -1
+            for j in range(e) if e > 0 else range(-1, e - 1, -1):
+                key = (r + sigma * j, s) if g == 0 else (r, s + j)
+                acc[key] = acc.get(key, 0) + c
+        if g == 0:
+            r += sigma * e
+        else:
+            s += e
+    return RingElement(
+        eps, 0, {PiElement(eps, r, s): c for (r, s), c in acc.items() if c}
+    )
 
 
 def relator_jacobian_alpha(epsilon: int) -> RingElement:

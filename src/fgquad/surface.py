@@ -96,27 +96,14 @@ def project(w: Word) -> PiElement:
     """Project a word to the quotient (classic words are converted first)."""
     if w.basis.kind != "adapted":
         w = change_basis(w, BasisTag.adapted(w.basis.epsilon))
-    out = PiElement.identity(w.basis.epsilon)
+    r = s = 0
+    twisted = w.basis.epsilon == -1
     for gen, exp in w.syls:
-        step = PiElement(w.basis.epsilon, exp, 0) if gen == 0 else PiElement(w.basis.epsilon, 0, exp)
-        out = out * step
-    return out
-
-
-def pi_mul(x: PiElement, y: PiElement) -> PiElement:
-    return x * y
-
-
-def pi_inv(x: PiElement) -> PiElement:
-    return x.inv()
-
-
-def pi_pow(x: PiElement, k: int) -> PiElement:
-    return x**k
-
-
-def w_eps(x: PiElement) -> int:
-    return x.w_eps()
+        if gen:
+            s += exp
+        else:
+            r += -exp if twisted and s & 1 else exp
+    return PiElement(w.basis.epsilon, r, s)
 
 
 def apply_phi(L: int, x: PiElement) -> PiElement:

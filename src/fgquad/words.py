@@ -4,10 +4,18 @@ Words are stored as runs of syllables ``(generator, exponent)`` so that the
 large powers appearing in table fixtures stay cheap.  Generator 0 prints as
 ``a``/``A`` and generator 1 as ``b``/``B``; in the adapted basis they stand
 for the generators usually written alpha and beta.
+
+Cost model, in syllables: a product cancels only at the seam of its two
+reduced factors, so it costs the length of the result; parsing, basis
+change and powers gather syllables first and reduce once, so they are
+linear in the syllables of their result; a one-syllable power is O(1).
+``surface.project`` and ``groupring.fox_derivative`` walk integer
+coordinates ``(r, s)`` of the quotient instead of multiplying group elements.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Literal, Optional
 
@@ -46,17 +54,22 @@ class BasisTag:
 
 
 def _reduce(syllables: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """Merge adjacent runs of the same generator, cascading cancellations."""
+    """Merge adjacent runs of the same generator, cascading cancellations.
+
+    A syllable that merges with nothing is kept as the same tuple object, so
+    words built from shared syllables share them.
+    """
     out: list[tuple[int, int]] = []
-    for gen, exp in syllables:
-        if exp == 0:
+    for syl in syllables:
+        gen, exp = syl
+        if not exp:
             continue
-        while out and out[-1][0] == gen:
+        if out and out[-1][0] == gen:
             exp += out.pop()[1]
-            if exp == 0:
-                break
-        if exp != 0:
-            out.append((gen, exp))
+            if exp:
+                out.append((gen, exp))
+        else:
+            out.append(syl)
     return tuple(out)
 
 
@@ -86,19 +99,33 @@ class Word:
 
     def __mul__(self, other: "Word") -> "Word":
         self._check(other)
-        return Word(self.basis, _reduce(list(self.syls) + list(other.syls)))
+        left, right = self.syls, other.syls
+        i, j = len(left), 0
+        while i and j < len(right) and left[i - 1][0] == right[j][0]:
+            gen = right[j][0]
+            exp = left[i - 1][1] + right[j][1]
+            if exp:
+                return Word(self.basis, left[: i - 1] + ((gen, exp),) + right[j + 1 :])
+            i -= 1
+            j += 1
+        return Word(self.basis, left[:i] + right[j:])
 
     def inv(self) -> "Word":
         return Word(self.basis, tuple((g, -e) for g, e in reversed(self.syls)))
 
     def __pow__(self, k: int) -> "Word":
-        if k == 0:
+        if k == 0 or not self.syls:
             return Word.identity(self.basis)
-        base = self if k > 0 else self.inv()
-        out = Word.identity(self.basis)
-        for _ in range(abs(k)):
-            out = out * base
-        return out
+        if len(self.syls) == 1:
+            gen, exp = self.syls[0]
+            return Word(self.basis, ((gen, exp * k),))
+        if k < 0:
+            return self.inv() ** -k
+        # w = t core t^-1 with core cyclically reduced, so core^k cancels nowhere
+        core, t = cyclic_reduce(self)
+        if len(core.syls) == 1:
+            return t * core**k * t.inv()
+        return Word(self.basis, _reduce([*t.syls, *core.syls * k, *t.inv().syls]))
 
     @property
     def is_identity(self) -> bool:
@@ -129,18 +156,6 @@ class Word:
         return " ".join(parts)
 
 
-def mul(w1: Word, w2: Word) -> Word:
-    return w1 * w2
-
-
-def inv(w: Word) -> Word:
-    return w.inv()
-
-
-def pow_(w: Word, k: int) -> Word:
-    return w**k
-
-
 def conj(u: Word, w: Word) -> Word:
     """u * w * u**-1."""
     return u * w * u.inv()
@@ -159,21 +174,22 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     """Split ``w = t * core * t**-1`` with ``core`` cyclically reduced."""
     syls = list(w.syls)
     t_parts: list[tuple[int, int]] = []
-    while len(syls) >= 2:
-        g1, e1 = syls[0]
-        g2, e2 = syls[-1]
+    i, j = 0, len(syls) - 1  # the untouched middle is syls[i : j + 1]
+    while j > i:
+        g1, e1 = syls[i]
+        g2, e2 = syls[j]
         if g1 != g2 or (e1 > 0) == (e2 > 0):
             break
         c = min(abs(e1), abs(e2))
         step = 1 if e1 > 0 else -1
         t_parts.append((g1, step * c))
-        syls[0] = (g1, e1 - step * c)
-        syls[-1] = (g2, e2 + step * c)
-        if syls[-1][1] == 0:
-            syls.pop()
-        if syls and syls[0][1] == 0:
-            syls.pop(0)
-    core = Word.from_syllables(w.basis, syls)
+        syls[i] = (g1, e1 - step * c)
+        syls[j] = (g2, e2 + step * c)
+        if syls[j][1] == 0:
+            j -= 1
+        if syls[i][1] == 0:
+            i += 1
+    core = Word.from_syllables(w.basis, syls[i : j + 1])
     t = Word.from_syllables(w.basis, t_parts)
     return core, t
 
@@ -213,14 +229,15 @@ def change_basis(w: Word, target: BasisTag) -> Word:
     # epsilon == -1: the substitution is an involution up to inverses:
     # classic->adapted: a -> alpha*beta, b -> beta**-1
     # adapted->classic: alpha -> a*b,   beta -> b**-1
-    images = {
-        0: Word.from_syllables(target, [(0, 1), (1, 1)]),
-        1: Word.from_syllables(target, [(1, -1)]),
-    }
-    out = Word.identity(target)
+    out: list[tuple[int, int]] = []
     for gen, exp in w.syls:
-        out = out * images[gen] ** exp
-    return out
+        if gen == 1:
+            out.append((1, -exp))
+        elif exp > 0:
+            out.extend(((0, 1), (1, 1)) * exp)
+        else:
+            out.extend(((1, -1), (0, -1)) * -exp)
+    return Word(target, _reduce(out))
 
 
 def relator(epsilon: int) -> Word:
@@ -241,6 +258,23 @@ def relator_in(basis: BasisTag) -> Word:
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
+
+
+# A letter with an optional ASCII exponent, as parse_term reads it.  The
+# lookaheads leave to parse_term every letter whose exponent it would read
+# differently or reject (a '^' without ASCII digits, digits running into a
+# non-ASCII character), so that errors and their offsets come from one place.
+_LETTER_TERM = r"\s*([abAB])(?:\s*\^\s*(-?[0-9]+)(?![0-9]|[^\x00-\x7f])|(?!\s*\^))"
+_LETTER_RUN = re.compile(f"(?:{_LETTER_TERM})*")
+_LETTER_TERMS = re.compile(_LETTER_TERM)
+_LETTER_SYL = {"a": (0, 1), "b": (1, 1), "A": (0, -1), "B": (1, -1)}
+# One shared syllable per (letter, exponent text) for the exponents written
+# most often; a parsed word then stores 8 bytes per such syllable, not 64.
+_TERM_SYL = {
+    (letter, text): (gen, sign * int(text or "1"))
+    for letter, (gen, sign) in _LETTER_SYL.items()
+    for text in ["", *map(str, range(-64, 65))]
+}
 
 
 class _Parser:
@@ -275,13 +309,22 @@ class _Parser:
         return int(self.text[start : self.pos])
 
     def parse_word(self, stop: str = "") -> Word:
-        out = Word.identity(self.basis)
+        text = self.text
+        syls: list[tuple[int, int]] = []
         while True:
+            end = _LETTER_RUN.match(text, self.pos).end()
+            for term in _LETTER_TERMS.findall(text, self.pos, end):
+                syl = _TERM_SYL.get(term)
+                if syl is None:
+                    gen, sign = _LETTER_SYL[term[0]]
+                    syl = (gen, sign * int(term[1]))
+                syls.append(syl)
+            self.pos = end
             self.skip_ws()
             ch = self.peek()
             if not ch or ch in stop:
-                return out
-            out = out * self.parse_term()
+                return Word(self.basis, _reduce(syls))
+            syls.extend(self.parse_term().syls)
 
     def parse_term(self) -> Word:
         atom = self.parse_atom()

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -6,6 +7,9 @@ from conftest import ADAPTED_MINUS, ADAPTED_PLUS, random_word
 from fgquad import (
     Budgets,
     EquationSpec,
+    FgquadError,
+    VerifyResult,
+    WitnessUnverified,
     Word,
     change_basis,
     classify,
@@ -163,3 +167,19 @@ class TestConsistencyCorpus:
             wanted = cls == "faithful"
             hits = [pair for pair, f in report.solutions if f == wanted]
             assert not hits, f"{spec} v={v}: oracle found {hits[0]}"
+
+
+class TestWitnessCheck:
+    def test_failed_substitution_is_typed(self, monkeypatch):
+        # the package exports the function classify under the module's name
+        classify_module = importlib.import_module("fgquad.classify")
+
+        def refuse(spec, v, first, second):
+            return VerifyResult(False, False, False, False)
+
+        monkeypatch.setattr(classify_module, "verify_solution", refuse)
+        spec = EquationSpec(1, 1, -1, "faithful", "adapted_xy")
+        with pytest.raises(WitnessUnverified, match=r"Table 1 \(1\)") as exc:
+            classify(spec, parse_word("a b a", ADAPTED_PLUS))
+        assert isinstance(exc.value, FgquadError)
+        assert isinstance(exc.value, ArithmeticError)

@@ -1,0 +1,39 @@
+"""Inputs that were quadratic or worse in the word layer now finish at once."""
+
+import io
+import random
+from contextlib import redirect_stdout
+from time import perf_counter
+
+from conftest import ADAPTED_MINUS
+from fgquad import Word, parse_word
+from fgquad.cli import main
+from oracles import reduce_syllables
+
+
+def test_canon_of_a_huge_power():
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(["canon", "--epsilon", "-1", "--word", "a^100000000"])
+    assert code == 0
+    assert '"vbar": {"r": 100000000, "s": 0}' in buf.getvalue()
+
+
+def test_power_of_a_two_syllable_word():
+    ab = Word.gen(ADAPTED_MINUS, "a") * Word.gen(ADAPTED_MINUS, "b")
+    start = perf_counter()
+    w = ab**20000
+    assert perf_counter() - start < 1.0
+    assert len(w) == 40000
+    assert w.syls == ((0, 1), (1, 1)) * 20000
+
+
+def test_parse_a_long_random_text():
+    rng = random.Random(20260418)
+    chars = [rng.choice("abAB") for _ in range(50000)]
+    text = " ".join(chars)
+    start = perf_counter()
+    w = parse_word(text, ADAPTED_MINUS)
+    assert perf_counter() - start < 1.0
+    syl = {"a": (0, 1), "b": (1, 1), "A": (0, -1), "B": (1, -1)}
+    assert w.syls == reduce_syllables([syl[ch] for ch in chars])
