@@ -1,6 +1,6 @@
 """Exact decision engine for quadratic equation families in the rank-2 free group."""
 
-from .classify import Budgets, Verdict, classify, pattern_witness, verify_tables
+from .classify import Budgets, Verdict, classify, pattern_witness
 from .derived import (
     ConjData,
     DecideResult,
@@ -48,7 +48,8 @@ from .orbits import (
 )
 from .quotient import QElement, p_q, q_divisible_by_two, q_nf_commutator
 from .surface import PiElement, apply_phi, project
-from .wicks import WicksMatch, WicksReport, extract_solution, rhs_word, wicks_decompositions, wicks_search
+from .tables import verify_tables
+from .wicks import WicksMatch, WicksReport, extract_solution, wicks_decompositions, wicks_search
 from .words import (
     BasisTag,
     EquationSpec,
@@ -58,6 +59,7 @@ from .words import (
     comm,
     conj,
     cyclic_reduce,
+    equation_rhs,
     parse_word,
     relator,
     relator_in,

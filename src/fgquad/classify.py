@@ -15,19 +15,14 @@ from typing import Literal, Optional
 from .derived import analyze_v, second_decide
 from .errors import BudgetExceeded, WitnessUnverified
 from .surface import project
-from .tables import TableReport, degree_two_witness, instantiate_witness, table_branch
-from .tables import verify_tables as _verify_tables
+from .tables import MIXED, degree_two_witness, instantiate_witness, table_branch
 from .words import (
     BasisTag,
     EquationSpec,
     Word,
     change_basis,
-    comm,
-    parse_word,
-    relator_in,
     sgn,
     solution_is_faithful,
-    square_root,
     verify_solution,
 )
 
@@ -88,103 +83,19 @@ def _exists(spec: EquationSpec, v: Word, x_ad: Word, y_ad: Word, branch: str, tr
 def pattern_witness(spec: EquationSpec, v: Word) -> Optional[tuple[Word, Word]]:
     """Syntactic witness families for the mixed cases (adapted frame).
 
-    Matches v against the explicitly solved shapes: perfect squares and even
-    powers, (alpha*beta)-powers, relator powers, relator times a beta-power,
-    and the single explicit beta^2-conjugate row.  Every hit is verified by
-    substitution before being returned.
+    Walks the mixed-case families of ``tables.MIXED`` in order: relator
+    powers, perfect squares and even powers, (alpha*beta)-powers, relator
+    times a beta-power, and the single explicit beta^2-conjugate row.  The
+    first pair that passes substitution, lies in the requested class and has
+    its first unknown in the relator subgroup is returned.
     """
-    basis = v.basis
-    rel = relator_in(basis)
-    one = Word.identity(basis)
-    g_a = Word.gen(basis, "a")
-    g_b = Word.gen(basis, "b")
     faithful = spec.solution_class == "faithful"
-
-    def ok(pair: Optional[tuple[Word, Word]]) -> Optional[tuple[Word, Word]]:
-        if pair is None:
-            return None
-        res = verify_solution(spec, v, *pair)
-        in_class = solution_is_faithful(spec, *pair) == faithful
-        if res.holds and in_class and res.x_in_n:
-            return pair
-        return None
-
-    candidates: list[tuple[Word, Word]] = []
-    # v a relator power (the right-hand side collapses): witness (1, u)
-    if _exact_power_of(v, rel) is not None:
-        for u in (g_b, g_a, g_a * g_b):
-            candidates.append((one, u))
-    # v = u^2
-    u = square_root(v)
-    if u is not None:
-        candidates.append((comm(u * u * rel.inv(), u.inv()), u.inv()))
-        candidates.append((comm(u, rel.inv()), rel.inv() * u * rel))
-        # v = u^{2k} with orientation-reversing u
-        root, e = _primitive_root(v)
-        for j in range(1, e + 1):
-            if e % (2 * j):
-                continue
-            uu = root**j
-            if sgn(uu) != -1:
-                continue
-            k = e // (2 * j)
-            candidates.append((uu ** (2 * k) * (uu * rel) ** (-2 * k), rel.inv() * uu.inv()))
-    if spec.epsilon == -1:
-        # v = (alpha beta)^{2n}
-        ab = g_a * g_b
-        n = _exact_power_of(v, ab * ab)
-        if n is not None:
-            candidates.append((comm(v, g_b), g_b))
-        # v = B beta^{2n}
-        w = rel.inv() * v
-        if len(w.syls) <= 1 and all(g == 1 and e % 2 == 0 for g, e in w.syls):
-            n = w.syls[0][1] // 2 if w.syls else 0
-            aba = g_a * g_b * g_a
-            candidates.append(
-                (aba ** (2 * n) * g_b ** (-2 * n), g_b ** (2 * n) * aba ** (1 - 2 * n))
-            )
-        # v = beta^2 B_alpha
-        if v == parse_word("b b conj(a)", basis):
-            candidates.append(
-                (
-                    parse_word("conj(b b a) conj(b b)^-1 conj(b b a)^-1 conj(b b a a B)^-1", basis),
-                    parse_word("R^-2 conj(a)^-1 a^2 B", basis),
-                )
-            )
-    for pair in candidates:
-        hit = ok(pair)
-        if hit is not None:
-            return hit
+    for family in MIXED:
+        for pair in family.pairs(v):
+            res = verify_solution(spec, v, *pair)
+            if res.holds and res.x_in_n and solution_is_faithful(spec, *pair) == faithful:
+                return pair
     return None
-
-
-def _exact_power_of(v: Word, base: Word) -> Optional[int]:
-    if v.is_identity:
-        return 0
-    if base.is_identity or len(v) % len(base):
-        return None
-    n = len(v) // len(base)
-    for k in (n, -n):
-        if base**k == v:
-            return k
-    return None
-
-
-def _primitive_root(v: Word) -> tuple[Word, int]:
-    """Largest e with v == root**e."""
-    from .words import cyclic_reduce, word_from_letters
-
-    core, t = cyclic_reduce(v)
-    letters = list(core.letters())
-    m = len(letters)
-    for e in range(m, 1, -1):
-        if m % e:
-            continue
-        step = m // e
-        chunk = letters[:step]
-        if all(letters[i * step : (i + 1) * step] == chunk for i in range(e)):
-            return t * word_from_letters(v.basis, chunk) * t.inv(), e
-    return v, 1
 
 
 def classify(spec: EquationSpec, v: Word, budgets: Budgets = Budgets()) -> Verdict:
@@ -204,8 +115,8 @@ def classify(spec: EquationSpec, v: Word, budgets: Budgets = Budgets()) -> Verdi
     if branch.kind == "not_exists":
         return Verdict("not_exists", branch.row, reason="table_branch")
     if branch.kind == "exists":
-        assert branch.witness is not None
-        x_ad, y_ad = instantiate_witness(branch.witness, v_ad)
+        assert branch.family is not None
+        x_ad, y_ad = instantiate_witness(branch.family, v_ad)
         return _exists(spec, v, x_ad, y_ad, branch.row)
     if branch.kind == "degree_two":
         classic = BasisTag.classic(spec.epsilon)
@@ -261,7 +172,3 @@ def classify(spec: EquationSpec, v: Word, budgets: Budgets = Budgets()) -> Verdi
         certificate="exhaustive canonical-solution analysis found no solution of the class",
         trace=trace,
     )
-
-
-def verify_tables() -> TableReport:
-    return _verify_tables()

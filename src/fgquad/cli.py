@@ -12,11 +12,12 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .classify import Budgets, Verdict, classify, verify_tables
+from .classify import Budgets, Verdict, classify
 from .derived import analyze_v, first_solutions, second_decide
 from .errors import FgquadError
 from .groupring import q_n
 from .surface import project
+from .tables import verify_tables
 from .words import BasisTag, EquationSpec, Word, parse_word
 
 
@@ -128,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace, need_full: bool) -> SessionConfig:
+def _config(args: argparse.Namespace) -> SessionConfig:
     budgets = Budgets(
         wicks_len=getattr(args, "wicks_len", 64),
         enum_bound=getattr(args, "enum_bound", 8),
@@ -190,7 +191,7 @@ def _words_from_args(args: argparse.Namespace, basis: BasisTag) -> list[tuple[st
 
 
 def _cmd_classify(args: argparse.Namespace, stream) -> int:
-    cfg = _config(args, need_full=True)
+    cfg = _config(args)
     for text, word in _words_from_args(args, cfg.basis):
         verdict = classify(cfg.spec, word, cfg.budgets)
         _emit(cfg.output, _verdict_json(cfg, text, word, verdict), stream)
@@ -210,7 +211,7 @@ def _cmd_verify_tables(args: argparse.Namespace, stream) -> int:
 def _cmd_wicks(args: argparse.Namespace, stream) -> int:
     from .wicks import wicks_search
 
-    cfg = _config(args, need_full=True)
+    cfg = _config(args)
     for text, word in _words_from_args(args, cfg.basis):
         report = wicks_search(cfg.spec, word, cfg.budgets.wicks_len)
         record = {
@@ -228,7 +229,7 @@ def _cmd_wicks(args: argparse.Namespace, stream) -> int:
 
 
 def _cmd_first_derived(args: argparse.Namespace, stream) -> int:
-    cfg = _config(args, need_full=True)
+    cfg = _config(args)
     for text, word in _words_from_args(args, cfg.basis):
         data = analyze_v(cfg.spec, word)
         sols = first_solutions(data.case, data.vbar, cfg.budgets.enum_bound)
@@ -255,7 +256,7 @@ def _cmd_first_derived(args: argparse.Namespace, stream) -> int:
 
 
 def _cmd_second_derived(args: argparse.Namespace, stream) -> int:
-    cfg = _config(args, need_full=True)
+    cfg = _config(args)
     for text, word in _words_from_args(args, cfg.basis):
         data = analyze_v(cfg.spec, word)
         result = second_decide(data.case, data.V, cfg.budgets.l_window_override)

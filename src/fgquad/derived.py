@@ -25,6 +25,7 @@ from .errors import CaseMismatch, NotMixedCase
 from .groupring import (
     RingElement,
     alt_geom_ratio,
+    conjugate_power_product,
     geom_ratio,
     q_n,
 )
@@ -32,7 +33,7 @@ from .orbits import HatAbs, HatL, Tilde, TildeL, augment, odd_part, same_orbit
 from .quotient import p_q, q_divisible_by_two
 from .surface import PiElement, project
 from .tables import table_branch
-from .words import BasisTag, EquationSpec, Word, change_basis, conj, relator, sgn
+from .words import BasisTag, EquationSpec, Word, change_basis, sgn
 
 CaseKind = Literal["eq2_nf", "eq3_nf", "eq4_f", "eq4_nf"]
 
@@ -187,23 +188,15 @@ def _check_first(case: MixedCase, sol: FirstSolution) -> FirstSolution:
     return sol
 
 
-def _conj_product(eps: int, factors: list[tuple[Word, int]]) -> Word:
-    rel = relator(eps)
-    out = Word.identity(rel.basis)
-    for u, power in factors:
-        out = out * conj(u, rel) ** power
-    return out
-
-
 def _geom_rep_word(eps: int, c: Word, n: int, ell: int) -> Word:
     """Representative with image (1 - cbar^{2n}) / (1 - cbar^ell)."""
     if n == 0:
         return Word.identity(c.basis)
     if n * ell > 0:
         exps = [2 * n - j * ell for j in range(1, 2 * n // ell)] + [0]
-        return _conj_product(eps, [(c**e, 1) for e in exps])
+        return conjugate_power_product(eps, [(c**e, 1) for e in exps])
     exps = [2 * n + j * ell for j in range(0, -2 * n // ell)]
-    return _conj_product(eps, [(c**e, -1) for e in exps])
+    return conjugate_power_product(eps, [(c**e, -1) for e in exps])
 
 
 def _alt_rep_word(eps: int, c: Word, D: int, ell: int) -> Word:
@@ -218,7 +211,7 @@ def _alt_rep_word(eps: int, c: Word, D: int, ell: int) -> Word:
     else:
         factors.extend((c ** (2 * D + 2 * j * ell), -1) for j in range(0, -D // ell))
         factors.extend((c ** (-(2 * j - 1) * ell), 1) for j in range(1, -D // ell + 1))
-    return _conj_product(eps, factors)
+    return conjugate_power_product(eps, factors)
 
 
 def first_solutions(case: MixedCase, vbar: PiElement, bound: int) -> list[FirstSolution]:

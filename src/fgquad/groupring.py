@@ -9,6 +9,7 @@ subgroup onto (Z[pi], +).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import DomainMismatch, EpsilonMismatch, NotDivisible, NotInKernel
@@ -106,6 +107,25 @@ class RingElement:
 
     def augmentation(self) -> int:
         return _norm_coeff(sum(self.terms.values()), self.mod)
+
+    def residue_sums(self, period: int) -> dict[tuple[int, int], int]:
+        """Coefficient sums over the classes ``{(r, s + period*k)}``, keyed by
+        ``(r, s mod period)``.
+
+        The orbit augmentations read them for many bases of one element, so
+        they are computed once per period and kept with the element.
+        """
+        sums = self._residue_sums.get(period)
+        if sums is None:
+            sums = self._residue_sums[period] = {}
+            for g, c in self.terms.items():
+                key = (g.r, g.s % period)
+                sums[key] = sums.get(key, 0) + c
+        return sums
+
+    @cached_property
+    def _residue_sums(self) -> dict[int, dict[tuple[int, int], int]]:
+        return {}
 
     def reduce_mod2(self) -> "RingElement":
         return RingElement.make(self.epsilon, self.terms.items(), mod=2)
@@ -243,7 +263,10 @@ def exact_divide(p: RingElement, d: RingElement) -> RingElement:
 
     Elements are peeled row by row in the beta-degree grading; the top row of
     the product is contributed by a single row of ``lam``, so the quotient is
-    recovered top-down and the remainder must vanish.
+    recovered top-down and the remainder must vanish.  The remainder is kept
+    as rows ``{s: {r: c}}``: subtracting ``lam_row * d`` clears row ``s_top``
+    and touches only row ``s_top - 1``, so the division is linear in the terms
+    it visits.
     """
     if p.mod != 0:
         raise DomainMismatch("exact division works over integer coefficients")
@@ -252,22 +275,31 @@ def exact_divide(p: RingElement, d: RingElement) -> RingElement:
         raise NotDivisible("divisor must be the alpha-column Jacobian element")
     if p.is_zero:
         return RingElement.zero(eps)
-    s_min = min(g.s for g in p.terms)
-    lam_items: list[tuple[PiElement, int]] = []
-    current = p
-    while not current.is_zero:
-        s_top = max(g.s for g in current.terms)
-        if s_top < s_min + 1:
-            raise NotDivisible("nonzero remainder in exact division")
-        row = [(g, c) for g, c in current.terms.items() if g.s == s_top]
-        if eps == 1:
-            lam_row = [(PiElement(1, g.r, s_top - 1), -c) for g, c in row]
-        else:
-            sigma = -1 if (s_top - 1) % 2 else 1
-            lam_row = [(PiElement(-1, g.r - sigma, s_top - 1), c) for g, c in row]
-        lam_items.extend(lam_row)
-        current = current - RingElement.make(eps, lam_row) * d
-    return RingElement.make(eps, lam_items)
+    rows: dict[int, dict[int, int]] = {}
+    for g, c in p.terms.items():
+        rows.setdefault(g.s, {})[g.r] = c
+    tops = sorted(rows)  # rows still to peel, the top one last
+    s_min = tops[0]
+    lam: dict[PiElement, int] = {}
+    while tops[-1] > s_min:
+        s_top = tops.pop()
+        row = {r: c for r, c in rows.pop(s_top).items() if c}
+        if not row:
+            continue
+        if s_top - 1 not in rows:
+            rows[s_top - 1] = {}
+            tops.append(s_top - 1)
+        below = rows[s_top - 1]
+        if eps == 1:  # d = 1 - beta: lam holds -c at (r, s_top - 1)
+            shift, sign = 0, -1
+        else:  # d = 1 + alpha*beta: lam holds c at (r - sigma, s_top - 1)
+            shift, sign = (-1 if (s_top - 1) % 2 else 1), 1
+        for r, c in row.items():
+            lam[PiElement(eps, r - shift, s_top - 1)] = sign * c
+            below[r - shift] = below.get(r - shift, 0) - sign * c
+    if any(rows[s_min].values()):
+        raise NotDivisible("nonzero remainder in exact division")
+    return RingElement(eps, 0, lam)
 
 
 def q_n(w: Word) -> RingElement:

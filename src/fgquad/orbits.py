@@ -244,78 +244,14 @@ def augment(action: Action, v: RingElement, base: PiElement) -> int:
     elif cls.defective:
         return _orbit_parity(action, v, base)
     families = _families(action, base)
-    total = 0
-    for g, c in v.terms.items():
-        signs = {f.sign for f in families if f.contains(g)}
-        if len(signs) == 2:
-            raise InconsistentSign(f"{g} resolves with both signs from base {base}")
-        if signs:
-            total += signs.pop() * c
+    period = families[0].period  # shared by every family of one action
+    key_signs: dict[tuple[int, int], set[int]] = {}
+    for f in families:
+        key_signs.setdefault((f.head.r, f.head.s % period), set()).add(f.sign)
+    sums = v.residue_sums(period)
+    if any(len(signs) == 2 and key in sums for key, signs in key_signs.items()):
+        for g in v.terms:
+            if len(key_signs.get((g.r, g.s % period), ())) == 2:
+                raise InconsistentSign(f"{g} resolves with both signs from base {base}")
+    total = sum(signs.pop() * sums[key] for key, signs in key_signs.items() if key in sums)
     return total % 2 if v.mod == 2 else total
-
-
-def orbit_in_box(action: Action, g: PiElement, radius: int) -> set[PiElement]:
-    """All orbit elements with |r| <= radius and |s| <= radius (test support)."""
-    _check_eps(action, g)
-    eps = action.epsilon
-    out: set[PiElement] = set()
-    if isinstance(action, (Tilde, TildeL, HatL)):
-        for fam in _families(action, g):
-            if abs(fam.head.r) > radius:
-                continue
-            period = fam.period
-            start = fam.head.s % period
-            s = start - period * ((start + radius) // period)
-            while s <= radius:
-                if -radius <= s:
-                    out.add(PiElement(eps, fam.head.r, s))
-                s += period
-        return out
-    u = action.u
-    heads = [g, g.inv()]
-    if u.epsilon == -1 and g.w_eps() == -1:
-        um, un2 = u.r, u.s
-        for head in heads:
-            if um == 0:
-                if abs(head.r) > radius:
-                    continue
-                if un2 == 0:
-                    out.add(head)
-                    continue
-                step = abs(un2)
-                s = head.s - step * ((head.s + radius) // step)
-                while s <= radius:
-                    if -radius <= s:
-                        out.add(PiElement(eps, head.r, s))
-                    s += step
-            else:
-                kr = range(-(2 * radius // abs(um)) - 2, 2 * radius // abs(um) + 3)
-                for k in kr:
-                    r = head.r + k * um
-                    if abs(r) > radius:
-                        continue
-                    if un2 == 0:
-                        if abs(head.s) <= radius:
-                            out.add(PiElement(eps, r, head.s))
-                        continue
-                    step = 2 * abs(un2)
-                    s0 = head.s + k * un2
-                    s = s0 - step * ((s0 + radius) // step)
-                    while s <= radius:
-                        if -radius <= s:
-                            out.add(PiElement(eps, r, s))
-                        s += step
-        return out
-    um, us = u.r, u.s
-    for head in heads:
-        if um == 0 and us == 0:
-            if abs(head.r) <= radius and abs(head.s) <= radius:
-                out.add(head)
-            continue
-        bound = max(abs(um), abs(us))
-        kr = range(-(2 * radius // bound) - 2, 2 * radius // bound + 3)
-        for k in kr:
-            r, s = head.r + k * um, head.s + k * us
-            if abs(r) <= radius and abs(s) <= radius:
-                out.add(PiElement(eps, r, s))
-    return out

@@ -75,14 +75,6 @@ class PiElement:
         """Orientation character epsilon**s."""
         return -1 if (self.epsilon == -1 and self.s % 2) else 1
 
-    @property
-    def p_alpha(self) -> int:
-        return self.r
-
-    @property
-    def p_beta(self) -> int:
-        return self.s
-
     def divisible_by_two(self) -> bool:
         if self.epsilon != 1:
             raise EpsilonMismatch("divisibility test is for the torus quotient")

@@ -1,25 +1,285 @@
-"""Branch tables of the classification and the explicit-solution fixtures.
+"""Branch tables of the classification and the registry of explicit solutions.
 
 ``table_branch`` realizes the complete decision tree over the equation
-parameters and the projection of the conjugation parameter; the fixture list
-instantiates every explicit solution cell with small parameter values.
+parameters and the projection of the conjugation parameter.  Each explicit
+solution family of Tables 0-4 is one ``Family``, written once: a matcher from
+``v`` to parameters, a builder of the witness pair from word operations, and
+fixture rows with sample values of ``v``.  Closed branches point at their
+family, ``degree_two_witness`` and ``classify.pattern_witness`` walk
+``DEGREE_TWO`` and ``MIXED``, and ``verify_tables`` checks every sample row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Callable, Iterator, Literal, Optional
 
-from .surface import PiElement, project
+from .groupring import conjugate_power_product
+from .surface import PiElement
 from .words import (
-    BasisTag,
     EquationSpec,
     Word,
     comm,
     conj,
+    cyclic_reduce,
     parse_word,
     relator_in,
+    sgn,
+    square_root,
+    verify_solution,
+    word_from_letters,
 )
+
+Pair = tuple[Word, Word]
+
+
+@dataclass(frozen=True)
+class Family:
+    """One explicitly solved shape of the conjugation parameter ``v``.
+
+    ``match(v)`` lists the parameter tuples under which ``v`` has the shape
+    (none: no match); ``build(v, *params)`` writes the pair in the basis of
+    ``v``.  Each row is a table cell, the equation it solves and sample
+    values of ``v`` in that equation's basis.
+    """
+
+    match: Callable[[Word], list[tuple]]
+    build: Callable[..., Pair]
+    rows: tuple[tuple[str, EquationSpec, tuple[str, ...]], ...]
+
+    def pairs(self, v: Word) -> Iterator[Pair]:
+        for params in self.match(v):
+            yield self.build(v, *params)
+
+
+def _a(v: Word, k: int = 1) -> Word:
+    return Word.gen(v.basis, "a", k)
+
+
+def _b(v: Word, k: int = 1) -> Word:
+    return Word.gen(v.basis, "b", k)
+
+
+def _R(v: Word) -> Word:
+    return relator_in(v.basis)
+
+
+def _when(hit: bool) -> list[tuple]:
+    return [()] if hit else []
+
+
+def _one(param: Optional[object]) -> list[tuple]:
+    return [] if param is None else [(param,)]
+
+
+def _klein(match: Callable[[Word], list[tuple]]) -> Callable[[Word], list[tuple]]:
+    return lambda v: match(v) if v.basis.epsilon == -1 else []
+
+
+def _exact_power_of(v: Word, base: Word) -> Optional[int]:
+    if v.is_identity:
+        return 0
+    if base.is_identity or len(v) % len(base):
+        return None
+    n = len(v) // len(base)
+    for k in (n, -n):
+        if base**k == v:
+            return k
+    return None
+
+
+def _primitive_root(v: Word) -> tuple[Word, int]:
+    """Largest e with v == root**e."""
+    core, t = cyclic_reduce(v)
+    letters = list(core.letters())
+    m = len(letters)
+    for e in range(m, 1, -1):
+        if m % e:
+            continue
+        step = m // e
+        chunk = letters[:step]
+        if all(letters[i * step : (i + 1) * step] == chunk for i in range(e)):
+            return t * word_from_letters(v.basis, chunk) * t.inv(), e
+    return v, 1
+
+
+def _xy(delta: int, eps: int, theta: int, cls: str) -> EquationSpec:
+    return EquationSpec(delta, eps, theta, cls, "adapted_xy")  # type: ignore[arg-type]
+
+
+def _z(delta: int, eps: int, theta: int) -> EquationSpec:
+    return EquationSpec(delta, eps, theta, "faithful", "original_z")
+
+
+_ANY = ("a", "b", "a b")
+_PLUS = ("a", "b^2", "a b^2", "a^2")  # adapted, eps = -1, orientation +1
+_MINUS = ("b", "a b", "a^2 b")  # adapted, eps = -1, orientation -1
+_EVEN_POWERS = ("b^2", "b^4", "b^6", "(a b)^2", "(a b)^4", "(a b)^6")
+
+# Closed table branches (Tables 1 and 2): one pair for every v of the branch.
+CONJUGATE = Family(
+    lambda v: [()],
+    lambda v: (conj(v, _R(v).inv()), v.inv()),
+    (
+        ("Table 1 (1)", _xy(1, 1, -1, "faithful"), _ANY),
+        ("Table 1 (2a)", _xy(1, -1, -1, "faithful"), _PLUS),
+        ("Table 2 (2b)", _xy(1, -1, -1, "nonfaithful"), _MINUS),
+    ),
+)
+RELATOR = Family(
+    lambda v: [()],
+    lambda v: (_R(v), _R(v).inv() * v),
+    (
+        ("Table 1 (4a)", _xy(-1, -1, 1, "faithful"), _MINUS),
+        ("Table 2 (4b)", _xy(-1, -1, 1, "nonfaithful"), _PLUS),
+    ),
+)
+COMMUTATOR = Family(
+    lambda v: [()],
+    lambda v: (comm(_a(v), _b(v)), comm(_b(v), _a(v)) * v),
+    (("Table 2 (3a)", _xy(-1, 1, 1, "nonfaithful"), _ANY),),
+)
+
+
+# Degree-two families (Table 0): faithful solutions with v_sign == theta, for
+# literal classic-basis shapes of v.
+def _odd_alpha_power(v: Word) -> list[tuple]:
+    """v = a^n with n odd."""
+    hit = len(v.syls) == 1 and v.syls[0][0] == 0 and v.syls[0][1] % 2
+    return _one(v.syls[0][1] if hit else None)
+
+
+def _odd_alpha_power_beta(v: Word) -> list[tuple]:
+    """v = a^n b with n odd."""
+    hit = len(v.syls) == 2 and v.syls[0][0] == 0 and v.syls[1] == (1, 1) and v.syls[0][1] % 2
+    return _one(v.syls[0][1] if hit else None)
+
+
+DEGREE_TWO = (
+    Family(
+        lambda v: _when(v == _a(v)),
+        lambda v: (_a(v, 2), _b(v)),
+        (("Table 0 (1)a", _z(1, 1, 1), ("a",)),),
+    ),
+    Family(
+        lambda v: _when(v == _a(v, -1)),
+        lambda v: (
+            _b(v) * _a(v, -1) * _b(v, -1) * _a(v, -1) * _b(v, -1),
+            _b(v) * _a(v, 2) * _b(v, -1),
+        ),
+        (("Table 0 (1)b", _z(1, 1, 1), ("A",)),),
+    ),
+    Family(
+        _odd_alpha_power,
+        lambda v, n: (v * _b(v), _b(v, -2)),
+        (("Table 0 (2)a", _z(1, -1, -1), ("a", "a^3")),),
+    ),
+    Family(
+        lambda v: _when(v == _b(v, -1) * _a(v, -1)),
+        lambda v: (_b(v, -1) * _a(v) * _b(v, 3), _b(v, -2) * _a(v) * _b(v, 2)),
+        (("Table 0 (4)b", _z(-1, -1, 1), ("B A",)),),
+    ),
+    Family(
+        _odd_alpha_power_beta,
+        lambda v, n: (_a(v, n) * _b(v) * _a(v, 2 - n), _b(v)),
+        # row (4)a, v = a b, is the n = 1 member of row (4)e
+        (
+            ("Table 0 (4)a", _z(-1, -1, 1), ("a b",)),
+            ("Table 0 (4)e", _z(-1, -1, 1), ("a b", "a^3 b")),
+        ),
+    ),
+    Family(
+        _odd_alpha_power,
+        lambda v, n: (_a(v, n) * _b(v, -1) * _a(v, -n), _b(v)),
+        (("Table 0 (4)f", _z(-1, -1, -1), ("a", "a^3")),),
+    ),
+)
+
+
+# Mixed-case families (Tables 3 and 4), in the order pattern_witness tries them.
+def _even_power(v: Word) -> list[tuple]:
+    """v = u^{2k} with orientation-reversing u, one entry per such split."""
+    if square_root(v) is None:  # the cheap test first: e is even for a square only
+        return []
+    root, e = _primitive_root(v)
+    splits = [(root**j, e // (2 * j)) for j in range(1, e + 1) if e % (2 * j) == 0]
+    return [(u, k) for u, k in splits if sgn(u) == -1]
+
+
+def _relator_beta_power(v: Word) -> list[tuple]:
+    """v = B beta^{2n}."""
+    w = _R(v).inv() * v
+    hit = len(w.syls) <= 1 and all(g == 1 and e % 2 == 0 for g, e in w.syls)
+    return _one(w.syls[0][1] // 2 if w.syls else 0) if hit else []
+
+
+def _relator_beta_power_pair(v: Word, n: int) -> Pair:
+    aba = _a(v) * _b(v) * _a(v)
+    return aba ** (2 * n) * _b(v, -2 * n), _b(v, 2 * n) * aba ** (1 - 2 * n)
+
+
+def _beta2_b_alpha_pair(v: Word) -> Pair:
+    """The explicit pair of Table 4 (2e), from conjugates of the relator."""
+    a, b, bba = _a(v), _b(v), _b(v, 2) * _a(v)
+    first = conjugate_power_product(-1, [(bba, 1), (b * b, -1), (bba, -1), (bba * a * b.inv(), -1)])
+    second = conjugate_power_product(-1, [(Word.identity(v.basis), -2), (a, -1)]) * a * a * b.inv()
+    return first, second
+
+
+def _squares(build: Callable[[Word, Word], Pair]) -> Family:
+    """v = u^2, solved in the three square cells of Tables 3 and 4."""
+    return Family(
+        lambda v: _one(square_root(v)),
+        build,
+        (
+            ("Table 3 (4c)", _xy(-1, -1, -1, "faithful"), ("b^2", "(a b)^2")),
+            ("Table 4 (3c)", _xy(-1, 1, -1, "nonfaithful"), ("a^2", "b^2", "(a b)^2")),
+            ("Table 4 (4d)", _xy(-1, -1, -1, "nonfaithful"), ("a^2", "b^4", "(a b^2)^2")),
+        ),
+    )
+
+
+def _relator_power(u: Callable[[Word], Word], row: str, cls: str) -> Family:
+    """v = R^m collapses the right-hand side, so (1, u) solves for any u."""
+    return Family(
+        lambda v: _one(_exact_power_of(v, _R(v))),
+        lambda v, m: (Word.identity(v.basis), u(v)),
+        ((row, _xy(-1, -1, -1, cls), ("R", "R^2", "R^3")),),
+    )
+
+
+MIXED = (
+    _relator_power(_b, "Table 3 (4e)", "faithful"),
+    _relator_power(_a, "Table 4 (4c)", "nonfaithful"),
+    _squares(lambda v, u: (comm(u * u * _R(v).inv(), u.inv()), u.inv())),
+    _squares(lambda v, u: (comm(u, _R(v).inv()), _R(v).inv() * u * _R(v))),
+    Family(
+        _even_power,
+        lambda v, u, k: (u ** (2 * k) * (u * _R(v)) ** (-2 * k), _R(v).inv() * u.inv()),
+        (("Table 4 (2c)", _xy(1, -1, -1, "nonfaithful"), _EVEN_POWERS),),
+    ),
+    Family(
+        _klein(lambda v: _one(_exact_power_of(v, (_a(v) * _b(v)) ** 2))),
+        lambda v, n: (comm(v, _b(v)), _b(v)),
+        (("Table 3 (4d)", _xy(-1, -1, -1, "faithful"), ("(a b)^2", "(a b)^4", "(a b)^6")),),
+    ),
+    Family(
+        _klein(_relator_beta_power),
+        _relator_beta_power_pair,
+        (("Table 4 (2d)", _xy(1, -1, -1, "nonfaithful"), ("R b^2", "R b^4", "R b^6")),),
+    ),
+    Family(
+        _klein(lambda v: _when(v == _b(v, 2) * conj(_a(v), _R(v)))),
+        _beta2_b_alpha_pair,
+        (("Table 4 (2e)", _xy(1, -1, -1, "nonfaithful"), ("b^2 conj(a)",)),),
+    ),
+)
+
+FAMILIES = (CONJUGATE, RELATOR, COMMUTATOR, *DEGREE_TWO, *MIXED)
+
+# ---------------------------------------------------------------------------
+# The decision tree
+# ---------------------------------------------------------------------------
 
 BranchKind = Literal["exists", "not_exists", "mixed", "degree_two", "abelian"]
 
@@ -28,7 +288,7 @@ BranchKind = Literal["exists", "not_exists", "mixed", "degree_two", "abelian"]
 class Branch:
     row: str
     kind: BranchKind
-    witness: Optional[str] = None  # template over {v}, parsed in the adapted basis
+    family: Optional[Family] = None  # the witness family of an "exists" branch
 
 
 def _abelian_obstructed(spec: EquationSpec) -> bool:
@@ -53,17 +313,17 @@ def table_branch(spec: EquationSpec, vbar: PiElement, v_sign: int) -> Branch:
             return Branch("Table 1 (3)", "not_exists")
         if eps == 1:  # delta == +1, v_sign always +1
             if theta == -1:
-                return Branch("Table 1 (1)", "exists", "({v}) R^-1 ({v})^-1 | ({v})^-1")
+                return Branch("Table 1 (1)", "exists", CONJUGATE)
             return Branch("Table 0 (1)", "degree_two")
         if delta == 1:
             if theta == -1 and v_sign == 1:
-                return Branch("Table 1 (2a)", "exists", "({v}) R^-1 ({v})^-1 | ({v})^-1")
+                return Branch("Table 1 (2a)", "exists", CONJUGATE)
             return Branch("Table 0 (2)", "degree_two")
         # delta == eps == -1
         if theta == 1 and v_sign == -1:
-            return Branch("Table 1 (4a)", "exists", "R | R^-1 ({v})")
+            return Branch("Table 1 (4a)", "exists", RELATOR)
         if theta == -1 and v_sign == 1:
-            if vbar.p_alpha != 0:
+            if vbar.r != 0:
                 return Branch("Table 1 (4b)", "not_exists")
             return Branch("Table 1 (4c)", "mixed")
         return Branch("Table 0 (4)", "degree_two")
@@ -73,13 +333,13 @@ def table_branch(spec: EquationSpec, vbar: PiElement, v_sign: int) -> Branch:
     if eps == -1 and delta == 1:
         # theta == +1 was caught by the abelian check
         if v_sign == -1:
-            return Branch("Table 2 (2b)", "exists", "({v}) R^-1 ({v})^-1 | ({v})^-1")
-        if vbar.p_alpha != 0:
+            return Branch("Table 2 (2b)", "exists", CONJUGATE)
+        if vbar.r != 0:
             return Branch("Table 2 (2c)", "not_exists")
         return Branch("Table 2 (2d)", "mixed")
     if eps == 1 and delta == -1:
         if theta == 1:
-            return Branch("Table 2 (3a)", "exists", "[a, b] | [b, a] ({v})")
+            return Branch("Table 2 (3a)", "exists", COMMUTATOR)
         if vbar.r % 2 or vbar.s % 2:
             return Branch("Table 2 (3b)", "not_exists")
         return Branch("Table 2 (3c)", "mixed")
@@ -87,67 +347,31 @@ def table_branch(spec: EquationSpec, vbar: PiElement, v_sign: int) -> Branch:
     if theta == 1:
         if v_sign == -1:
             return Branch("Table 2 (4a)", "not_exists")
-        return Branch("Table 2 (4b)", "exists", "R | R^-1 ({v})")
+        return Branch("Table 2 (4b)", "exists", RELATOR)
     if v_sign == -1:
         return Branch("Table 2 (4c)", "not_exists")
-    if vbar.p_beta % 4 or vbar.p_alpha % 2:
+    if vbar.s % 4 or vbar.r % 2:
         return Branch("Table 2 (4d)", "not_exists")
     return Branch("Table 2 (4e)", "mixed")
 
 
-def instantiate_witness(template: str, v: Word) -> tuple[Word, Word]:
-    basis = v.basis
-    first_t, second_t = template.split("|")
-    v_text = f"({v})" if not v.is_identity else "1"
-    first = parse_word(first_t.strip().format(v=v_text), basis)
-    second = parse_word(second_t.strip().format(v=v_text), basis)
-    return first, second
+def instantiate_witness(family: Family, v: Word) -> Pair:
+    """The pair of ``family`` at ``v`` under its first match (a closed
+    branch's family matches every ``v`` of the branch)."""
+    return next(family.pairs(v))
 
 
-# ---------------------------------------------------------------------------
-# Degree-two families (faithful solutions with v_sign == theta)
-# ---------------------------------------------------------------------------
-
-
-def degree_two_witness(spec: EquationSpec, v_classic: Word) -> Optional[tuple[Word, Word]]:
+def degree_two_witness(spec: EquationSpec, v_classic: Word) -> Optional[Pair]:
     """Match v against the explicitly solved degree-two families.
 
     All matches are literal classic-basis power words; the returned pair is in
     the classic frame and must be substitution-verified by the caller.
     """
-    basis = v_classic.basis
-    syls = v_classic.syls
-    a = Word.gen(basis, "a")
-    b = Word.gen(basis, "b")
-    delta, eps, theta = spec.delta, spec.epsilon, spec.theta
-
-    if delta == 1 and eps == 1 and theta == 1:
-        if v_classic == a:
-            return a * a, b
-        if v_classic == a.inv():
-            return parse_word("b A B A B", basis), parse_word("b a a B", basis)
-        return None
-    if delta == 1 and eps == -1 and theta == -1:
-        n = None
-        if len(syls) == 1 and syls[0][0] == 0 and syls[0][1] % 2:
-            n = syls[0][1]
-        if n is not None:
-            return a**n * b, b**-2
-        return None
-    if delta == -1 and eps == -1:
-        if theta == 1:
-            if v_classic == a * b:
-                return a * b * a, b
-            if v_classic == (a * b).inv():
-                return parse_word("B a b^3", basis), parse_word("b^-2 a b^2", basis)
-            if len(syls) == 2 and syls[0][0] == 0 and syls[1] == (1, 1) and syls[0][1] % 2:
-                n = syls[0][1]
-                return a**n * b * a ** (2 - n), b
-            return None
-        if len(syls) == 1 and syls[0][0] == 0 and syls[0][1] % 2:
-            n = syls[0][1]
-            return a**n * b.inv() * a**-n, b
-        return None
+    signs = (spec.delta, spec.epsilon, spec.theta)
+    for family in DEGREE_TWO:
+        if any((s.delta, s.epsilon, s.theta) == signs for _, s, _ in family.rows):
+            for pair in family.pairs(v_classic):
+                return pair
     return None
 
 
@@ -163,190 +387,17 @@ class Fixture:
     v: Word
     first: Word
     second: Word
-    check_x_in_n: bool = False
-
-
-def _cw(text: str, eps: int) -> Word:
-    return parse_word(text, BasisTag.classic(eps))
-
-
-def _aw(text: str, eps: int) -> Word:
-    return parse_word(text, BasisTag.adapted(eps))
-
-
-def _spec(delta: int, eps: int, theta: int, cls: str, frame: str) -> EquationSpec:
-    return EquationSpec(delta, eps, theta, cls, frame)  # type: ignore[arg-type]
-
-
-def table0_fixtures() -> list[Fixture]:
-    rows: list[Fixture] = []
-
-    def add(row: str, delta: int, eps: int, theta: int, v: str, z1: str, z2: str) -> None:
-        spec = _spec(delta, eps, theta, "faithful", "original_z")
-        rows.append(
-            Fixture(row, spec, _cw(v, eps), _cw(z1, eps), _cw(z2, eps))
-        )
-
-    add("Table 0 (1)a", 1, 1, 1, "a", "a^2", "b")
-    add("Table 0 (1)b", 1, 1, 1, "A", "b A B A B", "b a^2 B")
-    for n in (1, 3):
-        add("Table 0 (2)a", 1, -1, -1, f"a^{n}", f"a^{n} b", "b^-2")
-    add("Table 0 (4)a", -1, -1, 1, "a b", "a b a", "b")
-    add("Table 0 (4)b", -1, -1, 1, "B A", "B a b^3", "b^-2 a b^2")
-    for n in (1, 3):
-        add("Table 0 (4)e", -1, -1, 1, f"a^{n} b", f"a^{n} b a^{2 - n}", "b")
-    for n in (1, 3):
-        add("Table 0 (4)f", -1, -1, -1, f"a^{n}", f"a^{n} B a^-{n}", "b")
-    return rows
-
-
-_V_SAMPLES_PLUS = ["a", "b^2", "a b^2", "a^2"]  # adapted, orientation +1
-_V_SAMPLES_MINUS = ["b", "a b", "a^2 b"]  # adapted, orientation -1
-_V_SAMPLES_ANY = ["a", "b", "a b"]
-
-
-def _adapted_fixture(
-    row: str,
-    delta: int,
-    eps: int,
-    theta: int,
-    cls: str,
-    v: Word,
-    first: Word,
-    second: Word,
-) -> Fixture:
-    spec = _spec(delta, eps, theta, cls, "adapted_xy")
-    return Fixture(row, spec, v, first, second, check_x_in_n=True)
-
-
-def tables12_fixtures() -> list[Fixture]:
-    rows: list[Fixture] = []
-
-    def witness_conj(v: Word) -> tuple[Word, Word]:
-        rel = relator_in(v.basis)
-        return conj(v, rel.inv()), v.inv()
-
-    def witness_rel(v: Word) -> tuple[Word, Word]:
-        rel = relator_in(v.basis)
-        return rel, rel.inv() * v
-
-    for text in _V_SAMPLES_ANY:
-        v = _aw(text, 1)
-        first, second = witness_conj(v)
-        rows.append(_adapted_fixture("Table 1 (1)", 1, 1, -1, "faithful", v, first, second))
-    for text in _V_SAMPLES_PLUS:
-        v = _aw(text, -1)
-        first, second = witness_conj(v)
-        rows.append(_adapted_fixture("Table 1 (2a)", 1, -1, -1, "faithful", v, first, second))
-    for text in _V_SAMPLES_MINUS:
-        v = _aw(text, -1)
-        first, second = witness_rel(v)
-        rows.append(_adapted_fixture("Table 1 (4a)", -1, -1, 1, "faithful", v, first, second))
-    for text in _V_SAMPLES_MINUS:
-        v = _aw(text, -1)
-        first, second = witness_conj(v)
-        rows.append(_adapted_fixture("Table 2 (2b)", 1, -1, -1, "nonfaithful", v, first, second))
-    for text in _V_SAMPLES_ANY:
-        v = _aw(text, 1)
-        basis = v.basis
-        first = comm(Word.gen(basis, "a"), Word.gen(basis, "b"))
-        second = comm(Word.gen(basis, "b"), Word.gen(basis, "a")) * v
-        rows.append(_adapted_fixture("Table 2 (3a)", -1, 1, 1, "nonfaithful", v, first, second))
-    for text in _V_SAMPLES_PLUS:
-        v = _aw(text, -1)
-        first, second = witness_rel(v)
-        rows.append(_adapted_fixture("Table 2 (4b)", -1, -1, 1, "nonfaithful", v, first, second))
-    return rows
-
-
-def tables34_fixtures() -> list[Fixture]:
-    rows: list[Fixture] = []
-
-    def square_witnesses(u: Word) -> list[tuple[Word, Word]]:
-        rel = relator_in(u.basis)
-        return [
-            (comm(u * u * rel.inv(), u.inv()), u.inv()),
-            (comm(u, rel.inv()), rel.inv() * u * rel),
-        ]
-
-    # Table 3 (4c): v = u^2 with orientation-reversing u, faithful pair.
-    for u_text in ("b", "a b"):
-        u = _aw(u_text, -1)
-        for first, second in square_witnesses(u):
-            rows.append(
-                _adapted_fixture("Table 3 (4c)", -1, -1, -1, "faithful", u * u, first, second)
-            )
-    # Table 3 (4d): v = (alpha beta)^{2n}.
-    for n in (1, 2, 3):
-        basis = BasisTag.adapted(-1)
-        ab = Word.gen(basis, "a") * Word.gen(basis, "b")
-        v = ab ** (2 * n)
-        beta = Word.gen(basis, "b")
-        rows.append(
-            _adapted_fixture("Table 3 (4d)", -1, -1, -1, "faithful", v, comm(v, beta), beta)
-        )
-    # Table 3 (4e): v a relator power, witness (1, u) with w(u) = -1.
-    for m in (1, 2, 3):
-        basis = BasisTag.adapted(-1)
-        v = relator_in(basis) ** m
-        rows.append(
-            _adapted_fixture(
-                "Table 3 (4e)", -1, -1, -1, "faithful", v, Word.identity(basis), Word.gen(basis, "b")
-            )
-        )
-    # Table 4 (2c): v = u^{2k}, w(u) = -1.
-    for u_text in ("b", "a b"):
-        for k in (1, 2, 3):
-            u = _aw(u_text, -1)
-            rel = relator_in(u.basis)
-            v = u ** (2 * k)
-            first = u ** (2 * k) * (u * rel) ** (-2 * k)
-            second = rel.inv() * u.inv()
-            rows.append(_adapted_fixture("Table 4 (2c)", 1, -1, -1, "nonfaithful", v, first, second))
-    # Table 4 (2d): v = B beta^{2n}.
-    for n in (1, 2, 3):
-        basis = BasisTag.adapted(-1)
-        rel = relator_in(basis)
-        beta = Word.gen(basis, "b")
-        aba = parse_word("a b a", basis)
-        v = rel * beta ** (2 * n)
-        first = aba ** (2 * n) * beta ** (-2 * n)
-        second = beta ** (2 * n) * aba ** (1 - 2 * n)
-        rows.append(_adapted_fixture("Table 4 (2d)", 1, -1, -1, "nonfaithful", v, first, second))
-    # Table 4 (2e): v = beta^2 B_alpha, explicit pair.
-    basis = BasisTag.adapted(-1)
-    v = parse_word("b b conj(a)", basis)
-    first = parse_word("conj(b b a) conj(b b)^-1 conj(b b a)^-1 conj(b b a a B)^-1", basis)
-    second = parse_word("R^-2 conj(a)^-1 a^2 B", basis)
-    rows.append(_adapted_fixture("Table 4 (2e)", 1, -1, -1, "nonfaithful", v, first, second))
-    # Table 4 (3c): v = u^2 in the torus case.
-    for u_text in ("a", "b", "a b"):
-        u = _aw(u_text, 1)
-        for first, second in square_witnesses(u):
-            rows.append(
-                _adapted_fixture("Table 4 (3c)", -1, 1, -1, "nonfaithful", u * u, first, second)
-            )
-    # Table 4 (4c): v a relator power, witness (1, u) with w(u) = +1.
-    for m in (1, 2, 3):
-        basis = BasisTag.adapted(-1)
-        v = relator_in(basis) ** m
-        rows.append(
-            _adapted_fixture(
-                "Table 4 (4c)", -1, -1, -1, "nonfaithful", v, Word.identity(basis), Word.gen(basis, "a")
-            )
-        )
-    # Table 4 (4d): v = u^2 with orientation-preserving u.
-    for u_text in ("a", "b^2", "a b^2"):
-        u = _aw(u_text, -1)
-        for first, second in square_witnesses(u):
-            rows.append(
-                _adapted_fixture("Table 4 (4d)", -1, -1, -1, "nonfaithful", u * u, first, second)
-            )
-    return rows
 
 
 def all_fixtures() -> list[Fixture]:
-    return table0_fixtures() + tables12_fixtures() + tables34_fixtures()
+    """One row per sample of every family, with the family's first pair."""
+    out: list[Fixture] = []
+    for family in FAMILIES:
+        for row, spec, samples in family.rows:
+            for text in samples:
+                v = parse_word(text, spec.basis)
+                out.append(Fixture(row, spec, v, *instantiate_witness(family, v)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -363,19 +414,14 @@ class TableReport:
 
 def verify_tables() -> TableReport:
     """Substitution-check every explicit-solution fixture row."""
-    from .words import verify_solution
-
     failures: list[FixtureFailure] = []
     fixtures = all_fixtures()
     for fx in fixtures:
         result = verify_solution(fx.spec, fx.v, fx.first, fx.second)
         if not result.holds:
             failures.append(FixtureFailure(fx.row, "substitution failed"))
-            continue
-        expected_faithful = fx.spec.solution_class == "faithful"
-        if result.faithful != expected_faithful:
+        elif result.faithful != (fx.spec.solution_class == "faithful"):
             failures.append(FixtureFailure(fx.row, "wrong solution class"))
-            continue
-        if fx.check_x_in_n and not result.x_in_n:
+        elif result.x_in_n_applicable and not result.x_in_n:
             failures.append(FixtureFailure(fx.row, "first unknown not in the relator subgroup"))
     return TableReport(len(fixtures), failures)

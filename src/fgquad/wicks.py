@@ -20,7 +20,6 @@ from .words import (
     comm,
     cyclic_reduce,
     equation_rhs,
-    parse_word,
     solution_is_faithful,
     square_root,
     verify_solution,
@@ -58,9 +57,6 @@ class WicksMatch:
     u_prefix: Word  # cyclic-shift prefix U_i with W = U_i V_i, W_i = V_i U_i
     t: Word  # cyclic-reduction conjugator of the original right-hand side
     core: Word
-
-    def part_names(self) -> list[str]:
-        return sorted(self.parts)
 
 
 def _inv_letters(letters: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -179,11 +175,6 @@ class WicksReport:
     matches: list[WicksMatch]
 
 
-def rhs_word(spec: EquationSpec, v: Word) -> Word:
-    """The reduced right-hand side v * R^theta * v^-1 * R in the frame basis."""
-    return equation_rhs(spec, v)
-
-
 def _trivial_candidates(spec: EquationSpec, basis: BasisTag) -> list[tuple[Word, Word]]:
     one = Word.identity(basis)
     g_a = Word.gen(basis, "a")
@@ -200,9 +191,7 @@ def _frame_pair(spec: EquationSpec, z1: Word, z2: Word) -> tuple[Word, Word]:
     return z1 * z2, z2.inv()
 
 
-def wicks_search(
-    spec: EquationSpec, v: Word, wicks_len: int = 64, allow_empty: bool = False
-) -> WicksReport:
+def wicks_search(spec: EquationSpec, v: Word, wicks_len: int = 64) -> WicksReport:
     """Enumerate solutions of the equation via Wicks decompositions.
 
     Solutions are labelled faithful per the orientation characters of the
@@ -210,7 +199,7 @@ def wicks_search(
     the run is evidence of non-existence for that class, in the sense of the
     canonical-solution analysis.
     """
-    rhs = rhs_word(spec, v)
+    rhs = equation_rhs(spec, v)
     core, t = cyclic_reduce(rhs)
     if len(core) > wicks_len:
         raise BudgetExceeded(f"cyclic right-hand side length {len(core)} > {wicks_len}")
@@ -235,12 +224,9 @@ def wicks_search(
             consider(*_frame_pair(spec, z1, z2))
         return WicksReport(solutions, True, [])
     # solutions are gathered with empty parts admitted (degenerate forms);
-    # the reported match list keeps the nonempty convention unless asked
+    # the reported match list keeps the nonempty convention
     all_matches = wicks_decompositions(core, kind, allow_empty=True)
-    if allow_empty:
-        matches = all_matches
-    else:
-        matches = [m for m in all_matches if all(not p.is_identity for p in m.parts.values())]
+    matches = [m for m in all_matches if all(not p.is_identity for p in m.parts.values())]
     for match in all_matches:
         match = WicksMatch(match.shift, match.form, match.parts, match.u_prefix, t, core)
         z1, z2 = extract_solution(match)
@@ -251,32 +237,3 @@ def wicks_search(
             consider(*_frame_pair(spec, root, Word.identity(spec.basis)))
             consider(*_frame_pair(spec, Word.identity(spec.basis), root))
     return WicksReport(solutions, True, matches)
-
-
-def _self_check() -> None:
-    """Verify the hand-derived extraction pairs on a rank-3 free subgroup."""
-    basis = BasisTag.classic(1)
-    sub = {
-        "a": parse_word("a a", basis),
-        "b": parse_word("a b", basis),
-        "c": parse_word("b A", basis),
-    }
-    a, b, c = sub["a"], sub["b"], sub["c"]
-    # abcbac^-1 == (abca^-1)^2 (ac^-1)^2
-    lhs = a * b * c * b * a * c.inv()
-    x = a * b * c * a.inv()
-    y = a * c.inv()
-    if x * x * y * y != lhs:
-        raise ExtractionFailed("nonorientable abcbac extraction identity")
-    # a^2 b c^2 b^-1 == a^2 (b c b^-1)^2
-    lhs = a * a * b * c * c * b.inv()
-    y = b * c * b.inv()
-    if a * a * y * y != lhs:
-        raise ExtractionFailed("nonorientable aabcc extraction identity")
-    # abca^-1b^-1c^-1 == [ab, cb]
-    lhs = a * b * c * a.inv() * b.inv() * c.inv()
-    if comm(a * b, c * b) != lhs:
-        raise ExtractionFailed("orientable abc extraction identity")
-
-
-_self_check()

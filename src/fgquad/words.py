@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator, Literal, Optional
 
 from .errors import BasisMismatch, WordSyntaxError
@@ -53,11 +54,19 @@ class BasisTag:
         return BasisTag("adapted", epsilon)
 
 
+# One shared tuple per syllable with an exponent in -64..64, handed out by the
+# parser, _reduce and Word.inv: a stored word then costs 8 bytes per such
+# syllable, not 64.
+_SYL = {(gen, exp): (gen, exp) for gen in (0, 1) for exp in range(-64, 65)}
+_INV_SYL = {syl: _SYL[syl[0], -syl[1]] for syl in _SYL.values()}
+
+
 def _reduce(syllables: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """Merge adjacent runs of the same generator, cascading cancellations.
 
-    A syllable that merges with nothing is kept as the same tuple object, so
-    words built from shared syllables share them.
+    A syllable that merges with nothing is kept as the same tuple object and
+    a merged one is the shared tuple when there is one, so words built from
+    shared syllables share them.
     """
     out: list[tuple[int, int]] = []
     for syl in syllables:
@@ -67,7 +76,7 @@ def _reduce(syllables: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
         if out and out[-1][0] == gen:
             exp += out.pop()[1]
             if exp:
-                out.append((gen, exp))
+                out.append(_SYL.get((gen, exp)) or (gen, exp))
         else:
             out.append(syl)
     return tuple(out)
@@ -111,7 +120,8 @@ class Word:
         return Word(self.basis, left[:i] + right[j:])
 
     def inv(self) -> "Word":
-        return Word(self.basis, tuple((g, -e) for g, e in reversed(self.syls)))
+        inverse = _INV_SYL.get
+        return Word(self.basis, tuple(inverse(s) or (s[0], -s[1]) for s in reversed(self.syls)))
 
     def __pow__(self, k: int) -> "Word":
         if k == 0 or not self.syls:
@@ -195,16 +205,27 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
 
 
 def square_root(w: Word) -> Optional[Word]:
-    """Return ``s`` with ``s*s == w`` if one exists."""
+    """Return ``s`` with ``s*s == w`` if one exists.
+
+    The cyclically reduced core is cut at its middle letter, inside a
+    syllable if need be, and the two halves are compared as syllables.
+    """
     core, t = cyclic_reduce(w)
-    letters = list(core.letters())
-    if len(letters) % 2:
+    rest, odd = divmod(len(core), 2)
+    if odd:
         return None
-    half = len(letters) // 2
-    if letters[:half] != letters[half:]:
+    syls, i = core.syls, 0
+    while rest and rest >= abs(syls[i][1]):
+        rest -= abs(syls[i][1])
+        i += 1
+    left, right = syls[:i], syls[i:]
+    if rest:
+        gen, exp = syls[i]
+        cut = rest if exp > 0 else -rest
+        left, right = left + ((gen, cut),), ((gen, exp - cut),) + syls[i + 1 :]
+    if left != right:
         return None
-    root = word_from_letters(w.basis, letters[:half])
-    return t * root * t.inv()
+    return t * Word(w.basis, left) * t.inv()
 
 
 def sgn(w: Word) -> int:
@@ -240,12 +261,14 @@ def change_basis(w: Word, target: BasisTag) -> Word:
     return Word(target, _reduce(out))
 
 
+@cache  # two values of epsilon; words are immutable
 def relator(epsilon: int) -> Word:
     """The adapted-basis relator alpha*beta*alpha**-epsilon*beta**-1."""
     basis = BasisTag.adapted(epsilon)
     return Word.from_syllables(basis, [(0, 1), (1, 1), (0, -epsilon), (1, -1)])
 
 
+@cache  # four bases
 def relator_in(basis: BasisTag) -> Word:
     """The relator written in ``basis`` ([a,b] or a^2 b^2 classically)."""
     if basis.kind == "adapted":
@@ -260,18 +283,16 @@ def relator_in(basis: BasisTag) -> Word:
 # ---------------------------------------------------------------------------
 
 
-# A letter with an optional ASCII exponent, as parse_term reads it.  The
-# lookaheads leave to parse_term every letter whose exponent it would read
-# differently or reject (a '^' without ASCII digits, digits running into a
-# non-ASCII character), so that errors and their offsets come from one place.
-_LETTER_TERM = r"\s*([abAB])(?:\s*\^\s*(-?[0-9]+)(?![0-9]|[^\x00-\x7f])|(?!\s*\^))"
+# A letter with an optional exponent, as parse_term reads it (exponents are
+# ASCII digits only).  The lookahead leaves to parse_term every letter with a
+# '^' not followed by an integer, so that errors and their offsets come from
+# one place.
+_LETTER_TERM = r"\s*([abAB])(?:\s*\^\s*(-?[0-9]+)|(?!\s*\^))"
 _LETTER_RUN = re.compile(f"(?:{_LETTER_TERM})*")
 _LETTER_TERMS = re.compile(_LETTER_TERM)
 _LETTER_SYL = {"a": (0, 1), "b": (1, 1), "A": (0, -1), "B": (1, -1)}
-# One shared syllable per (letter, exponent text) for the exponents written
-# most often; a parsed word then stores 8 bytes per such syllable, not 64.
 _TERM_SYL = {
-    (letter, text): (gen, sign * int(text or "1"))
+    (letter, text): _SYL[gen, sign * int(text or "1")]
     for letter, (gen, sign) in _LETTER_SYL.items()
     for text in ["", *map(str, range(-64, 65))]
 }
@@ -302,9 +323,9 @@ class _Parser:
         start = self.pos
         if self.peek() == "-":
             self.pos += 1
-        if not self.peek().isdigit():
+        if not "0" <= self.peek() <= "9":
             raise self.error("expected integer")
-        while self.peek().isdigit():
+        while "0" <= self.peek() <= "9":
             self.pos += 1
         return int(self.text[start : self.pos])
 

@@ -2,16 +2,36 @@
 
 These are the step-by-step forms the library used before its word layer
 became linear: every product re-reduces the whole concatenation, a power is
-repeated multiplication, basis change multiplies image powers one syllable
+repeated multiplication, a square root compares the halves of the core
+letter by letter, basis change multiplies image powers one syllable
 at a time, projection multiplies one group element per syllable, the Fox
 derivative multiplies ``prefix * base**j`` per letter, and the parser
 multiplies term by term.  They are slow on purpose and serve as oracles for
-the property tests in ``test_word_oracles.py``.
+the property tests in ``test_word_oracles.py``.  The quadratic exact
+division of the group ring, peeling one beta-row at a time and rebuilding
+the whole remainder after each, is kept the same way, and so is the orbit
+augmentation that tests every term against every orbit family;
+``orbit_in_box`` lists orbit elements in a box for the box-oracle tests of
+the orbit layer.
 """
 
 from __future__ import annotations
 
-from fgquad import BasisTag, PiElement, RingElement, Word, WordSyntaxError
+from fgquad import (
+    BasisTag,
+    HatL,
+    InconsistentSign,
+    NotDivisible,
+    PiElement,
+    RingElement,
+    Tilde,
+    TildeL,
+    Word,
+    WordSyntaxError,
+)
+from fgquad.errors import DomainMismatch
+from fgquad.groupring import relator_jacobian_alpha
+from fgquad.orbits import Action, _check_eps, _families
 
 
 def reduce_syllables(syllables: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -83,6 +103,19 @@ def naive_cyclic_reduce(w: Word) -> tuple[Word, Word]:
         if syls and syls[0][1] == 0:
             syls.pop(0)
     return Word(w.basis, reduce_syllables(syls)), Word(w.basis, reduce_syllables(t_parts))
+
+
+def naive_square_root(w: Word) -> Word | None:
+    """Compare the two halves of the cyclically reduced core letter by letter."""
+    core, t = naive_cyclic_reduce(w)
+    letters = list(core.letters())
+    if len(letters) % 2:
+        return None
+    half = len(letters) // 2
+    if letters[:half] != letters[half:]:
+        return None
+    root = Word(w.basis, reduce_syllables(letters[:half]))
+    return naive_mul(naive_mul(t, root), naive_inv(t))
 
 
 def naive_change_basis(w: Word, target: BasisTag) -> Word:
@@ -162,9 +195,9 @@ class ReferenceParser:
         start = self.pos
         if self.peek() == "-":
             self.pos += 1
-        if not self.peek().isdigit():
+        if not "0" <= self.peek() <= "9":
             raise self.error("expected integer")
-        while self.peek().isdigit():
+        while "0" <= self.peek() <= "9":
             self.pos += 1
         return int(self.text[start : self.pos])
 
@@ -227,3 +260,110 @@ def reference_parse(text: str, basis: BasisTag) -> Word:
     if parser.pos != len(text):
         raise parser.error(f"unexpected character {parser.peek()!r}")
     return word
+
+
+def naive_exact_divide(p: RingElement, d: RingElement) -> RingElement:
+    """Solve lam * d == p, subtracting each peeled row's product from the whole remainder."""
+    if p.mod != 0:
+        raise DomainMismatch("exact division works over integer coefficients")
+    eps = p.epsilon
+    if d != relator_jacobian_alpha(eps):
+        raise NotDivisible("divisor must be the alpha-column Jacobian element")
+    if p.is_zero:
+        return RingElement.zero(eps)
+    s_min = min(g.s for g in p.terms)
+    lam_items: list[tuple[PiElement, int]] = []
+    current = p
+    while not current.is_zero:
+        s_top = max(g.s for g in current.terms)
+        if s_top < s_min + 1:
+            raise NotDivisible("nonzero remainder in exact division")
+        row = [(g, c) for g, c in current.terms.items() if g.s == s_top]
+        if eps == 1:
+            lam_row = [(PiElement(1, g.r, s_top - 1), -c) for g, c in row]
+        else:
+            sigma = -1 if (s_top - 1) % 2 else 1
+            lam_row = [(PiElement(-1, g.r - sigma, s_top - 1), c) for g, c in row]
+        lam_items.extend(lam_row)
+        current = current - RingElement.make(eps, lam_row) * d
+    return RingElement.make(eps, lam_items)
+
+
+def naive_twisted_augment(action: Action, v: RingElement, base: PiElement) -> int:
+    """Twisted augmentation over the orbit families of ``base``, term by term."""
+    families = _families(action, base)
+    total = 0
+    for g, c in v.terms.items():
+        signs = {f.sign for f in families if f.contains(g)}
+        if len(signs) == 2:
+            raise InconsistentSign(f"{g} resolves with both signs from base {base}")
+        if signs:
+            total += signs.pop() * c
+    return total % 2 if v.mod == 2 else total
+
+
+def orbit_in_box(action: Action, g: PiElement, radius: int) -> set[PiElement]:
+    """All orbit elements with |r| <= radius and |s| <= radius."""
+    _check_eps(action, g)
+    eps = action.epsilon
+    out: set[PiElement] = set()
+    if isinstance(action, (Tilde, TildeL, HatL)):
+        for fam in _families(action, g):
+            if abs(fam.head.r) > radius:
+                continue
+            period = fam.period
+            start = fam.head.s % period
+            s = start - period * ((start + radius) // period)
+            while s <= radius:
+                if -radius <= s:
+                    out.add(PiElement(eps, fam.head.r, s))
+                s += period
+        return out
+    u = action.u
+    heads = [g, g.inv()]
+    if u.epsilon == -1 and g.w_eps() == -1:
+        um, un2 = u.r, u.s
+        for head in heads:
+            if um == 0:
+                if abs(head.r) > radius:
+                    continue
+                if un2 == 0:
+                    out.add(head)
+                    continue
+                step = abs(un2)
+                s = head.s - step * ((head.s + radius) // step)
+                while s <= radius:
+                    if -radius <= s:
+                        out.add(PiElement(eps, head.r, s))
+                    s += step
+            else:
+                kr = range(-(2 * radius // abs(um)) - 2, 2 * radius // abs(um) + 3)
+                for k in kr:
+                    r = head.r + k * um
+                    if abs(r) > radius:
+                        continue
+                    if un2 == 0:
+                        if abs(head.s) <= radius:
+                            out.add(PiElement(eps, r, head.s))
+                        continue
+                    step = 2 * abs(un2)
+                    s0 = head.s + k * un2
+                    s = s0 - step * ((s0 + radius) // step)
+                    while s <= radius:
+                        if -radius <= s:
+                            out.add(PiElement(eps, r, s))
+                        s += step
+        return out
+    um, us = u.r, u.s
+    for head in heads:
+        if um == 0 and us == 0:
+            if abs(head.r) <= radius and abs(head.s) <= radius:
+                out.add(head)
+            continue
+        bound = max(abs(um), abs(us))
+        kr = range(-(2 * radius // bound) - 2, 2 * radius // bound + 3)
+        for k in kr:
+            r, s = head.r + k * um, head.s + k * us
+            if abs(r) <= radius and abs(s) <= radius:
+                out.add(PiElement(eps, r, s))
+    return out

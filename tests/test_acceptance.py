@@ -20,12 +20,12 @@ from fgquad import (
     analyze_v,
     classify,
     cyclic_reduce,
+    equation_rhs,
     first_solutions,
     geom_ratio,
     parse_word,
     project,
     q_n,
-    rhs_word,
     same_orbit,
     second_decide,
     verify_tables,
@@ -56,7 +56,7 @@ def test_criterion_2_wicks_example():
     started = time.perf_counter()
     spec = EquationSpec(1, -1, -1, "nonfaithful", "adapted_xy")
     v = parse_word("conj(a) conj(A)", ADAPTED_MINUS)
-    core, _ = cyclic_reduce(rhs_word(spec, v))
+    core, _ = cyclic_reduce(equation_rhs(spec, v))
     assert len(core) == 26
     matches = wicks_decompositions(core, "commutator")
     shifts = sorted(m.shift for m in matches)
@@ -260,7 +260,7 @@ def test_criterion_8_oracle_consistency():
             "adapted_xy",
         )
         v = random_word(rng, spec.basis, 3)
-        core, _ = cyclic_reduce(rhs_word(spec, v))
+        core, _ = cyclic_reduce(equation_rhs(spec, v))
         if len(core) > 40:
             continue
         checked += 1

@@ -145,7 +145,7 @@ class TestTables:
 class TestConsistencyCorpus:
     def test_never_contradicts_oracle(self):
         # smaller companion of the acceptance corpus
-        from fgquad import cyclic_reduce, rhs_word, wicks_search
+        from fgquad import cyclic_reduce, equation_rhs, wicks_search
 
         rng = random.Random(11)
         checked = 0
@@ -156,7 +156,7 @@ class TestConsistencyCorpus:
             cls = rng.choice(["faithful", "nonfaithful"])
             spec = EquationSpec(delta, eps, theta, cls, "adapted_xy")
             v = random_word(rng, spec.basis, 3)
-            core, _ = cyclic_reduce(rhs_word(spec, v))
+            core, _ = cyclic_reduce(equation_rhs(spec, v))
             if len(core) > 30:
                 continue
             checked += 1

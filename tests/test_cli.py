@@ -79,6 +79,12 @@ class TestCliBehavior:
         code, _ = run_cli(["qn", "--epsilon", "-1", "--word", "a ?"])
         assert code == 1
 
+    @pytest.mark.parametrize("text", ["a^\u00b2", "a^\u0663"])
+    def test_non_ascii_exponent_is_a_syntax_error(self, capsys, text):
+        code, out = run_cli(["canon", "--epsilon", "1", "--word", text])
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == "error: expected integer (at offset 2)\n"
+
     def test_not_mixed_case_exit_code(self, capsys):
         code, _ = run_cli(
             ["second-derived", "--delta", "1", "--epsilon", "1", "--theta", "1",

@@ -118,7 +118,7 @@ class TestNecessity:
     def test_oracle_solutions_satisfy_first_derived(self):
         # solutions found by the search with x in the relator subgroup project
         # onto solutions of the first derived equation, and rank-1 holds
-        from fgquad import rhs_word, wicks_search
+        from fgquad import equation_rhs, wicks_search
         from fgquad.words import cyclic_reduce
 
         rng = random.Random(51)
@@ -130,7 +130,7 @@ class TestNecessity:
             u = random_word(rng, basis, 2)
             head = Word.gen(basis, "b") ** (2 * rng.randint(0, 1))
             v = head * (u * parse_word("R", basis) * u.inv()) ** rng.choice([-1, 0, 1])
-            core, _ = cyclic_reduce(rhs_word(spec, v))
+            core, _ = cyclic_reduce(equation_rhs(spec, v))
             if len(core) > 24:
                 continue
             vbar = project(v)

@@ -19,7 +19,7 @@ from fgquad import (
     odd_part,
     same_orbit,
 )
-from fgquad.orbits import orbit_in_box
+from oracles import orbit_in_box
 
 
 def _generators(action):

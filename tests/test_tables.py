@@ -1,0 +1,116 @@
+"""The witness registry: fixture rows, table branches and parse-free witnesses."""
+
+import sys
+from collections import Counter
+
+from fgquad import classify, project, sgn, verify_solution
+from fgquad.tables import all_fixtures, instantiate_witness, table_branch
+
+# Every fixture row the explicit-solution tables checked before the registry
+# replaced the per-table fixture builders: row, delta, epsilon, theta, class,
+# frame, v, first, second, and whether the first unknown must lie in the
+# relator subgroup (checked wherever the frame allows it, the adapted one).
+FIXTURE_ROWS = [
+    ('Table 0 (1)a', 1, 1, 1, 'faithful', 'original_z', 'a', 'a^2', 'b', False),
+    ('Table 0 (1)b', 1, 1, 1, 'faithful', 'original_z', 'A', 'b A B A B', 'b a^2 B', False),
+    ('Table 0 (2)a', 1, -1, -1, 'faithful', 'original_z', 'a', 'a b', 'b^-2', False),
+    ('Table 0 (2)a', 1, -1, -1, 'faithful', 'original_z', 'a^3', 'a^3 b', 'b^-2', False),
+    ('Table 0 (4)a', -1, -1, 1, 'faithful', 'original_z', 'a b', 'a b a', 'b', False),
+    ('Table 0 (4)b', -1, -1, 1, 'faithful', 'original_z', 'B A', 'B a b^3', 'b^-2 a b^2', False),
+    ('Table 0 (4)e', -1, -1, 1, 'faithful', 'original_z', 'a b', 'a b a', 'b', False),
+    ('Table 0 (4)e', -1, -1, 1, 'faithful', 'original_z', 'a^3 b', 'a^3 b A', 'b', False),
+    ('Table 0 (4)f', -1, -1, -1, 'faithful', 'original_z', 'a', 'a B A', 'b', False),
+    ('Table 0 (4)f', -1, -1, -1, 'faithful', 'original_z', 'a^3', 'a^3 B a^-3', 'b', False),
+    ('Table 1 (1)', 1, 1, -1, 'faithful', 'adapted_xy', 'a', 'a b a B a^-2', 'A', True),
+    ('Table 1 (1)', 1, 1, -1, 'faithful', 'adapted_xy', 'b', 'b^2 a B A B', 'B', True),
+    ('Table 1 (1)', 1, 1, -1, 'faithful', 'adapted_xy', 'a b', 'a b^2 a B A B A', 'B A', True),
+    ('Table 1 (2a)', 1, -1, -1, 'faithful', 'adapted_xy', 'a', 'a b A B a^-2', 'A', True),
+    ('Table 1 (2a)', 1, -1, -1, 'faithful', 'adapted_xy', 'b^2', 'b^3 A B A b^-2', 'b^-2', True),
+    ('Table 1 (2a)', 1, -1, -1, 'faithful', 'adapted_xy', 'a b^2', 'a b^3 A B A b^-2 A', 'b^-2 A', True),
+    ('Table 1 (2a)', 1, -1, -1, 'faithful', 'adapted_xy', 'a^2', 'a^2 b A B a^-3', 'a^-2', True),
+    ('Table 1 (4a)', -1, -1, 1, 'faithful', 'adapted_xy', 'b', 'a b a B', 'b A B A b', True),
+    ('Table 1 (4a)', -1, -1, 1, 'faithful', 'adapted_xy', 'a b', 'a b a B', 'b A', True),
+    ('Table 1 (4a)', -1, -1, 1, 'faithful', 'adapted_xy', 'a^2 b', 'a b a B', 'b A B a b', True),
+    ('Table 2 (2b)', 1, -1, -1, 'nonfaithful', 'adapted_xy', 'b', 'b^2 A B A B', 'B', True),
+    ('Table 2 (2b)', 1, -1, -1, 'nonfaithful', 'adapted_xy', 'a b', 'a b^2 A B A B A', 'B A', True),
+    ('Table 2 (2b)', 1, -1, -1, 'nonfaithful', 'adapted_xy', 'a^2 b', 'a^2 b^2 A B A B a^-2', 'B a^-2', True),
+    ('Table 2 (3a)', -1, 1, 1, 'nonfaithful', 'adapted_xy', 'a', 'a b A B', 'b a B', True),
+    ('Table 2 (3a)', -1, 1, 1, 'nonfaithful', 'adapted_xy', 'b', 'a b A B', 'b a B A b', True),
+    ('Table 2 (3a)', -1, 1, 1, 'nonfaithful', 'adapted_xy', 'a b', 'a b A B', 'b a', True),
+    ('Table 2 (4b)', -1, -1, 1, 'nonfaithful', 'adapted_xy', 'a', 'a b a B', 'b A B', True),
+    ('Table 2 (4b)', -1, -1, 1, 'nonfaithful', 'adapted_xy', 'b^2', 'a b a B', 'b A B A b^2', True),
+    ('Table 2 (4b)', -1, -1, 1, 'nonfaithful', 'adapted_xy', 'a b^2', 'a b a B', 'b A b', True),
+    ('Table 2 (4b)', -1, -1, 1, 'nonfaithful', 'adapted_xy', 'a^2', 'a b a B', 'b A B a', True),
+    ('Table 3 (4c)', -1, -1, -1, 'faithful', 'adapted_xy', 'b^2', 'b^3 A B A B a b a b^-2', 'B', True),
+    ('Table 3 (4c)', -1, -1, -1, 'faithful', 'adapted_xy', 'b^2', 'b^2 A B A B a b a B', 'b A B A b a b a B', True),
+    ('Table 3 (4c)', -1, -1, -1, 'faithful', 'adapted_xy', 'a b a b', 'a b a b^2 A b^-3 A', 'B A', True),
+    ('Table 3 (4c)', -1, -1, -1, 'faithful', 'adapted_xy', 'a b a b', 'a b^2 A b^-2', 'b^2 a B', True),
+    ('Table 3 (4d)', -1, -1, -1, 'faithful', 'adapted_xy', 'a b a b', 'a b a b A B A B', 'b', True),
+    ('Table 3 (4d)', -1, -1, -1, 'faithful', 'adapted_xy', 'a b a b a b a b', 'a b a b a b a b A B A B A B A B', 'b', True),
+    ('Table 3 (4d)', -1, -1, -1, 'faithful', 'adapted_xy', 'a b a b a b a b a b a b', 'a b a b a b a b a b a b A B A B A B A B A B A B', 'b', True),
+    ('Table 3 (4e)', -1, -1, -1, 'faithful', 'adapted_xy', 'a b a B', '1', 'b', True),
+    ('Table 3 (4e)', -1, -1, -1, 'faithful', 'adapted_xy', 'a b a B a b a B', '1', 'b', True),
+    ('Table 3 (4e)', -1, -1, -1, 'faithful', 'adapted_xy', 'a b a B a b a B a b a B', '1', 'b', True),
+    ('Table 4 (2c)', 1, -1, -1, 'nonfaithful', 'adapted_xy', 'b^2', 'b^3 A B a^-2 B A B', 'b A B A B', True),
+    ('Table 4 (2c)', 1, -1, -1, 'nonfaithful', 'adapted_xy', 'b^4', 'b^5 A B a^-2 B a^-2 B a^-2 B A B', 'b A B A B', True),
+    ('Table 4 (2c)', 1, -1, -1, 'nonfaithful', 'adapted_xy', 'b^6', 'b^7 A B a^-2 B a^-2 B a^-2 B a^-2 B a^-2 B A B', 'b A B A B', True),
+    ('Table 4 (2c)', 1, -1, -1, 'nonfaithful', 'adapted_xy', 'a b a b', 'a b a b^2 A B A B A b A B A B A', 'b A B A B A', True),
+    ('Table 4 (2c)', 1, -1, -1, 'nonfaithful', 'adapted_xy', 'a b a b a b a b', 'a b a b a b a b^2 A B A B A b A B A B A b A B A B A b A B A B A', 'b A B A B A', True),
+    ('Table 4 (2c)', 1, -1, -1, 'nonfaithful', 'adapted_xy', 'a b a b a b a b a b a b', 'a b a b a b a b a b a b^2 A B A B A b A B A B A b A B A B A b A B A B A b A B A B A b A B A B A', 'b A B A B A', True),
+    ('Table 4 (2d)', 1, -1, -1, 'nonfaithful', 'adapted_xy', 'a b a b', 'a b a^2 b a b^-2', 'b^2 A B A', True),
+    ('Table 4 (2d)', 1, -1, -1, 'nonfaithful', 'adapted_xy', 'a b a b^3', 'a b a^2 b a^2 b a^2 b a b^-4', 'b^4 A B a^-2 B a^-2 B A', True),
+    ('Table 4 (2d)', 1, -1, -1, 'nonfaithful', 'adapted_xy', 'a b a b^5', 'a b a^2 b a^2 b a^2 b a^2 b a^2 b a b^-6', 'b^6 A B a^-2 B a^-2 B a^-2 B a^-2 B A', True),
+    ('Table 4 (2e)', 1, -1, -1, 'nonfaithful', 'adapted_xy', 'b^2 a^2 b a B A', 'b^2 a^2 b a B A b a^-2 B A B A b a^-2 b^-2', 'b A B A b a^-2 b^-2', True),
+    ('Table 4 (3c)', -1, 1, -1, 'nonfaithful', 'adapted_xy', 'a^2', 'a^2 b a B A b A B A', 'A', True),
+    ('Table 4 (3c)', -1, 1, -1, 'nonfaithful', 'adapted_xy', 'a^2', 'a b a B A b A B', 'b a B a b A B', True),
+    ('Table 4 (3c)', -1, 1, -1, 'nonfaithful', 'adapted_xy', 'b^2', 'b^3 a B A B a b A b^-2', 'B', True),
+    ('Table 4 (3c)', -1, 1, -1, 'nonfaithful', 'adapted_xy', 'b^2', 'b^2 a B A B a b A B', 'b a B A b a b A B', True),
+    ('Table 4 (3c)', -1, 1, -1, 'nonfaithful', 'adapted_xy', 'a b a b', 'a b a b^2 a B a^-2 b^-2 A', 'B A', True),
+    ('Table 4 (3c)', -1, 1, -1, 'nonfaithful', 'adapted_xy', 'a b a b', 'a b^2 a B a^-2 B', 'b a^2 b A B', True),
+    ('Table 4 (4c)', -1, -1, -1, 'nonfaithful', 'adapted_xy', 'a b a B', '1', 'a', True),
+    ('Table 4 (4c)', -1, -1, -1, 'nonfaithful', 'adapted_xy', 'a b a B a b a B', '1', 'a', True),
+    ('Table 4 (4c)', -1, -1, -1, 'nonfaithful', 'adapted_xy', 'a b a B a b a B a b a B', '1', 'a', True),
+    ('Table 4 (4d)', -1, -1, -1, 'nonfaithful', 'adapted_xy', 'a^2', 'a^2 b A B A b a B A', 'A', True),
+    ('Table 4 (4d)', -1, -1, -1, 'nonfaithful', 'adapted_xy', 'a^2', 'a b A B A b a B', 'b A B a b a B', True),
+    ('Table 4 (4d)', -1, -1, -1, 'nonfaithful', 'adapted_xy', 'b^4', 'b^5 A B A b^-2 a b a b^-3', 'b^-2', True),
+    ('Table 4 (4d)', -1, -1, -1, 'nonfaithful', 'adapted_xy', 'b^4', 'b^3 A B A b^-2 a b a B', 'b A B A b^2 a b a B', True),
+    ('Table 4 (4d)', -1, -1, -1, 'nonfaithful', 'adapted_xy', 'a b^2 a b^2', 'a b^2 a b^3 A B A B a b^-3 A', 'b^-2 A', True),
+    ('Table 4 (4d)', -1, -1, -1, 'nonfaithful', 'adapted_xy', 'a b^2 a b^2', 'a b^3 A B A B a B', 'b A b a b a B', True),
+]
+
+
+def _row(fx):
+    s = fx.spec
+    check_x_in_n = verify_solution(s, fx.v, fx.first, fx.second).x_in_n_applicable
+    return (
+        fx.row, s.delta, s.epsilon, s.theta, s.solution_class, s.frame,
+        str(fx.v), str(fx.first), str(fx.second), check_x_in_n,
+    )
+
+
+def test_registry_rows_are_the_fixture_rows():
+    assert len(FIXTURE_ROWS) == 65
+    assert Counter(_row(fx) for fx in all_fixtures()) == Counter(FIXTURE_ROWS)
+
+
+def test_closed_branches_point_at_the_family_of_their_rows():
+    closed = [fx for fx in all_fixtures() if fx.row.startswith(("Table 1", "Table 2"))]
+    assert len(closed) == 20
+    for fx in closed:
+        branch = table_branch(fx.spec, project(fx.v), sgn(fx.v))
+        assert (branch.row, branch.kind) == (fx.row, "exists")
+        assert instantiate_witness(branch.family, fx.v) == (fx.first, fx.second)
+
+
+def test_classify_builds_witnesses_without_parsing(monkeypatch):
+    fixtures = all_fixtures()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("parse_word called while classifying")
+
+    for name, module in list(sys.modules.items()):
+        if (name == "fgquad" or name.startswith("fgquad.")) and hasattr(module, "parse_word"):
+            monkeypatch.setattr(module, "parse_word", refuse)
+    for fx in fixtures:
+        verdict = classify(fx.spec, fx.v)
+        assert verdict.outcome == "exists" and verdict.verified, fx.row

@@ -2,41 +2,65 @@ import random
 
 import pytest
 
-from conftest import ADAPTED_MINUS, ADAPTED_PLUS, random_word
+from conftest import ADAPTED_MINUS, ADAPTED_PLUS, CLASSIC_PLUS, random_word
 from fgquad import (
     BudgetExceeded,
     EquationSpec,
     Word,
     analyze_v,
+    comm,
     cyclic_reduce,
+    equation_rhs,
     parse_word,
     project,
-    rhs_word,
     second_decide,
     square_root,
     wicks_decompositions,
     wicks_search,
 )
-from fgquad.tables import tables12_fixtures, tables34_fixtures
+from fgquad.tables import all_fixtures
 from fgquad.words import solution_is_faithful
 
 
 class TestRhs:
     def test_double_commutator(self):
         spec = EquationSpec(1, 1, 1, "faithful", "adapted_xy")
-        rhs = rhs_word(spec, Word.identity(ADAPTED_PLUS))
+        rhs = equation_rhs(spec, Word.identity(ADAPTED_PLUS))
         assert rhs == parse_word("[a,b] [a,b]", ADAPTED_PLUS)
         assert len(rhs) == 8
 
     def test_example_length(self):
         spec = EquationSpec(1, -1, -1, "nonfaithful", "adapted_xy")
-        rhs = rhs_word(spec, parse_word("conj(a) conj(A)", ADAPTED_MINUS))
+        rhs = equation_rhs(spec, parse_word("conj(a) conj(A)", ADAPTED_MINUS))
         core, _ = cyclic_reduce(rhs)
         assert len(core) == 26
 
     def test_relator_power_collapses(self):
         spec = EquationSpec(1, -1, -1, "nonfaithful", "adapted_xy")
-        assert rhs_word(spec, parse_word("R^3", ADAPTED_MINUS)).is_identity
+        assert equation_rhs(spec, parse_word("R^3", ADAPTED_MINUS)).is_identity
+
+
+
+class TestExtractionIdentities:
+    """The hand-derived extraction pairs, on a rank-3 free subgroup of F2."""
+
+    a = parse_word("a a", CLASSIC_PLUS)
+    b = parse_word("a b", CLASSIC_PLUS)
+    c = parse_word("b A", CLASSIC_PLUS)
+
+    def test_nonorientable_abcbac(self):
+        a, b, c = self.a, self.b, self.c
+        x, y = a * b * c * a.inv(), a * c.inv()
+        assert x * x * y * y == a * b * c * b * a * c.inv()
+
+    def test_nonorientable_aabcc(self):
+        a, b, c = self.a, self.b, self.c
+        y = b * c * b.inv()
+        assert a * a * y * y == a * a * b * c * c * b.inv()
+
+    def test_orientable_abc(self):
+        a, b, c = self.a, self.b, self.c
+        assert comm(a * b, c * b) == a * b * c * a.inv() * b.inv() * c.inv()
 
 
 class TestDecompositions:
@@ -51,7 +75,7 @@ class TestDecompositions:
 
     def test_example_shifts(self):
         spec = EquationSpec(1, -1, -1, "nonfaithful", "adapted_xy")
-        rhs = rhs_word(spec, parse_word("conj(a) conj(A)", ADAPTED_MINUS))
+        rhs = equation_rhs(spec, parse_word("conj(a) conj(A)", ADAPTED_MINUS))
         core, _ = cyclic_reduce(rhs)
         matches = wicks_decompositions(core, "commutator")
         shifts = sorted(m.shift for m in matches)
@@ -144,8 +168,10 @@ class TestSearch:
             wicks_search(spec, parse_word("conj(a) conj(A)", ADAPTED_MINUS), wicks_len=10)
 
     def test_fixture_rows_covered(self):
-        for fx in tables12_fixtures() + tables34_fixtures():
-            rhs = rhs_word(fx.spec, fx.v)
+        for fx in all_fixtures():
+            if fx.spec.frame != "adapted_xy":
+                continue
+            rhs = equation_rhs(fx.spec, fx.v)
             core, _ = cyclic_reduce(rhs)
             if len(core) > 40:
                 continue
@@ -183,7 +209,7 @@ class TestSearch:
                 u = random_word(rng, basis, 2)
                 tail = tail * parse_word("conj(1)", basis) ** 0 * (u * parse_word("R", basis) ** rng.choice([-1, 1]) * u.inv())
             v = head * tail
-            rhs = rhs_word(spec, v)
+            rhs = equation_rhs(spec, v)
             core, _ = cyclic_reduce(rhs)
             if len(core) > 30:
                 continue

@@ -1,18 +1,42 @@
-"""The word layer and the quotient walks agree with the naive oracles."""
+"""The word layer, the quotient walks, exact division and the orbit
+augmentation agree with the naive oracles."""
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import ADAPTED_MINUS, ADAPTED_PLUS, CLASSIC_MINUS, CLASSIC_PLUS
-from fgquad import BasisTag, Word, WordSyntaxError, change_basis, cyclic_reduce, fox_derivative, parse_word, project
+from fgquad import (
+    BasisTag,
+    FgquadError,
+    HatL,
+    PiElement,
+    RingElement,
+    Tilde,
+    TildeL,
+    Word,
+    WordSyntaxError,
+    augment,
+    change_basis,
+    cyclic_reduce,
+    element_class,
+    exact_divide,
+    fox_derivative,
+    parse_word,
+    project,
+    square_root,
+)
+from fgquad.groupring import relator_jacobian_alpha
 from oracles import (
     naive_change_basis,
     naive_cyclic_reduce,
+    naive_exact_divide,
     naive_fox_derivative,
     naive_inv,
     naive_mul,
     naive_pow,
     naive_project,
+    naive_square_root,
+    naive_twisted_augment,
     reduce_syllables,
     reference_parse,
 )
@@ -84,6 +108,16 @@ class TestWordAlgebra:
     @given(words())
     def test_cyclic_reduce(self, w):
         assert cyclic_reduce(w) == naive_cyclic_reduce(w)
+
+    @oracle_settings
+    @given(power_bases(), st.integers(-2, 2), words())
+    def test_square_root(self, w, nudge, other):
+        square = naive_mul(w, w)
+        if square.syls and nudge:  # a near-square: one exponent off
+            gen, exp = square.syls[-1]
+            square = Word(square.basis, reduce_syllables([*square.syls[:-1], (gen, exp + nudge)]))
+        for x in (square, other):
+            assert square_root(x) == naive_square_root(x)
 
     @oracle_settings
     @given(words())
@@ -172,3 +206,87 @@ class TestParser:
     def test_truncated_texts(self, text, basis, cut):
         text = text[: cut % (len(text) + 1)]
         assert outcome(parse_word, text, basis) == outcome(reference_parse, text, basis)
+
+
+# ---------------------------------------------------------------------------
+# Exact division and orbit augmentation
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def ring_elements(draw, eps: int, span: int = 8, mod: int = 0, far: int = 200) -> RingElement:
+    """Sparse elements; the beta-degrees sometimes spread out to ``far``."""
+    far = draw(st.sampled_from([span, far]))
+    terms = draw(
+        st.lists(
+            st.tuples(st.integers(-span, span), st.integers(-far, far), st.integers(-3, 3)),
+            max_size=12,
+        )
+    )
+    return RingElement.make(eps, [(PiElement(eps, r, s), c) for r, s, c in terms], mod)
+
+
+def result_or_error(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except FgquadError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestExactDivide:
+    @oracle_settings
+    @given(st.sampled_from([1, -1]).flatmap(lambda eps: ring_elements(eps)))
+    def test_products(self, lam):
+        d = relator_jacobian_alpha(lam.epsilon)
+        p = lam * d
+        assert exact_divide(p, d) == naive_exact_divide(p, d) == lam
+
+    @oracle_settings
+    @given(
+        st.sampled_from([1, -1]).flatmap(
+            lambda eps: st.tuples(ring_elements(eps), ring_elements(eps, span=3), st.sampled_from([0, 2]))
+        )
+    )
+    def test_perturbed_products(self, args):
+        lam, noise, mod = args
+        eps = lam.epsilon
+        d = relator_jacobian_alpha(eps)
+        p = lam * d + noise
+        if mod:
+            p = p.reduce_mod2()
+        # the second divisor is refused by both, before any division
+        for divisor in (d, d.scalar_mul(2)):
+            got = result_or_error(exact_divide, p, divisor)
+            assert got == result_or_error(naive_exact_divide, p, divisor)
+
+
+def actions():
+    n = st.integers(-6, 6).filter(bool)
+    L = st.integers(-4, 4)
+    return st.one_of(n.map(Tilde), st.builds(TildeL, n, L), st.builds(HatL, n, L))
+
+
+class TestAugment:
+    @oracle_settings
+    @given(
+        st.lists(actions(), min_size=2, max_size=2),
+        st.sampled_from([0, 2]).flatmap(
+            lambda mod: st.lists(ring_elements(-1, span=6, mod=mod, far=12), min_size=2, max_size=2)
+        ),
+        st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)), max_size=4),
+    )
+    def test_twisted_bases(self, two_actions, elements, bases):
+        # bases off and on the support, where the sums are mostly nonzero
+        twisted = []
+        for base in [PiElement(-1, r, s) for r, s in bases] + list(elements[0].terms):
+            for action in two_actions:
+                cls = element_class(action, base)
+                if cls.g_tilde_regular if isinstance(action, Tilde) else not cls.defective:
+                    twisted.append((action, base))
+        assume(twisted)
+        # one element over alternating actions and bases, then the next, then
+        # the first again
+        for v in elements + elements[:1]:
+            for action, base in twisted:
+                got = result_or_error(augment, action, v, base)
+                assert got == result_or_error(naive_twisted_augment, action, v, base)

@@ -37,3 +37,16 @@ def test_parse_a_long_random_text():
     assert perf_counter() - start < 1.0
     syl = {"a": (0, 1), "b": (1, 1), "A": (0, -1), "B": (1, -1)}
     assert w.syls == reduce_syllables([syl[ch] for ch in chars])
+
+
+def test_classify_a_long_alpha_power_in_the_original_frame():
+    # a^n is (alpha beta)^n in the adapted basis: q_n divides out n beta-rows
+    # and the translation search augments one element over many bases
+    argv = ["classify", "--delta", "1", "--epsilon", "-1", "--theta", "-1", "--class", "nonfaithful",
+            "--frame", "original", "--word", "a^4000"]
+    buf = io.StringIO()
+    start = perf_counter()
+    with redirect_stdout(buf):
+        code = main(argv)
+    assert perf_counter() - start < 2.0
+    assert code == 0 and '"verdict": "exists"' in buf.getvalue()

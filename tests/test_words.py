@@ -49,6 +49,13 @@ class TestParse:
             parse_word("a b ?", CLASSIC_PLUS)
         assert exc.value.offset == 4
 
+    @pytest.mark.parametrize("text", ["a^\u00b2", "a^\u0663"])
+    def test_exponent_digits_are_ascii(self, text):
+        # superscript two and Arabic-Indic three are str.isdigit, not exponents
+        with pytest.raises(WordSyntaxError, match="expected integer") as exc:
+            parse_word(text, CLASSIC_PLUS)
+        assert exc.value.offset == 2
+
     def test_unbalanced(self):
         with pytest.raises(WordSyntaxError):
             parse_word("(a b", CLASSIC_PLUS)
