@@ -44,6 +44,7 @@ from .orbits import (
     augment,
     element_class,
     odd_part,
+    orbit_key,
     same_orbit,
 )
 from .quotient import QElement, p_q, q_divisible_by_two, q_nf_commutator

@@ -33,8 +33,9 @@ class SessionConfig:
 
     @property
     def basis(self) -> BasisTag:
-        kind = "classic" if self.frame == "original_z" else "adapted"
-        return BasisTag(kind, self.epsilon)  # type: ignore[arg-type]
+        if self.frame == "original_z":
+            return BasisTag.classic(self.epsilon)
+        return BasisTag.adapted(self.epsilon)
 
     @property
     def spec(self) -> EquationSpec:

@@ -29,7 +29,7 @@ from .groupring import (
     geom_ratio,
     q_n,
 )
-from .orbits import HatAbs, HatL, Tilde, TildeL, augment, odd_part, same_orbit
+from .orbits import HatAbs, HatL, Tilde, TildeL, augment, odd_part, orbit_key
 from .quotient import p_q, q_divisible_by_two
 from .surface import PiElement, project
 from .tables import table_branch
@@ -342,18 +342,19 @@ def _squares_decide(case: MixedCase, v_elt: RingElement) -> DecideResult:
     """Theorem for the two-parameter families with vbar != 1."""
     trace: dict = {"case": case.label(), "branch": "hat_orbit_parity"}
     v2 = v_elt.reduce_mod2()
-    u = case.c_bar ** case.d
-    action = HatAbs(u)
-    identity = PiElement.identity(case.epsilon)
-    reps: list[PiElement] = []
+    action = HatAbs(case.c_bar**case.d)
+    # one pass: every orbit meeting the support by its key, with its first
+    # element in support order and its augmentation
+    reps: dict[tuple[int, int], PiElement] = {}
+    sums: dict[tuple[int, int], int] = {}
     for g in v2.support():
-        if not any(same_orbit(action, rep, g) for rep in reps):
-            reps.append(g)
+        key = orbit_key(action, g)
+        reps.setdefault(key, g)
+        sums[key] = sums.get(key, 0) + v2.terms[g]
     trace["orbits"] = len(reps)
-    for rep in reps:
-        if same_orbit(action, rep, identity):
-            continue
-        if augment(action, v2, rep):
+    identity_key = orbit_key(action, PiElement.identity(case.epsilon))
+    for key, rep in reps.items():
+        if key != identity_key and sums[key] % 2:
             cert = f"orbit of ({rep.r},{rep.s}) has odd augmentation"
             return DecideResult(False, certificate=cert, trace=trace)
     return DecideResult(True, ell=case.d, trace=trace)

@@ -8,14 +8,21 @@ Four action kinds act on the quotient group:
 * ``TildeL(n, L)`` -- Tilde extended by the reflection j_L;
 * ``HatL(n, L)``   -- left translation by alpha^L beta^{l_max} plus inversion.
 
-Orbits of all four are finite unions of arithmetic families, so membership
-reduces to solving small linear congruences in the exponents.  Augmentations
-sum coefficients over an orbit, plainly mod 2 or twisted by the character
-that sends both generators of the acting group to -1.
+Orbits of all four are finite unions of arithmetic families in the
+canonical coordinates ``(r, s)``, so every orbit has a closed-form key
+(``orbit_key``): HatAbs reduces g and g^-1 modulo its translation lattice,
+and the other three take the least residue class ``(r, s mod period)`` over
+the heads of their families, which are computed on integer pairs.
+Augmentations sum coefficients over an orbit, plainly mod 2 or twisted by
+the character that sends both generators of the acting group to -1; they
+read the coefficient sums of the orbit's residue classes
+(``RingElement.residue_sums``) or compare one key per term, so partitioning
+a support into orbits and augmenting over one are both linear in the support.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -99,108 +106,92 @@ def _check_eps(action: Action, *elements: PiElement) -> None:
             raise EpsilonMismatch("element epsilon does not match the action")
 
 
-def _u_of(action: Union[TildeL, HatL]) -> PiElement:
-    ell, _, _ = odd_part(action.n)
-    return PiElement(-1, action.L, ell)
+Pair = tuple[int, int]  # canonical coordinates (r, s)
 
 
-def _j_l(action: TildeL, g: PiElement) -> PiElement:
-    u = _u_of(action)
-    return u * (u * g).inv()
+def _lattice_rep(r: int, s: int, a: int, b: int, c: int) -> Pair:
+    """Canonical representative of (r, s) modulo the lattice Z(a, b) + Z(0, c)."""
+    if a:
+        q, r = divmod(r, a)
+        s -= q * b
+        return r, s % c if c else s
+    m = math.gcd(b, c)
+    return r, s % m if m else s
 
 
-@dataclass(frozen=True)
-class _Family:
-    """Arithmetic family {(r, s + period*k)} with an attached character sign."""
+def _hat_abs_key(u: PiElement, r: int, s: int) -> Pair:
+    """The lesser lattice representative of g = (r, s) and of g^-1: the
+    orbit of g is the two cosets of a lattice through them.
 
-    head: PiElement
-    period: int  # 0 means the single element {head}
-    sign: int
-
-    def contains(self, x: PiElement) -> bool:
-        if x.r != self.head.r:
-            return False
-        if self.period == 0:
-            return x.s == self.head.s
-        return (x.s - self.head.s) % self.period == 0
+    Orientation-preserving elements move by Z*u.  On the Klein bottle an
+    orientation-reversing g also moves by two-sided translates, giving the
+    lattice Z*u + Z*(0, 2*u.s), and its inverse is (r, -s).
+    """
+    if u.epsilon == -1 and s & 1:
+        return min(_lattice_rep(r, s, u.r, u.s, 2 * u.s), _lattice_rep(r, -s, u.r, u.s, 2 * u.s))
+    return min(_lattice_rep(r, s, u.r, u.s, 0), _lattice_rep(-r, -s, u.r, u.s, 0))
 
 
-def _families(action: Union[Tilde, TildeL, HatL], g: PiElement) -> list[_Family]:
+def _mul(x: Pair, y: Pair) -> Pair:
+    """``PiElement.mul`` on the Klein bottle, without building elements."""
+    return x[0] + (-y[0] if x[1] & 1 else y[0]), x[1] + y[1]
+
+
+def _inv(x: Pair) -> Pair:
+    return (x[0] if x[1] & 1 else -x[0]), -x[1]
+
+
+def _period(action: Union[Tilde, TildeL, HatL]) -> int:
+    if isinstance(action, HatL):
+        return 2 * odd_part(action.n)[0]
+    return 2 * abs(action.n)
+
+
+def _heads(action: Union[Tilde, TildeL, HatL], g: Pair) -> list[tuple[Pair, int]]:
+    """Heads of the families {(r, s + period*k)} whose union is the orbit of g,
+    each with the character sign of reaching it from g."""
+    gi = _inv(g)
     if isinstance(action, Tilde):
-        period = 2 * abs(action.n)
-        return [_Family(g, period, 1), _Family(g.inv(), period, -1)]
+        return [(g, 1), (gi, -1)]
+    u = (action.L, odd_part(action.n)[0])
     if isinstance(action, TildeL):
-        period = 2 * abs(action.n)
-        jg = _j_l(action, g)
-        return [
-            _Family(g, period, 1),
-            _Family(g.inv(), period, -1),
-            _Family(jg.inv(), period, 1),
-            _Family(jg, period, -1),
-        ]
-    # HatL: the square of the translation element is central, so the orbit of
-    # g is the union of the two-sided translate families u^a g^e u^b with
-    # a, b mod 2, each with period 2*l_max in s.  The character sends both
-    # generators to -1, giving the sign (-1)^(a+b) for e=+1 and its negative
-    # for e=-1.
-    ell, _, _ = odd_part(action.n)
-    u = _u_of(action)
-    gi = g.inv()
-    period = 2 * ell
+        jg = _mul(u, _inv(_mul(u, g)))  # the reflection j_L
+        return [(g, 1), (gi, -1), (_inv(jg), 1), (jg, -1)]
+    # HatL: the square of u is central, so the orbit of g is the union of the
+    # two-sided translate families u^a g^e u^b with a, b mod 2.  The character
+    # sends both generators to -1, giving the sign (-1)^(a+b) for e=+1 and
+    # its negative for e=-1.
+    ug, ugi = _mul(u, g), _mul(u, gi)
     return [
-        _Family(g, period, 1),
-        _Family(gi, period, -1),
-        _Family(u * g, period, -1),
-        _Family(u * gi, period, 1),
-        _Family(g * u, period, -1),
-        _Family(gi * u, period, 1),
-        _Family(u * g * u, period, 1),
-        _Family(u * gi * u, period, -1),
+        (g, 1),
+        (gi, -1),
+        (ug, -1),
+        (ugi, 1),
+        (_mul(g, u), -1),
+        (_mul(gi, u), 1),
+        (_mul(ug, u), 1),
+        (_mul(ugi, u), -1),
     ]
 
 
-def _hat_abs_even_member(u: PiElement, head: PiElement, x: PiElement) -> bool:
-    """Is x = u**k * head for some k (all elements orientation-preserving)?"""
-    um, us = u.r, u.s
-    if um == 0 and us == 0:
-        return x == head
-    if um == 0:
-        return x.r == head.r and (x.s - head.s) % us == 0
-    if us == 0:
-        return x.s == head.s and (x.r - head.r) % um == 0
-    if (x.r - head.r) % um or (x.s - head.s) % us:
-        return False
-    return (x.r - head.r) // um == (x.s - head.s) // us
+def orbit_key(action: Action, g: PiElement) -> Pair:
+    """A canonical point of the orbit of ``g``: two elements share an orbit
+    exactly when their keys are equal.
 
-
-def _hat_abs_odd_member(u: PiElement, head: PiElement, x: PiElement) -> bool:
-    """Klein-bottle orbit family through an orientation-reversing head."""
-    um, un2 = u.r, u.s  # u = alpha^um beta^un2 with un2 even
-    if um != 0:
-        if (x.r - head.r) % um:
-            return False
-        k = (x.r - head.r) // um
-        if un2 == 0:
-            return x.s == head.s
-        return (x.s - head.s - k * un2) % (2 * un2) == 0
-    if x.r != head.r:
-        return False
-    if un2 == 0:
-        return x.s == head.s
-    return (x.s - head.s) % un2 == 0
+    HatAbs reduces g and g^-1 modulo the translation lattice; the other
+    actions take the least residue class ``(r, s mod period)`` over the
+    family heads.
+    """
+    _check_eps(action, g)
+    if isinstance(action, HatAbs):
+        return _hat_abs_key(action.u, g.r, g.s)
+    period = _period(action)
+    return min((r, s % period) for (r, s), _ in _heads(action, (g.r, g.s)))
 
 
 def same_orbit(action: Action, g: PiElement, h: PiElement) -> bool:
-    """Decide orbit membership from the closed-form orbit descriptions."""
-    _check_eps(action, g, h)
-    if isinstance(action, HatAbs):
-        u = action.u
-        if u.epsilon == -1 and g.w_eps() != h.w_eps():
-            return False
-        if u.epsilon == -1 and g.w_eps() == -1:
-            return _hat_abs_odd_member(u, g, h) or _hat_abs_odd_member(u, g.inv(), h)
-        return _hat_abs_even_member(u, g, h) or _hat_abs_even_member(u, g.inv(), h)
-    return any(f.contains(h) for f in _families(action, g))
+    """Decide orbit membership by comparing orbit keys."""
+    return orbit_key(action, g) == orbit_key(action, h)
 
 
 @dataclass(frozen=True)
@@ -218,11 +209,6 @@ def element_class(action: Union[Tilde, TildeL, HatL], g: PiElement) -> ElementCl
     return ElementClass(g_tilde_regular=not singular, defective=defective)
 
 
-def _orbit_parity(action: Action, v: RingElement, base: PiElement) -> int:
-    total = sum(c for g, c in v.terms.items() if same_orbit(action, base, g))
-    return total % 2
-
-
 def augment(action: Action, v: RingElement, base: PiElement) -> int:
     """Sum the coefficients of ``v`` over the orbit of ``base``.
 
@@ -236,22 +222,23 @@ def augment(action: Action, v: RingElement, base: PiElement) -> int:
     if isinstance(action, HatAbs):
         if v.mod != 2:
             raise DomainMismatch("plain augmentation expects mod-2 coefficients")
-        return _orbit_parity(action, v, base)
+        u = action.u
+        key = _hat_abs_key(u, base.r, base.s)
+        return sum(c for g, c in v.terms.items() if _hat_abs_key(u, g.r, g.s) == key) % 2
     cls = element_class(action, base)
-    if isinstance(action, Tilde):
-        if not cls.g_tilde_regular:
-            raise SingularBase(f"{base} is singular for the translation action")
-    elif cls.defective:
-        return _orbit_parity(action, v, base)
-    families = _families(action, base)
-    period = families[0].period  # shared by every family of one action
-    key_signs: dict[tuple[int, int], set[int]] = {}
-    for f in families:
-        key_signs.setdefault((f.head.r, f.head.s % period), set()).add(f.sign)
+    if isinstance(action, Tilde) and not cls.g_tilde_regular:
+        raise SingularBase(f"{base} is singular for the translation action")
+    period = _period(action)
     sums = v.residue_sums(period)
-    if any(len(signs) == 2 and key in sums for key, signs in key_signs.items()):
+    key_sign: dict[Pair, int] = {}  # 0 where both signs resolve
+    for (r, s), sign in _heads(action, (base.r, base.s)):
+        key = (r, s % period)
+        key_sign[key] = sign if key_sign.get(key, sign) == sign else 0
+    if cls.defective and not isinstance(action, Tilde):
+        return sum(sums.get(key, 0) for key in key_sign) % 2
+    if any(not sign and key in sums for key, sign in key_sign.items()):
         for g in v.terms:
-            if len(key_signs.get((g.r, g.s % period), ())) == 2:
+            if key_sign.get((g.r, g.s % period)) == 0:
                 raise InconsistentSign(f"{g} resolves with both signs from base {base}")
-    total = sum(signs.pop() * sums[key] for key, signs in key_signs.items() if key in sums)
+    total = sum(sign * sums[key] for key, sign in key_sign.items() if key in sums)
     return total % 2 if v.mod == 2 else total

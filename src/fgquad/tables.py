@@ -77,11 +77,22 @@ def _klein(match: Callable[[Word], list[tuple]]) -> Callable[[Word], list[tuple]
 
 
 def _exact_power_of(v: Word, base: Word) -> Optional[int]:
+    """The k = +-len(v)/len(base) with base**k == v, if any.
+
+    With (core, t) = cyclic_reduce(base), base**k is t core**k t**-1 without
+    cancellation, so its core has n syllables per syllable of core, less one
+    per seam where the last syllable of core runs into the first.  A v whose
+    core has another count is rejected before any power is built.
+    """
     if v.is_identity:
         return 0
     if base.is_identity or len(v) % len(base):
         return None
     n = len(v) // len(base)
+    core = cyclic_reduce(base)[0].syls
+    seams = n - 1 if core[0][0] == core[-1][0] else 0
+    if len(cyclic_reduce(v)[0].syls) != n * len(core) - seams:
+        return None
     for k in (n, -n):
         if base**k == v:
             return k

@@ -28,12 +28,13 @@ _GEN_CHARS = "ab"
 _INV_CHARS = "AB"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BasisTag:
     """Which pair of free generators a word is written in, plus the sign.
 
     For ``epsilon == +1`` the classic and adapted bases coincide; for
     ``epsilon == -1`` they are related by a = alpha*beta, b = beta**-1.
+    ``classic`` and ``adapted`` hand out one shared tag per basis.
     """
 
     kind: Kind
@@ -46,10 +47,12 @@ class BasisTag:
             raise ValueError("kind must be 'classic' or 'adapted'")
 
     @staticmethod
+    @cache  # one tag per epsilon
     def classic(epsilon: int) -> "BasisTag":
         return BasisTag("classic", epsilon)
 
     @staticmethod
+    @cache  # one tag per epsilon
     def adapted(epsilon: int) -> "BasisTag":
         return BasisTag("adapted", epsilon)
 
@@ -82,7 +85,7 @@ def _reduce(syllables: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     """A freely reduced word in the rank-2 free group."""
 

@@ -10,28 +10,39 @@ multiplies term by term.  They are slow on purpose and serve as oracles for
 the property tests in ``test_word_oracles.py``.  The quadratic exact
 division of the group ring, peeling one beta-row at a time and rebuilding
 the whole remainder after each, is kept the same way, and so is the orbit
-augmentation that tests every term against every orbit family;
-``orbit_in_box`` lists orbit elements in a box for the box-oracle tests of
-the orbit layer.
+layer before its closed-form keys: orbit families built from group elements,
+pairwise membership tests, the augmentation that tests every term against
+every orbit family, and the squares decider that partitions the support
+pairwise; ``orbit_in_box`` lists orbit elements in a box for the box-oracle
+tests of the orbit layer.  ``naive_exact_power_of`` builds the candidate
+power before comparing.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Optional, Union
+
 from fgquad import (
     BasisTag,
+    HatAbs,
     HatL,
     InconsistentSign,
     NotDivisible,
     PiElement,
     RingElement,
+    SingularBase,
     Tilde,
     TildeL,
     Word,
     WordSyntaxError,
+    element_class,
+    odd_part,
 )
-from fgquad.errors import DomainMismatch
+from fgquad.derived import DecideResult, MixedCase
+from fgquad.errors import DomainMismatch, EpsilonMismatch
 from fgquad.groupring import relator_jacobian_alpha
-from fgquad.orbits import Action, _check_eps, _families
+from fgquad.orbits import Action, _check_eps
 
 
 def reduce_syllables(syllables: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -289,9 +300,104 @@ def naive_exact_divide(p: RingElement, d: RingElement) -> RingElement:
     return RingElement.make(eps, lam_items)
 
 
+@dataclass(frozen=True)
+class Family:
+    """Arithmetic family {(r, s + period*k)} with an attached character sign."""
+
+    head: PiElement
+    period: int  # 0 means the single element {head}
+    sign: int
+
+    def contains(self, x: PiElement) -> bool:
+        if x.r != self.head.r:
+            return False
+        if self.period == 0:
+            return x.s == self.head.s
+        return (x.s - self.head.s) % self.period == 0
+
+
+def orbit_families(action: Union[Tilde, TildeL, HatL], g: PiElement) -> list[Family]:
+    """The orbit of ``g`` as signed families, built from group elements."""
+    if isinstance(action, Tilde):
+        period = 2 * abs(action.n)
+        return [Family(g, period, 1), Family(g.inv(), period, -1)]
+    ell, _, _ = odd_part(action.n)
+    u = PiElement(-1, action.L, ell)
+    if isinstance(action, TildeL):
+        period = 2 * abs(action.n)
+        jg = u * (u * g).inv()
+        return [
+            Family(g, period, 1),
+            Family(g.inv(), period, -1),
+            Family(jg.inv(), period, 1),
+            Family(jg, period, -1),
+        ]
+    gi = g.inv()
+    period = 2 * ell
+    return [
+        Family(g, period, 1),
+        Family(gi, period, -1),
+        Family(u * g, period, -1),
+        Family(u * gi, period, 1),
+        Family(g * u, period, -1),
+        Family(gi * u, period, 1),
+        Family(u * g * u, period, 1),
+        Family(u * gi * u, period, -1),
+    ]
+
+
+def _hat_abs_even_member(u: PiElement, head: PiElement, x: PiElement) -> bool:
+    """Is x = u**k * head for some k (all elements orientation-preserving)?"""
+    um, us = u.r, u.s
+    if um == 0 and us == 0:
+        return x == head
+    if um == 0:
+        return x.r == head.r and (x.s - head.s) % us == 0
+    if us == 0:
+        return x.s == head.s and (x.r - head.r) % um == 0
+    if (x.r - head.r) % um or (x.s - head.s) % us:
+        return False
+    return (x.r - head.r) // um == (x.s - head.s) // us
+
+
+def _hat_abs_odd_member(u: PiElement, head: PiElement, x: PiElement) -> bool:
+    """Klein-bottle orbit family through an orientation-reversing head."""
+    um, un2 = u.r, u.s  # u = alpha^um beta^un2 with un2 even
+    if um != 0:
+        if (x.r - head.r) % um:
+            return False
+        k = (x.r - head.r) // um
+        if un2 == 0:
+            return x.s == head.s
+        return (x.s - head.s - k * un2) % (2 * un2) == 0
+    if x.r != head.r:
+        return False
+    if un2 == 0:
+        return x.s == head.s
+    return (x.s - head.s) % un2 == 0
+
+
+def naive_same_orbit(action: Action, g: PiElement, h: PiElement) -> bool:
+    """Orbit membership by testing ``h`` against each family through ``g``."""
+    _check_eps(action, g, h)
+    if isinstance(action, HatAbs):
+        u = action.u
+        if u.epsilon == -1 and g.w_eps() != h.w_eps():
+            return False
+        if u.epsilon == -1 and g.w_eps() == -1:
+            return _hat_abs_odd_member(u, g, h) or _hat_abs_odd_member(u, g.inv(), h)
+        return _hat_abs_even_member(u, g, h) or _hat_abs_even_member(u, g.inv(), h)
+    return any(f.contains(h) for f in orbit_families(action, g))
+
+
+def naive_orbit_parity(action: Action, v: RingElement, base: PiElement) -> int:
+    """Plain mod-2 augmentation, one membership test per term."""
+    return sum(c for g, c in v.terms.items() if naive_same_orbit(action, base, g)) % 2
+
+
 def naive_twisted_augment(action: Action, v: RingElement, base: PiElement) -> int:
     """Twisted augmentation over the orbit families of ``base``, term by term."""
-    families = _families(action, base)
+    families = orbit_families(action, base)
     total = 0
     for g, c in v.terms.items():
         signs = {f.sign for f in families if f.contains(g)}
@@ -302,13 +408,64 @@ def naive_twisted_augment(action: Action, v: RingElement, base: PiElement) -> in
     return total % 2 if v.mod == 2 else total
 
 
+def naive_augment(action: Action, v: RingElement, base: PiElement) -> int:
+    """``augment`` with the plain parity and the twist computed term by term."""
+    _check_eps(action, base)
+    if v.epsilon != base.epsilon:
+        raise EpsilonMismatch("ring element epsilon does not match the base")
+    if isinstance(action, HatAbs):
+        if v.mod != 2:
+            raise DomainMismatch("plain augmentation expects mod-2 coefficients")
+        return naive_orbit_parity(action, v, base)
+    cls = element_class(action, base)
+    if isinstance(action, Tilde):
+        if not cls.g_tilde_regular:
+            raise SingularBase(f"{base} is singular for the translation action")
+    elif cls.defective:
+        return naive_orbit_parity(action, v, base)
+    return naive_twisted_augment(action, v, base)
+
+
+def naive_squares_decide(case: MixedCase, v_elt: RingElement) -> DecideResult:
+    """The squares decider partitioning the support pairwise into orbits."""
+    trace: dict = {"case": case.label(), "branch": "hat_orbit_parity"}
+    v2 = v_elt.reduce_mod2()
+    action = HatAbs(case.c_bar**case.d)
+    identity = PiElement.identity(case.epsilon)
+    reps: list[PiElement] = []
+    for g in v2.support():
+        if not any(naive_same_orbit(action, rep, g) for rep in reps):
+            reps.append(g)
+    trace["orbits"] = len(reps)
+    for rep in reps:
+        if naive_same_orbit(action, rep, identity):
+            continue
+        if naive_augment(action, v2, rep):
+            cert = f"orbit of ({rep.r},{rep.s}) has odd augmentation"
+            return DecideResult(False, certificate=cert, trace=trace)
+    return DecideResult(True, ell=case.d, trace=trace)
+
+
+def naive_exact_power_of(v: Word, base: Word) -> Optional[int]:
+    """The k with ``base**k == v``, building both candidate powers first."""
+    if v.is_identity:
+        return 0
+    if base.is_identity or len(v) % len(base):
+        return None
+    n = len(v) // len(base)
+    for k in (n, -n):
+        if base**k == v:
+            return k
+    return None
+
+
 def orbit_in_box(action: Action, g: PiElement, radius: int) -> set[PiElement]:
     """All orbit elements with |r| <= radius and |s| <= radius."""
     _check_eps(action, g)
     eps = action.epsilon
     out: set[PiElement] = set()
     if isinstance(action, (Tilde, TildeL, HatL)):
-        for fam in _families(action, g):
+        for fam in orbit_families(action, g):
             if abs(fam.head.r) > radius:
                 continue
             period = fam.period

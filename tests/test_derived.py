@@ -21,6 +21,7 @@ from fgquad import (
     same_orbit,
     second_decide,
 )
+from fgquad import derived
 from fgquad.groupring import one_minus_pow
 
 
@@ -228,6 +229,26 @@ class TestSecondDecideSquares:
             result = second_decide(case, RingElement.monomial(g))
             assert not result.solvable and result.certificate is not None
             hits += 1
+
+    @pytest.mark.parametrize("kind, m, n", [("eq3_nf", 2, 3), ("eq4_nf", 1, -2), ("eq4_nf", 3, 0)])
+    def test_one_orbit_key_per_term(self, monkeypatch, kind, m, n):
+        # the orbit partition is linear: one key per support element plus
+        # the identity's, however many orbits the support meets
+        calls = 0
+        real = derived.orbit_key
+
+        def counting(action, g):
+            nonlocal calls
+            calls += 1
+            return real(action, g)
+
+        monkeypatch.setattr(derived, "orbit_key", counting)
+        case = MixedCase(kind, n=n, m=m)
+        eps = case.epsilon
+        v = RingElement.make(eps, [(PiElement(eps, r, s), 1) for r in range(-12, 13) for s in range(-12, 13)])
+        result = derived._squares_decide(case, v)
+        assert result.trace["orbits"] > 20
+        assert calls <= 2 * len(v.terms) + 1
 
     def test_kernel_invariance(self, rng):
         for _ in range(100):

@@ -6,6 +6,7 @@ import pytest
 from conftest import random_pi
 from fgquad import (
     DomainMismatch,
+    EpsilonMismatch,
     HatAbs,
     HatL,
     InconsistentSign,
@@ -17,6 +18,7 @@ from fgquad import (
     augment,
     element_class,
     odd_part,
+    orbit_key,
     same_orbit,
 )
 from oracles import orbit_in_box
@@ -116,6 +118,36 @@ class TestSameOrbit:
     @pytest.mark.parametrize("action", HAT_ABS_PLUS[:3] + HAT_ABS_MINUS[:3] + TILDE[:3] + TILDE_L[:3] + HAT_L[:3])
     def test_box_agreement_small(self, action):
         assert_box_agreement(action, radius=5, explore=26)
+
+
+ALL_ACTIONS = HAT_ABS_PLUS + HAT_ABS_MINUS + TILDE + TILDE_L + HAT_L
+
+
+class TestOrbitKey:
+    @pytest.mark.parametrize("action", ALL_ACTIONS, ids=repr)
+    def test_keys_are_bfs_orbits(self, action):
+        # every generator-closure orbit meeting the box has one key, and no
+        # two of them share a key
+        radius = 6
+        eps = action.epsilon
+        box = [PiElement(eps, r, s) for r in range(-radius, radius + 1) for s in range(-radius, radius + 1)]
+        keys = {g: orbit_key(action, g) for g in box}
+        first_of_key: dict[tuple[int, int], PiElement] = {}
+        done: set[PiElement] = set()
+        for g in box:
+            if g in done:
+                continue
+            orbit = bfs_orbit(action, g, radius, explore=30)
+            assert {keys[h] for h in orbit} == {keys[g]}, f"{action}: orbit of {g} splits"
+            assert keys[g] not in first_of_key, f"{action}: {g} and {first_of_key.get(keys[g])}"
+            first_of_key[keys[g]] = g
+            done |= orbit
+
+    def test_epsilon_checked(self):
+        with pytest.raises(EpsilonMismatch):
+            orbit_key(Tilde(1), PiElement(1, 0, 1))
+        with pytest.raises(EpsilonMismatch):
+            same_orbit(HatAbs(PiElement(1, 1, 0)), PiElement(1, 0, 1), PiElement(-1, 0, 1))
 
 
 class TestElementClass:

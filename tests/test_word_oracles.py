@@ -1,5 +1,8 @@
-"""The word layer, the quotient walks, exact division and the orbit
-augmentation agree with the naive oracles."""
+"""The word layer, the quotient walks, exact division, the orbit
+augmentation and the squares decider agree with the naive oracles."""
+
+from collections import Counter
+import random
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -8,7 +11,9 @@ from conftest import ADAPTED_MINUS, ADAPTED_PLUS, CLASSIC_MINUS, CLASSIC_PLUS
 from fgquad import (
     BasisTag,
     FgquadError,
+    HatAbs,
     HatL,
+    MixedCase,
     PiElement,
     RingElement,
     Tilde,
@@ -25,17 +30,23 @@ from fgquad import (
     project,
     square_root,
 )
+from fgquad.derived import _squares_decide
 from fgquad.groupring import relator_jacobian_alpha
+from fgquad.tables import _exact_power_of
+from fgquad.words import relator_in
 from oracles import (
     naive_change_basis,
+    naive_augment,
     naive_cyclic_reduce,
     naive_exact_divide,
+    naive_exact_power_of,
     naive_fox_derivative,
     naive_inv,
     naive_mul,
     naive_pow,
     naive_project,
     naive_square_root,
+    naive_squares_decide,
     naive_twisted_augment,
     reduce_syllables,
     reference_parse,
@@ -118,6 +129,21 @@ class TestWordAlgebra:
             square = Word(square.basis, reduce_syllables([*square.syls[:-1], (gen, exp + nudge)]))
         for x in (square, other):
             assert square_root(x) == naive_square_root(x)
+
+    @oracle_settings
+    @given(power_bases(), st.integers(-12, 12), st.integers(-2, 2), st.data())
+    def test_exact_power_of(self, w, k, nudge, data):
+        basis = w.basis
+        two = Word(basis, ((0, 1), (1, 1))) ** 2
+        base = data.draw(st.sampled_from([w, relator_in(basis), two]))
+        power = base**k
+        near = power
+        if power.syls and nudge:  # one exponent off
+            gen, exp = power.syls[-1]
+            near = Word(basis, reduce_syllables([*power.syls[:-1], (gen, exp + nudge)]))
+        other = word_in(basis, data.draw(syllables()))
+        for x in (power, near, other):
+            assert _exact_power_of(x, base) == naive_exact_power_of(x, base)
 
     @oracle_settings
     @given(words())
@@ -290,3 +316,108 @@ class TestAugment:
             for action, base in twisted:
                 got = result_or_error(augment, action, v, base)
                 assert got == result_or_error(naive_twisted_augment, action, v, base)
+
+def hat_abs_actions(eps: int):
+    """Translations by u = (r, s), with s even on the Klein bottle."""
+    pairs = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    return pairs.map(lambda p: HatAbs(PiElement(eps, p[0], p[1] if eps == 1 else 2 * p[1])))
+
+
+@st.composite
+def augment_cases(draw):
+    eps = draw(st.sampled_from([1, -1]))
+    kinds = hat_abs_actions(eps) if eps == 1 else st.one_of(hat_abs_actions(eps), actions())
+    elements = st.sampled_from([0, 2]).flatmap(lambda mod: ring_elements(eps, span=6, mod=mod, far=12))
+    bases = st.tuples(st.integers(-8, 8), st.integers(-8, 8)).map(lambda p: PiElement(eps, *p))
+    return (
+        draw(st.lists(kinds, min_size=1, max_size=3)),
+        draw(st.lists(elements, min_size=1, max_size=2)),
+        draw(st.lists(bases, max_size=4)),
+    )
+
+
+def random_augment_case(rng: random.Random):
+    eps = rng.choice([1, -1])
+    if eps == 1 or rng.random() < 0.25:
+        u = PiElement(eps, rng.randint(-3, 3), rng.randint(-3, 3) * (1 if eps == 1 else 2))
+        action = HatAbs(u)
+    else:
+        n, L = rng.choice([1, -1, 2, 3, -3, 4, 5, 6]), rng.randint(-3, 3)
+        action = rng.choice([Tilde(n), TildeL(n, L), HatL(n, L)])
+    base = PiElement(eps, rng.randint(-5, 5), rng.randint(-5, 5))
+    terms = [(PiElement(eps, rng.randint(-5, 5), rng.randint(-5, 5)), rng.randint(-2, 2)) for _ in range(6)]
+    v = RingElement.make(eps, terms + [(base, 1)], mod=rng.choice([0, 2]))
+    return action, v, base
+
+
+class TestEveryAugmentation:
+    """``augment`` against the term-by-term oracle on every kind of base."""
+
+    @oracle_settings
+    @given(augment_cases())
+    def test_against_oracle(self, case):
+        kinds, elements, bases = case
+        for v in elements:
+            for base in bases + list(v.terms):
+                for action in kinds:
+                    got = result_or_error(augment, action, v, base)
+                    assert got == result_or_error(naive_augment, action, v, base)
+
+    def test_every_outcome_is_reached(self):
+        # the seeded cases reach the twisted sums, the plain parity at
+        # defective bases, and each typed refusal, with identical messages
+        rng = random.Random(5)
+        seen: Counter = Counter()
+        for _ in range(3000):
+            action, v, base = random_augment_case(rng)
+            got = result_or_error(augment, action, v, base)
+            assert got == result_or_error(naive_augment, action, v, base)
+            defective = not isinstance(action, HatAbs) and element_class(action, base).defective
+            seen[type(action).__name__, got[0], defective] += 1
+        for outcome in [
+            ("HatAbs", "ok", False),
+            ("HatAbs", "DomainMismatch", False),
+            ("Tilde", "ok", False),
+            ("Tilde", "ok", True),
+            ("Tilde", "SingularBase", True),
+            ("TildeL", "ok", False),
+            ("TildeL", "ok", True),
+            ("HatL", "ok", False),
+            ("HatL", "ok", True),
+            ("HatL", "InconsistentSign", False),
+        ]:
+            assert seen[outcome], outcome
+
+
+@st.composite
+def squares_cases(draw):
+    """Random elements plus terms spread over a few orbits, the identity's
+    among them, so that orbits meet the support more than once."""
+    kind = draw(st.sampled_from(["eq3_nf", "eq4_nf"]))
+    m, n = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+    assume(m or n)
+    case = MixedCase(kind, n=n, m=m)
+    eps = case.epsilon
+    u = case.c_bar**case.d
+    points = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(lambda p: PiElement(eps, *p))
+    spread = st.tuples(
+        st.one_of(st.just(PiElement.identity(eps)), points),
+        st.integers(-2, 2),
+        st.booleans(),
+        st.booleans(),
+        st.integers(-3, 3),
+    )
+    terms = []
+    for g, k, inverse, right, c in draw(st.lists(spread, max_size=10)):
+        g = g.inv() if inverse else g
+        terms.append((g * u**k if right else u**k * g, c))
+    v = draw(ring_elements(eps, span=6, far=12)) + RingElement.make(eps, terms)
+    return case, v
+
+
+class TestSquaresDecide:
+    @oracle_settings
+    @given(squares_cases())
+    def test_against_pairwise_partition(self, args):
+        case, v = args
+        assert _squares_decide(case, v) == naive_squares_decide(case, v)

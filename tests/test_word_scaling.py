@@ -6,8 +6,9 @@ from contextlib import redirect_stdout
 from time import perf_counter
 
 from conftest import ADAPTED_MINUS
-from fgquad import Word, parse_word
+from fgquad import Word, parse_word, relator_in
 from fgquad.cli import main
+from fgquad.tables import _exact_power_of
 from oracles import reduce_syllables
 
 
@@ -26,6 +27,14 @@ def test_power_of_a_two_syllable_word():
     assert perf_counter() - start < 1.0
     assert len(w) == 40000
     assert w.syls == ((0, 1), (1, 1)) * 20000
+
+
+def test_one_syllable_is_no_power_of_the_relator():
+    # b^1000000 has the letter count of R^250000 but one syllable
+    v = Word.gen(ADAPTED_MINUS, "b", 1000000)
+    start = perf_counter()
+    assert _exact_power_of(v, relator_in(ADAPTED_MINUS)) is None
+    assert perf_counter() - start < 0.1
 
 
 def test_parse_a_long_random_text():

@@ -172,6 +172,25 @@ class TestChangeBasis:
             assert change_basis(change_basis(w, ADAPTED_MINUS), CLASSIC_MINUS) == w
 
 
+class TestBasisTag:
+    def test_tags_are_shared(self):
+        assert BasisTag.adapted(-1) is BasisTag.adapted(-1)
+        assert BasisTag.classic(1) is BasisTag.classic(1)
+        assert BasisTag.adapted(1) is not BasisTag.classic(1)
+        for frame, kind in [("original_z", "classic"), ("adapted_xy", "adapted")]:
+            spec = EquationSpec(1, -1, -1, "faithful", frame)
+            assert spec.basis is getattr(BasisTag, kind)(-1)
+
+    def test_bad_epsilon(self):
+        with pytest.raises(ValueError):
+            BasisTag.adapted(0)
+
+    def test_no_instance_dict(self):
+        # both classes keep their fields in slots
+        assert not hasattr(BasisTag.adapted(1), "__dict__")
+        assert not hasattr(Word.identity(ADAPTED_PLUS), "__dict__")
+
+
 class TestRelator:
     def test_plus(self):
         assert relator(1) == parse_word("a b A B", ADAPTED_PLUS)
