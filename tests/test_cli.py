@@ -20,6 +20,12 @@ GOLDEN_INVOCATIONS = {
     "first_derived_beta_square": ["first-derived", "--delta", "1", "--epsilon", "-1", "--theta", "-1", "--class", "nonfaithful", "--word", "b b", "--enum-bound", "1"],
     "second_derived_trivial": ["second-derived", "--delta", "-1", "--epsilon", "1", "--theta", "-1", "--class", "nonfaithful", "--word", "conj(a) conj(A)"],
     "qn_conjugate": ["qn", "--epsilon", "-1", "--word", "conj(a) R"],
+    "canon_klein": ["canon", "--epsilon", "-1", "--word", "b a^2 B a b"],
+    "qn_text": ["qn", "--epsilon", "-1", "--word", "conj(a) R", "--output", "text"],
+    "classify_batch_text": ["classify", "--delta", "-1", "--epsilon", "-1", "--theta", "-1", "--class", "faithful", "--batch", str(GOLDEN_DIR / "classify_batch_text.txt"), "--output", "text"],
+    "classify_original_batch": ["classify", "--delta", "-1", "--epsilon", "-1", "--theta", "-1", "--class", "faithful", "--frame", "original", "--batch", str(GOLDEN_DIR / "classify_original_batch.txt")],
+    "wicks_original": ["wicks", "--delta", "-1", "--epsilon", "-1", "--theta", "-1", "--class", "faithful", "--frame", "original", "--word", "a a"],
+    "second_derived_l_window": ["second-derived", "--delta", "1", "--epsilon", "-1", "--theta", "-1", "--class", "nonfaithful", "--word", "b^2 conj(a) conj(b)", "--l-window", "12"],
 }
 
 
@@ -38,8 +44,8 @@ class TestGolden:
         golden = (GOLDEN_DIR / f"{name}.jsonl").read_text()
         assert out == golden
 
-    def test_ten_invocations(self):
-        assert len(GOLDEN_INVOCATIONS) == 10
+    def test_sixteen_invocations(self):
+        assert len(GOLDEN_INVOCATIONS) == 16
 
 
 class TestCliBehavior:
