@@ -9,7 +9,7 @@ witness pairs; undetermined verdicts carry the trace of what was tried.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Literal, Optional
 
 from .derived import analyze_v, second_decide
@@ -22,7 +22,7 @@ from .words import (
     Word,
     change_basis,
     sgn,
-    solution_is_faithful,
+    swap_frame,
     verify_solution,
 )
 
@@ -57,25 +57,16 @@ class Verdict:
     trace: dict = field(default_factory=dict)
 
 
-def _to_input_frame(
-    spec: EquationSpec, x: Word, y: Word
-) -> tuple[Word, Word]:
-    """Convert an adapted-frame pair to the frame the caller asked for."""
-    if spec.frame == "adapted_xy":
-        return x, y
-    if spec.delta == 1:
-        z1, z2 = x, y
-    else:
-        z1, z2 = x * y, y.inv()
-    classic = BasisTag.classic(spec.epsilon)
-    return change_basis(z1, classic), change_basis(z2, classic)
+def _from_other_frame(spec: EquationSpec, first: Word, second: Word) -> tuple[Word, Word]:
+    """Carry a pair of unknowns from the other frame to the spec's frame and basis."""
+    first, second = swap_frame(spec.delta, first, second)
+    return change_basis(first, spec.basis), change_basis(second, spec.basis)
 
 
 def _exists(spec: EquationSpec, v: Word, x_ad: Word, y_ad: Word, branch: str, trace: dict | None = None) -> Verdict:
-    first, second = _to_input_frame(spec, x_ad, y_ad)
+    first, second = (x_ad, y_ad) if spec.frame == "adapted_xy" else _from_other_frame(spec, x_ad, y_ad)
     result = verify_solution(spec, v, first, second)
-    in_class = solution_is_faithful(spec, first, second) == (spec.solution_class == "faithful")
-    if not (result.holds and in_class):
+    if not (result.holds and result.faithful == (spec.solution_class == "faithful")):
         raise WitnessUnverified(f"unverified witness for branch {branch}")
     return Verdict("exists", branch, (first, second), True, trace=trace or {})
 
@@ -93,7 +84,7 @@ def pattern_witness(spec: EquationSpec, v: Word) -> Optional[tuple[Word, Word]]:
     for family in MIXED:
         for pair in family.pairs(v):
             res = verify_solution(spec, v, *pair)
-            if res.holds and res.x_in_n and solution_is_faithful(spec, *pair) == faithful:
+            if res.holds and res.x_in_n and res.faithful == faithful:
                 return pair
     return None
 
@@ -102,7 +93,7 @@ def classify(spec: EquationSpec, v: Word, budgets: Budgets = Budgets()) -> Verdi
     """Decide whether the family member has a solution of the requested class."""
     adapted = BasisTag.adapted(spec.epsilon)
     v_ad = v if v.basis == adapted else change_basis(v, adapted)
-    spec_ad = EquationSpec(spec.delta, spec.epsilon, spec.theta, spec.solution_class, "adapted_xy")
+    spec_ad = replace(spec, frame="adapted_xy")
     vbar = project(v_ad)
     branch = table_branch(spec_ad, vbar, sgn(v_ad))
     if branch.kind == "abelian":
@@ -119,18 +110,15 @@ def classify(spec: EquationSpec, v: Word, budgets: Budgets = Budgets()) -> Verdi
         x_ad, y_ad = instantiate_witness(branch.family, v_ad)
         return _exists(spec, v, x_ad, y_ad, branch.row)
     if branch.kind == "degree_two":
-        classic = BasisTag.classic(spec.epsilon)
-        v_classic = change_basis(v_ad, classic)
-        spec_z = EquationSpec(spec.delta, spec.epsilon, spec.theta, spec.solution_class, "original_z")
+        spec_z = replace(spec, frame="original_z")
+        v_classic = change_basis(v_ad, spec_z.basis)
         pair = degree_two_witness(spec_z, v_classic)
         if pair is not None:
             res = verify_solution(spec_z, v_classic, *pair)
             if res.holds and res.faithful:
                 if spec.frame == "original_z":
                     return Verdict("exists", branch.row, pair, True)
-                x_ad = change_basis(pair[0] if spec.delta == 1 else pair[0] * pair[1], adapted)
-                y_ad = change_basis(pair[1] if spec.delta == 1 else pair[1].inv(), adapted)
-                return _exists(spec, v, x_ad, y_ad, branch.row)
+                return _exists(spec, v, *_from_other_frame(spec, *pair), branch.row)
         return Verdict(
             "undetermined",
             branch.row,

@@ -9,39 +9,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import asdict
+from typing import Callable, Optional
 
-from .classify import Budgets, Verdict, classify
-from .derived import analyze_v, first_solutions, second_decide
+from .classify import Budgets, classify
+from .derived import ConjData, analyze_v, first_solutions, second_decide
 from .errors import FgquadError
 from .groupring import q_n
-from .surface import project
+from .surface import PiElement, project
 from .tables import verify_tables
+from .wicks import wicks_search
 from .words import BasisTag, EquationSpec, Word, parse_word
-
-
-@dataclass(frozen=True)
-class SessionConfig:
-    epsilon: int
-    delta: int = 1
-    theta: int = -1
-    solution_class: str = "nonfaithful"
-    frame: str = "adapted_xy"
-    budgets: Budgets = Budgets()
-    output: str = "jsonl"
-
-    @property
-    def basis(self) -> BasisTag:
-        if self.frame == "original_z":
-            return BasisTag.classic(self.epsilon)
-        return BasisTag.adapted(self.epsilon)
-
-    @property
-    def spec(self) -> EquationSpec:
-        return EquationSpec(
-            self.delta, self.epsilon, self.theta, self.solution_class, self.frame  # type: ignore[arg-type]
-        )
 
 
 def _sign(text: str) -> int:
@@ -102,80 +80,143 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-tables", help="substitution-check all fixture rows")
     p.add_argument("--output", choices=("jsonl", "text"), default="jsonl")
 
-    p = sub.add_parser("wicks", help="run the Wicks-form oracle")
-    _add_spec_flags(p, need_full=True)
-    _add_word_flags(p)
-    _add_budget_flags(p)
+    for name, help_text in (
+        ("wicks", "run the Wicks-form oracle"),
+        ("first-derived", "enumerate first-derived-equation solutions"),
+        ("second-derived", "decide the second derived equation"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_spec_flags(p, need_full=True)
+        _add_word_flags(p)
+        _add_budget_flags(p)
 
-    p = sub.add_parser("first-derived", help="enumerate first-derived-equation solutions")
-    _add_spec_flags(p, need_full=True)
-    _add_word_flags(p)
-    _add_budget_flags(p)
-
-    p = sub.add_parser("second-derived", help="decide the second derived equation")
-    _add_spec_flags(p, need_full=True)
-    _add_word_flags(p)
-    _add_budget_flags(p)
-
-    p = sub.add_parser("qn", help="project a relator-subgroup word to the group ring")
-    _add_spec_flags(p, need_full=False)
-    _add_word_flags(p)
-    p.add_argument("--output", choices=("jsonl", "text"), default="jsonl")
-
-    p = sub.add_parser("canon", help="canonical form of a word in the quotient group")
-    _add_spec_flags(p, need_full=False)
-    _add_word_flags(p)
-    p.add_argument("--output", choices=("jsonl", "text"), default="jsonl")
+    for name, help_text in (
+        ("qn", "project a relator-subgroup word to the group ring"),
+        ("canon", "canonical form of a word in the quotient group"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_spec_flags(p, need_full=False)
+        _add_word_flags(p)
+        p.add_argument("--output", choices=("jsonl", "text"), default="jsonl")
 
     return parser
 
 
-def _config(args: argparse.Namespace) -> SessionConfig:
-    budgets = Budgets(
-        wicks_len=getattr(args, "wicks_len", 64),
-        enum_bound=getattr(args, "enum_bound", 8),
-        l_window_override=getattr(args, "l_window", None),
-    )
-    frame = "original_z" if getattr(args, "frame", "adapted") == "original" else "adapted_xy"
-    return SessionConfig(
-        epsilon=args.epsilon,
-        delta=getattr(args, "delta", 1),
-        theta=getattr(args, "theta", -1),
-        solution_class=getattr(args, "solution_class", "nonfaithful"),
-        frame=frame,
-        budgets=budgets,
-        output=args.output,
-    )
+def _spec(args: argparse.Namespace) -> EquationSpec:
+    frame = "original_z" if args.frame == "original" else "adapted_xy"
+    return EquationSpec(args.delta, args.epsilon, args.theta, args.solution_class, frame)
 
 
-def _budget_json(budgets: Budgets) -> dict:
+def _budgets(args: argparse.Namespace) -> Budgets:
+    return Budgets(args.wicks_len, args.enum_bound, args.l_window)
+
+
+# ---------------------------------------------------------------------------
+# Record shapes shared by several commands
+# ---------------------------------------------------------------------------
+
+
+def _vbar(g: PiElement) -> dict:
+    return {"r": g.r, "s": g.s}
+
+
+def _pair(first: Word, second: Word) -> dict:
+    return {"first": str(first), "second": str(second)}
+
+
+def _present(**fields) -> dict:
+    """The fields whose value is not None, in order."""
+    return {key: value for key, value in fields.items() if value is not None}
+
+
+def _derived_head(text: str, data: ConjData) -> dict:
+    return {"input": text, "case": data.case.label(), "vbar": _vbar(data.vbar), "V": str(data.V)}
+
+
+# ---------------------------------------------------------------------------
+# Per-word commands: (args, input text, parsed word) -> output record
+# ---------------------------------------------------------------------------
+
+
+def _classify(args: argparse.Namespace, text: str, word: Word) -> dict:
+    budgets = _budgets(args)
+    verdict = classify(_spec(args), word, budgets)
     return {
-        "wicks_len": budgets.wicks_len,
-        "enum_bound": budgets.enum_bound,
-        "l_window_override": budgets.l_window_override,
-    }
-
-
-def _verdict_json(cfg: SessionConfig, text: str, v: Word, verdict: Verdict) -> dict:
-    vbar = project(v)
-    out: dict = {
         "input": text,
         "case": verdict.branch,
-        "vbar": {"r": vbar.r, "s": vbar.s},
+        "vbar": _vbar(project(word)),
         "verdict": verdict.outcome,
+        **_present(
+            reason=verdict.reason,
+            witness=verdict.witness and _pair(*verdict.witness),
+            certificate=verdict.certificate,
+        ),
+        "budgets": asdict(budgets),
     }
-    if verdict.reason is not None:
-        out["reason"] = verdict.reason
-    if verdict.witness is not None:
-        out["witness"] = {"first": str(verdict.witness[0]), "second": str(verdict.witness[1])}
-    if verdict.certificate is not None:
-        out["certificate"] = verdict.certificate
-    out["budgets"] = _budget_json(cfg.budgets)
-    return out
 
 
-def _emit(cfg_output: str, record: dict, stream) -> None:
-    if cfg_output == "jsonl":
+def _wicks(args: argparse.Namespace, text: str, word: Word) -> dict:
+    budgets = _budgets(args)
+    report = wicks_search(_spec(args), word, budgets.wicks_len)
+    return {
+        "input": text,
+        "solutions": [{**_pair(*pair), "faithful": faithful} for pair, faithful in report.solutions],
+        "matches": len(report.matches),
+        "exhaustive": report.exhaustive,
+        "budgets": asdict(budgets),
+    }
+
+
+def _first_derived(args: argparse.Namespace, text: str, word: Word) -> dict:
+    budgets = _budgets(args)
+    data = analyze_v(_spec(args), word)
+    sols = first_solutions(data.case, data.vbar, budgets.enum_bound)
+    solutions = [
+        {
+            "L": sol.L,
+            "ell": sol.ell,
+            "ybar": _vbar(sol.ybar),
+            "xtilde": str(sol.xtilde),
+            "x_word": str(sol.x_word),
+            "y_word": str(sol.y_word),
+        }
+        for sol in sols
+    ]
+    return {**_derived_head(text, data), "solutions": solutions, "bound": budgets.enum_bound}
+
+
+def _second_derived(args: argparse.Namespace, text: str, word: Word) -> dict:
+    budgets = _budgets(args)
+    data = analyze_v(_spec(args), word)
+    result = second_decide(data.case, data.V, budgets.l_window_override)
+    return {
+        **_derived_head(text, data),
+        "verdict": "solvable" if result.solvable else "unsolvable",
+        **_present(ell=result.ell, L=result.L, certificate=result.certificate),
+        "trace": result.trace,
+    }
+
+
+def _qn(args: argparse.Namespace, text: str, word: Word) -> dict:
+    return {"input": text, "qn": str(q_n(word))}
+
+
+def _canon(args: argparse.Namespace, text: str, word: Word) -> dict:
+    return {"input": text, "vbar": _vbar(project(word))}
+
+
+_PER_WORD: dict[str, Callable[[argparse.Namespace, str, Word], dict]] = {
+    "classify": _classify,
+    "wicks": _wicks,
+    "first-derived": _first_derived,
+    "second-derived": _second_derived,
+    "qn": _qn,
+    "canon": _canon,
+}
+
+
+def _emit(output: str, record: dict, stream) -> None:
+    if output == "jsonl":
         stream.write(json.dumps(record) + "\n")
     else:
         parts = [f"{key}={json.dumps(value)}" for key, value in record.items()]
@@ -191,127 +232,25 @@ def _words_from_args(args: argparse.Namespace, basis: BasisTag) -> list[tuple[st
     return [(text, parse_word(text, basis)) for text in texts]
 
 
-def _cmd_classify(args: argparse.Namespace, stream) -> int:
-    cfg = _config(args)
-    for text, word in _words_from_args(args, cfg.basis):
-        verdict = classify(cfg.spec, word, cfg.budgets)
-        _emit(cfg.output, _verdict_json(cfg, text, word, verdict), stream)
-    return 0
-
-
-def _cmd_verify_tables(args: argparse.Namespace, stream) -> int:
-    report = verify_tables()
-    record = {
-        "checked": report.checked,
-        "failures": [{"row": f.row, "reason": f.reason} for f in report.failures],
-    }
-    _emit(args.output, record, stream)
-    return 0 if not report.failures else 1
-
-
-def _cmd_wicks(args: argparse.Namespace, stream) -> int:
-    from .wicks import wicks_search
-
-    cfg = _config(args)
-    for text, word in _words_from_args(args, cfg.basis):
-        report = wicks_search(cfg.spec, word, cfg.budgets.wicks_len)
-        record = {
-            "input": text,
-            "solutions": [
-                {"first": str(x), "second": str(y), "faithful": faithful}
-                for (x, y), faithful in report.solutions
-            ],
-            "matches": len(report.matches),
-            "exhaustive": report.exhaustive,
-            "budgets": _budget_json(cfg.budgets),
-        }
-        _emit(cfg.output, record, stream)
-    return 0
-
-
-def _cmd_first_derived(args: argparse.Namespace, stream) -> int:
-    cfg = _config(args)
-    for text, word in _words_from_args(args, cfg.basis):
-        data = analyze_v(cfg.spec, word)
-        sols = first_solutions(data.case, data.vbar, cfg.budgets.enum_bound)
-        record = {
-            "input": text,
-            "case": data.case.label(),
-            "vbar": {"r": data.vbar.r, "s": data.vbar.s},
-            "V": str(data.V),
-            "solutions": [
-                {
-                    "L": sol.L,
-                    "ell": sol.ell,
-                    "ybar": {"r": sol.ybar.r, "s": sol.ybar.s},
-                    "xtilde": str(sol.xtilde),
-                    "x_word": str(sol.x_word),
-                    "y_word": str(sol.y_word),
-                }
-                for sol in sols
-            ],
-            "bound": cfg.budgets.enum_bound,
-        }
-        _emit(cfg.output, record, stream)
-    return 0
-
-
-def _cmd_second_derived(args: argparse.Namespace, stream) -> int:
-    cfg = _config(args)
-    for text, word in _words_from_args(args, cfg.basis):
-        data = analyze_v(cfg.spec, word)
-        result = second_decide(data.case, data.V, cfg.budgets.l_window_override)
-        record = {
-            "input": text,
-            "case": data.case.label(),
-            "vbar": {"r": data.vbar.r, "s": data.vbar.s},
-            "V": str(data.V),
-            "verdict": "solvable" if result.solvable else "unsolvable",
-        }
-        if result.ell is not None:
-            record["ell"] = result.ell
-        if result.L is not None:
-            record["L"] = result.L
-        if result.certificate is not None:
-            record["certificate"] = result.certificate
-        record["trace"] = result.trace
-        _emit(cfg.output, record, stream)
-    return 0
-
-
-def _cmd_qn(args: argparse.Namespace, stream) -> int:
-    basis = BasisTag.adapted(args.epsilon)
+def _run(args: argparse.Namespace, stream) -> int:
+    if args.command == "verify-tables":
+        report = verify_tables()
+        failures = [{"row": f.row, "reason": f.reason} for f in report.failures]
+        _emit(args.output, {"checked": report.checked, "failures": failures}, stream)
+        return 1 if failures else 0
+    # qn and canon read their words in the adapted basis
+    basis = _spec(args).basis if "frame" in args else BasisTag.adapted(args.epsilon)
+    command = _PER_WORD[args.command]
     for text, word in _words_from_args(args, basis):
-        record = {"input": text, "qn": str(q_n(word))}
-        _emit(args.output, record, stream)
+        _emit(args.output, command(args, text, word), stream)
     return 0
-
-
-def _cmd_canon(args: argparse.Namespace, stream) -> int:
-    basis = BasisTag.adapted(args.epsilon)
-    for text, word in _words_from_args(args, basis):
-        g = project(word)
-        record = {"input": text, "vbar": {"r": g.r, "s": g.s}}
-        _emit(args.output, record, stream)
-    return 0
-
-
-_COMMANDS = {
-    "classify": _cmd_classify,
-    "verify-tables": _cmd_verify_tables,
-    "wicks": _cmd_wicks,
-    "first-derived": _cmd_first_derived,
-    "second-derived": _cmd_second_derived,
-    "qn": _cmd_qn,
-    "canon": _cmd_canon,
-}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, sys.stdout)
+        return _run(args, sys.stdout)
     except FgquadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

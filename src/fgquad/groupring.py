@@ -10,48 +10,44 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, TypeVar
 
 from .errors import DomainMismatch, EpsilonMismatch, NotDivisible, NotInKernel
 from .surface import PiElement, project
 from .words import BasisTag, Word, change_basis
 
 
-def _norm_coeff(c: int, mod: int) -> int:
-    return c % 2 if mod == 2 else c
+_Sum = TypeVar("_Sum", bound="SparseSum")
 
 
 @dataclass(frozen=True)
-class RingElement:
-    """Finite formal sum over the quotient group; no zero coefficients stored."""
+class SparseSum:
+    """Finite formal sum over the quotient group; no zero coefficients stored.
+
+    The additive structure shared by the group ring and by its quotient Q;
+    subclasses differ only in how ``make`` normalises the terms.
+    """
 
     epsilon: int
     mod: int = 0  # 0 = integer coefficients, 2 = mod-2 coefficients
     terms: Mapping[PiElement, int] = field(default_factory=dict)
 
-    @staticmethod
-    def make(epsilon: int, items: Iterable[tuple[PiElement, int]], mod: int = 0) -> "RingElement":
+    @classmethod
+    def make(cls: type[_Sum], epsilon: int, items: Iterable[tuple[PiElement, int]], mod: int = 0) -> _Sum:
         acc: dict[PiElement, int] = {}
         for g, c in items:
             if g.epsilon != epsilon:
                 raise EpsilonMismatch("term epsilon differs from element epsilon")
             acc[g] = acc.get(g, 0) + c
-        cleaned = {g: _norm_coeff(c, mod) for g, c in acc.items()}
-        return RingElement(epsilon, mod, {g: c for g, c in cleaned.items() if c})
+        if mod == 2:
+            return cls(epsilon, mod, {g: 1 for g, c in acc.items() if c % 2})
+        return cls(epsilon, mod, {g: c for g, c in acc.items() if c})
 
-    @staticmethod
-    def zero(epsilon: int, mod: int = 0) -> "RingElement":
-        return RingElement(epsilon, mod, {})
+    @classmethod
+    def zero(cls: type[_Sum], epsilon: int, mod: int = 0) -> _Sum:
+        return cls(epsilon, mod, {})
 
-    @staticmethod
-    def monomial(g: PiElement, coeff: int = 1, mod: int = 0) -> "RingElement":
-        return RingElement.make(g.epsilon, [(g, coeff)], mod)
-
-    @staticmethod
-    def one(epsilon: int, mod: int = 0) -> "RingElement":
-        return RingElement.monomial(PiElement.identity(epsilon), 1, mod)
-
-    def _check(self, other: "RingElement") -> None:
+    def _check(self, other: "SparseSum") -> None:
         if self.epsilon != other.epsilon:
             raise EpsilonMismatch("mixed epsilon in ring operation")
         if self.mod != other.mod:
@@ -61,33 +57,50 @@ class RingElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, g: PiElement) -> int:
-        return self.terms.get(g, 0)
-
     def support(self) -> list[PiElement]:
         return sorted(self.terms, key=lambda g: (g.s, g.r))
 
-    def add(self, other: "RingElement") -> "RingElement":
+    def __add__(self: _Sum, other: _Sum) -> _Sum:
         self._check(other)
         items = list(self.terms.items()) + list(other.terms.items())
-        return RingElement.make(self.epsilon, items, self.mod)
+        return self.make(self.epsilon, items, self.mod)
 
-    def __add__(self, other: "RingElement") -> "RingElement":
-        return self.add(other)
+    def __neg__(self: _Sum) -> _Sum:
+        return self.make(self.epsilon, [(g, -c) for g, c in self.terms.items()], self.mod)
 
-    def neg(self) -> "RingElement":
-        return RingElement.make(self.epsilon, [(g, -c) for g, c in self.terms.items()], self.mod)
+    def __sub__(self: _Sum, other: _Sum) -> _Sum:
+        return self + -other
 
-    def __neg__(self) -> "RingElement":
-        return self.neg()
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.epsilon == other.epsilon
+            and self.mod == other.mod
+            and dict(self.terms) == dict(other.terms)
+        )
 
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        return self.add(other.neg())
+    def __hash__(self) -> int:
+        return hash((self.epsilon, self.mod, frozenset(self.terms.items())))
 
-    def scalar_mul(self, k: int) -> "RingElement":
-        return RingElement.make(self.epsilon, [(g, k * c) for g, c in self.terms.items()], self.mod)
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        return "{" + ", ".join(f"({g.r},{g.s}): {self.terms[g]}" for g in self.support()) + "}"
 
-    def mul(self, other: "RingElement") -> "RingElement":
+
+class RingElement(SparseSum):
+    """Element of Z[pi] or Z2[pi] with the twisted product."""
+
+    @staticmethod
+    def monomial(g: PiElement, coeff: int = 1, mod: int = 0) -> "RingElement":
+        return RingElement.make(g.epsilon, [(g, coeff)], mod)
+
+    @staticmethod
+    def one(epsilon: int, mod: int = 0) -> "RingElement":
+        return RingElement.monomial(PiElement.identity(epsilon), 1, mod)
+
+    def __mul__(self, other: "RingElement") -> "RingElement":
         self._check(other)
         items = [
             (g * h, c * d)
@@ -96,17 +109,11 @@ class RingElement:
         ]
         return RingElement.make(self.epsilon, items, self.mod)
 
-    def __mul__(self, other: "RingElement") -> "RingElement":
-        return self.mul(other)
-
     def translate(self, g: PiElement) -> "RingElement":
         """Left multiplication by the group element ``g``."""
         return RingElement.make(
             self.epsilon, [(g * h, c) for h, c in self.terms.items()], self.mod
         )
-
-    def augmentation(self) -> int:
-        return _norm_coeff(sum(self.terms.values()), self.mod)
 
     def residue_sums(self, period: int) -> dict[tuple[int, int], int]:
         """Coefficient sums over the classes ``{(r, s + period*k)}``, keyed by
@@ -129,30 +136,6 @@ class RingElement:
 
     def reduce_mod2(self) -> "RingElement":
         return RingElement.make(self.epsilon, self.terms.items(), mod=2)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        return (
-            self.epsilon == other.epsilon
-            and self.mod == other.mod
-            and dict(self.terms) == dict(other.terms)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.epsilon, self.mod, frozenset(self.terms.items())))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        inner = ", ".join(f"({g.r},{g.s}): {c}" for g, c in sorted(
-            self.terms.items(), key=lambda item: (item[0].s, item[0].r)
-        ))
-        return "{" + inner + "}"
-
-
-def translate(g: PiElement, p: RingElement) -> RingElement:
-    return p.translate(g)
 
 
 def one_minus_pow(x: PiElement, k: int, mod: int = 0) -> RingElement:

@@ -7,98 +7,40 @@ s (and negates r when s == 0), so exactly one of the two qualifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator
 
 from .errors import DomainMismatch, EpsilonMismatch
-from .groupring import RingElement, _norm_coeff
+from .groupring import RingElement, SparseSum
 from .surface import PiElement, project
 from .words import Word
 
 
-def is_representative(g: PiElement) -> bool:
-    return g.s > 0 or (g.s == 0 and g.r > 0)
-
-
 def representative(g: PiElement) -> tuple[PiElement, int]:
     """Return (representative, sign) with g == sign-side of the class."""
-    if is_representative(g):
+    if g.s > 0 or (g.s == 0 and g.r > 0):
         return g, 1
     return g.inv(), -1
 
 
-@dataclass(frozen=True)
-class QElement:
-    epsilon: int
-    mod: int = 0
-    terms: Mapping[PiElement, int] = field(default_factory=dict)
+class QElement(SparseSum):
+    """Element of Q: a sum of non-identity classes, each stored on its representative."""
 
-    @staticmethod
-    def make(epsilon: int, items: Iterable[tuple[PiElement, int]], mod: int = 0) -> "QElement":
-        acc: dict[PiElement, int] = {}
-        for g, c in items:
-            if g.epsilon != epsilon:
-                raise EpsilonMismatch("term epsilon differs from element epsilon")
-            if g.is_identity:
-                continue
-            rep, sign = representative(g)
-            if mod == 2:
-                sign = 1
-            acc[rep] = acc.get(rep, 0) + sign * c
-        cleaned = {g: _norm_coeff(c, mod) for g, c in acc.items()}
-        return QElement(epsilon, mod, {g: c for g, c in cleaned.items() if c})
+    @classmethod
+    def make(cls, epsilon: int, items: Iterable[tuple[PiElement, int]], mod: int = 0) -> "QElement":
+        """Fold each term onto its representative and drop the identity.
 
-    @staticmethod
-    def zero(epsilon: int, mod: int = 0) -> "QElement":
-        return QElement(epsilon, mod, {})
+        Modulo 2 the fold needs no sign, since -c and c agree there.
+        """
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+        def folded() -> Iterator[tuple[PiElement, int]]:
+            for g, c in items:
+                if g.epsilon != epsilon:
+                    raise EpsilonMismatch("term epsilon differs from element epsilon")
+                if not g.is_identity:
+                    rep, sign = representative(g)
+                    yield rep, sign * c
 
-    def coeff(self, g: PiElement) -> int:
-        rep, sign = representative(g)
-        if self.mod == 2:
-            sign = 1
-        return sign * self.terms.get(rep, 0)
-
-    def add(self, other: "QElement") -> "QElement":
-        if self.epsilon != other.epsilon:
-            raise EpsilonMismatch("mixed epsilon")
-        if self.mod != other.mod:
-            raise DomainMismatch("mixed coefficient domains")
-        return QElement.make(
-            self.epsilon, list(self.terms.items()) + list(other.terms.items()), self.mod
-        )
-
-    def __add__(self, other: "QElement") -> "QElement":
-        return self.add(other)
-
-    def neg(self) -> "QElement":
-        return QElement.make(self.epsilon, [(g, -c) for g, c in self.terms.items()], self.mod)
-
-    def __sub__(self, other: "QElement") -> "QElement":
-        return self.add(other.neg())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QElement):
-            return NotImplemented
-        return (
-            self.epsilon == other.epsilon
-            and self.mod == other.mod
-            and dict(self.terms) == dict(other.terms)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.epsilon, self.mod, frozenset(self.terms.items())))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        inner = ", ".join(f"({g.r},{g.s}): {c}" for g, c in sorted(
-            self.terms.items(), key=lambda item: (item[0].s, item[0].r)
-        ))
-        return "{" + inner + "}"
+        return super().make(epsilon, folded(), mod)
 
 
 def p_q(p: RingElement) -> QElement:

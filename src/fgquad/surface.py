@@ -42,19 +42,16 @@ class PiElement:
         if self.epsilon != other.epsilon:
             raise EpsilonMismatch(f"{self.epsilon} vs {other.epsilon}")
 
-    def mul(self, other: "PiElement") -> "PiElement":
+    def __mul__(self, other: "PiElement") -> "PiElement":
         self._check(other)
         return PiElement(self.epsilon, self.r + self._sigma(self.s) * other.r, self.s + other.s)
-
-    def __mul__(self, other: "PiElement") -> "PiElement":
-        return self.mul(other)
 
     def inv(self) -> "PiElement":
         return PiElement(self.epsilon, -self._sigma(self.s) * self.r, -self.s)
 
-    def pow(self, k: int) -> "PiElement":
+    def __pow__(self, k: int) -> "PiElement":
         if k < 0:
-            return self.inv().pow(-k)
+            return self.inv() ** -k
         result = PiElement.identity(self.epsilon)
         base = self
         while k:
@@ -64,9 +61,6 @@ class PiElement:
             k >>= 1
         return result
 
-    def __pow__(self, k: int) -> "PiElement":
-        return self.pow(k)
-
     @property
     def is_identity(self) -> bool:
         return self.r == 0 and self.s == 0
@@ -74,11 +68,6 @@ class PiElement:
     def w_eps(self) -> int:
         """Orientation character epsilon**s."""
         return -1 if (self.epsilon == -1 and self.s % 2) else 1
-
-    def divisible_by_two(self) -> bool:
-        if self.epsilon != 1:
-            raise EpsilonMismatch("divisibility test is for the torus quotient")
-        return self.r % 2 == 0 and self.s % 2 == 0
 
     def __str__(self) -> str:
         return f"({self.r},{self.s})"

@@ -20,8 +20,8 @@ from .words import (
     comm,
     cyclic_reduce,
     equation_rhs,
-    solution_is_faithful,
     square_root,
+    swap_frame,
     verify_solution,
     word_from_letters,
 )
@@ -184,13 +184,6 @@ def _trivial_candidates(spec: EquationSpec, basis: BasisTag) -> list[tuple[Word,
     return [(one, one), (g_a, g_a.inv()), (g_b, g_b.inv())]
 
 
-def _frame_pair(spec: EquationSpec, z1: Word, z2: Word) -> tuple[Word, Word]:
-    """Convert a z-unknown pair to the frame the spec's equation uses."""
-    if spec.delta == 1 or spec.frame == "original_z":
-        return z1, z2
-    return z1 * z2, z2.inv()
-
-
 def wicks_search(spec: EquationSpec, v: Word, wicks_len: int = 64) -> WicksReport:
     """Enumerate solutions of the equation via Wicks decompositions.
 
@@ -207,7 +200,8 @@ def wicks_search(spec: EquationSpec, v: Word, wicks_len: int = 64) -> WicksRepor
     solutions: list[tuple[tuple[Word, Word], bool]] = []
     seen: set[tuple[str, str]] = set()
 
-    def consider(x: Word, y: Word, from_match: bool = False) -> None:
+    def consider(z1: Word, z2: Word, from_match: bool = False) -> None:
+        x, y = (z1, z2) if spec.frame == "original_z" else swap_frame(spec.delta, z1, z2)
         key = (str(x), str(y))
         if key in seen:
             return
@@ -217,11 +211,11 @@ def wicks_search(spec: EquationSpec, v: Word, wicks_len: int = 64) -> WicksRepor
                 raise ExtractionFailed(f"extracted pair failed re-verification: {x}, {y}")
             return
         seen.add(key)
-        solutions.append(((x, y), solution_is_faithful(spec, x, y)))
+        solutions.append(((x, y), result.faithful))
 
     if core.is_identity:
         for z1, z2 in _trivial_candidates(spec, spec.basis):
-            consider(*_frame_pair(spec, z1, z2))
+            consider(z1, z2)
         return WicksReport(solutions, True, [])
     # solutions are gathered with empty parts admitted (degenerate forms);
     # the reported match list keeps the nonempty convention
@@ -230,10 +224,10 @@ def wicks_search(spec: EquationSpec, v: Word, wicks_len: int = 64) -> WicksRepor
     for match in all_matches:
         match = WicksMatch(match.shift, match.form, match.parts, match.u_prefix, t, core)
         z1, z2 = extract_solution(match)
-        consider(*_frame_pair(spec, z1, z2), from_match=True)
+        consider(z1, z2, from_match=True)
     if spec.delta == -1:
         root = square_root(rhs)
         if root is not None:
-            consider(*_frame_pair(spec, root, Word.identity(spec.basis)))
-            consider(*_frame_pair(spec, Word.identity(spec.basis), root))
+            consider(root, Word.identity(spec.basis))
+            consider(Word.identity(spec.basis), root)
     return WicksReport(solutions, True, matches)

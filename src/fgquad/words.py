@@ -451,6 +451,17 @@ def equation_rhs(spec: EquationSpec, v: Word) -> Word:
     return v * rel**spec.theta * v.inv() * rel
 
 
+def swap_frame(delta: int, first: Word, second: Word) -> tuple[Word, Word]:
+    """The change of unknowns between the z-frame and the xy-frame.
+
+    For delta = -1 it is (z1, z2) -> (z1 z2, z2^-1), an involution, so the
+    same map converts either way; for delta = 1 the unknowns agree.
+    """
+    if delta == 1:
+        return first, second
+    return first * second, second.inv()
+
+
 def solution_is_faithful(spec: EquationSpec, first: Word, second: Word) -> bool:
     """True when every z-unknown has orientation character delta."""
     if spec.frame == "original_z":
@@ -474,10 +485,9 @@ def verify_solution(spec: EquationSpec, v: Word, first: Word, second: Word) -> V
         if w.basis != basis:
             raise BasisMismatch(f"expected words in {basis}")
     holds = equation_lhs(spec, first, second) == equation_rhs(spec, v)
+    faithful = solution_is_faithful(spec, first, second)
     if spec.frame == "original_z":
-        faithful = sgn(first) == spec.delta and sgn(second) == spec.delta
         return VerifyResult(holds, faithful, False, False)
-    faithful = sgn(second) == spec.delta
     from .surface import project  # local import to avoid a cycle
 
     x_in_n = project(first).is_identity

@@ -175,7 +175,7 @@ def test_criterion_5_lemma_suite():
     # correction-term identity
     for n in [k for k in range(-4, 5) if k]:
         exp = n if n % 2 == 0 else n - 1
-        z1 = geom_ratio(beta, exp, 2).scalar_mul(-1) * RingElement.monomial(beta ** (1 - 2 * n))
+        z1 = -geom_ratio(beta, exp, 2) * RingElement.monomial(beta ** (1 - 2 * n))
         for m in range(-3, 4):
             a_m = RingElement.monomial(PiElement.alpha(-1, m))
             lhs = geom_ratio(beta, -2 * n, 2) * RingElement.monomial(beta) * a_m

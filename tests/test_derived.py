@@ -304,7 +304,7 @@ class TestSecondDecideBetaPowers:
                     c1 = base
                 else:
                     c1 = RingElement.monomial(PiElement(-1, l0, -n), -1) * base
-                d_term = base.scalar_mul(-1)
+                d_term = -base
             v = ratio * (z + c1) + d_term
             for _ in range(rng.randint(0, 2)):
                 g = random_pi(rng, -1, 3)

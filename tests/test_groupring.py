@@ -45,9 +45,6 @@ class TestRingAlgebra:
         alpha = elt(-1, ((1, 0), 1))
         assert beta * alpha == elt(-1, ((-1, 1), 1))
 
-    def test_augmentation(self):
-        assert elt(-1, ((0, 0), 2), ((1, 0), -2)).augmentation() == 0
-
     def test_reduce_mod2(self):
         p = elt(-1, ((1, 0), 3), ((0, 1), 2))
         assert p.reduce_mod2() == RingElement.make(-1, [(PiElement(-1, 1, 0), 1)], mod=2)

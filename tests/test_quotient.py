@@ -3,6 +3,7 @@ import pytest
 from conftest import ADAPTED_MINUS, random_pi
 from fgquad import (
     DomainMismatch,
+    EpsilonMismatch,
     PiElement,
     QElement,
     RingElement,
@@ -72,6 +73,33 @@ class TestPq:
             )
 
 
+class TestSparseSum:
+    def test_identity_term_epsilon_checked_before_it_is_dropped(self):
+        with pytest.raises(EpsilonMismatch):
+            QElement.make(1, [(PiElement.identity(-1), 1)])
+
+    @pytest.mark.parametrize("cls", [RingElement, QElement])
+    def test_mixed_operands(self, cls):
+        g = PiElement(-1, 1, 1)
+        x = cls.make(-1, [(g, 1)])
+        with pytest.raises(EpsilonMismatch):
+            x + cls.make(1, [(PiElement(1, 1, 1), 1)])
+        with pytest.raises(DomainMismatch):
+            x - cls.make(-1, [(g, 1)], mod=2)
+
+    def test_equality_within_one_class(self):
+        g = PiElement(-1, 1, 1)
+        assert RingElement.make(-1, [(g, 1)]) != QElement.make(-1, [(g, 1)])
+        assert QElement.make(-1, [(g, 1)]) == QElement.make(-1, [(g.inv(), -1)])
+        assert len({QElement.make(-1, [(g, 1)]), QElement.make(-1, [(g.inv(), -1)])}) == 1
+
+    def test_str_and_negation(self):
+        x = QElement.make(-1, [(PiElement(-1, 0, -2), 1), (PiElement(-1, 1, 0), 3)])
+        assert str(x) == "{(1,0): 3, (0,2): -1}"
+        assert str(-x) == "{(1,0): -3, (0,2): 1}"
+        assert (x - x).is_zero and str(x - x) == "0"
+
+
 class TestCommutatorImage:
     def test_basic(self):
         basis = ADAPTED_MINUS
@@ -92,7 +120,7 @@ class TestCommutatorImage:
         for _ in range(100):
             left = [(random_word(rng, basis, 3), rng.randint(-2, 2)) for _ in range(2)]
             right = [(random_word(rng, basis, 3), rng.randint(-2, 2)) for _ in range(2)]
-            assert q_nf_commutator(left, right) == q_nf_commutator(right, left).neg()
+            assert q_nf_commutator(left, right) == -q_nf_commutator(right, left)
 
 
 class TestDivisibility:
@@ -215,11 +243,11 @@ class TestCorrectionTerm:
         beta = PiElement.beta(-1)
         for n in [k for k in range(-4, 5) if k]:
             if n % 2 == 0:
-                z1 = geom_ratio(beta, n, 2).scalar_mul(-1) * RingElement.monomial(
+                z1 = -geom_ratio(beta, n, 2) * RingElement.monomial(
                     beta ** (1 - 2 * n)
                 )
             else:
-                z1 = geom_ratio(beta, n - 1, 2).scalar_mul(-1) * RingElement.monomial(
+                z1 = -geom_ratio(beta, n - 1, 2) * RingElement.monomial(
                     beta ** (1 - 2 * n)
                 )
             for m in range(-3, 4):

@@ -78,10 +78,6 @@ class TestPiAlgebra:
     def test_accessors(self):
         g = PiElement(1, 3, -2)
         assert g.r == 3 and g.s == -2
-        assert PiElement(1, 2, 4).divisible_by_two()
-        assert not PiElement(1, 1, 4).divisible_by_two()
-        with pytest.raises(EpsilonMismatch):
-            PiElement(-1, 2, 4).divisible_by_two()
 
 
 def _phi_word_oracle(L: int, x: PiElement) -> PiElement:

@@ -281,7 +281,7 @@ class TestExactDivide:
         if mod:
             p = p.reduce_mod2()
         # the second divisor is refused by both, before any division
-        for divisor in (d, d.scalar_mul(2)):
+        for divisor in (d, d + d):
             got = result_or_error(exact_divide, p, divisor)
             assert got == result_or_error(naive_exact_divide, p, divisor)
 

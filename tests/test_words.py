@@ -18,6 +18,7 @@ from fgquad import (
     square_root,
     verify_solution,
 )
+from fgquad.words import solution_is_faithful, swap_frame
 
 
 class TestParse:
@@ -226,3 +227,24 @@ class TestVerifySolution:
             spec, parse_word("a", basis), parse_word("a", basis), parse_word("b", basis)
         )
         assert not res.holds
+
+    def test_faithful_needs_orientation_preserving_x(self):
+        # (x, y) = (b, 1) solves x y x^-1 y^-1 = R^-1 R, but w(x) = -1: the
+        # z-unknowns are not both orientation-preserving
+        spec = EquationSpec(1, -1, -1, "faithful", "adapted_xy")
+        one = Word.identity(ADAPTED_MINUS)
+        b = Word.gen(ADAPTED_MINUS, "b")
+        res = verify_solution(spec, one, b, one)
+        assert res.holds and not res.faithful
+        assert not solution_is_faithful(spec, b, one)
+
+
+class TestSwapFrame:
+    @given(words_strategy(ADAPTED_MINUS, 4), words_strategy(ADAPTED_MINUS, 4))
+    def test_involution(self, x, y):
+        for delta in (1, -1):
+            assert swap_frame(delta, *swap_frame(delta, x, y)) == (x, y)
+
+    def test_delta_minus_one(self):
+        x, y = parse_word("a b", ADAPTED_MINUS), parse_word("b", ADAPTED_MINUS)
+        assert swap_frame(-1, x, y) == (parse_word("a b^2", ADAPTED_MINUS), parse_word("B", ADAPTED_MINUS))
