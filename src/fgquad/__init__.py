@@ -20,6 +20,7 @@ from .errors import (
     ExtractionFailed,
     FgquadError,
     InconsistentSign,
+    InvalidBudget,
     NotDivisible,
     NotInKernel,
     NotMixedCase,
@@ -69,6 +70,25 @@ from .words import (
     verify_solution,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# one line group per import above; the submodules stay attributes of the
+# package but are not exported
+__all__ = [
+    "Budgets", "Verdict", "classify", "pattern_witness",
+    "ConjData", "DecideResult", "FirstSolution", "MixedCase", "analyze_v", "first_solutions",
+    "rank1_check", "second_decide",
+    "BasisMismatch", "BudgetExceeded", "CaseMismatch", "DomainMismatch", "EpsilonMismatch",
+    "ExtractionFailed", "FgquadError", "InconsistentSign", "InvalidBudget", "NotDivisible",
+    "NotInKernel", "NotMixedCase", "SingularBase", "WitnessUnverified", "WordSyntaxError",
+    "RingElement", "alt_geom_ratio", "exact_divide", "fox_derivative", "geom_ratio", "q_n",
+    "ElementClass", "HatAbs", "HatL", "Tilde", "TildeL", "augment", "element_class", "odd_part",
+    "orbit_key", "same_orbit",
+    "QElement", "p_q", "q_divisible_by_two", "q_nf_commutator",
+    "PiElement", "apply_phi", "project",
+    "verify_tables",
+    "WicksMatch", "WicksReport", "extract_solution", "wicks_decompositions", "wicks_search",
+    "BasisTag", "EquationSpec", "VerifyResult", "Word", "change_basis", "comm", "conj",
+    "cyclic_reduce", "equation_rhs", "parse_word", "relator", "relator_in", "sgn", "square_root",
+    "verify_solution",
+]
 
 __version__ = "0.1.0"

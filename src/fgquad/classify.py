@@ -9,11 +9,11 @@ witness pairs; undetermined verdicts carry the trace of what was tried.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Literal, Optional
 
 from .derived import analyze_v, second_decide
-from .errors import BudgetExceeded, WitnessUnverified
+from .errors import BudgetExceeded, InvalidBudget, WitnessUnverified
 from .surface import project
 from .tables import MIXED, degree_two_witness, instantiate_witness, table_branch
 from .words import (
@@ -43,7 +43,7 @@ class Budgets:
 
     def __post_init__(self) -> None:
         if self.wicks_len <= 0 or self.enum_bound <= 0:
-            raise ValueError("budgets must be positive")
+            raise InvalidBudget("budgets must be positive")
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ def classify(spec: EquationSpec, v: Word, budgets: Budgets = Budgets()) -> Verdi
         report = wicks_search(spec_ad, v_ad, budgets.wicks_len)
     except BudgetExceeded as exc:
         trace["wicks"] = str(exc)
-        trace["budgets"] = {"wicks_len": budgets.wicks_len, "enum_bound": budgets.enum_bound}
+        trace["budgets"] = asdict(budgets)
         return Verdict("undetermined", branch.row, trace=trace)
     wanted = spec.solution_class == "faithful"
     for (x_ad, y_ad), faithful in report.solutions:

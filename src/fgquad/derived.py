@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal, Optional
+from typing import Iterator, Literal, Optional
 
 from .errors import CaseMismatch, NotMixedCase
 from .groupring import (
@@ -380,20 +380,30 @@ def _chain_candidates(n: int, ell: int, v_elt: RingElement) -> set[PiElement]:
     return out
 
 
-def _pair_candidates(n: int, ell: int, L: int, v_elt: RingElement, modulus: int) -> set[PiElement]:
-    """Elements (m, 2k), m >= 0, 0 < 2k < ell, whose pair orbits can meet supp."""
-    out: set[PiElement] = set()
+def _pair_rows(ell: int, v_elt: RingElement, modulus: int) -> list[tuple[int, list[int]]]:
+    """The part of the pair candidates that does not depend on L: for each
+    |alpha-degree| r of the support, the even s in (0, ell) its terms reach."""
+    rows: dict[int, set[int]] = {}
     for x in v_elt.support():
-        ms = {abs(x.r), L - x.r, x.r - L, L + x.r, -L - x.r}
-        s_targets = (x.s, -x.s, x.s - ell, -x.s - ell)
-        for target in s_targets:
-            for s_val in _window_values(target, modulus, 0, ell):
-                if s_val % 2:
-                    continue
-                for m_val in ms:
-                    if m_val >= 0:
-                        out.add(PiElement(-1, m_val, s_val))
-    return out
+        s_vals = rows.setdefault(abs(x.r), set())
+        for target in (x.s, -x.s, x.s - ell, -x.s - ell):
+            s_vals.update(s for s in _window_values(target, modulus, 0, ell) if s % 2 == 0)
+    return [(r, sorted(s_vals)) for r, s_vals in rows.items() if s_vals]
+
+
+def _pair_candidates(rows: list[tuple[int, list[int]]], L: int) -> Iterator[PiElement]:
+    """Elements (m, 2k), m >= 0, 0 < 2k < ell, whose pair orbits under the
+    parameter L can meet the support, each once, made as they are asked for.
+
+    A term with alpha-degree r or -r gives m in {r, |L - r|, |L + r|}.
+    """
+    seen: set[tuple[int, int]] = set()
+    for r, s_vals in rows:
+        for m_val in (r, abs(L - r), abs(L + r)):
+            for s_val in s_vals:
+                if (m_val, s_val) not in seen:
+                    seen.add((m_val, s_val))
+                    yield PiElement(-1, m_val, s_val)
 
 
 def _beta_decide(
@@ -430,12 +440,18 @@ def _beta_decide(
         # representative, so the search below is exhaustive
         candidates = window + [bound + 2]
         trace["stabilized_L"] = bound + 2
+        rows = _pair_rows(ell, vd, 2 * abs(n))
+        # j_L sends (m, 2k) to (m, -2k) whatever L is, so the augmentation at
+        # a candidate is the same for every L; only the u_L * g side moves
+        fixed: dict[PiElement, int] = {}
         for L in candidates:
             action = TildeL(n, L)
             u_l = PiElement(-1, L, ell)
             ok = True
-            for g in _pair_candidates(n, ell, L, vd, 2 * abs(n)):
-                if augment(action, vd, g) != augment(action, vd, u_l * g):
+            for g in _pair_candidates(rows, L):
+                if g not in fixed:
+                    fixed[g] = augment(action, vd, g)
+                if fixed[g] != augment(action, vd, u_l * g):
                     ok = False
                     break
             if ok:
@@ -447,10 +463,11 @@ def _beta_decide(
             certificate="no translation parameter satisfies the pair conditions",
             trace=trace,
         )
+    rows = _pair_rows(ell, vd, 2 * ell)
     for L in window:
         action = HatL(n, L)
         ok = True
-        for g in _pair_candidates(n, ell, L, vd, 2 * ell):
+        for g in _pair_candidates(rows, L):
             if augment(action, vd, g) != 0:
                 ok = False
                 break

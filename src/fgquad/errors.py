@@ -63,3 +63,7 @@ class WitnessUnverified(FgquadError, ArithmeticError):
 
 class BudgetExceeded(FgquadError, RuntimeError):
     """Search exceeded its configured budget."""
+
+
+class InvalidBudget(FgquadError, ValueError):
+    """A search budget is not positive."""

@@ -15,7 +15,8 @@ pairwise membership tests, the augmentation that tests every term against
 every orbit family, and the squares decider that partitions the support
 pairwise; ``orbit_in_box`` lists orbit elements in a box for the box-oracle
 tests of the orbit layer.  ``naive_exact_power_of`` builds the candidate
-power before comparing.
+power before comparing, and ``naive_beta_decide`` builds the whole set of
+pair candidates for every translation parameter before checking any.
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ from fgquad import (
     TildeL,
     Word,
     WordSyntaxError,
+    augment,
     element_class,
     odd_part,
 )
-from fgquad.derived import DecideResult, MixedCase
+from fgquad.derived import DecideResult, MixedCase, _chain_candidates, _window_values
 from fgquad.errors import DomainMismatch, EpsilonMismatch
 from fgquad.groupring import relator_jacobian_alpha
 from fgquad.orbits import Action, _check_eps
@@ -444,6 +446,96 @@ def naive_squares_decide(case: MixedCase, v_elt: RingElement) -> DecideResult:
             cert = f"orbit of ({rep.r},{rep.s}) has odd augmentation"
             return DecideResult(False, certificate=cert, trace=trace)
     return DecideResult(True, ell=case.d, trace=trace)
+
+
+def naive_pair_candidates(n: int, ell: int, L: int, v_elt: RingElement, modulus: int) -> set[PiElement]:
+    """Elements (m, 2k), m >= 0, 0 < 2k < ell, whose pair orbits can meet supp."""
+    out: set[PiElement] = set()
+    for x in v_elt.support():
+        ms = {abs(x.r), L - x.r, x.r - L, L + x.r, -L - x.r}
+        s_targets = (x.s, -x.s, x.s - ell, -x.s - ell)
+        for target in s_targets:
+            for s_val in _window_values(target, modulus, 0, ell):
+                if s_val % 2:
+                    continue
+                for m_val in ms:
+                    if m_val >= 0:
+                        out.add(PiElement(-1, m_val, s_val))
+    return out
+
+
+def naive_beta_decide(
+    case: MixedCase, v_elt: RingElement, window_override: Optional[int]
+) -> DecideResult:
+    """The translation search building every pair candidate for every L
+    before checking any."""
+    n = case.n
+    ell, _, _ = odd_part(n)
+    vd = v_elt if case.kind == "eq2_nf" else v_elt.reduce_mod2()
+    r_alpha = max((abs(g.r) for g in vd.support()), default=0)
+    bound = 2 * r_alpha + abs(n) + 2
+    if window_override is not None:
+        bound = max(bound, window_override)
+    window = sorted(range(-bound, bound + 2), key=lambda L: (abs(L), L))
+    trace: dict = {
+        "case": case.label(),
+        "branch": "translation_search",
+        "ell": ell,
+        "window": [-bound, bound + 1],
+    }
+    tilde = Tilde(n)
+    if n % 2 == 0:
+        steps = abs(n) // ell
+        for g in sorted(_chain_candidates(n, ell, vd), key=lambda p: (p.s, p.r)):
+            base_val = augment(tilde, vd, g)
+            for r2 in range(1, steps):
+                h = PiElement(-1, g.r, g.s + 2 * ell * r2)
+                if augment(tilde, vd, h) != base_val:
+                    cert = f"chain condition fails at ({g.r},{g.s}) with shift {r2}"
+                    return DecideResult(False, certificate=cert, trace=trace)
+        candidates = window + [bound + 2]
+        trace["stabilized_L"] = bound + 2
+        for L in candidates:
+            action = TildeL(n, L)
+            u_l = PiElement(-1, L, ell)
+            ok = True
+            for g in naive_pair_candidates(n, ell, L, vd, 2 * abs(n)):
+                if augment(action, vd, g) != augment(action, vd, u_l * g):
+                    ok = False
+                    break
+            if ok:
+                trace["L"] = L
+                return DecideResult(True, ell=ell, L=L, trace=trace)
+        trace["window_exhausted"] = True
+        return DecideResult(
+            False,
+            certificate="no translation parameter satisfies the pair conditions",
+            trace=trace,
+        )
+    for L in window:
+        action = HatL(n, L)
+        ok = True
+        for g in naive_pair_candidates(n, ell, L, vd, 2 * ell):
+            if augment(action, vd, g) != 0:
+                ok = False
+                break
+        if ok:
+            p_l = L - 1 if L >= 1 else -L
+            m_top = max(p_l, r_alpha + abs(L)) + 2
+            for m_val in range(1, m_top + 1):
+                expected = 1 if 0 < m_val <= p_l else 0
+                if augment(action, vd, PiElement(-1, m_val, 0)) % 2 != expected:
+                    ok = False
+                    break
+        if ok:
+            trace["L"] = L
+            return DecideResult(True, ell=ell, L=L, trace=trace)
+    trace["window_exhausted"] = True
+    return DecideResult(
+        False,
+        certificate="no translation parameter satisfies the augmentation conditions",
+        trace=trace,
+    )
 
 
 def naive_exact_power_of(v: Word, base: Word) -> Optional[int]:

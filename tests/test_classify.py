@@ -8,6 +8,7 @@ from fgquad import (
     Budgets,
     EquationSpec,
     FgquadError,
+    InvalidBudget,
     VerifyResult,
     WitnessUnverified,
     Word,
@@ -66,6 +67,18 @@ class TestClassifyExamples:
         verdict = classify(spec, v, Budgets(wicks_len=4))
         assert verdict.outcome == "undetermined"
         assert "second_derived" in verdict.trace and "budgets" in verdict.trace
+
+    def test_budget_record_lists_every_budget(self):
+        # the same record as the CLI's, the translation window included
+        spec = EquationSpec(1, -1, -1, "nonfaithful", "adapted_xy")
+        v = parse_word("conj(a) conj(A)", ADAPTED_MINUS)
+        verdict = classify(spec, v, Budgets(wicks_len=4, enum_bound=3, l_window_override=12))
+        assert verdict.trace["budgets"] == {"wicks_len": 4, "enum_bound": 3, "l_window_override": 12}
+
+    @pytest.mark.parametrize("budgets", [{"wicks_len": 0}, {"enum_bound": -1}])
+    def test_invalid_budget_is_typed(self, budgets):
+        with pytest.raises(InvalidBudget, match="budgets must be positive"):
+            Budgets(**budgets)
 
     def test_degree_two_unmatched_is_undetermined(self):
         spec = EquationSpec(1, 1, 1, "faithful", "adapted_xy")

@@ -91,6 +91,16 @@ class TestCliBehavior:
         assert (code, out) == (1, "")
         assert capsys.readouterr().err == "error: expected integer (at offset 2)\n"
 
+    @pytest.mark.parametrize("command", ["classify", "wicks", "first-derived", "second-derived"])
+    @pytest.mark.parametrize("flag", ["--wicks-len", "--enum-bound"])
+    def test_zero_budget_is_an_error_line(self, capsys, command, flag):
+        code, out = run_cli(
+            [command, "--delta", "1", "--epsilon", "-1", "--theta", "-1",
+             "--class", "nonfaithful", "--word", "conj(a)", flag, "0"]
+        )
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == "error: budgets must be positive\n"
+
     def test_not_mixed_case_exit_code(self, capsys):
         code, _ = run_cli(
             ["second-derived", "--delta", "1", "--epsilon", "1", "--theta", "1",

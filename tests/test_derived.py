@@ -351,8 +351,8 @@ class TestSecondDecideBetaPowers:
     def test_unsolvable_even_fails_beyond_window(self):
         # sanity of the stabilized representative: when the pair conditions
         # exhaust the window for even n, parameters beyond it fail too
-        from fgquad.derived import _pair_candidates
         from fgquad.orbits import TildeL, augment, odd_part
+        from oracles import naive_pair_candidates
 
         pair_unsolvable = []
         terms = [
@@ -378,6 +378,38 @@ class TestSecondDecideBetaPowers:
                 u_l = PiElement(-1, L, ell)
                 ok = all(
                     augment(action, v, g) == augment(action, v, u_l * g)
-                    for g in _pair_candidates(n, ell, L, v, 2 * abs(n))
+                    for g in naive_pair_candidates(n, ell, L, v, 2 * abs(n))
                 )
                 assert not ok, f"n={n} V={v}: conditions pass at L={L} beyond window"
+
+    @pytest.mark.parametrize("n", [3, -5, 6, 10])
+    def test_exhausted_window_augments_grow_with_the_window(self, monkeypatch, n):
+        # each parameter stops at its first failing candidate, so an exhausted
+        # window costs a few augmentations per L whatever the support size,
+        # where the candidate sets alone hold about |window| * |support|
+        calls = 0
+        real = derived.augment
+
+        def counting(action, v, base):
+            nonlocal calls
+            calls += 1
+            return real(action, v, base)
+
+        monkeypatch.setattr(derived, "augment", counting)
+        ell = derived.odd_part(n)[0]
+        case = MixedCase("eq2_nf", n=n)
+        for size in (50, 400):
+            # terms come with a chain partner 2*ell higher, so even n gets
+            # past the chain condition to the pair conditions
+            rng = random.Random(size)
+            terms = [((100, 2), 1), ((100, 2 + 2 * ell), 1)]
+            for _ in range(size // 2):
+                r, s = rng.randint(-100, 100), rng.randint(-40, 40)
+                terms += [((r, s), 1), ((r, s + 2 * ell), 1)]
+            v = ring(-1, *terms)
+            for override in (None, 800):
+                calls = 0
+                result = second_decide(case, v, override)
+                assert result.trace.get("window_exhausted"), (size, override)
+                lo, hi = result.trace["window"]
+                assert calls <= 6 * (hi - lo + 2), (size, override, calls)

@@ -1,5 +1,6 @@
 """The word layer, the quotient walks, exact division, the orbit
-augmentation and the squares decider agree with the naive oracles."""
+augmentation, the squares decider and the translation search agree with the
+naive oracles."""
 
 from collections import Counter
 import random
@@ -26,17 +27,19 @@ from fgquad import (
     element_class,
     exact_divide,
     fox_derivative,
+    odd_part,
     parse_word,
     project,
     square_root,
 )
-from fgquad.derived import _squares_decide
+from fgquad.derived import _beta_decide, _squares_decide
 from fgquad.groupring import relator_jacobian_alpha
 from fgquad.tables import _exact_power_of
 from fgquad.words import relator_in
 from oracles import (
     naive_change_basis,
     naive_augment,
+    naive_beta_decide,
     naive_cyclic_reduce,
     naive_exact_divide,
     naive_exact_power_of,
@@ -421,3 +424,66 @@ class TestSquaresDecide:
     def test_against_pairwise_partition(self, args):
         case, v = args
         assert _squares_decide(case, v) == naive_squares_decide(case, v)
+
+
+def beta_terms(ell: int, pieces):
+    """Terms from (r, s, c, partner) pieces: a partner term 2*ell higher or
+    lower lets even n get past the chain condition to the pair conditions."""
+    terms = []
+    for r, s, c, partner in pieces:
+        terms.append((PiElement(-1, r, s), c))
+        if partner:
+            terms.append((PiElement(-1, r, s + 2 * ell * partner), c))
+    return terms
+
+
+@st.composite
+def beta_cases(draw):
+    kind = draw(st.sampled_from(["eq2_nf", "eq4_f"]))
+    n = draw(st.sampled_from([-6, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6, 9, 10, 12, 15]))
+    piece = st.tuples(st.integers(-5, 5), st.integers(-12, 12), st.integers(-2, 2), st.sampled_from([0, 1, -1]))
+    v = RingElement.make(-1, beta_terms(odd_part(n)[0], draw(st.lists(piece, max_size=6))))
+    override = draw(st.one_of(st.none(), st.integers(0, 30)))
+    return MixedCase(kind, n=n), v, override
+
+
+def random_beta_case(rng: random.Random):
+    kind = rng.choice(["eq2_nf", "eq4_f"])
+    n = rng.choice([-6, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6, 9, 10, 12, 15])
+    pieces = [
+        (rng.randint(-5, 5), rng.randint(-12, 12), rng.randint(-2, 2), rng.choice([0, 1, -1]))
+        for _ in range(rng.randint(0, 6))
+    ]
+    override = rng.choice([None, rng.randint(0, 30)])
+    return MixedCase(kind, n=n), RingElement.make(-1, beta_terms(odd_part(n)[0], pieces)), override
+
+
+class TestBetaDecide:
+    """The fail-fast translation search against the search that builds every
+    pair candidate for every L first: the same result, trace included."""
+
+    @oracle_settings
+    @given(beta_cases())
+    def test_against_full_candidate_sets(self, args):
+        case, v, override = args
+        got = result_or_error(_beta_decide, case, v, override)
+        assert got == result_or_error(naive_beta_decide, case, v, override)
+
+    def test_every_outcome_is_reached(self):
+        # the seeded cases reach exhausted windows of both parities, with and
+        # without an override, as well as solvable parameters and the chain
+        # condition
+        rng = random.Random(7)
+        seen: Counter = Counter()
+        for _ in range(1500):
+            case, v, override = random_beta_case(rng)
+            got = result_or_error(_beta_decide, case, v, override)
+            assert got == result_or_error(naive_beta_decide, case, v, override)
+            result = got[1]
+            outcome = "solvable" if result.solvable else (result.certificate or "").split()[0]
+            seen[case.n % 2, outcome, override is None] += 1
+        for parity in (0, 1):
+            for default_window in (True, False):
+                assert seen[parity, "no", default_window], (parity, default_window)
+                assert seen[parity, "solvable", default_window], (parity, default_window)
+        assert seen[0, "chain", True] + seen[0, "chain", False]

@@ -1,4 +1,5 @@
-"""Inputs that were quadratic or worse in the word layer now finish at once."""
+"""Inputs that were quadratic or worse in the word layer or the translation
+search now finish at once."""
 
 import io
 import random
@@ -6,7 +7,7 @@ from contextlib import redirect_stdout
 from time import perf_counter
 
 from conftest import ADAPTED_MINUS
-from fgquad import Word, parse_word, relator_in
+from fgquad import MixedCase, PiElement, RingElement, Word, parse_word, relator_in, second_decide
 from fgquad.cli import main
 from fgquad.tables import _exact_power_of
 from oracles import reduce_syllables
@@ -59,3 +60,15 @@ def test_classify_a_long_alpha_power_in_the_original_frame():
         code = main(argv)
     assert perf_counter() - start < 2.0
     assert code == 0 and '"verdict": "exists"' in buf.getvalue()
+
+
+def test_exhausted_translation_window():
+    # 400 terms with |r| <= 200: the window [-405, 406] holds 812 parameters,
+    # none of which satisfies the conditions
+    rng = random.Random(3)
+    terms = [(PiElement(-1, rng.randint(-200, 200), rng.randint(-40, 40)), 1) for _ in range(399)]
+    v = RingElement.make(-1, terms + [(PiElement(-1, 200, 1), 1)])
+    start = perf_counter()
+    result = second_decide(MixedCase("eq2_nf", n=3), v)
+    assert perf_counter() - start < 0.3
+    assert result.trace["window"] == [-405, 406] and result.trace["window_exhausted"]
