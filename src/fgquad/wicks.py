@@ -5,6 +5,12 @@ A cyclically reduced word is a commutator iff some cyclic shift matches
 of two squares iff some shift matches ``a b c b a c^-1`` or ``a a b c c b^-1``.
 Every positional match yields a canonical solution pair which is conjugated
 back to the original equation and substitution-verified.
+
+The search is exhaustive: every layout (form and part lengths) is tried at
+every shift, O(n) shifts times O(n^2) layouts for a core of n letters.  The
+layout table, with each repeated part as (first start, second start, length,
+inverted), is built once per call, and each repeated part costs one slice
+compare of signed letter codes; part words are built only for a match.
 """
 
 from __future__ import annotations
@@ -59,10 +65,6 @@ class WicksMatch:
     core: Word
 
 
-def _inv_letters(letters: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    return [(g, -e) for g, e in reversed(letters)]
-
-
 def _enumerate_lengths(n_parts: int, total: int, allow_empty: bool) -> list[tuple[int, ...]]:
     lo = 0 if allow_empty else 1
     out: list[tuple[int, ...]] = []
@@ -79,28 +81,33 @@ def _enumerate_lengths(n_parts: int, total: int, allow_empty: bool) -> list[tupl
     return out
 
 
-def _try_layout(
-    basis: BasisTag,
-    letters: list[tuple[int, int]],
-    form: FormName,
-    lengths: dict[str, int],
-) -> Optional[dict[str, Word]]:
-    layout = _FORM_LAYOUT[form]
-    pos = 0
-    segments: dict[str, list[tuple[int, int]]] = {}
-    for name, inverted in layout:
-        seg = letters[pos : pos + lengths[name]]
-        pos += lengths[name]
-        if inverted:
-            seg = _inv_letters(seg)
-        if name in segments:
-            if segments[name] != seg:
-                return None
-        else:
-            segments[name] = seg
-    if pos != len(letters):
-        return None
-    return {name: word_from_letters(basis, seg) for name, seg in segments.items()}
+# one layout: its form, each part's (name, start, length) in the shifted
+# core, and the repeated-part checks (first start, second start, length,
+# inverted); a first occurrence is never inverted
+_Layout = tuple[FormName, tuple[tuple[str, int, int], ...], tuple[tuple[int, int, int, bool], ...]]
+
+
+def _layout_table(kind: Kind, half: int, allow_empty: bool) -> list[_Layout]:
+    """Every layout of the kind's forms, in form order, then composition order."""
+    table: list[_Layout] = []
+    for form in _KIND_FORMS[kind]:
+        layout = _FORM_LAYOUT[form]
+        part_names = sorted({name for name, _ in layout})
+        for combo in _enumerate_lengths(len(part_names), half, allow_empty):
+            lengths = dict(zip(part_names, combo))
+            starts: dict[str, int] = {}
+            checks: list[tuple[int, int, int, bool]] = []
+            pos = 0
+            for name, inverted in layout:
+                k = lengths[name]
+                if name not in starts:
+                    starts[name] = pos
+                elif k:
+                    checks.append((starts[name], pos, k, inverted))
+                pos += k
+            spans = tuple((name, starts[name], lengths[name]) for name in part_names)
+            table.append((form, spans, tuple(checks)))
+    return table
 
 
 def wicks_decompositions(
@@ -114,26 +121,33 @@ def wicks_decompositions(
     letters = list(w.letters())
     n = len(letters)
     out: list[WicksMatch] = []
-    seen: set[tuple] = set()
     if n == 0 or n % 2:
         return out
+    table = _layout_table(kind, n // 2, allow_empty)
+    doubled = letters + letters
+    code = [(g + 1) * e for g, e in doubled]
+    # inverse[2n - x - k : 2n - x] is the inverse of code[x : x + k]
+    inverse = [-c for c in reversed(code)]
     for shift in range(n):
-        rotated = letters[shift:] + letters[:shift]
-        u_prefix = word_from_letters(w.basis, letters[:shift])
-        for form in _KIND_FORMS[kind]:
-            part_names = sorted({name for name, _ in _FORM_LAYOUT[form]})
-            for combo in _enumerate_lengths(len(part_names), n // 2, allow_empty):
-                lengths = dict(zip(part_names, combo))
-                parts = _try_layout(w.basis, rotated, form, lengths)
-                if parts is None:
-                    continue
-                key = (shift, form, tuple(str(parts[name]) for name in part_names))
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(
-                    WicksMatch(shift, form, parts, u_prefix, Word.identity(w.basis), w)
-                )
+        top = 2 * n - shift
+        u_prefix: Optional[Word] = None
+        for form, spans, checks in table:
+            for first, second, k, inverted in checks:
+                seg = code[shift + second : shift + second + k]
+                if inverted:
+                    if seg != inverse[top - first - k : top - first]:
+                        break
+                elif seg != code[shift + first : shift + first + k]:
+                    break
+            else:
+                # no dedupe: two compositions differ in some part's length
+                if u_prefix is None:
+                    u_prefix = word_from_letters(w.basis, letters[:shift])
+                parts = {
+                    name: word_from_letters(w.basis, doubled[shift + start : shift + start + k])
+                    for name, start, k in spans
+                }
+                out.append(WicksMatch(shift, form, parts, u_prefix, Word.identity(w.basis), w))
     out.sort(key=lambda m: (m.shift, m.form, tuple(str(m.parts[k]) for k in sorted(m.parts))))
     return out
 

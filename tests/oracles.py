@@ -17,6 +17,9 @@ pairwise; ``orbit_in_box`` lists orbit elements in a box for the box-oracle
 tests of the orbit layer.  ``naive_exact_power_of`` builds the candidate
 power before comparing, and ``naive_beta_decide`` builds the whole set of
 pair candidates for every translation parameter before checking any.
+``naive_wicks_decompositions`` is the Wicks matcher before its layout table:
+it rebuilds the length compositions at every shift and compares each layout
+as lists of letter tuples, inverting a segment by reversing it.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ from fgquad.derived import DecideResult, MixedCase, _chain_candidates, _window_v
 from fgquad.errors import DomainMismatch, EpsilonMismatch
 from fgquad.groupring import relator_jacobian_alpha
 from fgquad.orbits import Action, _check_eps
+from fgquad.wicks import _FORM_LAYOUT, _KIND_FORMS, FormName, Kind, WicksMatch
+from fgquad.words import word_from_letters
 
 
 def reduce_syllables(syllables: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -615,4 +620,75 @@ def orbit_in_box(action: Action, g: PiElement, radius: int) -> set[PiElement]:
             r, s = head.r + k * um, head.s + k * us
             if abs(r) <= radius and abs(s) <= radius:
                 out.add(PiElement(eps, r, s))
+    return out
+
+
+def _inv_letters(letters: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    return [(g, -e) for g, e in reversed(letters)]
+
+
+def _enumerate_lengths(n_parts: int, total: int, allow_empty: bool) -> list[tuple[int, ...]]:
+    lo = 0 if allow_empty else 1
+    out: list[tuple[int, ...]] = []
+
+    def rec(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
+        if slots == 1:
+            if remaining >= lo:
+                out.append(prefix + (remaining,))
+            return
+        for v in range(lo, remaining - lo * (slots - 1) + 1):
+            rec(prefix + (v,), remaining - v, slots - 1)
+
+    rec((), total, n_parts)
+    return out
+
+
+def _try_layout(
+    basis: BasisTag,
+    letters: list[tuple[int, int]],
+    form: FormName,
+    lengths: dict[str, int],
+) -> Optional[dict[str, Word]]:
+    layout = _FORM_LAYOUT[form]
+    pos = 0
+    segments: dict[str, list[tuple[int, int]]] = {}
+    for name, inverted in layout:
+        seg = letters[pos : pos + lengths[name]]
+        pos += lengths[name]
+        if inverted:
+            seg = _inv_letters(seg)
+        if name in segments:
+            if segments[name] != seg:
+                return None
+        else:
+            segments[name] = seg
+    if pos != len(letters):
+        return None
+    return {name: word_from_letters(basis, seg) for name, seg in segments.items()}
+
+
+def naive_wicks_decompositions(w: Word, kind: Kind, allow_empty: bool = False) -> list[WicksMatch]:
+    """All positional matches, every composition rebuilt and compared per shift."""
+    letters = list(w.letters())
+    n = len(letters)
+    out: list[WicksMatch] = []
+    seen: set[tuple] = set()
+    if n == 0 or n % 2:
+        return out
+    for shift in range(n):
+        rotated = letters[shift:] + letters[:shift]
+        u_prefix = word_from_letters(w.basis, letters[:shift])
+        for form in _KIND_FORMS[kind]:
+            part_names = sorted({name for name, _ in _FORM_LAYOUT[form]})
+            for combo in _enumerate_lengths(len(part_names), n // 2, allow_empty):
+                lengths = dict(zip(part_names, combo))
+                parts = _try_layout(w.basis, rotated, form, lengths)
+                if parts is None:
+                    continue
+                key = (shift, form, tuple(str(parts[name]) for name in part_names))
+                if key in seen:
+                    continue
+                seen.add(key)
+                out.append(WicksMatch(shift, form, parts, u_prefix, Word.identity(w.basis), w))
+    out.sort(key=lambda m: (m.shift, m.form, tuple(str(m.parts[k]) for k in sorted(m.parts))))
     return out

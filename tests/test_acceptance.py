@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+import fgquad.wicks
 from conftest import ADAPTED_MINUS, random_pi, random_word
 from fgquad import (
     BasisTag,
@@ -33,6 +34,7 @@ from fgquad import (
     wicks_search,
 )
 from fgquad.groupring import conjugate_power_product, one_minus_pow
+from oracles import naive_wicks_decompositions
 from test_cli import GOLDEN_DIR, GOLDEN_INVOCATIONS, run_cli
 from test_orbits import HAT_ABS_MINUS, HAT_ABS_PLUS, HAT_L, TILDE, TILDE_L, assert_box_agreement
 from test_quotient import congruent, one_plus_ratio
@@ -247,7 +249,8 @@ def test_criterion_7_decider_fuzz():
     report(7, "decider soundness/completeness", started, 30.0)
 
 
-def test_criterion_8_oracle_consistency():
+def test_criterion_8_oracle_consistency(monkeypatch):
+    # the classifier runs the library matcher; the cross-check runs the naive one
     started = time.perf_counter()
     rng = random.Random(8)
     checked = 0
@@ -268,11 +271,10 @@ def test_criterion_8_oracle_consistency():
         if verdict.outcome != "not_exists":
             continue
         wanted = spec.solution_class == "faithful"
-        hits = [
-            pair
-            for pair, faithful in wicks_search(spec, v).solutions
-            if faithful == wanted
-        ]
+        with monkeypatch.context() as patch:
+            patch.setattr(fgquad.wicks, "wicks_decompositions", naive_wicks_decompositions)
+            solutions = wicks_search(spec, v).solutions
+        hits = [pair for pair, faithful in solutions if faithful == wanted]
         assert not hits, f"{spec} v={v}: classifier said not_exists, oracle found {hits[0]}"
     report(8, "classifier/oracle consistency", started, 60.0)
 

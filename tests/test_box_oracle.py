@@ -156,6 +156,8 @@ class TestBetaPowerBoxOracle:
             (2, [((1, 1), 1)]),
             (3, [((1, 2), 1)]),
             (-1, [((1, 1), 1), ((0, 2), 1)]),
+            # refused only by the |L + r| pair candidate at L = 1
+            (3, [((-2, -1), 1)]),
         ]
         for n, terms in cases:
             case = MixedCase("eq4_f", n=n)

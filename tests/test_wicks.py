@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import ADAPTED_MINUS, ADAPTED_PLUS, CLASSIC_PLUS, random_word
 from fgquad import (
@@ -20,6 +22,7 @@ from fgquad import (
 )
 from fgquad.tables import all_fixtures
 from fgquad.words import solution_is_faithful
+from oracles import naive_wicks_decompositions
 
 
 class TestRhs:
@@ -102,6 +105,66 @@ class TestDecompositions:
             and (str(m.parts["a"]), str(m.parts["b"]), str(m.parts["c"])) == ("a", "b", "a")
         ]
         assert aabcc
+
+
+# the four coded forms over parts a, b, c (d, e for the degenerate one)
+TEMPLATES = {
+    "orientable_abc": lambda a, b, c: a * b * c * a.inv() * b.inv() * c.inv(),
+    "orientable_de": lambda a, b, c: a * b * a.inv() * b.inv(),
+    "nonorientable_abcbac": lambda a, b, c: a * b * c * b * a * c.inv(),
+    "nonorientable_aabcc": lambda a, b, c: a * a * b * c * c * b.inv(),
+}
+BASES = (ADAPTED_PLUS, ADAPTED_MINUS)
+
+
+def short_syllables(max_size: int):
+    # at most 2 * max_size letters, possibly none
+    return st.lists(st.tuples(st.integers(0, 1), st.sampled_from((-2, -1, 1, 2))), max_size=max_size)
+
+
+@st.composite
+def matcher_cores(draw):
+    basis = draw(st.sampled_from(BASES))
+    if draw(st.booleans()):
+        template = TEMPLATES[draw(st.sampled_from(sorted(TEMPLATES)))]
+        a, b, c = (Word.from_syllables(basis, draw(short_syllables(2))) for _ in range(3))
+        w = template(a, b, c)
+    else:
+        w = Word.from_syllables(basis, draw(short_syllables(12)))
+    return cyclic_reduce(w)[0]
+
+
+def match_rows(matches):
+    return [
+        (m.shift, m.form, [(k, str(p)) for k, p in sorted(m.parts.items())], str(m.u_prefix), str(m.t), str(m.core))
+        for m in matches
+    ]
+
+
+class TestMatcherOracle:
+    """The layout-table matcher lists what the naive matcher lists, in order."""
+
+    @given(matcher_cores(), st.sampled_from(("commutator", "two_squares")), st.booleans())
+    def test_same_ordered_matches(self, core, kind, allow_empty):
+        assert match_rows(wicks_decompositions(core, kind, allow_empty)) == match_rows(
+            naive_wicks_decompositions(core, kind, allow_empty)
+        )
+
+    def test_every_form_matched_with_and_without_empty_parts(self):
+        rng = random.Random(8)
+        seen = set()
+        for _ in range(300):
+            basis = rng.choice(BASES)
+            form = rng.choice(sorted(TEMPLATES))
+            parts = [random_word(rng, basis, rng.choice((0, 1, 2))) for _ in range(3)]
+            core, _ = cyclic_reduce(TEMPLATES[form](*parts))
+            kind = "commutator" if form.startswith("orientable") else "two_squares"
+            for allow_empty in (False, True):
+                matches = wicks_decompositions(core, kind, allow_empty)
+                assert match_rows(matches) == match_rows(naive_wicks_decompositions(core, kind, allow_empty))
+                seen.update((m.form, any(p.is_identity for p in m.parts.values())) for m in matches)
+        # an empty part of d e d^-1 e^-1 leaves e e^-1, which no reduced core is
+        assert seen == {(form, empty) for form in TEMPLATES for empty in (False, True)} - {("orientable_de", True)}
 
 
 class TestExtraction:

@@ -46,6 +46,7 @@ from oracles import (
     naive_fox_derivative,
     naive_inv,
     naive_mul,
+    naive_pair_candidates,
     naive_pow,
     naive_project,
     naive_square_root,
@@ -487,3 +488,16 @@ class TestBetaDecide:
                 assert seen[parity, "no", default_window], (parity, default_window)
                 assert seen[parity, "solvable", default_window], (parity, default_window)
         assert seen[0, "chain", True] + seen[0, "chain", False]
+
+    def test_only_the_l_plus_r_candidate_fails(self):
+        # eq4_f(n=3), V = (-2,-1): at L = 1 the candidates are m = r = 2,
+        # |L - r| = 1 and |L + r| = 3 at s = 2, and only m = 3 fails; a search
+        # without the |L + r| m-value would accept L = 1, where
+        # test_box_oracle finds no box solution
+        case = MixedCase("eq4_f", n=3)
+        v = RingElement.make(-1, [(PiElement(-1, -2, -1), 1)])
+        failing = {(g.r, g.s) for g in naive_pair_candidates(3, 3, 1, v, 6) if augment(HatL(3, 1), v, g)}
+        assert failing == {(3, 2)}
+        result = _beta_decide(case, v, None)
+        assert result == naive_beta_decide(case, v, None)
+        assert not result.solvable and result.trace["window_exhausted"]

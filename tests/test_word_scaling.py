@@ -1,5 +1,6 @@
 """Inputs that were quadratic or worse in the word layer or the translation
-search now finish at once."""
+search now finish at once, and the Wicks matcher builds its layouts once per
+call."""
 
 import io
 import random
@@ -7,7 +8,8 @@ from contextlib import redirect_stdout
 from time import perf_counter
 
 from conftest import ADAPTED_MINUS
-from fgquad import MixedCase, PiElement, RingElement, Word, parse_word, relator_in, second_decide
+import fgquad.wicks
+from fgquad import MixedCase, PiElement, RingElement, Word, cyclic_reduce, parse_word, relator_in, second_decide
 from fgquad.cli import main
 from fgquad.tables import _exact_power_of
 from oracles import reduce_syllables
@@ -72,3 +74,30 @@ def test_exhausted_translation_window():
     result = second_decide(MixedCase("eq2_nf", n=3), v)
     assert perf_counter() - start < 0.3
     assert result.trace["window"] == [-405, 406] and result.trace["window_exhausted"]
+
+
+def test_wicks_matcher_on_a_core_at_the_default_budget(monkeypatch):
+    # 64 letters is the default wicks_len: 64 shifts of 561 + 33 (commutator)
+    # or 561 + 561 (two squares) layouts each
+    rng = random.Random(64)
+    letters = [(0, 1)]
+    while len(letters) < 64:
+        g, e = rng.randrange(2), rng.choice((-1, 1))
+        if (g, -e) != letters[-1] and (len(letters) < 63 or (g, -e) != letters[0]):
+            letters.append((g, e))
+    core = Word.from_syllables(ADAPTED_MINUS, letters)
+    assert len(core) == 64 and cyclic_reduce(core)[0] == core
+    builds = []
+    enumerate_lengths = fgquad.wicks._enumerate_lengths
+
+    def counted(n_parts, total, allow_empty):
+        builds.append(n_parts)
+        return enumerate_lengths(n_parts, total, allow_empty)
+
+    monkeypatch.setattr(fgquad.wicks, "_enumerate_lengths", counted)
+    start = perf_counter()
+    for kind in ("commutator", "two_squares"):
+        fgquad.wicks.wicks_decompositions(core, kind, allow_empty=True)
+    assert perf_counter() - start < 0.25
+    # once per call and form: (a, b, c) then (d, e); then the two three-part forms
+    assert builds == [3, 2, 3, 3]
