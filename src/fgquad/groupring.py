@@ -13,11 +13,12 @@ from functools import cached_property
 from typing import Iterable, Mapping, TypeVar
 
 from .errors import DomainMismatch, EpsilonMismatch, NotDivisible, NotInKernel
-from .surface import PiElement, project
+from .surface import PiElement
 from .words import BasisTag, Word, change_basis
 
 
 _Sum = TypeVar("_Sum", bound="SparseSum")
+_Pair = tuple[int, int]  # canonical coordinates (r, s) of a quotient-group element
 
 
 @dataclass(frozen=True)
@@ -195,34 +196,56 @@ def alt_geom_ratio(x: PiElement, two_d: int, ell: int) -> RingElement:
 # ---------------------------------------------------------------------------
 
 
-def fox_derivative(w: Word, gen: str) -> RingElement:
-    """The quotient-projected free derivative of ``w`` by generator 'a' or 'b'.
+def _fox_pairs(w: Word) -> tuple[_Pair, dict[_Pair, int], dict[_Pair, int]]:
+    """One walk over ``w``: its projection ``(r, s)`` and its quotient-projected
+    free derivatives by alpha and by beta, keyed by ``(r, s)``, zeros dropped.
 
-    The prefix walks canonical coordinates ``(r, s)``: a letter alpha^{+-1}
-    moves r by +-sigma(s) and a letter beta^{+-1} moves s by +-1.
+    A letter alpha^{+-1} moves r by +-sigma(s) and a letter beta^{+-1} moves
+    s by +-1.  A letter adds the prefix before it and an inverse letter
+    subtracts the prefix after it; keys keep the order of their first letter.
     """
     if w.basis.kind != "adapted":
         w = change_basis(w, BasisTag.adapted(w.basis.epsilon))
-    eps = w.basis.epsilon
-    idx = 0 if gen == "a" else 1
-    acc: dict[tuple[int, int], int] = {}
+    twisted = w.basis.epsilon == -1
+    d_alpha: dict[_Pair, int] = {}
+    d_beta: dict[_Pair, int] = {}
+    get_alpha, get_beta = d_alpha.get, d_beta.get
     r = s = 0
     for g, e in w.syls:
-        sigma = -1 if eps == -1 and s & 1 else 1
-        if g == idx:
-            # a letter adds the prefix before it, an inverse letter subtracts
-            # the prefix after it
-            c = 1 if e > 0 else -1
-            for j in range(e) if e > 0 else range(-1, e - 1, -1):
-                key = (r + sigma * j, s) if g == 0 else (r, s + j)
-                acc[key] = acc.get(key, 0) + c
-        if g == 0:
-            r += sigma * e
-        else:
+        c = 1 if e > 0 else -1
+        if g:
+            first = s if e > 0 else s - 1
+            for t in range(first, first + e, c):
+                key = (r, t)
+                d_beta[key] = get_beta(key, 0) + c
             s += e
-    return RingElement(
-        eps, 0, {PiElement(eps, r, s): c for (r, s), c in acc.items() if c}
+        else:
+            sigma = -1 if twisted and s & 1 else 1
+            first = r if e > 0 else r - sigma
+            for x in range(first, first + sigma * e, sigma * c):
+                key = (x, s)
+                d_alpha[key] = get_alpha(key, 0) + c
+            r += sigma * e
+    return (
+        (r, s),
+        {key: c for key, c in d_alpha.items() if c},
+        {key: c for key, c in d_beta.items() if c},
     )
+
+
+def _ring(epsilon: int, pairs: Mapping[_Pair, int]) -> RingElement:
+    """The integer element with the nonzero coefficients ``pairs``, in their order."""
+    return RingElement(
+        epsilon, 0, {PiElement(epsilon, r, s): c for (r, s), c in pairs.items()}
+    )
+
+
+def fox_derivative(w: Word, gen: str) -> RingElement:
+    """The quotient-projected free derivative of ``w`` by generator 'a' or 'b'."""
+    if gen not in ("a", "b"):
+        raise ValueError(f"generator must be 'a' or 'b', got {gen!r}")
+    _, d_alpha, d_beta = _fox_pairs(w)
+    return _ring(w.basis.epsilon, d_alpha if gen == "a" else d_beta)
 
 
 def relator_jacobian_alpha(epsilon: int) -> RingElement:
@@ -233,16 +256,9 @@ def relator_jacobian_alpha(epsilon: int) -> RingElement:
     return RingElement.make(-1, [(one, 1), (PiElement(-1, 1, 1), 1)])
 
 
-def relator_jacobian_beta(epsilon: int) -> RingElement:
-    """Projected derivative of the relator by beta: alpha - 1 for both signs."""
-    return RingElement.make(
-        epsilon,
-        [(PiElement.alpha(epsilon), 1), (PiElement.identity(epsilon), -1)],
-    )
-
-
-def exact_divide(p: RingElement, d: RingElement) -> RingElement:
-    """Solve lam * d == p exactly, for d the alpha-column Jacobian element.
+def _divide_pairs(epsilon: int, p: Mapping[_Pair, int]) -> dict[_Pair, int]:
+    """Solve lam * d == p exactly, for d the alpha-column Jacobian element and
+    ``p`` given by its nonzero coefficients keyed by ``(r, s)``.
 
     Elements are peeled row by row in the beta-degree grading; the top row of
     the product is contributed by a single row of ``lam``, so the quotient is
@@ -251,19 +267,14 @@ def exact_divide(p: RingElement, d: RingElement) -> RingElement:
     and touches only row ``s_top - 1``, so the division is linear in the terms
     it visits.
     """
-    if p.mod != 0:
-        raise DomainMismatch("exact division works over integer coefficients")
-    eps = p.epsilon
-    if d != relator_jacobian_alpha(eps):
-        raise NotDivisible("divisor must be the alpha-column Jacobian element")
-    if p.is_zero:
-        return RingElement.zero(eps)
+    lam: dict[_Pair, int] = {}
+    if not p:
+        return lam
     rows: dict[int, dict[int, int]] = {}
-    for g, c in p.terms.items():
-        rows.setdefault(g.s, {})[g.r] = c
+    for (r, s), c in p.items():
+        rows.setdefault(s, {})[r] = c
     tops = sorted(rows)  # rows still to peel, the top one last
     s_min = tops[0]
-    lam: dict[PiElement, int] = {}
     while tops[-1] > s_min:
         s_top = tops.pop()
         row = {r: c for r, c in rows.pop(s_top).items() if c}
@@ -273,16 +284,26 @@ def exact_divide(p: RingElement, d: RingElement) -> RingElement:
             rows[s_top - 1] = {}
             tops.append(s_top - 1)
         below = rows[s_top - 1]
-        if eps == 1:  # d = 1 - beta: lam holds -c at (r, s_top - 1)
+        if epsilon == 1:  # d = 1 - beta: lam holds -c at (r, s_top - 1)
             shift, sign = 0, -1
         else:  # d = 1 + alpha*beta: lam holds c at (r - sigma, s_top - 1)
             shift, sign = (-1 if (s_top - 1) % 2 else 1), 1
         for r, c in row.items():
-            lam[PiElement(eps, r - shift, s_top - 1)] = sign * c
+            lam[(r - shift, s_top - 1)] = sign * c
             below[r - shift] = below.get(r - shift, 0) - sign * c
     if any(rows[s_min].values()):
         raise NotDivisible("nonzero remainder in exact division")
-    return RingElement(eps, 0, lam)
+    return lam
+
+
+def exact_divide(p: RingElement, d: RingElement) -> RingElement:
+    """Solve lam * d == p exactly, for d the alpha-column Jacobian element."""
+    if p.mod != 0:
+        raise DomainMismatch("exact division works over integer coefficients")
+    eps = p.epsilon
+    if d != relator_jacobian_alpha(eps):
+        raise NotDivisible("divisor must be the alpha-column Jacobian element")
+    return _ring(eps, _divide_pairs(eps, {(g.r, g.s): c for g, c in p.terms.items()}))
 
 
 def q_n(w: Word) -> RingElement:
@@ -290,18 +311,30 @@ def q_n(w: Word) -> RingElement:
 
     A product of conjugates prod_i (u_i R u_i^-1)^{n_i} maps to
     sum_i n_i * class(u_i).  Computed via Fox calculus plus exact division,
-    with the beta-column identity as a built-in consistency check.
+    with the beta-column identity as a built-in consistency check, all on
+    coefficients keyed by ``(r, s)``; group elements are built for the result
+    only.
     """
-    if not project(w).is_identity:
+    end, d_alpha, d_beta = _fox_pairs(w)
+    if end != (0, 0):
         raise NotInKernel("word does not project to the identity")
     eps = w.basis.epsilon
     try:
-        lam = exact_divide(fox_derivative(w, "a"), relator_jacobian_alpha(eps))
+        lam = _divide_pairs(eps, d_alpha)
     except NotDivisible as exc:  # pragma: no cover - guarded by the projection test
         raise NotInKernel(str(exc)) from exc
-    if lam * relator_jacobian_beta(eps) != fox_derivative(w, "b"):
+    # the beta-column of the relator's Jacobian is alpha - 1, and
+    # lam * (alpha - 1) holds +c at (r + sigma(s), s) and -c at (r, s)
+    twisted = eps == -1
+    check: dict[_Pair, int] = {}
+    for (r, s), c in lam.items():
+        key = (r - 1 if twisted and s & 1 else r + 1, s)
+        check[key] = check.get(key, 0) + c
+        key = (r, s)
+        check[key] = check.get(key, 0) - c
+    if {key: c for key, c in check.items() if c} != d_beta:
         raise NotInKernel("beta-column consistency check failed")
-    return lam
+    return _ring(eps, lam)
 
 
 def conjugate_power_product(

@@ -9,12 +9,15 @@ derivative multiplies ``prefix * base**j`` per letter, and the parser
 multiplies term by term.  They are slow on purpose and serve as oracles for
 the property tests in ``test_word_oracles.py``.  The quadratic exact
 division of the group ring, peeling one beta-row at a time and rebuilding
-the whole remainder after each, is kept the same way, and so is the orbit
-layer before its closed-form keys: orbit families built from group elements,
-pairwise membership tests, the augmentation that tests every term against
-every orbit family, and the squares decider that partitions the support
-pairwise; ``orbit_in_box`` lists orbit elements in a box for the box-oracle
-tests of the orbit layer.  ``naive_exact_power_of`` builds the candidate
+the whole remainder after each, is kept the same way, and so is ``q_n``
+before it worked on integer pairs (``naive_q_n``: the projection, both Fox
+derivatives and the division on group-ring elements, then the beta-column
+check as a group-ring product).  The orbit layer before its closed-form keys
+is kept too: orbit families built from group elements, pairwise membership
+tests, the augmentation that tests every term against every orbit family,
+and the squares decider that partitions the support pairwise;
+``orbit_in_box`` lists orbit elements in a box for the box-oracle tests of
+the orbit layer.  ``naive_exact_power_of`` builds the candidate
 power before comparing, and ``naive_beta_decide`` builds the whole set of
 pair candidates for every translation parameter before checking any.
 ``naive_wicks_decompositions`` is the Wicks matcher before its layout table:
@@ -33,6 +36,7 @@ from fgquad import (
     HatL,
     InconsistentSign,
     NotDivisible,
+    NotInKernel,
     PiElement,
     RingElement,
     SingularBase,
@@ -43,6 +47,7 @@ from fgquad import (
     augment,
     element_class,
     odd_part,
+    project,
 )
 from fgquad.derived import DecideResult, MixedCase, _chain_candidates, _window_values
 from fgquad.errors import DomainMismatch, EpsilonMismatch
@@ -305,6 +310,29 @@ def naive_exact_divide(p: RingElement, d: RingElement) -> RingElement:
         lam_items.extend(lam_row)
         current = current - RingElement.make(eps, lam_row) * d
     return RingElement.make(eps, lam_items)
+
+
+def relator_jacobian_beta(epsilon: int) -> RingElement:
+    """Projected derivative of the relator by beta: alpha - 1 for both signs."""
+    return RingElement.make(
+        epsilon,
+        [(PiElement.alpha(epsilon), 1), (PiElement.identity(epsilon), -1)],
+    )
+
+
+def naive_q_n(w: Word) -> RingElement:
+    """The projection test, then the division of the alpha-derivative and the
+    beta-column check, each on group-ring elements."""
+    if not project(w).is_identity:
+        raise NotInKernel("word does not project to the identity")
+    eps = w.basis.epsilon
+    try:
+        lam = naive_exact_divide(naive_fox_derivative(w, "a"), relator_jacobian_alpha(eps))
+    except NotDivisible as exc:
+        raise NotInKernel(str(exc)) from exc
+    if lam * relator_jacobian_beta(eps) != naive_fox_derivative(w, "b"):
+        raise NotInKernel("beta-column consistency check failed")
+    return lam
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,8 @@ from fgquad import (
     q_n,
     relator,
 )
-from fgquad.groupring import (
-    conjugate_power_product,
-    one_minus_pow,
-    relator_jacobian_alpha,
-    relator_jacobian_beta,
-)
+from fgquad.groupring import conjugate_power_product, one_minus_pow, relator_jacobian_alpha
+from oracles import relator_jacobian_beta
 
 
 def elt(eps, *terms):
@@ -124,6 +120,12 @@ class TestFoxDerivative:
     def test_inverse_rule(self):
         w = parse_word("A", ADAPTED_MINUS)
         assert fox_derivative(w, "a") == elt(-1, ((-1, 0), -1))
+
+    def test_unknown_generator(self):
+        # any generator other than 'a' or 'b' is refused, not read as 'b'
+        w = parse_word("a b", BasisTag.adapted(1))
+        with pytest.raises(ValueError, match="'x'"):
+            fox_derivative(w, "x")
 
     def test_product_rule(self, rng):
         for _ in range(200):

@@ -4,9 +4,11 @@ naive oracles."""
 
 from collections import Counter
 import random
+import re
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+import pytest
 
 from conftest import ADAPTED_MINUS, ADAPTED_PLUS, CLASSIC_MINUS, CLASSIC_PLUS
 from fgquad import (
@@ -30,10 +32,11 @@ from fgquad import (
     odd_part,
     parse_word,
     project,
+    q_n,
     square_root,
 )
 from fgquad.derived import _beta_decide, _squares_decide
-from fgquad.groupring import relator_jacobian_alpha
+from fgquad.groupring import conjugate_power_product, relator_jacobian_alpha
 from fgquad.tables import _exact_power_of
 from fgquad.words import relator_in
 from oracles import (
@@ -49,6 +52,7 @@ from oracles import (
     naive_pair_candidates,
     naive_pow,
     naive_project,
+    naive_q_n,
     naive_square_root,
     naive_squares_decide,
     naive_twisted_augment,
@@ -156,6 +160,30 @@ class TestWordAlgebra:
         assert change_basis(w, other) == naive_change_basis(w, other)
 
 
+@st.composite
+def kernel_words(draw) -> Word:
+    """Products of relator conjugates ``(u R u^-1)^n``, |n| <= 2, in either
+    basis, half of them times a perturbation that mostly leaves the kernel."""
+    eps = draw(st.sampled_from((1, -1)))
+    factor = st.tuples(syllables(8, 4), st.sampled_from((-2, -1, 1, 2)))
+    factors = draw(st.lists(factor, min_size=1, max_size=6))
+    w = conjugate_power_product(eps, [(word_in(BasisTag.adapted(eps), u), n) for u, n in factors])
+    if draw(st.booleans()):
+        w = naive_change_basis(w, BasisTag.classic(eps))
+    if draw(st.booleans()):
+        w = naive_mul(w, word_in(w.basis, draw(syllables(4, 4))))
+    return w
+
+
+def q_n_outcome(fn, w: Word):
+    """The value and its term order, or the error's type and message."""
+    try:
+        value = fn(w)
+    except FgquadError as exc:
+        return type(exc), str(exc)
+    return value, list(value.terms.items())
+
+
 class TestQuotientWalks:
     @oracle_settings
     @given(words())
@@ -163,13 +191,22 @@ class TestQuotientWalks:
         assert project(w) == naive_project(w)
 
     @oracle_settings
-    @given(words(), st.sampled_from("ab"))
+    @given(words(), st.sampled_from(["a", "b", "x", "A", ""]))
     def test_fox_derivative(self, w, gen):
+        if gen not in ("a", "b"):
+            with pytest.raises(ValueError, match=re.escape(repr(gen))):
+                fox_derivative(w, gen)
+            return
         got = fox_derivative(w, gen)
         want = naive_fox_derivative(w, gen)
         assert got == want
         # same terms in the same order, so nothing downstream sees a change
         assert list(got.terms.items()) == list(want.terms.items())
+
+    @oracle_settings
+    @given(kernel_words())
+    def test_q_n(self, w):
+        assert q_n_outcome(q_n, w) == q_n_outcome(naive_q_n, w)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,28 @@
 """Inputs that were quadratic or worse in the word layer or the translation
-search now finish at once, and the Wicks matcher builds its layouts once per
-call."""
+search now finish at once, the Wicks matcher builds its layouts once per
+call, and q_n does its arithmetic on integer pairs."""
 
 import io
 import random
 from contextlib import redirect_stdout
 from time import perf_counter
 
-from conftest import ADAPTED_MINUS
+from conftest import ADAPTED_MINUS, random_word
 import fgquad.wicks
-from fgquad import MixedCase, PiElement, RingElement, Word, cyclic_reduce, parse_word, relator_in, second_decide
+from fgquad import (
+    MixedCase,
+    PiElement,
+    RingElement,
+    Word,
+    cyclic_reduce,
+    parse_word,
+    project,
+    q_n,
+    relator_in,
+    second_decide,
+)
 from fgquad.cli import main
+from fgquad.groupring import SparseSum, conjugate_power_product
 from fgquad.tables import _exact_power_of
 from oracles import reduce_syllables
 
@@ -101,3 +113,24 @@ def test_wicks_matcher_on_a_core_at_the_default_budget(monkeypatch):
     assert perf_counter() - start < 0.25
     # once per call and form: (a, b, c) then (d, e); then the two three-part forms
     assert builds == [3, 2, 3, 3]
+
+
+def test_q_n_of_a_long_conjugate_product(monkeypatch):
+    # 2000 factors (u R u^-1)^n, about 23k letters: one walk, then the division
+    # and the beta-column check on integer pairs, with no group-ring product
+    # or sum built on the way
+    rng = random.Random(2000)
+    factors = [(random_word(rng, ADAPTED_MINUS, 5), rng.choice((-2, -1, 1, 2))) for _ in range(2000)]
+    w = conjugate_power_product(-1, factors)
+    assert len(w) > 20000
+    expected = RingElement.make(-1, [(project(u), n) for u, n in factors])
+
+    def refuse(*args):
+        raise AssertionError("group-ring arithmetic inside q_n")
+
+    monkeypatch.setattr(RingElement, "__mul__", refuse)
+    monkeypatch.setattr(SparseSum, "make", classmethod(refuse))
+    start = perf_counter()
+    got = q_n(w)
+    assert perf_counter() - start < 1.0
+    assert got == expected
