@@ -19,6 +19,7 @@ from .tables import MIXED, degree_two_witness, instantiate_witness, table_branch
 from .words import (
     BasisTag,
     EquationSpec,
+    Frame,
     Word,
     change_basis,
     sgn,
@@ -57,18 +58,19 @@ class Verdict:
     trace: dict = field(default_factory=dict)
 
 
-def _from_other_frame(spec: EquationSpec, first: Word, second: Word) -> tuple[Word, Word]:
-    """Carry a pair of unknowns from the other frame to the spec's frame and basis."""
-    first, second = swap_frame(spec.delta, first, second)
-    return change_basis(first, spec.basis), change_basis(second, spec.basis)
-
-
-def _exists(spec: EquationSpec, v: Word, x_ad: Word, y_ad: Word, branch: str, trace: dict | None = None) -> Verdict:
-    first, second = (x_ad, y_ad) if spec.frame == "adapted_xy" else _from_other_frame(spec, x_ad, y_ad)
+def _exists(
+    spec: EquationSpec, v: Word, pair: tuple[Word, Word], frame: Frame, row: str, trace: dict | None = None
+) -> Verdict:
+    """The verdict for a witness ``pair`` written in ``frame``: carried to the
+    spec's frame and basis, then substitution-checked there."""
+    first, second = pair
+    if frame != spec.frame:
+        first, second = swap_frame(spec.delta, first, second)
+        first, second = change_basis(first, spec.basis), change_basis(second, spec.basis)
     result = verify_solution(spec, v, first, second)
     if not (result.holds and result.faithful == (spec.solution_class == "faithful")):
-        raise WitnessUnverified(f"unverified witness for branch {branch}")
-    return Verdict("exists", branch, (first, second), True, trace=trace or {})
+        raise WitnessUnverified(f"unverified witness for branch {row}")
+    return Verdict("exists", row, (first, second), True, trace=trace or {})
 
 
 def pattern_witness(spec: EquationSpec, v: Word) -> Optional[tuple[Word, Word]]:
@@ -107,23 +109,17 @@ def classify(spec: EquationSpec, v: Word, budgets: Budgets = Budgets()) -> Verdi
         return Verdict("not_exists", branch.row, reason="table_branch")
     if branch.kind == "exists":
         assert branch.family is not None
-        x_ad, y_ad = instantiate_witness(branch.family, v_ad)
-        return _exists(spec, v, x_ad, y_ad, branch.row)
+        return _exists(spec, v, instantiate_witness(branch.family, v_ad), "adapted_xy", branch.row)
     if branch.kind == "degree_two":
         spec_z = replace(spec, frame="original_z")
-        v_classic = change_basis(v_ad, spec_z.basis)
-        pair = degree_two_witness(spec_z, v_classic)
-        if pair is not None:
-            res = verify_solution(spec_z, v_classic, *pair)
-            if res.holds and res.faithful:
-                if spec.frame == "original_z":
-                    return Verdict("exists", branch.row, pair, True)
-                return _exists(spec, v, *_from_other_frame(spec, *pair), branch.row)
-        return Verdict(
-            "undetermined",
-            branch.row,
-            trace={"note": "faithful query outside the degree-zero classification"},
-        )
+        pair = degree_two_witness(spec_z, change_basis(v_ad, spec_z.basis))
+        if pair is None:
+            return Verdict(
+                "undetermined",
+                branch.row,
+                trace={"note": "faithful query outside the degree-zero classification"},
+            )
+        return _exists(spec, v, pair, "original_z", branch.row)
     # mixed case
     data = analyze_v(spec_ad, v_ad)
     decision = second_decide(data.case, data.V, budgets.l_window_override)
@@ -139,7 +135,7 @@ def classify(spec: EquationSpec, v: Word, budgets: Budgets = Budgets()) -> Verdi
     trace["second_derived_solvable"] = {"ell": decision.ell, "L": decision.L}
     pair = pattern_witness(spec_ad, v_ad)
     if pair is not None:
-        return _exists(spec, v, pair[0], pair[1], branch.row, trace)
+        return _exists(spec, v, pair, "adapted_xy", branch.row, trace)
     from .wicks import wicks_search
 
     try:
@@ -149,9 +145,9 @@ def classify(spec: EquationSpec, v: Word, budgets: Budgets = Budgets()) -> Verdi
         trace["budgets"] = asdict(budgets)
         return Verdict("undetermined", branch.row, trace=trace)
     wanted = spec.solution_class == "faithful"
-    for (x_ad, y_ad), faithful in report.solutions:
+    for pair, faithful in report.solutions:
         if faithful == wanted:
-            return _exists(spec, v, x_ad, y_ad, branch.row, trace)
+            return _exists(spec, v, pair, "adapted_xy", branch.row, trace)
     trace["wicks"] = {"solutions": len(report.solutions), "exhaustive": report.exhaustive}
     return Verdict(
         "not_exists",

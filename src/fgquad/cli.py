@@ -225,8 +225,11 @@ def _emit(output: str, record: dict, stream) -> None:
 
 def _words_from_args(args: argparse.Namespace, basis: BasisTag) -> list[tuple[str, Word]]:
     if getattr(args, "batch", None):
-        with open(args.batch, encoding="utf-8") as handle:
-            texts = [line.strip() for line in handle if line.strip()]
+        try:
+            with open(args.batch, encoding="utf-8") as handle:
+                texts = [line.strip() for line in handle if line.strip()]
+        except UnicodeDecodeError:
+            raise OSError(f"cannot read {args.batch}: not UTF-8 text") from None
     else:
         texts = [args.word]
     return [(text, parse_word(text, basis)) for text in texts]

@@ -19,29 +19,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Literal, Optional
+from typing import Iterator, Optional
 
 from .errors import CaseMismatch, NotMixedCase
 from .groupring import (
     RingElement,
     alt_geom_ratio,
+    alt_geom_terms,
     conjugate_power_product,
     geom_ratio,
+    geom_terms,
     q_n,
 )
 from .orbits import HatAbs, HatL, Tilde, TildeL, augment, odd_part, orbit_key
 from .quotient import p_q, q_divisible_by_two
 from .surface import PiElement, project
-from .tables import table_branch
+from .tables import CaseKind, table_branch
 from .words import BasisTag, EquationSpec, Word, change_basis, sgn
 
-CaseKind = Literal["eq2_nf", "eq3_nf", "eq4_f", "eq4_nf"]
-
-_CASE_PARAMS: dict[CaseKind, tuple[int, int, str]] = {
-    "eq2_nf": (1, -1, "nonfaithful"),
-    "eq3_nf": (-1, 1, "nonfaithful"),
-    "eq4_f": (-1, -1, "faithful"),
-    "eq4_nf": (-1, -1, "nonfaithful"),
+# (delta, epsilon, class, beta-scale): vbar = alpha^{2m} beta^{scale*n}
+_CASE_PARAMS: dict[CaseKind, tuple[int, int, str, int]] = {
+    "eq2_nf": (1, -1, "nonfaithful", 2),
+    "eq3_nf": (-1, 1, "nonfaithful", 2),
+    "eq4_f": (-1, -1, "faithful", 2),
+    "eq4_nf": (-1, -1, "nonfaithful", 4),
 }
 
 
@@ -68,6 +69,10 @@ class MixedCase:
         return _CASE_PARAMS[self.kind][2]
 
     @property
+    def scale(self) -> int:
+        return _CASE_PARAMS[self.kind][3]
+
+    @property
     def has_two_params(self) -> bool:
         return self.kind in ("eq3_nf", "eq4_nf")
 
@@ -81,8 +86,7 @@ class MixedCase:
     def c_word(self) -> Word:
         d = self.d
         basis = BasisTag.adapted(self.epsilon)
-        beta_exp = self.n // d if self.kind == "eq3_nf" else 2 * self.n // d
-        return Word.from_syllables(basis, [(0, self.m // d), (1, beta_exp)])
+        return Word.from_syllables(basis, [(0, self.m // d), (1, self.scale * self.n // (2 * d))])
 
     @property
     def c_bar(self) -> PiElement:
@@ -90,11 +94,7 @@ class MixedCase:
 
     @property
     def vbar(self) -> PiElement:
-        if self.kind in ("eq2_nf", "eq4_f"):
-            return PiElement(-1, 0, 2 * self.n)
-        if self.kind == "eq3_nf":
-            return PiElement(1, 2 * self.m, 2 * self.n)
-        return PiElement(-1, 2 * self.m, 4 * self.n)
+        return PiElement(self.epsilon, 2 * self.m, self.scale * self.n)
 
     @property
     def v0_word(self) -> Word:
@@ -119,31 +119,17 @@ class ConjData:
     V: RingElement
 
 
-def _case_kind_for(spec: EquationSpec) -> Optional[CaseKind]:
-    key = (spec.delta, spec.epsilon, spec.theta, spec.solution_class)
-    for kind, (delta, eps, cls) in _CASE_PARAMS.items():
-        if key == (delta, eps, -1, cls):
-            return kind
-    return None
-
-
 def analyze_v(spec: EquationSpec, v: Word) -> ConjData:
     """Decompose v = v0 * (product of relator conjugates) for a mixed case."""
     v_adapted = change_basis(v, BasisTag.adapted(spec.epsilon))
     vbar = project(v_adapted)
-    kind = _case_kind_for(spec)
     branch = table_branch(spec, vbar, sgn(v_adapted))
-    if kind is None or branch.kind != "mixed":
+    if branch.case is None:
         raise NotMixedCase(
             f"parameters fall in branch {branch.row} ({branch.kind}), not a mixed case",
             branch=branch.row,
         )
-    if kind in ("eq2_nf", "eq4_f"):
-        case = MixedCase(kind, n=vbar.s // 2)
-    elif kind == "eq3_nf":
-        case = MixedCase(kind, n=vbar.s // 2, m=vbar.r // 2)
-    else:
-        case = MixedCase(kind, n=vbar.s // 4, m=vbar.r // 2)
+    case = MixedCase(branch.case, n=vbar.s // _CASE_PARAMS[branch.case][3], m=vbar.r // 2)
     v0 = case.v0_word
     return ConjData(v_adapted, vbar, case, v0, q_n(v0.inv() * v_adapted))
 
@@ -188,30 +174,32 @@ def _check_first(case: MixedCase, sol: FirstSolution) -> FirstSolution:
     return sol
 
 
-def _geom_rep_word(eps: int, c: Word, n: int, ell: int) -> Word:
-    """Representative with image (1 - cbar^{2n}) / (1 - cbar^ell)."""
-    if n == 0:
-        return Word.identity(c.basis)
-    if n * ell > 0:
-        exps = [2 * n - j * ell for j in range(1, 2 * n // ell)] + [0]
-        return conjugate_power_product(eps, [(c**e, 1) for e in exps])
-    exps = [2 * n + j * ell for j in range(0, -2 * n // ell)]
-    return conjugate_power_product(eps, [(c**e, -1) for e in exps])
-
-
-def _alt_rep_word(eps: int, c: Word, D: int, ell: int) -> Word:
-    """Representative with image (1 - cbar^{2D}) / (1 + cbar^ell)."""
-    if D == 0:
-        return Word.identity(c.basis)
-    factors: list[tuple[Word, int]] = []
-    if D * ell > 0:
-        factors.extend((c ** (2 * D - 2 * j * ell), 1) for j in range(1, D // ell))
-        factors.append((Word.identity(c.basis), 1))
-        factors.extend((c ** ((2 * j - 1) * ell), -1) for j in range(1, D // ell + 1))
-    else:
-        factors.extend((c ** (2 * D + 2 * j * ell), -1) for j in range(0, -D // ell))
-        factors.extend((c ** (-(2 * j - 1) * ell), 1) for j in range(1, -D // ell + 1))
-    return conjugate_power_product(eps, factors)
+def _first_candidates(case: MixedCase, bound: int) -> Iterator[FirstSolution]:
+    """The unchecked family entries: ybar = cbar^ell and xtilde the geometric
+    series of vbar over it, or for m = n = 0 the free y with xtilde = 0."""
+    eps = case.epsilon
+    basis = BasisTag.adapted(eps)
+    if case.has_two_params and case.m == 0 and case.n == 0:
+        for L in range(-bound, bound + 1):
+            for ell in range(-bound, bound + 1):
+                y_word = Word.from_syllables(basis, [(0, L), (1, case.scale // 2 * ell)])
+                yield FirstSolution(
+                    L, ell, RingElement.zero(eps), project(y_word), Word.identity(basis), y_word
+                )
+        return
+    if case.has_two_params:  # c = alpha^{m/d} beta^{...}, ell | d
+        bases: list[tuple[Optional[int], Word]] = [(None, case.c_word)]
+        top, odd_only, geometric = case.d, False, False
+    else:  # c_L = beta alpha^-L for each translation L, odd ell | n
+        bases = [(L, Word.from_syllables(basis, [(1, 1), (0, -L)])) for L in range(-bound, bound + 1)]
+        top, odd_only, geometric = case.n, True, case.kind == "eq2_nf"
+    ratio, terms = (geom_ratio, geom_terms) if geometric else (alt_geom_ratio, alt_geom_terms)
+    for L, c in bases:
+        c_bar = project(c)
+        for ell in _divisors(top, bound, odd_only):
+            xtilde = ratio(c_bar, 2 * top, ell)
+            x_word = conjugate_power_product(eps, [(c**e, sign) for e, sign in terms(2 * top, ell)])
+            yield FirstSolution(L, ell, xtilde, c_bar**ell, x_word, c**ell)
 
 
 def first_solutions(case: MixedCase, vbar: PiElement, bound: int) -> list[FirstSolution]:
@@ -224,66 +212,7 @@ def first_solutions(case: MixedCase, vbar: PiElement, bound: int) -> list[FirstS
     """
     if vbar != case.vbar:
         raise CaseMismatch("projection does not match the case parameters")
-    eps = case.epsilon
-    basis = BasisTag.adapted(eps)
-    out: list[FirstSolution] = []
-    if case.kind in ("eq2_nf", "eq4_f"):
-        n = case.n
-        for L in range(-bound, bound + 1):
-            c_l = Word.from_syllables(basis, [(1, 1), (0, -L)])
-            c_l_bar = project(c_l)
-            for ell in _divisors(n, bound, odd_only=True):
-                ybar = c_l_bar**ell
-                if case.kind == "eq2_nf":
-                    xtilde = geom_ratio(c_l_bar, 2 * n, ell) if n else RingElement.zero(eps)
-                    x_word = _geom_rep_word(eps, c_l, n, ell)
-                else:
-                    xtilde = alt_geom_ratio(c_l_bar, 2 * n, ell) if n else RingElement.zero(eps)
-                    x_word = _alt_rep_word(eps, c_l, n, ell)
-                out.append(
-                    _check_first(
-                        case,
-                        FirstSolution(L, ell, xtilde, ybar, x_word, c_l**ell),
-                    )
-                )
-        return out
-    if case.m == 0 and case.n == 0:
-        for L in range(-bound, bound + 1):
-            for ell in range(-bound, bound + 1):
-                beta_exp = ell if case.kind == "eq3_nf" else 2 * ell
-                y_word = Word.from_syllables(basis, [(0, L), (1, beta_exp)])
-                out.append(
-                    _check_first(
-                        case,
-                        FirstSolution(
-                            L,
-                            ell,
-                            RingElement.zero(eps),
-                            project(y_word),
-                            Word.identity(basis),
-                            y_word,
-                        ),
-                    )
-                )
-        return out
-    d = case.d
-    c = case.c_word
-    c_bar = case.c_bar
-    for ell in _divisors(d, bound, odd_only=False):
-        out.append(
-            _check_first(
-                case,
-                FirstSolution(
-                    None,
-                    ell,
-                    alt_geom_ratio(c_bar, 2 * d, ell),
-                    c_bar**ell,
-                    _alt_rep_word(eps, c, d, ell),
-                    c**ell,
-                ),
-            )
-        )
-    return out
+    return [_check_first(case, sol) for sol in _first_candidates(case, bound)]
 
 
 def rank1_check(vbar: PiElement, ybar: PiElement, delta: int, theta: int) -> Optional[int]:
@@ -424,8 +353,8 @@ def _beta_decide(
         "ell": ell,
         "window": [-bound, bound + 1],
     }
-    tilde = Tilde(n)
     if n % 2 == 0:
+        tilde = Tilde(n)
         steps = abs(n) // ell
         for g in sorted(_chain_candidates(n, ell, vd), key=lambda p: (p.s, p.r)):
             base_val = augment(tilde, vd, g)
@@ -444,48 +373,42 @@ def _beta_decide(
         # j_L sends (m, 2k) to (m, -2k) whatever L is, so the augmentation at
         # a candidate is the same for every L; only the u_L * g side moves
         fixed: dict[PiElement, int] = {}
-        for L in candidates:
+        conditions = "pair conditions"
+
+        def holds(L: int) -> bool:
             action = TildeL(n, L)
             u_l = PiElement(-1, L, ell)
-            ok = True
             for g in _pair_candidates(rows, L):
                 if g not in fixed:
                     fixed[g] = augment(action, vd, g)
                 if fixed[g] != augment(action, vd, u_l * g):
-                    ok = False
-                    break
-            if ok:
-                trace["L"] = L
-                return DecideResult(True, ell=ell, L=L, trace=trace)
-        trace["window_exhausted"] = True
-        return DecideResult(
-            False,
-            certificate="no translation parameter satisfies the pair conditions",
-            trace=trace,
-        )
-    rows = _pair_rows(ell, vd, 2 * ell)
-    for L in window:
-        action = HatL(n, L)
-        ok = True
-        for g in _pair_candidates(rows, L):
-            if augment(action, vd, g) != 0:
-                ok = False
-                break
-        if ok:
+                    return False
+            return True
+
+    else:
+        candidates = window
+        rows = _pair_rows(ell, vd, 2 * ell)
+        conditions = "augmentation conditions"
+
+        def holds(L: int) -> bool:
+            action = HatL(n, L)
+            if any(augment(action, vd, g) != 0 for g in _pair_candidates(rows, L)):
+                return False
             p_l = L - 1 if L >= 1 else -L
             m_top = max(p_l, r_alpha + abs(L)) + 2
-            for m_val in range(1, m_top + 1):
-                expected = 1 if 0 < m_val <= p_l else 0
-                if augment(action, vd, PiElement(-1, m_val, 0)) % 2 != expected:
-                    ok = False
-                    break
-        if ok:
+            return all(
+                augment(action, vd, PiElement(-1, m_val, 0)) % 2 == (1 if 0 < m_val <= p_l else 0)
+                for m_val in range(1, m_top + 1)
+            )
+
+    for L in candidates:
+        if holds(L):
             trace["L"] = L
             return DecideResult(True, ell=ell, L=L, trace=trace)
     trace["window_exhausted"] = True
     return DecideResult(
         False,
-        certificate="no translation parameter satisfies the augmentation conditions",
+        certificate=f"no translation parameter satisfies the {conditions}",
         trace=trace,
     )
 

@@ -110,12 +110,6 @@ class RingElement(SparseSum):
         ]
         return RingElement.make(self.epsilon, items, self.mod)
 
-    def translate(self, g: PiElement) -> "RingElement":
-        """Left multiplication by the group element ``g``."""
-        return RingElement.make(
-            self.epsilon, [(g * h, c) for h, c in self.terms.items()], self.mod
-        )
-
     def residue_sums(self, period: int) -> dict[tuple[int, int], int]:
         """Coefficient sums over the classes ``{(r, s + period*k)}``, keyed by
         ``(r, s mod period)``.
@@ -146,49 +140,59 @@ def one_minus_pow(x: PiElement, k: int, mod: int = 0) -> RingElement:
     )
 
 
+def geom_terms(a: int, b: int) -> list[tuple[int, int]]:
+    """The (exponent, sign) terms of (1 - x**a) / (1 - x**b), for b | a.
+
+    They are listed in the order of the factors of the representative word
+    prod (c^e R c^-e)^sign; the series of a == 0 is empty.
+    """
+    if b == 0 or a % b:
+        raise NotDivisible(f"{b} does not divide {a}")
+    m = a // b
+    if m >= 0:
+        return [(j * b, 1) for j in range(m - 1, -1, -1)]
+    return [(a + j * b, -1) for j in range(-m)]
+
+
+def alt_geom_terms(two_d: int, ell: int) -> list[tuple[int, int]]:
+    """The (exponent, sign) terms of (1 - x**two_d) / (1 + x**ell), for
+    ell | two_d / 2: the even multiples of ell, then the odd ones, in the
+    order of the representative word's factors."""
+    if ell == 0 or two_d % 2 or (two_d // 2) % ell:
+        raise NotDivisible(f"{ell} does not divide {two_d}/2")
+    k = two_d // 2 // ell
+    if k >= 0:
+        evens = [(2 * j * ell, 1) for j in range(k - 1, -1, -1)]
+        return evens + [((2 * j + 1) * ell, -1) for j in range(k)]
+    evens = [(two_d + 2 * j * ell, -1) for j in range(-k)]
+    return evens + [(-(2 * j + 1) * ell, 1) for j in range(-k)]
+
+
+def _series(x: PiElement, terms: list[tuple[int, int]], divisor: RingElement, a: int) -> RingElement:
+    """The sum of the terms at powers of ``x``, checked by multiplying it back
+    by ``divisor`` onto 1 - x**a."""
+    if terms and x.is_identity:
+        raise NotDivisible("ratio base must not be the identity")
+    result = RingElement.make(x.epsilon, [(x**e, sign) for e, sign in terms])
+    if result * divisor != one_minus_pow(x, a):
+        raise NotDivisible("geometric expansion failed verification")
+    return result
+
+
 def geom_ratio(x: PiElement, a: int, b: int) -> RingElement:
     """(1 - x**a) / (1 - x**b) expanded as a finite geometric sum.
 
     Requires b | a, and x of infinite order unless a == 0.  The result is
     post-verified by multiplying back.
     """
-    if b == 0 or a % b:
-        raise NotDivisible(f"{b} does not divide {a}")
-    if a == 0:
-        return RingElement.zero(x.epsilon)
-    if x.is_identity:
-        raise NotDivisible("ratio base must not be the identity")
-    m = a // b
-    if m >= 0:
-        items = [(x ** (j * b), 1) for j in range(m)]
-    else:
-        items = [(x ** (a + (j - 1) * b), -1) for j in range(1, -m + 1)]
-    result = RingElement.make(x.epsilon, items)
-    if result * one_minus_pow(x, b) != one_minus_pow(x, a):
-        raise NotDivisible("geometric expansion failed verification")
-    return result
+    return _series(x, geom_terms(a, b), one_minus_pow(x, b), a)
 
 
 def alt_geom_ratio(x: PiElement, two_d: int, ell: int) -> RingElement:
     """(1 - x**two_d) / (1 + x**ell) as the alternating two-branch sum."""
-    if ell == 0 or two_d % 2 or (two_d // 2) % ell:
-        raise NotDivisible(f"{ell} does not divide {two_d}/2")
-    if two_d == 0:
-        return RingElement.zero(x.epsilon)
-    if x.is_identity:
-        raise NotDivisible("ratio base must not be the identity")
-    m = two_d // ell
-    if m > 0:
-        items = [(x ** (j * ell), 1 if j % 2 == 0 else -1) for j in range(m)]
-    else:
-        items = [(x ** (-j * ell), 1 if j % 2 else -1) for j in range(1, -m + 1)]
-    result = RingElement.make(x.epsilon, items)
-    check = RingElement.make(
-        x.epsilon, [(PiElement.identity(x.epsilon), 1), (x**ell, 1)]
-    )
-    if result * check != one_minus_pow(x, two_d):
-        raise NotDivisible("alternating expansion failed verification")
-    return result
+    terms = alt_geom_terms(two_d, ell)
+    one_plus = RingElement.make(x.epsilon, [(PiElement.identity(x.epsilon), 1), (x**ell, 1)])
+    return _series(x, terms, one_plus, two_d)
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,10 @@ class HatAbs:
 
 
 @dataclass(frozen=True)
-class Tilde:
+class _Translation:
+    """An action built on translation by the nonzero parameter n, on the
+    Klein bottle group."""
+
     n: int
 
     def __post_init__(self) -> None:
@@ -74,30 +77,21 @@ class Tilde:
 
 
 @dataclass(frozen=True)
-class TildeL:
-    n: int
-    L: int
-
-    def __post_init__(self) -> None:
-        if self.n == 0:
-            raise ValueError("n must be nonzero")
-
-    epsilon = -1
+class Tilde(_Translation):
+    pass
 
 
 @dataclass(frozen=True)
-class HatL:
-    n: int
+class TildeL(_Translation):
     L: int
 
-    def __post_init__(self) -> None:
-        if self.n == 0:
-            raise ValueError("n must be nonzero")
 
-    epsilon = -1
+@dataclass(frozen=True)
+class HatL(_Translation):
+    L: int
 
 
-Action = Union[HatAbs, Tilde, TildeL, HatL]
+Action = Union[HatAbs, _Translation]
 
 
 def _check_eps(action: Action, *elements: PiElement) -> None:
@@ -141,13 +135,13 @@ def _inv(x: Pair) -> Pair:
     return (x[0] if x[1] & 1 else -x[0]), -x[1]
 
 
-def _period(action: Union[Tilde, TildeL, HatL]) -> int:
+def _period(action: _Translation) -> int:
     if isinstance(action, HatL):
         return 2 * odd_part(action.n)[0]
     return 2 * abs(action.n)
 
 
-def _heads(action: Union[Tilde, TildeL, HatL], g: Pair) -> list[tuple[Pair, int]]:
+def _heads(action: _Translation, g: Pair) -> list[tuple[Pair, int]]:
     """Heads of the families {(r, s + period*k)} whose union is the orbit of g,
     each with the character sign of reaching it from g."""
     gi = _inv(g)
@@ -200,7 +194,7 @@ class ElementClass:
     defective: bool
 
 
-def element_class(action: Union[Tilde, TildeL, HatL], g: PiElement) -> ElementClass:
+def element_class(action: _Translation, g: PiElement) -> ElementClass:
     """Stabilizer classification relative to the translation parameter n."""
     _check_eps(action, g)
     n = action.n

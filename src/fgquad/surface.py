@@ -35,19 +35,16 @@ class PiElement:
     def beta(epsilon: int, k: int = 1) -> "PiElement":
         return PiElement(epsilon, 0, k)
 
-    def _sigma(self, s: int) -> int:
-        return -1 if (self.epsilon == -1 and s % 2) else 1
-
     def _check(self, other: "PiElement") -> None:
         if self.epsilon != other.epsilon:
             raise EpsilonMismatch(f"{self.epsilon} vs {other.epsilon}")
 
     def __mul__(self, other: "PiElement") -> "PiElement":
         self._check(other)
-        return PiElement(self.epsilon, self.r + self._sigma(self.s) * other.r, self.s + other.s)
+        return PiElement(self.epsilon, self.r + self.w_eps() * other.r, self.s + other.s)
 
     def inv(self) -> "PiElement":
-        return PiElement(self.epsilon, -self._sigma(self.s) * self.r, -self.s)
+        return PiElement(self.epsilon, -self.w_eps() * self.r, -self.s)
 
     def __pow__(self, k: int) -> "PiElement":
         if k < 0:

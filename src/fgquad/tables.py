@@ -5,8 +5,9 @@ parameters and the projection of the conjugation parameter.  Each explicit
 solution family of Tables 0-4 is one ``Family``, written once: a matcher from
 ``v`` to parameters, a builder of the witness pair from word operations, and
 fixture rows with sample values of ``v``.  Closed branches point at their
-family, ``degree_two_witness`` and ``classify.pattern_witness`` walk
-``DEGREE_TWO`` and ``MIXED``, and ``verify_tables`` checks every sample row.
+family, mixed branches name their derived-equation family (``Branch.case``),
+``degree_two_witness`` and ``classify.pattern_witness`` walk ``DEGREE_TWO``
+and ``MIXED``, and ``verify_tables`` checks every sample row.
 """
 
 from __future__ import annotations
@@ -293,6 +294,7 @@ FAMILIES = (CONJUGATE, RELATOR, COMMUTATOR, *DEGREE_TWO, *MIXED)
 # ---------------------------------------------------------------------------
 
 BranchKind = Literal["exists", "not_exists", "mixed", "degree_two", "abelian"]
+CaseKind = Literal["eq2_nf", "eq3_nf", "eq4_f", "eq4_nf"]
 
 
 @dataclass(frozen=True)
@@ -300,6 +302,7 @@ class Branch:
     row: str
     kind: BranchKind
     family: Optional[Family] = None  # the witness family of an "exists" branch
+    case: Optional[CaseKind] = None  # the derived-equation family of a "mixed" branch
 
 
 def _abelian_obstructed(spec: EquationSpec) -> bool:
@@ -336,7 +339,7 @@ def table_branch(spec: EquationSpec, vbar: PiElement, v_sign: int) -> Branch:
         if theta == -1 and v_sign == 1:
             if vbar.r != 0:
                 return Branch("Table 1 (4b)", "not_exists")
-            return Branch("Table 1 (4c)", "mixed")
+            return Branch("Table 1 (4c)", "mixed", case="eq4_f")
         return Branch("Table 0 (4)", "degree_two")
     # non-faithful
     if eps == 1 and delta == 1:
@@ -347,13 +350,13 @@ def table_branch(spec: EquationSpec, vbar: PiElement, v_sign: int) -> Branch:
             return Branch("Table 2 (2b)", "exists", CONJUGATE)
         if vbar.r != 0:
             return Branch("Table 2 (2c)", "not_exists")
-        return Branch("Table 2 (2d)", "mixed")
+        return Branch("Table 2 (2d)", "mixed", case="eq2_nf")
     if eps == 1 and delta == -1:
         if theta == 1:
             return Branch("Table 2 (3a)", "exists", COMMUTATOR)
         if vbar.r % 2 or vbar.s % 2:
             return Branch("Table 2 (3b)", "not_exists")
-        return Branch("Table 2 (3c)", "mixed")
+        return Branch("Table 2 (3c)", "mixed", case="eq3_nf")
     # delta == eps == -1
     if theta == 1:
         if v_sign == -1:
@@ -363,7 +366,7 @@ def table_branch(spec: EquationSpec, vbar: PiElement, v_sign: int) -> Branch:
         return Branch("Table 2 (4c)", "not_exists")
     if vbar.s % 4 or vbar.r % 2:
         return Branch("Table 2 (4d)", "not_exists")
-    return Branch("Table 2 (4e)", "mixed")
+    return Branch("Table 2 (4e)", "mixed", case="eq4_nf")
 
 
 def instantiate_witness(family: Family, v: Word) -> Pair:

@@ -9,7 +9,7 @@ Cost model, in syllables: a product cancels only at the seam of its two
 reduced factors, so it costs the length of the result; parsing, basis
 change and powers gather syllables first and reduce once, so they are
 linear in the syllables of their result; a one-syllable power is O(1).
-``surface.project`` and ``groupring.fox_derivative`` walk integer
+``surface.project`` and ``groupring._fox_pairs`` walk integer
 coordinates ``(r, s)`` of the quotient instead of multiplying group elements.
 """
 
@@ -396,7 +396,10 @@ class _Parser:
 def parse_word(text: str, basis: BasisTag) -> Word:
     """Parse the word grammar; ``R`` is the relator and ``conj(w)`` is w R w**-1."""
     parser = _Parser(text, basis)
-    word = parser.parse_word()
+    try:
+        word = parser.parse_word()
+    except RecursionError:  # the parser recurses once per level of nesting
+        raise parser.error("nesting too deep") from None
     parser.skip_ws()
     if parser.pos != len(text):
         raise parser.error(f"unexpected character {parser.peek()!r}")

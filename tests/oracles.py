@@ -23,6 +23,10 @@ pair candidates for every translation parameter before checking any.
 ``naive_wicks_decompositions`` is the Wicks matcher before its layout table:
 it rebuilds the length compositions at every shift and compares each layout
 as lists of letter tuples, inverting a segment by reversing it.
+``naive_geom_rep_word`` and ``naive_alt_rep_word`` are the representative
+words of the first derived equation as they were written before the
+geometric series became one term list: each series spelled out as a word,
+apart from its ring sum.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from fgquad import (
 )
 from fgquad.derived import DecideResult, MixedCase, _chain_candidates, _window_values
 from fgquad.errors import DomainMismatch, EpsilonMismatch
-from fgquad.groupring import relator_jacobian_alpha
+from fgquad.groupring import conjugate_power_product, relator_jacobian_alpha
 from fgquad.orbits import Action, _check_eps
 from fgquad.wicks import _FORM_LAYOUT, _KIND_FORMS, FormName, Kind, WicksMatch
 from fgquad.words import word_from_letters
@@ -720,3 +724,29 @@ def naive_wicks_decompositions(w: Word, kind: Kind, allow_empty: bool = False) -
                 out.append(WicksMatch(shift, form, parts, u_prefix, Word.identity(w.basis), w))
     out.sort(key=lambda m: (m.shift, m.form, tuple(str(m.parts[k]) for k in sorted(m.parts))))
     return out
+
+
+def naive_geom_rep_word(eps: int, c: Word, n: int, ell: int) -> Word:
+    """Representative with image (1 - cbar^{2n}) / (1 - cbar^ell)."""
+    if n == 0:
+        return Word.identity(c.basis)
+    if n * ell > 0:
+        exps = [2 * n - j * ell for j in range(1, 2 * n // ell)] + [0]
+        return conjugate_power_product(eps, [(c**e, 1) for e in exps])
+    exps = [2 * n + j * ell for j in range(0, -2 * n // ell)]
+    return conjugate_power_product(eps, [(c**e, -1) for e in exps])
+
+
+def naive_alt_rep_word(eps: int, c: Word, D: int, ell: int) -> Word:
+    """Representative with image (1 - cbar^{2D}) / (1 + cbar^ell)."""
+    if D == 0:
+        return Word.identity(c.basis)
+    factors: list[tuple[Word, int]] = []
+    if D * ell > 0:
+        factors.extend((c ** (2 * D - 2 * j * ell), 1) for j in range(1, D // ell))
+        factors.append((Word.identity(c.basis), 1))
+        factors.extend((c ** ((2 * j - 1) * ell), -1) for j in range(1, D // ell + 1))
+    else:
+        factors.extend((c ** (2 * D + 2 * j * ell), -1) for j in range(0, -D // ell))
+        factors.extend((c ** (-(2 * j - 1) * ell), 1) for j in range(1, -D // ell + 1))
+    return conjugate_power_product(eps, factors)

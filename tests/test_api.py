@@ -3,6 +3,10 @@
 A name that is added or removed shows up as a diff of this list.
 """
 
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
 import types
 
 import fgquad
@@ -92,3 +96,15 @@ def test_submodules_are_attributes_but_not_exported():
     exec("from fgquad import *", namespace)
     assert not any(isinstance(value, types.ModuleType) for value in namespace.values())
     assert isinstance(fgquad.words, types.ModuleType) and isinstance(fgquad.wicks, types.ModuleType)
+
+
+def test_traced_names_resolve():
+    # the benchmark tracer wraps these functions by name; a missing one would
+    # break every traced run
+    path = Path(__file__).parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for name in tracer.TRACED:
+        module, function = name.split(".")
+        assert inspect.isfunction(getattr(importlib.import_module(f"fgquad.{module}"), function, None)), name

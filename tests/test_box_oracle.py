@@ -70,7 +70,7 @@ class TestSquaresBoxOracle:
         one_minus_u = RingElement.one(case.epsilon) - RingElement.monomial(u)
         gens = []
         for g in _box_elements(case.epsilon, radius):
-            sup = _q_support(one_minus_u.translate(g))
+            sup = _q_support(RingElement.monomial(g) * one_minus_u)
             if sup:
                 gens.append(sup)
         return gens
@@ -124,7 +124,7 @@ class TestBetaPowerBoxOracle:
         target = _q_support(v + self._correction(n, L))
         gens = []
         for g in _box_elements(-1, radius):
-            sup = _q_support(ratio.translate(g))
+            sup = _q_support(RingElement.monomial(g) * ratio)
             if sup:
                 gens.append(sup)
         return _gf2_member(target, gens)

@@ -201,3 +201,15 @@ class TestWitnessCheck:
             classify(spec, parse_word("a b a", ADAPTED_PLUS))
         assert isinstance(exc.value, FgquadError)
         assert isinstance(exc.value, ArithmeticError)
+
+    @pytest.mark.parametrize("frame", ["adapted_xy", "original_z"])
+    def test_failed_degree_two_witness_is_typed(self, monkeypatch, frame):
+        classify_module = importlib.import_module("fgquad.classify")
+
+        def wrong_pair(spec, v_classic):
+            return v_classic, v_classic
+
+        monkeypatch.setattr(classify_module, "degree_two_witness", wrong_pair)
+        spec = EquationSpec(1, 1, 1, "faithful", frame)
+        with pytest.raises(WitnessUnverified, match=r"Table 0 \(1\)"):
+            classify(spec, parse_word("a", spec.basis))

@@ -81,6 +81,22 @@ class TestCliBehavior:
             build_parser().parse_args(["classify", "--word", "a"])
         assert exc.value.code == 2
 
+    def test_non_utf8_batch_is_an_unreadable_file(self, capsys, tmp_path):
+        batch = tmp_path / "words.bin"
+        batch.write_bytes(b"a\n\xff\xfe b\n")
+        code, out = run_cli(
+            ["classify", "--delta", "1", "--epsilon", "-1", "--theta", "-1",
+             "--class", "nonfaithful", "--batch", str(batch)]
+        )
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"error: cannot read {batch}: not UTF-8 text\n"
+
+    def test_deep_nesting_is_a_syntax_error(self, capsys):
+        code, out = run_cli(["canon", "--epsilon", "1", "--word", "(" * 2000 + "a" + ")" * 2000])
+        assert (code, out) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: nesting too deep (at offset ") and err.count("\n") == 1
+
     def test_parse_error_exit_code(self, capsys):
         code, _ = run_cli(["qn", "--epsilon", "-1", "--word", "a ?"])
         assert code == 1

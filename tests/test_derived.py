@@ -4,6 +4,7 @@ import pytest
 
 from conftest import ADAPTED_MINUS, ADAPTED_PLUS, random_pi, random_word
 from fgquad import (
+    BasisTag,
     EquationSpec,
     HatAbs,
     MixedCase,
@@ -22,7 +23,8 @@ from fgquad import (
     second_decide,
 )
 from fgquad import derived
-from fgquad.groupring import one_minus_pow
+from fgquad.groupring import alt_geom_terms, conjugate_power_product, geom_terms, one_minus_pow
+from oracles import naive_alt_rep_word, naive_geom_rep_word
 
 
 def ring(eps, *terms):
@@ -107,6 +109,36 @@ class TestFirstSolutions:
             case = MixedCase(kind, n=n, m=m)
             sols = first_solutions(case, case.vbar, 2)
             assert sols
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_term_list_words_match_the_old_builders(self, eps):
+        basis = BasisTag.adapted(eps)
+
+        def word(c, terms):
+            return conjugate_power_product(eps, [(c**e, sign) for e, sign in terms])
+
+        for c in (parse_word(text, basis) for text in ("b", "b A^2", "a B a")):
+            for n in range(-12, 13):
+                for ell in (k for k in range(-24, 25) if k and (2 * n) % k == 0):
+                    assert word(c, geom_terms(2 * n, ell)) == naive_geom_rep_word(eps, c, n, ell)
+                for ell in (k for k in range(-12, 13) if k and n % k == 0):
+                    assert word(c, alt_geom_terms(2 * n, ell)) == naive_alt_rep_word(eps, c, n, ell)
+
+    @pytest.mark.parametrize("kind", ["eq2_nf", "eq4_f", "eq3_nf", "eq4_nf"])
+    def test_entry_words_match_the_old_builders(self, kind):
+        for n in range(-12, 13):
+            for m in (0, 1, -2, 6) if kind in ("eq3_nf", "eq4_nf") else (0,):
+                case = MixedCase(kind, n=n, m=m)
+                if m == n == 0 and case.has_two_params:
+                    continue
+                for sol in first_solutions(case, case.vbar, 2):
+                    if case.has_two_params:
+                        expected = naive_alt_rep_word(case.epsilon, case.c_word, case.d, sol.ell)
+                    else:
+                        c_l = Word.from_syllables(ADAPTED_MINUS, [(1, 1), (0, -sol.L)])
+                        old = naive_geom_rep_word if kind == "eq2_nf" else naive_alt_rep_word
+                        expected = old(-1, c_l, n, sol.ell)
+                    assert sol.x_word == expected
 
     def test_rank1_holds_on_entries(self):
         for kind, n, m in [("eq2_nf", 2, 0), ("eq4_f", 3, 0), ("eq3_nf", 2, 4), ("eq4_nf", 1, 2)]:

@@ -1,3 +1,8 @@
+import os
+from pathlib import Path
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 
@@ -18,6 +23,7 @@ from fgquad import (
     square_root,
     verify_solution,
 )
+import fgquad
 from fgquad.words import solution_is_faithful, swap_frame
 
 
@@ -60,6 +66,17 @@ class TestParse:
     def test_unbalanced(self):
         with pytest.raises(WordSyntaxError):
             parse_word("(a b", CLASSIC_PLUS)
+
+    def test_nesting_that_fits_the_stack_still_parses(self):
+        # a fresh interpreter at the default recursion limit parses 331
+        # levels, three parser frames per level
+        code = (
+            "from fgquad import BasisTag, parse_word; "
+            "print(parse_word('(' * 331 + 'a' + ')' * 331, BasisTag.adapted(1)))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(fgquad.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "a\n")
 
     @given(words_strategy(ADAPTED_MINUS))
     def test_roundtrip(self, w):
