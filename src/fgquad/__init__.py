@@ -8,7 +8,6 @@ from .derived import (
     MixedCase,
     analyze_v,
     first_solutions,
-    rank1_check,
     second_decide,
 )
 from .errors import (
@@ -48,8 +47,8 @@ from .orbits import (
     orbit_key,
     same_orbit,
 )
-from .quotient import QElement, p_q, q_divisible_by_two, q_nf_commutator
-from .surface import PiElement, apply_phi, project
+from .quotient import QElement, p_q, q_divisible_by_two
+from .surface import PiElement, project
 from .tables import verify_tables
 from .wicks import WicksMatch, WicksReport, extract_solution, wicks_decompositions, wicks_search
 from .words import (
@@ -75,15 +74,15 @@ from .words import (
 __all__ = [
     "Budgets", "Verdict", "classify", "pattern_witness",
     "ConjData", "DecideResult", "FirstSolution", "MixedCase", "analyze_v", "first_solutions",
-    "rank1_check", "second_decide",
+    "second_decide",
     "BasisMismatch", "BudgetExceeded", "CaseMismatch", "DomainMismatch", "EpsilonMismatch",
     "ExtractionFailed", "FgquadError", "InconsistentSign", "InvalidBudget", "NotDivisible",
     "NotInKernel", "NotMixedCase", "SingularBase", "WitnessUnverified", "WordSyntaxError",
     "RingElement", "alt_geom_ratio", "exact_divide", "fox_derivative", "geom_ratio", "q_n",
     "ElementClass", "HatAbs", "HatL", "Tilde", "TildeL", "augment", "element_class", "odd_part",
     "orbit_key", "same_orbit",
-    "QElement", "p_q", "q_divisible_by_two", "q_nf_commutator",
-    "PiElement", "apply_phi", "project",
+    "QElement", "p_q", "q_divisible_by_two",
+    "PiElement", "project",
     "verify_tables",
     "WicksMatch", "WicksReport", "extract_solution", "wicks_decompositions", "wicks_search",
     "BasisTag", "EquationSpec", "VerifyResult", "Word", "change_basis", "comm", "conj",

@@ -57,8 +57,13 @@ def _add_word_flags(parser: argparse.ArgumentParser, batch: bool = False) -> Non
 
 
 def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--wicks-len", type=int, default=64, help="cyclic length budget (default 64)")
-    parser.add_argument("--enum-bound", type=int, default=8, help="enumeration bound (default 8)")
+    default = Budgets()
+    parser.add_argument(
+        "--wicks-len", type=int, default=default.wicks_len, help="cyclic length budget (default %(default)s)"
+    )
+    parser.add_argument(
+        "--enum-bound", type=int, default=default.enum_bound, help="enumeration bound (default %(default)s)"
+    )
     parser.add_argument("--l-window", type=int, default=None, help="widen the translation window")
     parser.add_argument(
         "--output", choices=("jsonl", "text"), default="jsonl", help="output format (default jsonl)"

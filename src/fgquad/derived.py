@@ -215,32 +215,6 @@ def first_solutions(case: MixedCase, vbar: PiElement, bound: int) -> list[FirstS
     return [_check_first(case, sol) for sol in _first_candidates(case, bound)]
 
 
-def rank1_check(vbar: PiElement, ybar: PiElement, delta: int, theta: int) -> Optional[int]:
-    """Find k with vbar == ybar**k and theta * delta**k == -1, if any."""
-
-    def sign_ok(k: int) -> bool:
-        d_pow = -1 if (delta == -1 and k % 2) else 1
-        return theta * d_pow == -1
-
-    candidates: list[int]
-    if ybar.s != 0:
-        if vbar.s % ybar.s:
-            return None
-        candidates = [vbar.s // ybar.s]
-    elif ybar.r != 0:
-        if vbar.s != 0 or vbar.r % ybar.r:
-            return None
-        candidates = [vbar.r // ybar.r]
-    else:
-        if not vbar.is_identity:
-            return None
-        candidates = [0, 1]
-    for k in candidates:
-        if ybar**k == vbar and sign_ok(k):
-            return k
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Second derived equation: solvability decider
 # ---------------------------------------------------------------------------

@@ -11,8 +11,7 @@ from typing import Iterable, Iterator
 
 from .errors import DomainMismatch, EpsilonMismatch
 from .groupring import RingElement, SparseSum
-from .surface import PiElement, project
-from .words import Word
+from .surface import PiElement
 
 
 def representative(g: PiElement) -> tuple[PiElement, int]:
@@ -46,28 +45,6 @@ class QElement(SparseSum):
 def p_q(p: RingElement) -> QElement:
     """Project a ring element: drop the identity, fold g onto g**-1."""
     return QElement.make(p.epsilon, p.terms.items(), p.mod)
-
-
-def q_nf_commutator(
-    left: Iterable[tuple[Word, int]], right: Iterable[tuple[Word, int]]
-) -> QElement:
-    """Image in Q of the commutator of two products of relator conjugates.
-
-    [prod_i (u_i R u_i^-1)^{n_i}, prod_j (v_j R v_j^-1)^{m_j}] maps to the
-    class of sum_{i,j} n_i m_j * class(u_i)^-1 class(v_j).
-    """
-    lefts = [(project(u), n) for u, n in left]
-    rights = [(project(v), m) for v, m in right]
-    if not lefts or not rights:
-        eps = (lefts or rights)[0][0].epsilon if (lefts or rights) else 1
-        return QElement.zero(eps)
-    eps = lefts[0][0].epsilon
-    items = [
-        (ubar.inv() * vbar, n * m)
-        for ubar, n in lefts
-        for vbar, m in rights
-    ]
-    return QElement.make(eps, items)
 
 
 def q_divisible_by_two(x: QElement) -> bool:

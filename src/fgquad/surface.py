@@ -83,12 +83,3 @@ def project(w: Word) -> PiElement:
             r += -exp if twisted and s & 1 else exp
     return PiElement(w.basis.epsilon, r, s)
 
-
-def apply_phi(L: int, x: PiElement) -> PiElement:
-    """The automorphism power sending alpha -> alpha, beta -> beta*alpha^L.
-
-    In canonical coordinates: (r, s) -> (r - L*(s mod 2), s), Klein bottle only.
-    """
-    if x.epsilon != -1:
-        raise EpsilonMismatch("phi is an automorphism of the Klein bottle group")
-    return PiElement(-1, x.r - L * (x.s % 2), x.s)

@@ -28,7 +28,6 @@ from .words import (
     sgn,
     square_root,
     verify_solution,
-    word_from_letters,
 )
 
 Pair = tuple[Word, Word]
@@ -111,7 +110,7 @@ def _primitive_root(v: Word) -> tuple[Word, int]:
         step = m // e
         chunk = letters[:step]
         if all(letters[i * step : (i + 1) * step] == chunk for i in range(e)):
-            return t * word_from_letters(v.basis, chunk) * t.inv(), e
+            return t * Word.from_syllables(v.basis, chunk) * t.inv(), e
     return v, 1
 
 

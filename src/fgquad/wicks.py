@@ -26,10 +26,8 @@ from .words import (
     comm,
     cyclic_reduce,
     equation_rhs,
-    square_root,
     swap_frame,
     verify_solution,
-    word_from_letters,
 )
 
 FormName = Literal[
@@ -61,20 +59,18 @@ class WicksMatch:
     form: FormName
     parts: dict[str, Word]
     u_prefix: Word  # cyclic-shift prefix U_i with W = U_i V_i, W_i = V_i U_i
-    t: Word  # cyclic-reduction conjugator of the original right-hand side
     core: Word
 
 
-def _enumerate_lengths(n_parts: int, total: int, allow_empty: bool) -> list[tuple[int, ...]]:
-    lo = 0 if allow_empty else 1
+def _enumerate_lengths(n_parts: int, total: int) -> list[tuple[int, ...]]:
+    """Every composition of ``total`` into ``n_parts`` parts, empty ones too."""
     out: list[tuple[int, ...]] = []
 
     def rec(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
         if slots == 1:
-            if remaining >= lo:
-                out.append(prefix + (remaining,))
+            out.append(prefix + (remaining,))
             return
-        for v in range(lo, remaining - lo * (slots - 1) + 1):
+        for v in range(remaining + 1):
             rec(prefix + (v,), remaining - v, slots - 1)
 
     rec((), total, n_parts)
@@ -87,13 +83,13 @@ def _enumerate_lengths(n_parts: int, total: int, allow_empty: bool) -> list[tupl
 _Layout = tuple[FormName, tuple[tuple[str, int, int], ...], tuple[tuple[int, int, int, bool], ...]]
 
 
-def _layout_table(kind: Kind, half: int, allow_empty: bool) -> list[_Layout]:
+def _layout_table(kind: Kind, half: int) -> list[_Layout]:
     """Every layout of the kind's forms, in form order, then composition order."""
     table: list[_Layout] = []
     for form in _KIND_FORMS[kind]:
         layout = _FORM_LAYOUT[form]
         part_names = sorted({name for name, _ in layout})
-        for combo in _enumerate_lengths(len(part_names), half, allow_empty):
+        for combo in _enumerate_lengths(len(part_names), half):
             lengths = dict(zip(part_names, combo))
             starts: dict[str, int] = {}
             checks: list[tuple[int, int, int, bool]] = []
@@ -110,20 +106,18 @@ def _layout_table(kind: Kind, half: int, allow_empty: bool) -> list[_Layout]:
     return table
 
 
-def wicks_decompositions(
-    w: Word, kind: Kind, allow_empty: bool = False
-) -> list[WicksMatch]:
+def wicks_decompositions(w: Word, kind: Kind) -> list[WicksMatch]:
     """All positional matches of the quadratic forms over all cyclic shifts.
 
-    ``w`` must be cyclically reduced; parts are nonempty unless
-    ``allow_empty`` is set.
+    ``w`` must be cyclically reduced; parts may be empty, which covers the
+    degenerate forms.
     """
     letters = list(w.letters())
     n = len(letters)
     out: list[WicksMatch] = []
     if n == 0 or n % 2:
         return out
-    table = _layout_table(kind, n // 2, allow_empty)
+    table = _layout_table(kind, n // 2)
     doubled = letters + letters
     code = [(g + 1) * e for g, e in doubled]
     # inverse[2n - x - k : 2n - x] is the inverse of code[x : x + k]
@@ -142,12 +136,12 @@ def wicks_decompositions(
             else:
                 # no dedupe: two compositions differ in some part's length
                 if u_prefix is None:
-                    u_prefix = word_from_letters(w.basis, letters[:shift])
+                    u_prefix = Word.from_syllables(w.basis, letters[:shift])
                 parts = {
-                    name: word_from_letters(w.basis, doubled[shift + start : shift + start + k])
+                    name: Word.from_syllables(w.basis, doubled[shift + start : shift + start + k])
                     for name, start, k in spans
                 }
-                out.append(WicksMatch(shift, form, parts, u_prefix, Word.identity(w.basis), w))
+                out.append(WicksMatch(shift, form, parts, u_prefix, w))
     out.sort(key=lambda m: (m.shift, m.form, tuple(str(m.parts[k]) for k in sorted(m.parts))))
     return out
 
@@ -163,16 +157,17 @@ def _canonical_pair(match: WicksMatch) -> tuple[Word, Word]:
     return p["a"] * p["b"] * p["c"] * p["a"].inv(), p["a"] * p["c"].inv()
 
 
-def extract_solution(match: WicksMatch) -> tuple[Word, Word]:
+def extract_solution(match: WicksMatch, t: Word) -> tuple[Word, Word]:
     """Canonical solution of the matched form, conjugated back to the source.
 
+    ``t`` is the cyclic-reduction conjugator of the source right-hand side.
     The returned pair satisfies Q(x, y) == t * core * t^-1 for the quadratic
     word of the form's kind; failure to verify signals a matcher bug.
     """
     x0, y0 = _canonical_pair(match)
-    g = match.t * match.u_prefix
+    g = t * match.u_prefix
     x, y = g * x0 * g.inv(), g * y0 * g.inv()
-    target = match.t * match.core * match.t.inv()
+    target = t * match.core * t.inv()
     if match.form.startswith("orientable"):
         ok = comm(x, y) == target
     else:
@@ -206,24 +201,21 @@ def wicks_search(spec: EquationSpec, v: Word, wicks_len: int = 64) -> WicksRepor
     the run is evidence of non-existence for that class, in the sense of the
     canonical-solution analysis.
     """
-    rhs = equation_rhs(spec, v)
-    core, t = cyclic_reduce(rhs)
+    core, t = cyclic_reduce(equation_rhs(spec, v))
     if len(core) > wicks_len:
         raise BudgetExceeded(f"cyclic right-hand side length {len(core)} > {wicks_len}")
     kind: Kind = "commutator" if spec.delta == 1 else "two_squares"
     solutions: list[tuple[tuple[Word, Word], bool]] = []
     seen: set[tuple[str, str]] = set()
 
-    def consider(z1: Word, z2: Word, from_match: bool = False) -> None:
+    def consider(z1: Word, z2: Word) -> None:
         x, y = (z1, z2) if spec.frame == "original_z" else swap_frame(spec.delta, z1, z2)
         key = (str(x), str(y))
         if key in seen:
             return
         result = verify_solution(spec, v, x, y)
         if not result.holds:
-            if from_match:
-                raise ExtractionFailed(f"extracted pair failed re-verification: {x}, {y}")
-            return
+            raise ExtractionFailed(f"candidate pair failed re-verification: {x}, {y}")
         seen.add(key)
         solutions.append(((x, y), result.faithful))
 
@@ -231,17 +223,10 @@ def wicks_search(spec: EquationSpec, v: Word, wicks_len: int = 64) -> WicksRepor
         for z1, z2 in _trivial_candidates(spec, spec.basis):
             consider(z1, z2)
         return WicksReport(solutions, True, [])
-    # solutions are gathered with empty parts admitted (degenerate forms);
-    # the reported match list keeps the nonempty convention
-    all_matches = wicks_decompositions(core, kind, allow_empty=True)
-    matches = [m for m in all_matches if all(not p.is_identity for p in m.parts.values())]
+    # solutions are gathered from every match, degenerate forms included; the
+    # reported match list keeps the nonempty convention
+    all_matches = wicks_decompositions(core, kind)
     for match in all_matches:
-        match = WicksMatch(match.shift, match.form, match.parts, match.u_prefix, t, core)
-        z1, z2 = extract_solution(match)
-        consider(z1, z2, from_match=True)
-    if spec.delta == -1:
-        root = square_root(rhs)
-        if root is not None:
-            consider(root, Word.identity(spec.basis))
-            consider(Word.identity(spec.basis), root)
+        consider(*extract_solution(match, t))
+    matches = [m for m in all_matches if all(not p.is_identity for p in m.parts.values())]
     return WicksReport(solutions, True, matches)

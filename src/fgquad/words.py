@@ -179,10 +179,6 @@ def comm(u: Word, w: Word) -> Word:
     return u * w * u.inv() * w.inv()
 
 
-def word_from_letters(basis: BasisTag, letters: list[tuple[int, int]]) -> Word:
-    return Word.from_syllables(basis, [(g, e) for g, e in letters])
-
-
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     """Split ``w = t * core * t**-1`` with ``core`` cyclically reduced."""
     syls = list(w.syls)

@@ -23,16 +23,24 @@ pair candidates for every translation parameter before checking any.
 ``naive_wicks_decompositions`` is the Wicks matcher before its layout table:
 it rebuilds the length compositions at every shift and compares each layout
 as lists of letter tuples, inverting a segment by reversing it.
-``naive_geom_rep_word`` and ``naive_alt_rep_word`` are the representative
-words of the first derived equation as they were written before the
-geometric series became one term list: each series spelled out as a word,
-apart from its ring sum.
+It admits empty parts unless told otherwise, as the library matcher does, so
+it can stand in for it; ``nonempty`` keeps the matches with every part
+nonempty.  ``naive_geom_rep_word`` and ``naive_alt_rep_word`` are the
+representative words of the first derived equation as they were written
+before the geometric series became one term list: each series spelled out as
+a word, apart from its ring sum.
+
+Three functions that no verdict runs live here as well, for the tests that
+check the algebra with them: ``apply_phi``, the Klein-bottle automorphism
+beta -> beta*alpha^L on canonical coordinates; ``q_nf_commutator``, the image
+in Q of a commutator of two products of relator conjugates; and
+``rank1_check``, which finds k with vbar == ybar**k and the sign condition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from fgquad import (
     BasisTag,
@@ -42,6 +50,7 @@ from fgquad import (
     NotDivisible,
     NotInKernel,
     PiElement,
+    QElement,
     RingElement,
     SingularBase,
     Tilde,
@@ -58,7 +67,6 @@ from fgquad.errors import DomainMismatch, EpsilonMismatch
 from fgquad.groupring import conjugate_power_product, relator_jacobian_alpha
 from fgquad.orbits import Action, _check_eps
 from fgquad.wicks import _FORM_LAYOUT, _KIND_FORMS, FormName, Kind, WicksMatch
-from fgquad.words import word_from_letters
 
 
 def reduce_syllables(syllables: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -696,10 +704,10 @@ def _try_layout(
             segments[name] = seg
     if pos != len(letters):
         return None
-    return {name: word_from_letters(basis, seg) for name, seg in segments.items()}
+    return {name: Word.from_syllables(basis, seg) for name, seg in segments.items()}
 
 
-def naive_wicks_decompositions(w: Word, kind: Kind, allow_empty: bool = False) -> list[WicksMatch]:
+def naive_wicks_decompositions(w: Word, kind: Kind, allow_empty: bool = True) -> list[WicksMatch]:
     """All positional matches, every composition rebuilt and compared per shift."""
     letters = list(w.letters())
     n = len(letters)
@@ -709,7 +717,7 @@ def naive_wicks_decompositions(w: Word, kind: Kind, allow_empty: bool = False) -
         return out
     for shift in range(n):
         rotated = letters[shift:] + letters[:shift]
-        u_prefix = word_from_letters(w.basis, letters[:shift])
+        u_prefix = Word.from_syllables(w.basis, letters[:shift])
         for form in _KIND_FORMS[kind]:
             part_names = sorted({name for name, _ in _FORM_LAYOUT[form]})
             for combo in _enumerate_lengths(len(part_names), n // 2, allow_empty):
@@ -721,9 +729,14 @@ def naive_wicks_decompositions(w: Word, kind: Kind, allow_empty: bool = False) -
                 if key in seen:
                     continue
                 seen.add(key)
-                out.append(WicksMatch(shift, form, parts, u_prefix, Word.identity(w.basis), w))
+                out.append(WicksMatch(shift, form, parts, u_prefix, w))
     out.sort(key=lambda m: (m.shift, m.form, tuple(str(m.parts[k]) for k in sorted(m.parts))))
     return out
+
+
+def nonempty(matches: list[WicksMatch]) -> list[WicksMatch]:
+    """The matches whose parts are all nonempty (no degenerate form)."""
+    return [m for m in matches if all(not p.is_identity for p in m.parts.values())]
 
 
 def naive_geom_rep_word(eps: int, c: Word, n: int, ell: int) -> Word:
@@ -750,3 +763,61 @@ def naive_alt_rep_word(eps: int, c: Word, D: int, ell: int) -> Word:
         factors.extend((c ** (2 * D + 2 * j * ell), -1) for j in range(0, -D // ell))
         factors.extend((c ** (-(2 * j - 1) * ell), 1) for j in range(1, -D // ell + 1))
     return conjugate_power_product(eps, factors)
+
+
+def apply_phi(L: int, x: PiElement) -> PiElement:
+    """The automorphism power sending alpha -> alpha, beta -> beta*alpha^L.
+
+    In canonical coordinates: (r, s) -> (r - L*(s mod 2), s), Klein bottle only.
+    """
+    if x.epsilon != -1:
+        raise EpsilonMismatch("phi is an automorphism of the Klein bottle group")
+    return PiElement(-1, x.r - L * (x.s % 2), x.s)
+
+
+def q_nf_commutator(
+    left: Iterable[tuple[Word, int]], right: Iterable[tuple[Word, int]]
+) -> QElement:
+    """Image in Q of the commutator of two products of relator conjugates.
+
+    [prod_i (u_i R u_i^-1)^{n_i}, prod_j (v_j R v_j^-1)^{m_j}] maps to the
+    class of sum_{i,j} n_i m_j * class(u_i)^-1 class(v_j).
+    """
+    lefts = [(project(u), n) for u, n in left]
+    rights = [(project(v), m) for v, m in right]
+    if not lefts or not rights:
+        eps = (lefts or rights)[0][0].epsilon if (lefts or rights) else 1
+        return QElement.zero(eps)
+    eps = lefts[0][0].epsilon
+    items = [
+        (ubar.inv() * vbar, n * m)
+        for ubar, n in lefts
+        for vbar, m in rights
+    ]
+    return QElement.make(eps, items)
+
+
+def rank1_check(vbar: PiElement, ybar: PiElement, delta: int, theta: int) -> Optional[int]:
+    """Find k with vbar == ybar**k and theta * delta**k == -1, if any."""
+
+    def sign_ok(k: int) -> bool:
+        d_pow = -1 if (delta == -1 and k % 2) else 1
+        return theta * d_pow == -1
+
+    candidates: list[int]
+    if ybar.s != 0:
+        if vbar.s % ybar.s:
+            return None
+        candidates = [vbar.s // ybar.s]
+    elif ybar.r != 0:
+        if vbar.s != 0 or vbar.r % ybar.r:
+            return None
+        candidates = [vbar.r // ybar.r]
+    else:
+        if not vbar.is_identity:
+            return None
+        candidates = [0, 1]
+    for k in candidates:
+        if ybar**k == vbar and sign_ok(k):
+            return k
+    return None

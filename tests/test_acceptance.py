@@ -34,7 +34,7 @@ from fgquad import (
     wicks_search,
 )
 from fgquad.groupring import conjugate_power_product, one_minus_pow
-from oracles import naive_wicks_decompositions
+from oracles import naive_wicks_decompositions, nonempty
 from test_cli import GOLDEN_DIR, GOLDEN_INVOCATIONS, run_cli
 from test_orbits import HAT_ABS_MINUS, HAT_ABS_PLUS, HAT_L, TILDE, TILDE_L, assert_box_agreement
 from test_quotient import congruent, one_plus_ratio
@@ -60,7 +60,7 @@ def test_criterion_2_wicks_example():
     v = parse_word("conj(a) conj(A)", ADAPTED_MINUS)
     core, _ = cyclic_reduce(equation_rhs(spec, v))
     assert len(core) == 26
-    matches = wicks_decompositions(core, "commutator")
+    matches = nonempty(wicks_decompositions(core, "commutator"))
     shifts = sorted(m.shift for m in matches)
     assert shifts == [0, 1, 6, 7, 8, 9, 10, 13, 14, 19, 20, 21, 22, 23]
     kinds = {m.shift: m.form for m in matches}

@@ -19,7 +19,6 @@ from fgquad import (
     parse_word,
     pattern_witness,
     project,
-    rank1_check,
     relator_in,
     sgn,
     verify_solution,
@@ -27,7 +26,7 @@ from fgquad import (
 )
 from fgquad.tables import all_fixtures
 from fgquad.words import solution_is_faithful
-from oracles import naive_wicks_decompositions
+from oracles import naive_wicks_decompositions, rank1_check
 
 
 class TestClassifyExamples:

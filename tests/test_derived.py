@@ -18,13 +18,12 @@ from fgquad import (
     parse_word,
     project,
     q_n,
-    rank1_check,
     same_orbit,
     second_decide,
 )
 from fgquad import derived
 from fgquad.groupring import alt_geom_terms, conjugate_power_product, geom_terms, one_minus_pow
-from oracles import naive_alt_rep_word, naive_geom_rep_word
+from oracles import naive_alt_rep_word, naive_geom_rep_word, rank1_check
 
 
 def ring(eps, *terms):

@@ -13,9 +13,9 @@ from fgquad import (
     p_q,
     parse_word,
     q_divisible_by_two,
-    q_nf_commutator,
 )
 from fgquad.groupring import one_minus_pow
+from oracles import q_nf_commutator
 from test_groupring import random_ring
 
 

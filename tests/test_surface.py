@@ -8,12 +8,12 @@ from fgquad import (
     EpsilonMismatch,
     PiElement,
     Word,
-    apply_phi,
     change_basis,
     parse_word,
     project,
     relator,
 )
+from oracles import apply_phi
 
 
 def pi_elements(epsilon: int):

@@ -21,8 +21,8 @@ from fgquad import (
     wicks_search,
 )
 from fgquad.tables import all_fixtures
-from fgquad.words import solution_is_faithful
-from oracles import naive_wicks_decompositions
+from fgquad.words import solution_is_faithful, swap_frame
+from oracles import naive_wicks_decompositions, nonempty
 
 
 class TestRhs:
@@ -69,7 +69,7 @@ class TestExtractionIdentities:
 class TestDecompositions:
     def test_plain_commutator(self):
         w = parse_word("a b A B", ADAPTED_PLUS)
-        matches = wicks_decompositions(w, "commutator")
+        matches = nonempty(wicks_decompositions(w, "commutator"))
         at_zero = [m for m in matches if m.shift == 0]
         assert len(at_zero) == 1
         m = at_zero[0]
@@ -80,7 +80,7 @@ class TestDecompositions:
         spec = EquationSpec(1, -1, -1, "nonfaithful", "adapted_xy")
         rhs = equation_rhs(spec, parse_word("conj(a) conj(A)", ADAPTED_MINUS))
         core, _ = cyclic_reduce(rhs)
-        matches = wicks_decompositions(core, "commutator")
+        matches = nonempty(wicks_decompositions(core, "commutator"))
         shifts = sorted(m.shift for m in matches)
         assert shifts == [0, 1, 6, 7, 8, 9, 10, 13, 14, 19, 20, 21, 22, 23]
         kinds = {m.shift: m.form for m in matches}
@@ -136,7 +136,7 @@ def matcher_cores(draw):
 
 def match_rows(matches):
     return [
-        (m.shift, m.form, [(k, str(p)) for k, p in sorted(m.parts.items())], str(m.u_prefix), str(m.t), str(m.core))
+        (m.shift, m.form, [(k, str(p)) for k, p in sorted(m.parts.items())], str(m.u_prefix), str(m.core))
         for m in matches
     ]
 
@@ -146,7 +146,8 @@ class TestMatcherOracle:
 
     @given(matcher_cores(), st.sampled_from(("commutator", "two_squares")), st.booleans())
     def test_same_ordered_matches(self, core, kind, allow_empty):
-        assert match_rows(wicks_decompositions(core, kind, allow_empty)) == match_rows(
+        matches = wicks_decompositions(core, kind)
+        assert match_rows(matches if allow_empty else nonempty(matches)) == match_rows(
             naive_wicks_decompositions(core, kind, allow_empty)
         )
 
@@ -159,8 +160,9 @@ class TestMatcherOracle:
             parts = [random_word(rng, basis, rng.choice((0, 1, 2))) for _ in range(3)]
             core, _ = cyclic_reduce(TEMPLATES[form](*parts))
             kind = "commutator" if form.startswith("orientable") else "two_squares"
+            every = wicks_decompositions(core, kind)
             for allow_empty in (False, True):
-                matches = wicks_decompositions(core, kind, allow_empty)
+                matches = every if allow_empty else nonempty(every)
                 assert match_rows(matches) == match_rows(naive_wicks_decompositions(core, kind, allow_empty))
                 seen.update((m.form, any(p.is_identity for p in m.parts.values())) for m in matches)
         # an empty part of d e d^-1 e^-1 leaves e e^-1, which no reduced core is
@@ -178,7 +180,7 @@ class TestExtraction:
         from fgquad import extract_solution
 
         for m in matches:
-            x, y = extract_solution(m)
+            x, y = extract_solution(m, Word.identity(basis))
             assert x * y * x.inv() * y.inv() == w
 
     def test_two_squares_bounded_search_agrees(self):
@@ -208,8 +210,50 @@ class TestExtraction:
         matches = wicks_decompositions(w, "two_squares")
         from fgquad import extract_solution
 
-        pairs = [extract_solution(m) for m in matches]
+        pairs = [extract_solution(m, Word.identity(basis)) for m in matches]
         assert any(x * x * y * y == w for x, y in pairs)
+
+
+class TestSquareRoots:
+    """A square right-hand side t h h t^-1 is solved by the two degenerate
+    layouts of a a b c c b^-1 at shift 0, with no square-root shortcut."""
+
+    @pytest.mark.parametrize("frame", ["adapted_xy", "original_z"])
+    @pytest.mark.parametrize("epsilon", [1, -1])
+    def test_square_cores_match_both_degenerate_layouts(self, epsilon, frame):
+        basis = EquationSpec(-1, epsilon, 1, "faithful", frame).basis
+        rng = random.Random(epsilon * 2 + (frame == "original_z"))
+        one = Word.identity(basis)
+        checked = 0
+        while checked < 60:
+            h, _ = cyclic_reduce(random_word(rng, basis, 5))
+            if h.is_identity:
+                continue
+            layouts = {
+                (str(m.parts["a"]), str(m.parts["b"]), str(m.parts["c"]))
+                for m in wicks_decompositions(h * h, "two_squares")
+                if m.shift == 0 and m.form == "nonorientable_aabcc"
+            }
+            assert {(str(h), str(one), str(one)), (str(one), str(one), str(h))} <= layouts, h
+            checked += 1
+
+    @pytest.mark.parametrize("frame", ["adapted_xy", "original_z"])
+    @pytest.mark.parametrize("epsilon", [1, -1])
+    def test_square_right_hand_sides_give_both_root_pairs(self, epsilon, frame):
+        rng = random.Random(10 + epsilon * 2 + (frame == "original_z"))
+        checked = 0
+        while checked < 30:
+            spec = EquationSpec(-1, epsilon, rng.choice((1, -1)), rng.choice(("faithful", "nonfaithful")), frame)
+            v = random_word(rng, spec.basis, 3)
+            rhs = equation_rhs(spec, v)
+            root = square_root(rhs)
+            if root is None or rhs.is_identity:
+                continue
+            one = Word.identity(spec.basis)
+            pairs = {pair for pair, _ in wicks_search(spec, v).solutions}
+            for z1, z2 in ((root, one), (one, root)):
+                assert (swap_frame(-1, z1, z2) if frame == "adapted_xy" else (z1, z2)) in pairs, v
+            checked += 1
 
 
 class TestSearch:

@@ -102,14 +102,14 @@ def test_wicks_matcher_on_a_core_at_the_default_budget(monkeypatch):
     builds = []
     enumerate_lengths = fgquad.wicks._enumerate_lengths
 
-    def counted(n_parts, total, allow_empty):
+    def counted(n_parts, total):
         builds.append(n_parts)
-        return enumerate_lengths(n_parts, total, allow_empty)
+        return enumerate_lengths(n_parts, total)
 
     monkeypatch.setattr(fgquad.wicks, "_enumerate_lengths", counted)
     start = perf_counter()
     for kind in ("commutator", "two_squares"):
-        fgquad.wicks.wicks_decompositions(core, kind, allow_empty=True)
+        fgquad.wicks.wicks_decompositions(core, kind)
     assert perf_counter() - start < 0.25
     # once per call and form: (a, b, c) then (d, e); then the two three-part forms
     assert builds == [3, 2, 3, 3]
