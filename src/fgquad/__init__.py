@@ -35,18 +35,7 @@ from .groupring import (
     geom_ratio,
     q_n,
 )
-from .orbits import (
-    ElementClass,
-    HatAbs,
-    HatL,
-    Tilde,
-    TildeL,
-    augment,
-    element_class,
-    odd_part,
-    orbit_key,
-    same_orbit,
-)
+from .orbits import HatAbs, HatL, Tilde, TildeL, augment, odd_part, orbit_key, same_orbit
 from .quotient import QElement, p_q, q_divisible_by_two
 from .surface import PiElement, project
 from .tables import verify_tables
@@ -62,7 +51,6 @@ from .words import (
     cyclic_reduce,
     equation_rhs,
     parse_word,
-    relator,
     relator_in,
     sgn,
     square_root,
@@ -79,14 +67,13 @@ __all__ = [
     "ExtractionFailed", "FgquadError", "InconsistentSign", "InvalidBudget", "NotDivisible",
     "NotInKernel", "NotMixedCase", "SingularBase", "WitnessUnverified", "WordSyntaxError",
     "RingElement", "alt_geom_ratio", "exact_divide", "fox_derivative", "geom_ratio", "q_n",
-    "ElementClass", "HatAbs", "HatL", "Tilde", "TildeL", "augment", "element_class", "odd_part",
-    "orbit_key", "same_orbit",
+    "HatAbs", "HatL", "Tilde", "TildeL", "augment", "odd_part", "orbit_key", "same_orbit",
     "QElement", "p_q", "q_divisible_by_two",
     "PiElement", "project",
     "verify_tables",
     "WicksMatch", "WicksReport", "extract_solution", "wicks_decompositions", "wicks_search",
     "BasisTag", "EquationSpec", "VerifyResult", "Word", "change_basis", "comm", "conj",
-    "cyclic_reduce", "equation_rhs", "parse_word", "relator", "relator_in", "sgn", "square_root",
+    "cyclic_reduce", "equation_rhs", "parse_word", "relator_in", "sgn", "square_root",
     "verify_solution",
 ]
 

@@ -14,18 +14,8 @@ from typing import Literal, Optional
 
 from .derived import analyze_v, second_decide
 from .errors import BudgetExceeded, InvalidBudget, WitnessUnverified
-from .surface import project
-from .tables import MIXED, degree_two_witness, instantiate_witness, table_branch
-from .words import (
-    BasisTag,
-    EquationSpec,
-    Frame,
-    Word,
-    change_basis,
-    sgn,
-    swap_frame,
-    verify_solution,
-)
+from .tables import MIXED, degree_two_witness, instantiate_witness, locate
+from .words import EquationSpec, Frame, Word, change_basis, swap_frame, verify_solution
 
 Outcome = Literal["exists", "not_exists", "undetermined"]
 Reason = Literal[
@@ -93,11 +83,8 @@ def pattern_witness(spec: EquationSpec, v: Word) -> Optional[tuple[Word, Word]]:
 
 def classify(spec: EquationSpec, v: Word, budgets: Budgets = Budgets()) -> Verdict:
     """Decide whether the family member has a solution of the requested class."""
-    adapted = BasisTag.adapted(spec.epsilon)
-    v_ad = v if v.basis == adapted else change_basis(v, adapted)
+    v_ad, vbar, branch = locate(spec, v)
     spec_ad = replace(spec, frame="adapted_xy")
-    vbar = project(v_ad)
-    branch = table_branch(spec_ad, vbar, sgn(v_ad))
     if branch.kind == "abelian":
         return Verdict(
             "not_exists",
@@ -121,7 +108,7 @@ def classify(spec: EquationSpec, v: Word, budgets: Budgets = Budgets()) -> Verdi
             )
         return _exists(spec, v, pair, "original_z", branch.row)
     # mixed case
-    data = analyze_v(spec_ad, v_ad)
+    data = analyze_v(v_ad, vbar, branch)
     decision = second_decide(data.case, data.V, budgets.l_window_override)
     trace = {"case": data.case.label(), "second_derived": decision.trace}
     if not decision.solvable:

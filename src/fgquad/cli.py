@@ -17,7 +17,7 @@ from .derived import ConjData, analyze_v, first_solutions, second_decide
 from .errors import FgquadError
 from .groupring import q_n
 from .surface import PiElement, project
-from .tables import verify_tables
+from .tables import locate, verify_tables
 from .wicks import wicks_search
 from .words import BasisTag, EquationSpec, Word, parse_word
 
@@ -174,7 +174,7 @@ def _wicks(args: argparse.Namespace, text: str, word: Word) -> dict:
 
 def _first_derived(args: argparse.Namespace, text: str, word: Word) -> dict:
     budgets = _budgets(args)
-    data = analyze_v(_spec(args), word)
+    data = analyze_v(*locate(_spec(args), word))
     sols = first_solutions(data.case, data.vbar, budgets.enum_bound)
     solutions = [
         {
@@ -192,7 +192,7 @@ def _first_derived(args: argparse.Namespace, text: str, word: Word) -> dict:
 
 def _second_derived(args: argparse.Namespace, text: str, word: Word) -> dict:
     budgets = _budgets(args)
-    data = analyze_v(_spec(args), word)
+    data = analyze_v(*locate(_spec(args), word))
     result = second_decide(data.case, data.V, budgets.l_window_override)
     return {
         **_derived_head(text, data),

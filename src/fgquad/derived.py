@@ -34,15 +34,15 @@ from .groupring import (
 from .orbits import HatAbs, HatL, Tilde, TildeL, augment, odd_part, orbit_key
 from .quotient import p_q, q_divisible_by_two
 from .surface import PiElement, project
-from .tables import CaseKind, table_branch
-from .words import BasisTag, EquationSpec, Word, change_basis, sgn
+from .tables import Branch, CaseKind
+from .words import BasisTag, Word
 
-# (delta, epsilon, class, beta-scale): vbar = alpha^{2m} beta^{scale*n}
-_CASE_PARAMS: dict[CaseKind, tuple[int, int, str, int]] = {
-    "eq2_nf": (1, -1, "nonfaithful", 2),
-    "eq3_nf": (-1, 1, "nonfaithful", 2),
-    "eq4_f": (-1, -1, "faithful", 2),
-    "eq4_nf": (-1, -1, "nonfaithful", 4),
+# (delta, epsilon, beta-scale): vbar = alpha^{2m} beta^{scale*n}
+_CASE_PARAMS: dict[CaseKind, tuple[int, int, int]] = {
+    "eq2_nf": (1, -1, 2),
+    "eq3_nf": (-1, 1, 2),
+    "eq4_f": (-1, -1, 2),
+    "eq4_nf": (-1, -1, 4),
 }
 
 
@@ -61,16 +61,8 @@ class MixedCase:
         return _CASE_PARAMS[self.kind][1]
 
     @property
-    def theta(self) -> int:
-        return -1
-
-    @property
-    def solution_class(self) -> str:
-        return _CASE_PARAMS[self.kind][2]
-
-    @property
     def scale(self) -> int:
-        return _CASE_PARAMS[self.kind][3]
+        return _CASE_PARAMS[self.kind][2]
 
     @property
     def has_two_params(self) -> bool:
@@ -112,26 +104,24 @@ class MixedCase:
 
 @dataclass(frozen=True)
 class ConjData:
-    v: Word
     vbar: PiElement
     case: MixedCase
-    v0: Word
     V: RingElement
 
 
-def analyze_v(spec: EquationSpec, v: Word) -> ConjData:
-    """Decompose v = v0 * (product of relator conjugates) for a mixed case."""
-    v_adapted = change_basis(v, BasisTag.adapted(spec.epsilon))
-    vbar = project(v_adapted)
-    branch = table_branch(spec, vbar, sgn(v_adapted))
+def analyze_v(v: Word, vbar: PiElement, branch: Branch) -> ConjData:
+    """Decompose v = v0 * (product of relator conjugates) for a mixed case.
+
+    Takes what ``tables.locate`` returns: ``v`` in the adapted basis, its
+    projection and its table branch, which must be a mixed one.
+    """
     if branch.case is None:
         raise NotMixedCase(
             f"parameters fall in branch {branch.row} ({branch.kind}), not a mixed case",
             branch=branch.row,
         )
-    case = MixedCase(branch.case, n=vbar.s // _CASE_PARAMS[branch.case][3], m=vbar.r // 2)
-    v0 = case.v0_word
-    return ConjData(v_adapted, vbar, case, v0, q_n(v0.inv() * v_adapted))
+    case = MixedCase(branch.case, n=vbar.s // _CASE_PARAMS[branch.case][2], m=vbar.r // 2)
+    return ConjData(vbar, case, q_n(case.v0_word.inv() * v))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +304,7 @@ def _beta_decide(
 ) -> DecideResult:
     """Translation-parameter search for the beta-power families, n != 0."""
     n = case.n
-    ell, _, _ = odd_part(n)
+    ell = odd_part(n)
     vd = v_elt if case.kind == "eq2_nf" else v_elt.reduce_mod2()
     r_alpha = max((abs(g.r) for g in vd.support()), default=0)
     bound = 2 * r_alpha + abs(n) + 2

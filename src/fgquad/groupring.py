@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, TypeVar
 
 from .errors import DomainMismatch, EpsilonMismatch, NotDivisible, NotInKernel
-from .surface import PiElement
+from .surface import PiElement, project
 from .words import BasisTag, Word, change_basis
 
 
@@ -317,8 +317,11 @@ def q_n(w: Word) -> RingElement:
     sum_i n_i * class(u_i).  Computed via Fox calculus plus exact division,
     with the beta-column identity as a built-in consistency check, all on
     coefficients keyed by ``(r, s)``; group elements are built for the result
-    only.
+    only.  A word outside the kernel is refused by its projection, which walks
+    syllables, before the Fox walk expands it letter by letter.
     """
+    if not project(w).is_identity:
+        raise NotInKernel("word does not project to the identity")
     end, d_alpha, d_beta = _fox_pairs(w)
     if end != (0, 0):
         raise NotInKernel("word does not project to the identity")
@@ -345,9 +348,9 @@ def conjugate_power_product(
     epsilon: int, factors: Iterable[tuple[Word, int]]
 ) -> Word:
     """Build prod_i (u_i R u_i^-1)^{n_i} in the adapted basis."""
-    from .words import conj, relator
+    from .words import conj, relator_in
 
-    rel = relator(epsilon)
+    rel = relator_in(BasisTag.adapted(epsilon))
     out = Word.identity(rel.basis)
     for u, n in factors:
         out = out * conj(u, rel) ** n

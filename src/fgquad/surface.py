@@ -28,10 +28,6 @@ class PiElement:
         return PiElement(epsilon, 0, 0)
 
     @staticmethod
-    def alpha(epsilon: int, k: int = 1) -> "PiElement":
-        return PiElement(epsilon, k, 0)
-
-    @staticmethod
     def beta(epsilon: int, k: int = 1) -> "PiElement":
         return PiElement(epsilon, 0, k)
 

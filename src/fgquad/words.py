@@ -260,18 +260,12 @@ def change_basis(w: Word, target: BasisTag) -> Word:
     return Word(target, _reduce(out))
 
 
-@cache  # two values of epsilon; words are immutable
-def relator(epsilon: int) -> Word:
-    """The adapted-basis relator alpha*beta*alpha**-epsilon*beta**-1."""
-    basis = BasisTag.adapted(epsilon)
-    return Word.from_syllables(basis, [(0, 1), (1, 1), (0, -epsilon), (1, -1)])
-
-
-@cache  # four bases
+@cache  # four bases; words are immutable
 def relator_in(basis: BasisTag) -> Word:
-    """The relator written in ``basis`` ([a,b] or a^2 b^2 classically)."""
+    """The relator written in ``basis``: alpha*beta*alpha**-epsilon*beta**-1
+    in the adapted basis, [a,b] or a^2 b^2 classically."""
     if basis.kind == "adapted":
-        return relator(basis.epsilon)
+        return Word.from_syllables(basis, [(0, 1), (1, 1), (0, -basis.epsilon), (1, -1)])
     if basis.epsilon == 1:
         return Word.from_syllables(basis, [(0, 1), (1, 1), (0, -1), (1, -1)])
     return Word.from_syllables(basis, [(0, 2), (1, 2)])
@@ -473,8 +467,7 @@ def solution_is_faithful(spec: EquationSpec, first: Word, second: Word) -> bool:
 class VerifyResult:
     holds: bool
     faithful: bool
-    x_in_n: bool
-    x_in_n_applicable: bool
+    x_in_n: bool  # False in the original frame, where it is not checked
 
 
 def verify_solution(spec: EquationSpec, v: Word, first: Word, second: Word) -> VerifyResult:
@@ -486,8 +479,8 @@ def verify_solution(spec: EquationSpec, v: Word, first: Word, second: Word) -> V
     holds = equation_lhs(spec, first, second) == equation_rhs(spec, v)
     faithful = solution_is_faithful(spec, first, second)
     if spec.frame == "original_z":
-        return VerifyResult(holds, faithful, False, False)
+        return VerifyResult(holds, faithful, False)
     from .surface import project  # local import to avoid a cycle
 
     x_in_n = project(first).is_identity
-    return VerifyResult(holds, faithful, x_in_n, True)
+    return VerifyResult(holds, faithful, x_in_n)

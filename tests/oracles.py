@@ -35,6 +35,10 @@ check the algebra with them: ``apply_phi``, the Klein-bottle automorphism
 beta -> beta*alpha^L on canonical coordinates; ``q_nf_commutator``, the image
 in Q of a commutator of two products of relator conjugates; and
 ``rank1_check``, which finds k with vbar == ybar**k and the sign condition.
+So do two parts of the orbit layer that only tests read: ``element_class``,
+the stabilizer class of a base that ``augment`` computes inline, and
+``translation_key``, the closed-form orbit key of the translation actions,
+whose orbits ``augment`` sums over without keying them.
 """
 
 from __future__ import annotations
@@ -58,14 +62,13 @@ from fgquad import (
     Word,
     WordSyntaxError,
     augment,
-    element_class,
     odd_part,
     project,
 )
 from fgquad.derived import DecideResult, MixedCase, _chain_candidates, _window_values
 from fgquad.errors import DomainMismatch, EpsilonMismatch
 from fgquad.groupring import conjugate_power_product, relator_jacobian_alpha
-from fgquad.orbits import Action, _check_eps
+from fgquad.orbits import Action, Pair, _Translation, _check_eps, _heads, _period
 from fgquad.wicks import _FORM_LAYOUT, _KIND_FORMS, FormName, Kind, WicksMatch
 
 
@@ -328,7 +331,7 @@ def relator_jacobian_beta(epsilon: int) -> RingElement:
     """Projected derivative of the relator by beta: alpha - 1 for both signs."""
     return RingElement.make(
         epsilon,
-        [(PiElement.alpha(epsilon), 1), (PiElement.identity(epsilon), -1)],
+        [(PiElement(epsilon, 1, 0), 1), (PiElement.identity(epsilon), -1)],
     )
 
 
@@ -368,7 +371,7 @@ def orbit_families(action: Union[Tilde, TildeL, HatL], g: PiElement) -> list[Fam
     if isinstance(action, Tilde):
         period = 2 * abs(action.n)
         return [Family(g, period, 1), Family(g.inv(), period, -1)]
-    ell, _, _ = odd_part(action.n)
+    ell = odd_part(action.n)
     u = PiElement(-1, action.L, ell)
     if isinstance(action, TildeL):
         period = 2 * abs(action.n)
@@ -455,6 +458,30 @@ def naive_twisted_augment(action: Action, v: RingElement, base: PiElement) -> in
     return total % 2 if v.mod == 2 else total
 
 
+@dataclass(frozen=True)
+class ElementClass:
+    g_tilde_regular: bool
+    defective: bool
+
+
+def element_class(action: _Translation, g: PiElement) -> ElementClass:
+    """Stabilizer classification relative to the translation parameter n."""
+    _check_eps(action, g)
+    n = action.n
+    defective = g.s % n == 0
+    singular = defective and (g.r == 0 if g.s % 2 == 0 else True)
+    return ElementClass(g_tilde_regular=not singular, defective=defective)
+
+
+def translation_key(action: _Translation, g: PiElement) -> Pair:
+    """The least residue class ``(r, s mod period)`` over the family heads of
+    the orbit of ``g``: two elements share an orbit exactly when their keys
+    are equal."""
+    _check_eps(action, g)
+    period = _period(action)
+    return min((r, s % period) for (r, s), _ in _heads(action, (g.r, g.s)))
+
+
 def naive_augment(action: Action, v: RingElement, base: PiElement) -> int:
     """``augment`` with the plain parity and the twist computed term by term."""
     _check_eps(action, base)
@@ -515,7 +542,7 @@ def naive_beta_decide(
     """The translation search building every pair candidate for every L
     before checking any."""
     n = case.n
-    ell, _, _ = odd_part(n)
+    ell = odd_part(n)
     vd = v_elt if case.kind == "eq2_nf" else v_elt.reduce_mod2()
     r_alpha = max((abs(g.r) for g in vd.support()), default=0)
     bound = 2 * r_alpha + abs(n) + 2

@@ -84,7 +84,7 @@ def test_criterion_3_first_derived():
         # external re-verification of the ring identity per entry (the word
         # checks run inside the enumerator)
         one = RingElement.one(case.epsilon)
-        rhs = one + RingElement.monomial(case.vbar, case.theta)
+        rhs = one + RingElement.monomial(case.vbar, -1)
         for sol in sols:
             lhs = (one - RingElement.monomial(sol.ybar, case.delta)) * sol.xtilde
             assert lhs == rhs
@@ -131,7 +131,7 @@ def test_criterion_5_lemma_suite():
     rng = random.Random(5)
     basis = ADAPTED_MINUS
     alpha_w, beta_w = Word.gen(basis, "a"), Word.gen(basis, "b")
-    alpha, beta = PiElement.alpha(-1), PiElement.beta(-1)
+    alpha, beta = PiElement(-1, 1, 0), PiElement.beta(-1)
     # alpha-power commutator words
     for L in range(-5, 6):
         w = alpha_w**L * beta_w * alpha_w**L * beta_w.inv()
@@ -179,7 +179,7 @@ def test_criterion_5_lemma_suite():
         exp = n if n % 2 == 0 else n - 1
         z1 = -geom_ratio(beta, exp, 2) * RingElement.monomial(beta ** (1 - 2 * n))
         for m in range(-3, 4):
-            a_m = RingElement.monomial(PiElement.alpha(-1, m))
+            a_m = RingElement.monomial(PiElement(-1, m, 0))
             lhs = geom_ratio(beta, -2 * n, 2) * RingElement.monomial(beta) * a_m
             rhs = one_minus_pow(beta, 2 * n) * z1 * a_m
             if n % 2:

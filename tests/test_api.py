@@ -4,6 +4,8 @@ A name that is added or removed shows up as a diff of this list.
 """
 
 import ast
+import dataclasses
+import functools
 import importlib
 import importlib.util
 import inspect
@@ -21,7 +23,6 @@ PUBLIC = [
     "ConjData",
     "DecideResult",
     "DomainMismatch",
-    "ElementClass",
     "EpsilonMismatch",
     "EquationSpec",
     "ExtractionFailed",
@@ -56,7 +57,6 @@ PUBLIC = [
     "comm",
     "conj",
     "cyclic_reduce",
-    "element_class",
     "equation_rhs",
     "exact_divide",
     "extract_solution",
@@ -71,7 +71,6 @@ PUBLIC = [
     "project",
     "q_divisible_by_two",
     "q_n",
-    "relator",
     "relator_in",
     "same_orbit",
     "second_decide",
@@ -113,32 +112,76 @@ def test_traced_names_resolve():
 TRACER_ONLY = {"fox_derivative", "exact_divide", "same_orbit"}
 
 
-def _references(tree: ast.AST) -> set[str]:
-    """Names loaded or attributes read in ``tree``, outside the body of a
-    function of the same name (so a recursive call is not a use)."""
-    found: set[str] = set()
+# bench/checks.py reads it, and no src path does
+BENCH_ONLY = {"Verdict.verified"}
+
+
+@functools.cache
+def _src_references() -> tuple[set[str], set[str]]:
+    """Over the src modules but ``__init__.py``: the names and attributes
+    that occur, and the attributes that are read, each outside the body of a
+    function of the same name (so a recursive call, or a property that reads
+    its own name, is not a use)."""
+    used: set[str] = set()
+    read: set[str] = set()
 
     def visit(node: ast.AST, inside: frozenset[str]) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inside = inside | {node.name}
         elif isinstance(node, ast.Name) and node.id not in inside:
-            found.add(node.id)
+            used.add(node.id)
         elif isinstance(node, ast.Attribute) and node.attr not in inside:
-            found.add(node.attr)
+            used.add(node.attr)
+            if isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 
-    visit(tree, frozenset())
-    return found
+    for path in sorted(Path(fgquad.__file__).parent.glob("*.py")):
+        if path.name != "__init__.py":
+            visit(ast.parse(path.read_text(), str(path)), frozenset())
+    return used, read
 
 
 def test_every_public_function_runs_in_src():
     # a public function that no src module uses exists only for the tests
-    src = Path(fgquad.__file__).parent
-    used: set[str] = set()
-    for path in sorted(src.glob("*.py")):
-        if path.name != "__init__.py":
-            used |= _references(ast.parse(path.read_text(), str(path)))
+    used, _ = _src_references()
     functions = {name for name in fgquad.__all__ if inspect.isfunction(getattr(fgquad, name))}
     assert TRACER_ONLY <= functions
     assert sorted(functions - used) == sorted(TRACER_ONLY)
+
+
+_MEMBER_KINDS = (types.FunctionType, staticmethod, classmethod, property, functools.cached_property)
+
+
+def _public_members(cls: type) -> set[str]:
+    """The dataclass fields, methods and properties of ``cls`` and of its
+    bases in the package, less the names that start with an underscore."""
+    names = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+    for klass in cls.__mro__:
+        if klass.__module__.startswith("fgquad."):
+            names |= {name for name, value in vars(klass).items() if isinstance(value, _MEMBER_KINDS)}
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_every_public_member_runs_in_src():
+    # a field, method or property that no src module reads as an attribute
+    # exists only for the tests.  The scan goes by name, so it cannot see a
+    # member whose name another attribute shares: MixedCase.theta, always -1,
+    # read nowhere, passed it because src reads spec.theta.
+    _, read = _src_references()
+    classes = [getattr(fgquad, name) for name in fgquad.__all__ if inspect.isclass(getattr(fgquad, name))]
+    unread = {
+        f"{cls.__name__}.{member}"
+        for cls in classes
+        if not issubclass(cls, BaseException)
+        for member in _public_members(cls)
+        if member not in read
+    }
+    assert unread == BENCH_ONLY
+
+
+def test_classify_calls_analyze_v_by_its_module_global():
+    # bench/tracer.py times analyze_v by wrapping fgquad.classify.analyze_v,
+    # and bench/test_bench.py reads that name
+    assert importlib.import_module("fgquad.classify").analyze_v is importlib.import_module("fgquad.derived").analyze_v

@@ -110,14 +110,14 @@ class TestBetaPowerBoxOracle:
 
     @staticmethod
     def _ratio(n: int, L: int) -> RingElement:
-        ell, _, _ = odd_part(n)
+        ell = odd_part(n)
         return geom_ratio(PiElement(-1, L, ell), 2 * n // ell, 1)
 
     @staticmethod
     def _correction(n: int, L: int) -> RingElement:
         if n % 2 == 0 or L == 0:
             return RingElement.zero(-1)
-        return geom_ratio(PiElement.alpha(-1), L, 1)
+        return geom_ratio(PiElement(-1, 1, 0), L, 1)
 
     def _box_solvable_at(self, n: int, L: int, v: RingElement, radius: int) -> bool:
         ratio = self._ratio(n, L)

@@ -22,6 +22,7 @@ from fgquad import (
     second_decide,
 )
 from fgquad import derived
+from fgquad.tables import locate
 from fgquad.groupring import alt_geom_terms, conjugate_power_product, geom_terms, one_minus_pow
 from oracles import naive_alt_rep_word, naive_geom_rep_word, rank1_check
 
@@ -38,35 +39,35 @@ SPEC_4NF = EquationSpec(-1, -1, -1, "nonfaithful", "adapted_xy")
 
 class TestAnalyzeV:
     def test_beta_square(self):
-        data = analyze_v(SPEC_2NF, parse_word("b b", ADAPTED_MINUS))
+        data = analyze_v(*locate(SPEC_2NF, parse_word("b b", ADAPTED_MINUS)))
         assert data.case == MixedCase("eq2_nf", n=1)
-        assert data.v0 == parse_word("b b", ADAPTED_MINUS)
+        assert data.case.v0_word == parse_word("b b", ADAPTED_MINUS)
         assert data.V.is_zero
 
     def test_beta_square_with_conjugate(self):
-        data = analyze_v(SPEC_2NF, parse_word("b b conj(a)", ADAPTED_MINUS))
+        data = analyze_v(*locate(SPEC_2NF, parse_word("b b conj(a)", ADAPTED_MINUS)))
         assert data.case.n == 1
         assert data.V == ring(-1, ((1, 0), 1))
 
     def test_trivial_projection(self):
-        data = analyze_v(SPEC_3NF, parse_word("conj(a) conj(A)", ADAPTED_PLUS))
+        data = analyze_v(*locate(SPEC_3NF, parse_word("conj(a) conj(A)", ADAPTED_PLUS)))
         assert data.case == MixedCase("eq3_nf", n=0, m=0)
-        assert data.v0.is_identity
+        assert data.case.v0_word.is_identity
         assert data.V == ring(1, ((1, 0), 1), ((-1, 0), 1))
 
     def test_two_parameter_shape(self):
-        data = analyze_v(SPEC_4NF, parse_word("(a b b)^2 conj(b)^-1", ADAPTED_MINUS))
+        data = analyze_v(*locate(SPEC_4NF, parse_word("(a b b)^2 conj(b)^-1", ADAPTED_MINUS)))
         assert data.case == MixedCase("eq4_nf", n=1, m=1)
         assert data.case.d == 1
-        assert data.v0 == parse_word("(a b b)^2", ADAPTED_MINUS)
+        assert data.case.v0_word == parse_word("(a b b)^2", ADAPTED_MINUS)
         assert data.V == ring(-1, ((0, 1), -1))
 
     def test_not_mixed_names_branch(self):
         with pytest.raises(NotMixedCase) as exc:
-            analyze_v(SPEC_2NF, parse_word("a b b", ADAPTED_MINUS))
+            analyze_v(*locate(SPEC_2NF, parse_word("a b b", ADAPTED_MINUS)))
         assert exc.value.branch == "Table 2 (2c)"
         with pytest.raises(NotMixedCase) as exc:
-            analyze_v(EquationSpec(1, 1, -1, "faithful", "adapted_xy"), parse_word("a", ADAPTED_PLUS))
+            analyze_v(*locate(EquationSpec(1, 1, -1, "faithful", "adapted_xy"), parse_word("a", ADAPTED_PLUS)))
         assert exc.value.branch == "Table 1 (1)"
 
 
@@ -143,7 +144,7 @@ class TestFirstSolutions:
         for kind, n, m in [("eq2_nf", 2, 0), ("eq4_f", 3, 0), ("eq3_nf", 2, 4), ("eq4_nf", 1, 2)]:
             case = MixedCase(kind, n=n, m=m)
             for sol in first_solutions(case, case.vbar, 2):
-                assert rank1_check(case.vbar, sol.ybar, case.delta, case.theta) is not None
+                assert rank1_check(case.vbar, sol.ybar, case.delta, -1) is not None
 
 
 class TestNecessity:
@@ -318,10 +319,10 @@ class TestSecondDecideBetaPowers:
             case = MixedCase(kind, n=n)
             from fgquad.orbits import odd_part
 
-            ell, _, _ = odd_part(n)
+            ell = odd_part(n)
             l0 = rng.randint(-3, 3)
             c_star = PiElement(-1, l0, ell)
-            alpha = PiElement.alpha(-1)
+            alpha = PiElement(-1, 1, 0)
             ratio = geom_ratio(c_star, 2 * n // ell, 1)
             z = RingElement.make(
                 -1, [(random_pi(rng, -1, 3), rng.randint(-2, 2)) for _ in range(3)]
@@ -402,7 +403,7 @@ class TestSecondDecideBetaPowers:
                     pair_unsolvable.append((n, v, result))
         assert len(pair_unsolvable) >= 5
         for n, v, result in pair_unsolvable[:12]:
-            ell, _, _ = odd_part(n)
+            ell = odd_part(n)
             bound = result.trace["window"][1]
             for L in (bound + 4, bound + 9, -bound - 5):
                 action = TildeL(n, L)
@@ -427,7 +428,7 @@ class TestSecondDecideBetaPowers:
             return real(action, v, base)
 
         monkeypatch.setattr(derived, "augment", counting)
-        ell = derived.odd_part(n)[0]
+        ell = derived.odd_part(n)
         case = MixedCase("eq2_nf", n=n)
         for size in (50, 400):
             # terms come with a chain partner 2*ell higher, so even n gets

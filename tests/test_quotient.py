@@ -232,7 +232,7 @@ class TestCorollaryCongruences:
                             rhs = (
                                 geom_ratio(c, 2 * n // ell, 1)
                                 * inner
-                                * RingElement.monomial(PiElement.alpha(-1, m))
+                                * RingElement.monomial(PiElement(-1, m, 0))
                             )
                             assert congruent(lhs, rhs)
 
@@ -251,7 +251,7 @@ class TestCorrectionTerm:
                     beta ** (1 - 2 * n)
                 )
             for m in range(-3, 4):
-                a_m = RingElement.monomial(PiElement.alpha(-1, m))
+                a_m = RingElement.monomial(PiElement(-1, m, 0))
                 lhs = geom_ratio(beta, -2 * n, 2) * RingElement.monomial(beta) * a_m
                 rhs = one_minus_pow(beta, 2 * n) * z1 * a_m
                 if n % 2:

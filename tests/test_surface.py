@@ -11,7 +11,7 @@ from fgquad import (
     change_basis,
     parse_word,
     project,
-    relator,
+    relator_in,
 )
 from oracles import apply_phi
 
@@ -25,7 +25,7 @@ def pi_elements(epsilon: int):
 class TestProject:
     def test_relator_dies(self):
         assert project(parse_word("a b a B", ADAPTED_MINUS)).is_identity
-        assert project(relator(1)).is_identity
+        assert project(relator_in(BasisTag.adapted(1))).is_identity
 
     def test_klein_relation(self):
         assert project(parse_word("b a", ADAPTED_MINUS)) == PiElement(-1, -1, 1)
@@ -100,7 +100,7 @@ class TestPhi:
         assert apply_phi(2, PiElement(-1, 3, 4)) == PiElement(-1, 3, 4)
 
     def test_relator_fixed(self):
-        assert apply_phi(5, project(relator(-1))).is_identity
+        assert apply_phi(5, project(relator_in(ADAPTED_MINUS))).is_identity
 
     def test_epsilon_guard(self):
         with pytest.raises(EpsilonMismatch):

@@ -20,7 +20,7 @@ from fgquad import (
     wicks_decompositions,
     wicks_search,
 )
-from fgquad.tables import all_fixtures
+from fgquad.tables import all_fixtures, locate
 from fgquad.words import solution_is_faithful, swap_frame
 from oracles import naive_wicks_decompositions, nonempty
 
@@ -330,5 +330,5 @@ class TestSearch:
             checked += 1
             if not in_class_with_kernel:
                 continue
-            data = analyze_v(spec, v)
+            data = analyze_v(*locate(spec, v))
             assert second_decide(data.case, data.V).solvable, f"{kind}: v={v}"

@@ -14,7 +14,6 @@ from conftest import ADAPTED_MINUS, ADAPTED_PLUS, CLASSIC_MINUS, CLASSIC_PLUS
 from fgquad import (
     BasisTag,
     FgquadError,
-    HatAbs,
     HatL,
     MixedCase,
     PiElement,
@@ -26,7 +25,6 @@ from fgquad import (
     augment,
     change_basis,
     cyclic_reduce,
-    element_class,
     exact_divide,
     fox_derivative,
     odd_part,
@@ -40,6 +38,7 @@ from fgquad.groupring import conjugate_power_product, relator_jacobian_alpha
 from fgquad.tables import _exact_power_of
 from fgquad.words import relator_in
 from oracles import (
+    element_class,
     naive_change_basis,
     naive_augment,
     naive_beta_decide,
@@ -358,36 +357,23 @@ class TestAugment:
                 got = result_or_error(augment, action, v, base)
                 assert got == result_or_error(naive_twisted_augment, action, v, base)
 
-def hat_abs_actions(eps: int):
-    """Translations by u = (r, s), with s even on the Klein bottle."""
-    pairs = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
-    return pairs.map(lambda p: HatAbs(PiElement(eps, p[0], p[1] if eps == 1 else 2 * p[1])))
-
-
 @st.composite
 def augment_cases(draw):
-    eps = draw(st.sampled_from([1, -1]))
-    kinds = hat_abs_actions(eps) if eps == 1 else st.one_of(hat_abs_actions(eps), actions())
-    elements = st.sampled_from([0, 2]).flatmap(lambda mod: ring_elements(eps, span=6, mod=mod, far=12))
-    bases = st.tuples(st.integers(-8, 8), st.integers(-8, 8)).map(lambda p: PiElement(eps, *p))
+    elements = st.sampled_from([0, 2]).flatmap(lambda mod: ring_elements(-1, span=6, mod=mod, far=12))
+    bases = st.tuples(st.integers(-8, 8), st.integers(-8, 8)).map(lambda p: PiElement(-1, *p))
     return (
-        draw(st.lists(kinds, min_size=1, max_size=3)),
+        draw(st.lists(actions(), min_size=1, max_size=3)),
         draw(st.lists(elements, min_size=1, max_size=2)),
         draw(st.lists(bases, max_size=4)),
     )
 
 
 def random_augment_case(rng: random.Random):
-    eps = rng.choice([1, -1])
-    if eps == 1 or rng.random() < 0.25:
-        u = PiElement(eps, rng.randint(-3, 3), rng.randint(-3, 3) * (1 if eps == 1 else 2))
-        action = HatAbs(u)
-    else:
-        n, L = rng.choice([1, -1, 2, 3, -3, 4, 5, 6]), rng.randint(-3, 3)
-        action = rng.choice([Tilde(n), TildeL(n, L), HatL(n, L)])
-    base = PiElement(eps, rng.randint(-5, 5), rng.randint(-5, 5))
-    terms = [(PiElement(eps, rng.randint(-5, 5), rng.randint(-5, 5)), rng.randint(-2, 2)) for _ in range(6)]
-    v = RingElement.make(eps, terms + [(base, 1)], mod=rng.choice([0, 2]))
+    n, L = rng.choice([1, -1, 2, 3, -3, 4, 5, 6]), rng.randint(-3, 3)
+    action = rng.choice([Tilde(n), TildeL(n, L), HatL(n, L)])
+    base = PiElement(-1, rng.randint(-5, 5), rng.randint(-5, 5))
+    terms = [(PiElement(-1, rng.randint(-5, 5), rng.randint(-5, 5)), rng.randint(-2, 2)) for _ in range(6)]
+    v = RingElement.make(-1, terms + [(base, 1)], mod=rng.choice([0, 2]))
     return action, v, base
 
 
@@ -413,11 +399,9 @@ class TestEveryAugmentation:
             action, v, base = random_augment_case(rng)
             got = result_or_error(augment, action, v, base)
             assert got == result_or_error(naive_augment, action, v, base)
-            defective = not isinstance(action, HatAbs) and element_class(action, base).defective
+            defective = element_class(action, base).defective
             seen[type(action).__name__, got[0], defective] += 1
         for outcome in [
-            ("HatAbs", "ok", False),
-            ("HatAbs", "DomainMismatch", False),
             ("Tilde", "ok", False),
             ("Tilde", "ok", True),
             ("Tilde", "SingularBase", True),
@@ -480,7 +464,7 @@ def beta_cases(draw):
     kind = draw(st.sampled_from(["eq2_nf", "eq4_f"]))
     n = draw(st.sampled_from([-6, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6, 9, 10, 12, 15]))
     piece = st.tuples(st.integers(-5, 5), st.integers(-12, 12), st.integers(-2, 2), st.sampled_from([0, 1, -1]))
-    v = RingElement.make(-1, beta_terms(odd_part(n)[0], draw(st.lists(piece, max_size=6))))
+    v = RingElement.make(-1, beta_terms(odd_part(n), draw(st.lists(piece, max_size=6))))
     override = draw(st.one_of(st.none(), st.integers(0, 30)))
     return MixedCase(kind, n=n), v, override
 
@@ -493,7 +477,7 @@ def random_beta_case(rng: random.Random):
         for _ in range(rng.randint(0, 6))
     ]
     override = rng.choice([None, rng.randint(0, 30)])
-    return MixedCase(kind, n=n), RingElement.make(-1, beta_terms(odd_part(n)[0], pieces)), override
+    return MixedCase(kind, n=n), RingElement.make(-1, beta_terms(odd_part(n), pieces)), override
 
 
 class TestBetaDecide:

@@ -1,10 +1,11 @@
 """Inputs that were quadratic or worse in the word layer or the translation
 search now finish at once, the Wicks matcher builds its layouts once per
-call, and q_n does its arithmetic on integer pairs."""
+call, and q_n does its arithmetic on integer pairs and refuses a word outside
+the kernel before it walks the letters."""
 
 import io
 import random
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from time import perf_counter
 
 from conftest import ADAPTED_MINUS, random_word
@@ -134,3 +135,15 @@ def test_q_n_of_a_long_conjugate_product(monkeypatch):
     got = q_n(w)
     assert perf_counter() - start < 1.0
     assert got == expected
+
+
+def test_q_n_refuses_a_huge_power_outside_the_kernel():
+    # the projection walks one syllable, so the refusal comes before the Fox
+    # walk would expand 10^8 letters into a dict
+    out, err = io.StringIO(), io.StringIO()
+    start = perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["qn", "--epsilon", "-1", "--word", "a^100000000"])
+    assert perf_counter() - start < 0.1
+    assert code == 1 and out.getvalue() == ""
+    assert err.getvalue() == "error: word does not project to the identity\n"

@@ -18,7 +18,7 @@ from fgquad import (
     conj,
     cyclic_reduce,
     parse_word,
-    relator,
+    relator_in,
     sgn,
     square_root,
     verify_solution,
@@ -40,13 +40,13 @@ class TestParse:
         assert parse_word("a A", CLASSIC_PLUS).is_identity
 
     def test_relator_token(self):
-        assert parse_word("R", ADAPTED_MINUS) == relator(-1)
+        assert parse_word("R", ADAPTED_MINUS) == relator_in(ADAPTED_MINUS)
         assert parse_word("R", CLASSIC_MINUS) == parse_word("a a b b", CLASSIC_MINUS)
 
     def test_conj_and_commutator(self):
         basis = ADAPTED_PLUS
         assert parse_word("[a, b]", basis) == parse_word("a b A B", basis)
-        assert parse_word("conj(a)", basis) == conj(Word.gen(basis, "a"), relator(1))
+        assert parse_word("conj(a)", basis) == conj(Word.gen(basis, "a"), relator_in(basis))
 
     def test_identity_token(self):
         assert parse_word("1", ADAPTED_MINUS).is_identity
@@ -211,14 +211,14 @@ class TestBasisTag:
 
 class TestRelator:
     def test_plus(self):
-        assert relator(1) == parse_word("a b A B", ADAPTED_PLUS)
+        assert relator_in(ADAPTED_PLUS) == parse_word("a b A B", ADAPTED_PLUS)
 
     def test_minus(self):
-        assert relator(-1) == parse_word("a b a B", ADAPTED_MINUS)
+        assert relator_in(ADAPTED_MINUS) == parse_word("a b a B", ADAPTED_MINUS)
 
     def test_orientation(self):
-        assert sgn(relator(1)) == 1
-        assert sgn(relator(-1)) == 1
+        assert sgn(relator_in(ADAPTED_PLUS)) == 1
+        assert sgn(relator_in(ADAPTED_MINUS)) == 1
 
 
 class TestVerifySolution:
