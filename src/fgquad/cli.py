@@ -9,8 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
-from typing import Callable, Optional
+from dataclasses import asdict, fields
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .classify import Budgets, classify
 from .derived import ConjData, analyze_v, first_solutions, second_decide
@@ -29,82 +29,26 @@ def _sign(text: str) -> int:
     return value
 
 
-def _add_spec_flags(parser: argparse.ArgumentParser, need_full: bool) -> None:
-    parser.add_argument("--epsilon", type=_sign, required=True, help="relator sign (+1 or -1)")
-    if need_full:
-        parser.add_argument("--delta", type=_sign, required=True, help="equation sign (+1 or -1)")
-        parser.add_argument("--theta", type=_sign, required=True, help="conjugate exponent (+1 or -1)")
-        parser.add_argument(
-            "--class",
-            dest="solution_class",
-            choices=("faithful", "nonfaithful"),
-            required=True,
-            help="which solution class to decide",
-        )
-        parser.add_argument(
-            "--frame",
-            choices=("original", "adapted"),
-            default="adapted",
-            help="unknowns/basis frame (default: adapted)",
-        )
-
-
-def _add_word_flags(parser: argparse.ArgumentParser, batch: bool = False) -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--word", help="conjugation parameter (word grammar)")
-    if batch:
-        group.add_argument("--batch", help="file with one word per line")
-
-
-def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
-    default = Budgets()
-    parser.add_argument(
-        "--wicks-len", type=int, default=default.wicks_len, help="cyclic length budget (default %(default)s)"
-    )
-    parser.add_argument(
-        "--enum-bound", type=int, default=default.enum_bound, help="enumeration bound (default %(default)s)"
-    )
-    parser.add_argument("--l-window", type=int, default=None, help="widen the translation window")
-    parser.add_argument(
-        "--output", choices=("jsonl", "text"), default="jsonl", help="output format (default jsonl)"
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fgquad",
-        description="Existence engine for the quadratic equation families in the rank-2 free group.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="classify one word or a batch file")
-    _add_spec_flags(p, need_full=True)
-    _add_word_flags(p, batch=True)
-    _add_budget_flags(p)
-
-    p = sub.add_parser("verify-tables", help="substitution-check all fixture rows")
-    p.add_argument("--output", choices=("jsonl", "text"), default="jsonl")
-
-    for name, help_text in (
-        ("wicks", "run the Wicks-form oracle"),
-        ("first-derived", "enumerate first-derived-equation solutions"),
-        ("second-derived", "decide the second derived equation"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _add_spec_flags(p, need_full=True)
-        _add_word_flags(p)
-        _add_budget_flags(p)
-
-    for name, help_text in (
-        ("qn", "project a relator-subgroup word to the group ring"),
-        ("canon", "canonical form of a word in the quotient group"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _add_spec_flags(p, need_full=False)
-        _add_word_flags(p)
-        p.add_argument("--output", choices=("jsonl", "text"), default="jsonl")
-
-    return parser
+# add_argument keywords per flag; a budget flag's dest is its Budgets field
+_FLAGS: dict[str, dict] = {
+    "--epsilon": dict(type=_sign, required=True, help="relator sign (+1 or -1)"),
+    "--delta": dict(type=_sign, required=True, help="equation sign (+1 or -1)"),
+    "--theta": dict(type=_sign, required=True, help="conjugate exponent (+1 or -1)"),
+    "--class": dict(
+        dest="solution_class", choices=("faithful", "nonfaithful"), required=True, help="which solution class to decide"
+    ),
+    "--frame": dict(choices=("original", "adapted"), default="adapted", help="unknowns/basis frame (default: adapted)"),
+    "--word": dict(help="conjugation parameter (word grammar)"),
+    "--batch": dict(help="file with one word per line"),
+    "--wicks-len": dict(
+        dest="wicks_len", type=int, default=Budgets.wicks_len, help="cyclic length budget (default %(default)s)"
+    ),
+    "--enum-bound": dict(
+        dest="enum_bound", type=int, default=Budgets.enum_bound, help="enumeration bound (default %(default)s)"
+    ),
+    "--l-window": dict(dest="l_window_override", metavar="L_WINDOW", type=int, help="widen the translation window"),
+    "--output": dict(choices=("jsonl", "text"), default="jsonl", help="output format (default jsonl)"),
+}
 
 
 def _spec(args: argparse.Namespace) -> EquationSpec:
@@ -112,8 +56,14 @@ def _spec(args: argparse.Namespace) -> EquationSpec:
     return EquationSpec(args.delta, args.epsilon, args.theta, args.solution_class, frame)
 
 
+def _basis(args: argparse.Namespace) -> BasisTag:
+    # qn and canon read their words in the adapted basis
+    return _spec(args).basis if "frame" in args else BasisTag.adapted(args.epsilon)
+
+
 def _budgets(args: argparse.Namespace) -> Budgets:
-    return Budgets(args.wicks_len, args.enum_bound, args.l_window)
+    """The command's budget flags; the budgets it does not read keep their defaults."""
+    return Budgets(**{f.name: getattr(args, f.name) for f in fields(Budgets) if f.name in args})
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +89,7 @@ def _derived_head(text: str, data: ConjData) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Per-word commands: (args, input text, parsed word) -> output record
+# Commands: (args, input text, parsed word) -> output record
 # ---------------------------------------------------------------------------
 
 
@@ -160,6 +110,12 @@ def _classify(args: argparse.Namespace, text: str, word: Word) -> dict:
     }
 
 
+def _verify_tables(args: argparse.Namespace, text: None, word: None) -> dict:
+    report = verify_tables()
+    failures = [{"row": f.row, "reason": f.reason} for f in report.failures]
+    return {"checked": report.checked, "failures": failures}
+
+
 def _wicks(args: argparse.Namespace, text: str, word: Word) -> dict:
     budgets = _budgets(args)
     report = wicks_search(_spec(args), word, budgets.wicks_len)
@@ -167,7 +123,7 @@ def _wicks(args: argparse.Namespace, text: str, word: Word) -> dict:
         "input": text,
         "solutions": [{**_pair(*pair), "faithful": faithful} for pair, faithful in report.solutions],
         "matches": len(report.matches),
-        "exhaustive": report.exhaustive,
+        "exhaustive": True,
         "budgets": asdict(budgets),
     }
 
@@ -210,14 +166,47 @@ def _canon(args: argparse.Namespace, text: str, word: Word) -> dict:
     return {"input": text, "vbar": _vbar(project(word))}
 
 
-_PER_WORD: dict[str, Callable[[argparse.Namespace, str, Word], dict]] = {
-    "classify": _classify,
-    "wicks": _wicks,
-    "first-derived": _first_derived,
-    "second-derived": _second_derived,
-    "qn": _qn,
-    "canon": _canon,
+class _Command(NamedTuple):
+    """A subcommand: its help text, its record builder and its flags.  A
+    command with spec flags reads ``--word``, or ``--batch`` if ``batch``."""
+
+    help: str
+    record: Callable[[argparse.Namespace, Optional[str], Optional[Word]], dict]
+    spec: tuple[str, ...] = ()
+    budgets: tuple[str, ...] = ()  # the budget flags the record reads
+    batch: bool = False
+
+
+_FULL = ("--epsilon", "--delta", "--theta", "--class", "--frame")
+
+_COMMANDS: dict[str, _Command] = {
+    "classify": _Command("classify one word or a batch file", _classify, _FULL, ("--wicks-len", "--l-window"), True),
+    "verify-tables": _Command("substitution-check all fixture rows", _verify_tables),
+    "wicks": _Command("run the Wicks-form oracle", _wicks, _FULL, ("--wicks-len",)),
+    "first-derived": _Command("enumerate first-derived-equation solutions", _first_derived, _FULL, ("--enum-bound",)),
+    "second-derived": _Command("decide the second derived equation", _second_derived, _FULL, ("--l-window",)),
+    "qn": _Command("project a relator-subgroup word to the group ring", _qn, ("--epsilon",)),
+    "canon": _Command("canonical form of a word in the quotient group", _canon, ("--epsilon",)),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="fgquad",
+        description="Existence engine for the quadratic equation families in the rank-2 free group.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.spec:
+            p.add_argument(flag, **_FLAGS[flag])
+        if command.spec:
+            words = p.add_mutually_exclusive_group(required=True)
+            for flag in ("--word", "--batch") if command.batch else ("--word",):
+                words.add_argument(flag, **_FLAGS[flag])
+        for flag in command.budgets + ("--output",):
+            p.add_argument(flag, **_FLAGS[flag])
+    return parser
 
 
 def _emit(output: str, record: dict, stream) -> None:
@@ -228,30 +217,38 @@ def _emit(output: str, record: dict, stream) -> None:
         stream.write("  ".join(parts) + "\n")
 
 
-def _words_from_args(args: argparse.Namespace, basis: BasisTag) -> list[tuple[str, Word]]:
+def _inputs(args: argparse.Namespace) -> Iterator[tuple[Optional[int], Optional[str]]]:
+    """(line number, text) per input: the nonblank lines of ``--batch``,
+    numbered from 1 with blank lines counted, or ``--word`` unnumbered."""
     if getattr(args, "batch", None):
         try:
             with open(args.batch, encoding="utf-8") as handle:
-                texts = [line.strip() for line in handle if line.strip()]
+                content = handle.read()
         except UnicodeDecodeError:
             raise OSError(f"cannot read {args.batch}: not UTF-8 text") from None
+        for number, line in enumerate(content.split("\n"), 1):
+            if line.strip():
+                yield number, line.strip()
     else:
-        texts = [args.word]
-    return [(text, parse_word(text, basis)) for text in texts]
+        yield None, getattr(args, "word", None)
 
 
 def _run(args: argparse.Namespace, stream) -> int:
-    if args.command == "verify-tables":
-        report = verify_tables()
-        failures = [{"row": f.row, "reason": f.reason} for f in report.failures]
-        _emit(args.output, {"checked": report.checked, "failures": failures}, stream)
-        return 1 if failures else 0
-    # qn and canon read their words in the adapted basis
-    basis = _spec(args).basis if "frame" in args else BasisTag.adapted(args.epsilon)
-    command = _PER_WORD[args.command]
-    for text, word in _words_from_args(args, basis):
-        _emit(args.output, command(args, text, word), stream)
-    return 0
+    command = _COMMANDS[args.command]
+    _budgets(args)  # a bad budget fails the whole command, not each line
+    status = 0
+    for number, text in _inputs(args):
+        try:
+            word = parse_word(text, _basis(args)) if command.spec else None
+            record = command.record(args, text, word)
+        except FgquadError as exc:
+            if number is None:
+                raise
+            record = {"input": text, "line": number, "error": str(exc)}
+        if "error" in record or record.get("failures"):  # a bad line, or failing fixture rows
+            status = 1
+        _emit(args.output, record, stream)
+    return status
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -45,8 +45,8 @@ class SparseSum:
         return cls(epsilon, mod, {g: c for g, c in acc.items() if c})
 
     @classmethod
-    def zero(cls: type[_Sum], epsilon: int, mod: int = 0) -> _Sum:
-        return cls(epsilon, mod, {})
+    def zero(cls: type[_Sum], epsilon: int) -> _Sum:
+        return cls(epsilon)
 
     def _check(self, other: "SparseSum") -> None:
         if self.epsilon != other.epsilon:
@@ -94,12 +94,12 @@ class RingElement(SparseSum):
     """Element of Z[pi] or Z2[pi] with the twisted product."""
 
     @staticmethod
-    def monomial(g: PiElement, coeff: int = 1, mod: int = 0) -> "RingElement":
-        return RingElement.make(g.epsilon, [(g, coeff)], mod)
+    def monomial(g: PiElement, coeff: int = 1) -> "RingElement":
+        return RingElement.make(g.epsilon, [(g, coeff)])
 
     @staticmethod
-    def one(epsilon: int, mod: int = 0) -> "RingElement":
-        return RingElement.monomial(PiElement.identity(epsilon), 1, mod)
+    def one(epsilon: int) -> "RingElement":
+        return RingElement.monomial(PiElement.identity(epsilon))
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         self._check(other)
@@ -133,11 +133,9 @@ class RingElement(SparseSum):
         return RingElement.make(self.epsilon, self.terms.items(), mod=2)
 
 
-def one_minus_pow(x: PiElement, k: int, mod: int = 0) -> RingElement:
+def one_minus_pow(x: PiElement, k: int) -> RingElement:
     """The element 1 - x**k."""
-    return RingElement.make(
-        x.epsilon, [(PiElement.identity(x.epsilon), 1), (x**k, -1)], mod
-    )
+    return RingElement.make(x.epsilon, [(PiElement.identity(x.epsilon), 1), (x**k, -1)])
 
 
 def geom_terms(a: int, b: int) -> list[tuple[int, int]]:

@@ -39,6 +39,8 @@ FormName = Literal[
 
 Kind = Literal["commutator", "two_squares"]
 
+DEFAULT_WICKS_LEN = 64  # cap on the cyclic right-hand-side length
+
 # segment layout per form: (part name, inverted?)
 _FORM_LAYOUT: dict[FormName, tuple[tuple[str, bool], ...]] = {
     "orientable_abc": (("a", False), ("b", False), ("c", False), ("a", True), ("b", True), ("c", True)),
@@ -180,7 +182,6 @@ def extract_solution(match: WicksMatch, t: Word) -> tuple[Word, Word]:
 @dataclass(frozen=True)
 class WicksReport:
     solutions: list[tuple[tuple[Word, Word], bool]]
-    exhaustive: bool
     matches: list[WicksMatch]
 
 
@@ -193,12 +194,12 @@ def _trivial_candidates(spec: EquationSpec, basis: BasisTag) -> list[tuple[Word,
     return [(one, one), (g_a, g_a.inv()), (g_b, g_b.inv())]
 
 
-def wicks_search(spec: EquationSpec, v: Word, wicks_len: int = 64) -> WicksReport:
+def wicks_search(spec: EquationSpec, v: Word, wicks_len: int = DEFAULT_WICKS_LEN) -> WicksReport:
     """Enumerate solutions of the equation via Wicks decompositions.
 
     Solutions are labelled faithful per the orientation characters of the
-    z-unknowns.  With ``exhaustive=True`` and no solution of a class found,
-    the run is evidence of non-existence for that class, in the sense of the
+    z-unknowns.  The search is exhaustive, so a run that finds no solution of
+    a class is evidence of non-existence for that class, in the sense of the
     canonical-solution analysis.
     """
     core, t = cyclic_reduce(equation_rhs(spec, v))
@@ -222,11 +223,11 @@ def wicks_search(spec: EquationSpec, v: Word, wicks_len: int = 64) -> WicksRepor
     if core.is_identity:
         for z1, z2 in _trivial_candidates(spec, spec.basis):
             consider(z1, z2)
-        return WicksReport(solutions, True, [])
+        return WicksReport(solutions, [])
     # solutions are gathered from every match, degenerate forms included; the
     # reported match list keeps the nonempty convention
     all_matches = wicks_decompositions(core, kind)
     for match in all_matches:
         consider(*extract_solution(match, t))
     matches = [m for m in all_matches if all(not p.is_identity for p in m.parts.values())]
-    return WicksReport(solutions, True, matches)
+    return WicksReport(solutions, matches)

@@ -22,7 +22,9 @@ power before comparing, and ``naive_beta_decide`` builds the whole set of
 pair candidates for every translation parameter before checking any.
 ``naive_wicks_decompositions`` is the Wicks matcher before its layout table:
 it rebuilds the length compositions at every shift and compares each layout
-as lists of letter tuples, inverting a segment by reversing it.
+as lists of letter tuples, inverting a segment by reversing it.  It reads
+the forms from its own table, written from the module docstring of
+``fgquad.wicks``, so a wrong layout in the library cannot hide in both.
 It admits empty parts unless told otherwise, as the library matcher does, so
 it can stand in for it; ``nonempty`` keeps the matches with every part
 nonempty.  ``naive_geom_rep_word`` and ``naive_alt_rep_word`` are the
@@ -69,7 +71,7 @@ from fgquad.derived import DecideResult, MixedCase, _chain_candidates, _window_v
 from fgquad.errors import DomainMismatch, EpsilonMismatch
 from fgquad.groupring import conjugate_power_product, relator_jacobian_alpha
 from fgquad.orbits import Action, Pair, _Translation, _check_eps, _heads, _period
-from fgquad.wicks import _FORM_LAYOUT, _KIND_FORMS, FormName, Kind, WicksMatch
+from fgquad.wicks import WicksMatch
 
 
 def reduce_syllables(syllables: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -710,13 +712,19 @@ def _enumerate_lengths(n_parts: int, total: int, allow_empty: bool) -> list[tupl
     return out
 
 
+# the quadratic Wicks forms per kind, as the fgquad.wicks docstring writes them
+_WICKS_FORMS = {
+    "commutator": {"orientable_abc": "a b c a^-1 b^-1 c^-1", "orientable_de": "d e d^-1 e^-1"},
+    "two_squares": {"nonorientable_abcbac": "a b c b a c^-1", "nonorientable_aabcc": "a a b c c b^-1"},
+}
+
+
 def _try_layout(
     basis: BasisTag,
     letters: list[tuple[int, int]],
-    form: FormName,
+    layout: list[tuple[str, bool]],
     lengths: dict[str, int],
 ) -> Optional[dict[str, Word]]:
-    layout = _FORM_LAYOUT[form]
     pos = 0
     segments: dict[str, list[tuple[int, int]]] = {}
     for name, inverted in layout:
@@ -734,7 +742,7 @@ def _try_layout(
     return {name: Word.from_syllables(basis, seg) for name, seg in segments.items()}
 
 
-def naive_wicks_decompositions(w: Word, kind: Kind, allow_empty: bool = True) -> list[WicksMatch]:
+def naive_wicks_decompositions(w: Word, kind: str, allow_empty: bool = True) -> list[WicksMatch]:
     """All positional matches, every composition rebuilt and compared per shift."""
     letters = list(w.letters())
     n = len(letters)
@@ -745,11 +753,12 @@ def naive_wicks_decompositions(w: Word, kind: Kind, allow_empty: bool = True) ->
     for shift in range(n):
         rotated = letters[shift:] + letters[:shift]
         u_prefix = Word.from_syllables(w.basis, letters[:shift])
-        for form in _KIND_FORMS[kind]:
-            part_names = sorted({name for name, _ in _FORM_LAYOUT[form]})
+        for form, spelled in _WICKS_FORMS[kind].items():
+            layout = [(part[0], part.endswith("^-1")) for part in spelled.split()]  # (name, inverted)
+            part_names = sorted({name for name, _ in layout})
             for combo in _enumerate_lengths(len(part_names), n // 2, allow_empty):
                 lengths = dict(zip(part_names, combo))
-                parts = _try_layout(w.basis, rotated, form, lengths)
+                parts = _try_layout(w.basis, rotated, layout, lengths)
                 if parts is None:
                     continue
                 key = (shift, form, tuple(str(parts[name]) for name in part_names))

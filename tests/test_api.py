@@ -116,14 +116,21 @@ TRACER_ONLY = {"fox_derivative", "exact_divide", "same_orbit"}
 BENCH_ONLY = {"Verdict.verified"}
 
 
+# defaulted parameters that no src call passes: main's argv is for callers
+# outside the package, and PiElement.beta leaves with the tracer retarget
+UNPASSED_DEFAULTS = {"main(argv)", "PiElement.beta(k)"}
+
+
 @functools.cache
-def _src_references() -> tuple[set[str], set[str]]:
+def _src_references() -> tuple[set[str], set[str], dict[str, list[ast.Call]]]:
     """Over the src modules but ``__init__.py``: the names and attributes
-    that occur, and the attributes that are read, each outside the body of a
-    function of the same name (so a recursive call, or a property that reads
-    its own name, is not a use)."""
+    that occur, the attributes that are read, and the calls by the name or
+    attribute called, each outside the body of a function of the same name
+    (so a recursive call, or a property that reads its own name, is not a
+    use)."""
     used: set[str] = set()
     read: set[str] = set()
+    calls: dict[str, list[ast.Call]] = {}
 
     def visit(node: ast.AST, inside: frozenset[str]) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -134,18 +141,30 @@ def _src_references() -> tuple[set[str], set[str]]:
             used.add(node.attr)
             if isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
+        elif isinstance(node, ast.Call):
+            callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            if callee is not None and callee not in inside:
+                calls.setdefault(callee, []).append(node)
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 
-    for path in sorted(Path(fgquad.__file__).parent.glob("*.py")):
-        if path.name != "__init__.py":
-            visit(ast.parse(path.read_text(), str(path)), frozenset())
-    return used, read
+    for tree in _src_trees():
+        visit(tree, frozenset())
+    return used, read, calls
+
+
+@functools.cache
+def _src_trees() -> list[ast.Module]:
+    return [
+        ast.parse(path.read_text(), str(path))
+        for path in sorted(Path(fgquad.__file__).parent.glob("*.py"))
+        if path.name != "__init__.py"
+    ]
 
 
 def test_every_public_function_runs_in_src():
     # a public function that no src module uses exists only for the tests
-    used, _ = _src_references()
+    used, _, _ = _src_references()
     functions = {name for name in fgquad.__all__ if inspect.isfunction(getattr(fgquad, name))}
     assert TRACER_ONLY <= functions
     assert sorted(functions - used) == sorted(TRACER_ONLY)
@@ -169,7 +188,7 @@ def test_every_public_member_runs_in_src():
     # exists only for the tests.  The scan goes by name, so it cannot see a
     # member whose name another attribute shares: MixedCase.theta, always -1,
     # read nowhere, passed it because src reads spec.theta.
-    _, read = _src_references()
+    _, read, _ = _src_references()
     classes = [getattr(fgquad, name) for name in fgquad.__all__ if inspect.isclass(getattr(fgquad, name))]
     unread = {
         f"{cls.__name__}.{member}"
@@ -179,6 +198,40 @@ def test_every_public_member_runs_in_src():
         if member not in read
     }
     assert unread == BENCH_ONLY
+
+
+def _passes(call: ast.Call, name: str, index: int | None) -> bool:
+    """Whether ``call`` passes the parameter ``name``, at positional
+    ``index`` if it has one; a starred argument may pass any parameter."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+    return index is not None and (starred or len(call.args) > index)
+
+
+def test_every_defaulted_parameter_is_passed_in_src():
+    # a default that every src call keeps is a setting no caller makes
+    _, _, calls = _src_references()
+    unpassed = set()
+    for tree in _src_trees():
+        for owner in [tree, *(node for node in ast.walk(tree) if isinstance(node, ast.ClassDef))]:
+            for fn in owner.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                bound = isinstance(owner, ast.ClassDef) and not static  # self or cls
+                positional = fn.args.posonlyargs + fn.args.args
+                first_default = len(positional) - len(fn.args.defaults)
+                params = [(arg.arg, i - bound) for i, arg in enumerate(positional) if i >= first_default]
+                params += [(arg.arg, None) for arg, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d]
+                qualname = f"{owner.name}.{fn.name}" if isinstance(owner, ast.ClassDef) else fn.name
+                callee = owner.name if fn.name == "__init__" else fn.name  # a constructor runs by its class
+                unpassed |= {
+                    f"{qualname}({name})"
+                    for name, index in params
+                    if not any(_passes(call, name, index) for call in calls.get(callee, []))
+                }
+    assert unpassed == UNPASSED_DEFAULTS
 
 
 def test_classify_calls_analyze_v_by_its_module_global():

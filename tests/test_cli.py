@@ -29,6 +29,31 @@ GOLDEN_INVOCATIONS = {
 }
 
 
+# the budget flags each subcommand takes: the budgets its record reads
+BUDGET_FLAGS = {
+    "classify": ["--wicks-len", "--l-window"],
+    "wicks": ["--wicks-len"],
+    "first-derived": ["--enum-bound"],
+    "second-derived": ["--l-window"],
+    "verify-tables": [],
+    "qn": [],
+    "canon": [],
+}
+
+FULL_SPEC = ["--delta", "1", "--epsilon", "-1", "--theta", "-1", "--class", "nonfaithful", "--word", "conj(a)"]
+COMMAND_ARGS = {
+    "classify": FULL_SPEC,
+    "wicks": FULL_SPEC,
+    "first-derived": FULL_SPEC,
+    "second-derived": FULL_SPEC,
+    "qn": ["--epsilon", "-1", "--word", "R"],
+    "canon": ["--epsilon", "-1", "--word", "R"],
+}
+
+# each budget flag's Budgets field
+BUDGET_FIELDS = {"--wicks-len": "wicks_len", "--enum-bound": "enum_bound", "--l-window": "l_window_override"}
+
+
 def run_cli(argv) -> tuple[int, str]:
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -76,6 +101,20 @@ class TestCliBehavior:
         inputs = [json.loads(line)["input"] for line in out.splitlines()]
         assert inputs == ["a", "b b", "conj(a) conj(A)"]
 
+    @pytest.mark.parametrize("blank_lines", [0, 1])
+    def test_bad_batch_line_is_an_error_record(self, tmp_path, blank_lines):
+        batch = tmp_path / "words.txt"
+        batch.write_text("a\n" + "\n" * blank_lines + "a ?\nb b\n")
+        code, out = run_cli(
+            ["classify", "--delta", "1", "--epsilon", "-1", "--theta", "-1",
+             "--class", "nonfaithful", "--batch", str(batch)]
+        )
+        records = [json.loads(line) for line in out.splitlines()]
+        assert code == 1
+        assert [record["input"] for record in records] == ["a", "a ?", "b b"]
+        assert records[1] == {"input": "a ?", "line": 2 + blank_lines, "error": "unexpected character '?' (at offset 2)"}
+        assert records[0]["verdict"] == "not_exists" and records[2]["verdict"] == "exists"
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["classify", "--word", "a"])
@@ -107,8 +146,9 @@ class TestCliBehavior:
         assert (code, out) == (1, "")
         assert capsys.readouterr().err == "error: expected integer (at offset 2)\n"
 
-    @pytest.mark.parametrize("command", ["classify", "wicks", "first-derived", "second-derived"])
-    @pytest.mark.parametrize("flag", ["--wicks-len", "--enum-bound"])
+    @pytest.mark.parametrize(
+        "flag, command", [("--wicks-len", "classify"), ("--wicks-len", "wicks"), ("--enum-bound", "first-derived")]
+    )
     def test_zero_budget_is_an_error_line(self, capsys, command, flag):
         code, out = run_cli(
             [command, "--delta", "1", "--epsilon", "-1", "--theta", "-1",
@@ -116,6 +156,27 @@ class TestCliBehavior:
         )
         assert (code, out) == (1, "")
         assert capsys.readouterr().err == "error: budgets must be positive\n"
+
+    def test_zero_budget_is_one_error_line_for_a_batch(self, capsys, tmp_path):
+        batch = tmp_path / "words.txt"
+        batch.write_text("a\nb b\n")
+        code, out = run_cli(
+            ["classify", "--delta", "1", "--epsilon", "-1", "--theta", "-1",
+             "--class", "nonfaithful", "--batch", str(batch), "--wicks-len", "0"]
+        )
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == "error: budgets must be positive\n"
+
+    @pytest.mark.parametrize("command", sorted(BUDGET_FLAGS))
+    @pytest.mark.parametrize("flag", list(BUDGET_FIELDS))
+    def test_each_command_takes_only_the_budgets_it_reads(self, command, flag):
+        argv = [command, *COMMAND_ARGS.get(command, []), flag, "3"]
+        if flag in BUDGET_FLAGS[command]:
+            assert getattr(build_parser().parse_args(argv), BUDGET_FIELDS[flag]) == 3
+        else:
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
 
     def test_not_mixed_case_exit_code(self, capsys):
         code, _ = run_cli(

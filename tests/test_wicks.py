@@ -260,7 +260,6 @@ class TestSearch:
     def test_example_only_faithful(self):
         spec = EquationSpec(1, -1, -1, "nonfaithful", "adapted_xy")
         report = wicks_search(spec, parse_word("conj(a) conj(A)", ADAPTED_MINUS))
-        assert report.exhaustive
         assert report.solutions
         assert all(faithful for _, faithful in report.solutions)
 
