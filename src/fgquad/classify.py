@@ -100,7 +100,7 @@ def classify(spec: EquationSpec, v: Word, budgets: Budgets = Budgets()) -> Verdi
         return _exists(spec, v, instantiate_witness(branch.family, v_ad), "adapted_xy", branch.row)
     if branch.kind == "degree_two":
         spec_z = replace(spec, frame="original_z")
-        pair = degree_two_witness(spec_z, change_basis(v_ad, spec_z.basis))
+        pair = degree_two_witness(spec_z, change_basis(v, spec_z.basis))
         if pair is None:
             return Verdict(
                 "undetermined",

@@ -23,7 +23,10 @@ from .words import BasisTag, EquationSpec, Word, parse_word
 
 
 def _sign(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value not in (1, -1):
         raise argparse.ArgumentTypeError("expected +1 or -1")
     return value

@@ -219,16 +219,21 @@ class DecideResult:
     trace: dict = field(default_factory=dict)
 
 
-def _window_values(value: int, modulus: int, lo: int, hi: int) -> list[int]:
+def _window_values(value: int, modulus: int, lo: int, hi: int) -> range:
     """All w with lo < w < hi (hi exclusive) and w == value (mod modulus)."""
-    start = value % modulus
-    out = []
-    w = start - modulus * ((start - lo - 1) // modulus + 1)
-    while w < hi:
-        if lo < w:
-            out.append(w)
-        w += modulus
-    return out
+    return range(lo + 1 + (value - lo - 1) % modulus, hi, modulus)
+
+
+def _window(bound: int, stabilized: bool) -> Iterator[int]:
+    """The translation parameters in the order they are tried: 0, -1, 1, ...,
+    -bound, bound, bound + 1, then bound + 2 if ``stabilized``."""
+    yield 0
+    for L in range(1, bound + 1):
+        yield -L
+        yield L
+    yield bound + 1
+    if stabilized:
+        yield bound + 2
 
 
 def _squares_decide(case: MixedCase, v_elt: RingElement) -> DecideResult:
@@ -258,18 +263,19 @@ def _chain_candidates(n: int, ell: int, v_elt: RingElement) -> set[PiElement]:
     two_n = 2 * abs(n)
     steps = abs(n) // ell
     out: set[PiElement] = set()
+    # the modulus is even, so every value of a window has the parity of base.s
     for x in v_elt.support():
         for base in (x, x.inv()):
+            if base.s % 2:  # odd s in (0, ell]
+                lo, hi = 0, ell + 1
+            elif base.r > 0:  # even s in (-ell, ell)
+                lo, hi = -ell, ell
+            elif base.r == 0:  # even s in (0, ell)
+                lo, hi = 0, ell
+            else:
+                continue
             for r2 in range(steps):
-                target = base.s - 2 * ell * r2
-                for s_val in _window_values(target, two_n, -ell, ell):
-                    if s_val % 2:
-                        continue
-                    if base.r > 0 or (base.r == 0 and 0 < s_val):
-                        out.add(PiElement(-1, base.r, s_val))
-                for s_val in _window_values(target, two_n, 0, ell + 1):
-                    if s_val % 2 == 1:
-                        out.add(PiElement(-1, base.r, s_val))
+                out.update(PiElement(-1, base.r, s) for s in _window_values(base.s - 2 * ell * r2, two_n, lo, hi))
     return out
 
 
@@ -280,7 +286,8 @@ def _pair_rows(ell: int, v_elt: RingElement, modulus: int) -> list[tuple[int, li
     for x in v_elt.support():
         s_vals = rows.setdefault(abs(x.r), set())
         for target in (x.s, -x.s, x.s - ell, -x.s - ell):
-            s_vals.update(s for s in _window_values(target, modulus, 0, ell) if s % 2 == 0)
+            if target % 2 == 0:  # the modulus is even: the window has the parity of the target
+                s_vals.update(_window_values(target, modulus, 0, ell))
     return [(r, sorted(s_vals)) for r, s_vals in rows.items() if s_vals]
 
 
@@ -310,7 +317,6 @@ def _beta_decide(
     bound = 2 * r_alpha + abs(n) + 2
     if window_override is not None:
         bound = max(bound, window_override)
-    window = sorted(range(-bound, bound + 2), key=lambda L: (abs(L), L))
     trace: dict = {
         "case": case.label(),
         "branch": "translation_search",
@@ -331,7 +337,6 @@ def _beta_decide(
                     return DecideResult(False, certificate=cert, trace=trace)
         # beyond the window every parameter acts like the appended stabilized
         # representative, so the search below is exhaustive
-        candidates = window + [bound + 2]
         trace["stabilized_L"] = bound + 2
         rows = _pair_rows(ell, vd, 2 * abs(n))
         # j_L sends (m, 2k) to (m, -2k) whatever L is, so the augmentation at
@@ -350,7 +355,6 @@ def _beta_decide(
             return True
 
     else:
-        candidates = window
         rows = _pair_rows(ell, vd, 2 * ell)
         conditions = "augmentation conditions"
 
@@ -365,7 +369,7 @@ def _beta_decide(
                 for m_val in range(1, m_top + 1)
             )
 
-    for L in candidates:
+    for L in _window(bound, n % 2 == 0):
         if holds(L):
             trace["L"] = L
             return DecideResult(True, ell=ell, L=L, trace=trace)

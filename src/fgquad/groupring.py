@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, TypeVar
 
 from .errors import DomainMismatch, EpsilonMismatch, NotDivisible, NotInKernel
 from .surface import PiElement, project
-from .words import BasisTag, Word, change_basis
+from .words import BasisTag, Word, change_basis, conj, relator_in
 
 
 _Sum = TypeVar("_Sum", bound="SparseSum")
@@ -346,8 +346,6 @@ def conjugate_power_product(
     epsilon: int, factors: Iterable[tuple[Word, int]]
 ) -> Word:
     """Build prod_i (u_i R u_i^-1)^{n_i} in the adapted basis."""
-    from .words import conj, relator_in
-
     rel = relator_in(BasisTag.adapted(epsilon))
     out = Word.identity(rel.basis)
     for u, n in factors:

@@ -25,8 +25,8 @@ from .words import (
     change_basis,
     comm,
     conj,
-    cyclic_reduce,
     parse_word,
+    primitive_root,
     relator_in,
     sgn,
     square_root,
@@ -80,41 +80,16 @@ def _klein(match: Callable[[Word], list[tuple]]) -> Callable[[Word], list[tuple]
 
 
 def _exact_power_of(v: Word, base: Word) -> Optional[int]:
-    """The k = +-len(v)/len(base) with base**k == v, if any.
-
-    With (core, t) = cyclic_reduce(base), base**k is t core**k t**-1 without
-    cancellation, so its core has n syllables per syllable of core, less one
-    per seam where the last syllable of core runs into the first.  A v whose
-    core has another count is rejected before any power is built.
-    """
+    """The k with base**k == v, if any: v and base share their primitive
+    root up to inversion and the exponent of base divides that of v."""
     if v.is_identity:
         return 0
-    if base.is_identity or len(v) % len(base):
+    (root_v, e_v), (root_b, e_b) = primitive_root(v), primitive_root(base)
+    if e_v % e_b:
         return None
-    n = len(v) // len(base)
-    core = cyclic_reduce(base)[0].syls
-    seams = n - 1 if core[0][0] == core[-1][0] else 0
-    if len(cyclic_reduce(v)[0].syls) != n * len(core) - seams:
-        return None
-    for k in (n, -n):
-        if base**k == v:
-            return k
-    return None
-
-
-def _primitive_root(v: Word) -> tuple[Word, int]:
-    """Largest e with v == root**e."""
-    core, t = cyclic_reduce(v)
-    letters = list(core.letters())
-    m = len(letters)
-    for e in range(m, 1, -1):
-        if m % e:
-            continue
-        step = m // e
-        chunk = letters[:step]
-        if all(letters[i * step : (i + 1) * step] == chunk for i in range(e)):
-            return t * Word.from_syllables(v.basis, chunk) * t.inv(), e
-    return v, 1
+    if root_v == root_b:
+        return e_v // e_b
+    return -(e_v // e_b) if root_v == root_b.inv() else None
 
 
 def _xy(delta: int, eps: int, theta: int, cls: str) -> EquationSpec:
@@ -213,9 +188,7 @@ DEGREE_TWO = (
 # Mixed-case families (Tables 3 and 4), in the order pattern_witness tries them.
 def _even_power(v: Word) -> list[tuple]:
     """v = u^{2k} with orientation-reversing u, one entry per such split."""
-    if square_root(v) is None:  # the cheap test first: e is even for a square only
-        return []
-    root, e = _primitive_root(v)
+    root, e = primitive_root(v)
     splits = [(root**j, e // (2 * j)) for j in range(1, e + 1) if e % (2 * j) == 0]
     return [(u, k) for u, k in splits if sgn(u) == -1]
 
@@ -316,7 +289,8 @@ def _abelian_obstructed(spec: EquationSpec) -> bool:
 def table_branch(spec: EquationSpec, vbar: PiElement, v_sign: int) -> Branch:
     """Name the Table 1/2 branch for the given parameters.
 
-    ``v_sign`` is the orientation character of the conjugation parameter.
+    ``v_sign`` is the orientation character of the conjugation parameter,
+    ``vbar.w_eps()``.
     Faithful queries with v_sign == theta fall outside the degree-zero
     classification and are labelled ``degree_two``.
     """
@@ -379,7 +353,7 @@ def locate(spec: EquationSpec, v: Word) -> tuple[Word, PiElement, Branch]:
     adapted = BasisTag.adapted(spec.epsilon)
     v_ad = v if v.basis == adapted else change_basis(v, adapted)
     vbar = project(v_ad)
-    return v_ad, vbar, table_branch(spec, vbar, sgn(v_ad))
+    return v_ad, vbar, table_branch(spec, vbar, vbar.w_eps())
 
 
 def instantiate_witness(family: Family, v: Word) -> Pair:

@@ -9,6 +9,9 @@ Cost model, in syllables: a product cancels only at the seam of its two
 reduced factors, so it costs the length of the result; parsing, basis
 change and powers gather syllables first and reduce once, so they are
 linear in the syllables of their result; a one-syllable power is O(1).
+``primitive_root`` compares the syllables of the cyclically reduced core
+with their shifts by the divisors of the syllable count, shortest first,
+one pass each; squares and exact powers read it and expand no letters.
 ``surface.project`` and ``groupring._fox_pairs`` walk integer
 coordinates ``(r, s)`` of the quotient instead of multiplying group elements.
 """
@@ -198,33 +201,43 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
             j -= 1
         if syls[i][1] == 0:
             i += 1
-    core = Word.from_syllables(w.basis, syls[i : j + 1])
+    # only the two end syllables changed, to nonzero exponents: still reduced
+    core = Word(w.basis, tuple(syls[i : j + 1]))
     t = Word.from_syllables(w.basis, t_parts)
     return core, t
 
 
-def square_root(w: Word) -> Optional[Word]:
-    """Return ``s`` with ``s*s == w`` if one exists.
+def primitive_root(w: Word) -> tuple[Word, int]:
+    """The ``(r, e)`` with ``w == r**e``, ``e >= 1`` and ``r`` not a proper
+    power; every element of a free group has exactly one (``(w, 1)`` for 1).
 
-    The cyclically reduced core is cut at its middle letter, inside a
-    syllable if need be, and the two halves are compared as syllables.
+    A core whose first and last syllables share a generator is rotated so
+    that its powers cannot merge at a seam; the shortest syllable period of
+    the core that divides its syllable count is then the root.
     """
     core, t = cyclic_reduce(w)
-    rest, odd = divmod(len(core), 2)
-    if odd:
+    syls = core.syls
+    if len(syls) == 1:
+        gen, exp = syls[0]
+        return conj(t, Word(w.basis, ((gen, 1 if exp > 0 else -1),))), abs(exp)
+    if syls and syls[0][0] == syls[-1][0]:  # core = s u s' = s'^-1 (s' s u) s'
+        (gen, first), (_, last) = syls[0], syls[-1]
+        t = t * Word(w.basis, syls[-1:]).inv()
+        syls = ((gen, first + last),) + syls[1:-1]
+    n = len(syls)
+    period = next((p for p in range(1, n) if n % p == 0 and syls[p:] == syls[: n - p]), n)
+    if period == n:  # no proper power, or w = 1
+        return w, 1
+    return conj(t, Word(w.basis, syls[:period])), n // period
+
+
+def square_root(w: Word) -> Optional[Word]:
+    """Return ``s`` with ``s*s == w`` if one exists: the root to half its
+    exponent when that is even."""
+    root, e = primitive_root(w)
+    if e % 2 and w.syls:
         return None
-    syls, i = core.syls, 0
-    while rest and rest >= abs(syls[i][1]):
-        rest -= abs(syls[i][1])
-        i += 1
-    left, right = syls[:i], syls[i:]
-    if rest:
-        gen, exp = syls[i]
-        cut = rest if exp > 0 else -rest
-        left, right = left + ((gen, cut),), ((gen, exp - cut),) + syls[i + 1 :]
-    if left != right:
-        return None
-    return t * Word(w.basis, left) * t.inv()
+    return root ** (e // 2)
 
 
 def sgn(w: Word) -> int:

@@ -3,7 +3,8 @@
 These are the step-by-step forms the library used before its word layer
 became linear: every product re-reduces the whole concatenation, a power is
 repeated multiplication, a square root compares the halves of the core
-letter by letter, basis change multiplies image powers one syllable
+letter by letter, a primitive root splits the core's letters into the
+most equal chunks, basis change multiplies image powers one syllable
 at a time, projection multiplies one group element per syllable, the Fox
 derivative multiplies ``prefix * base**j`` per letter, and the parser
 multiplies term by term.  They are slow on purpose and serve as oracles for
@@ -17,9 +18,10 @@ is kept too: orbit families built from group elements, pairwise membership
 tests, the augmentation that tests every term against every orbit family,
 and the squares decider that partitions the support pairwise;
 ``orbit_in_box`` lists orbit elements in a box for the box-oracle tests of
-the orbit layer.  ``naive_exact_power_of`` builds the candidate
-power before comparing, and ``naive_beta_decide`` builds the whole set of
-pair candidates for every translation parameter before checking any.
+the orbit layer.  ``naive_exact_power_of`` tries every power of
+the base in turn, and ``naive_beta_decide`` builds the whole set of
+pair candidates for every translation parameter before checking any, from
+window values and chain candidates that test each value's parity.
 ``naive_wicks_decompositions`` is the Wicks matcher before its layout table:
 it rebuilds the length compositions at every shift and compares each layout
 as lists of letter tuples, inverting a segment by reversing it.  It reads
@@ -67,7 +69,7 @@ from fgquad import (
     odd_part,
     project,
 )
-from fgquad.derived import DecideResult, MixedCase, _chain_candidates, _window_values
+from fgquad.derived import DecideResult, MixedCase
 from fgquad.errors import DomainMismatch, EpsilonMismatch
 from fgquad.groupring import conjugate_power_product, relator_jacobian_alpha
 from fgquad.orbits import Action, Pair, _Translation, _check_eps, _heads, _period
@@ -156,6 +158,23 @@ def naive_square_root(w: Word) -> Word | None:
         return None
     root = Word(w.basis, reduce_syllables(letters[:half]))
     return naive_mul(naive_mul(t, root), naive_inv(t))
+
+
+def naive_primitive_root(w: Word) -> tuple[Word, int]:
+    """Largest e with w == root**e, from the letters of the cyclically
+    reduced core: the fewest equal chunks that spell it."""
+    core, t = naive_cyclic_reduce(w)
+    letters = list(core.letters())
+    m = len(letters)
+    for e in range(m, 1, -1):
+        if m % e:
+            continue
+        step = m // e
+        chunk = letters[:step]
+        if all(letters[i * step : (i + 1) * step] == chunk for i in range(e)):
+            root = Word(w.basis, reduce_syllables(chunk))
+            return naive_mul(naive_mul(t, root), naive_inv(t)), e
+    return w, 1
 
 
 def naive_change_basis(w: Word, target: BasisTag) -> Word:
@@ -522,6 +541,40 @@ def naive_squares_decide(case: MixedCase, v_elt: RingElement) -> DecideResult:
     return DecideResult(True, ell=case.d, trace=trace)
 
 
+def naive_window_values(value: int, modulus: int, lo: int, hi: int) -> list[int]:
+    """All w with lo < w < hi (hi exclusive) and w == value (mod modulus),
+    stepping up from below lo."""
+    start = value % modulus
+    out = []
+    w = start - modulus * ((start - lo - 1) // modulus + 1)
+    while w < hi:
+        if lo < w:
+            out.append(w)
+        w += modulus
+    return out
+
+
+def naive_chain_candidates(n: int, ell: int, v_elt: RingElement) -> set[PiElement]:
+    """Restricted-window elements whose chain orbits can meet the support,
+    filtering every window value by its parity."""
+    two_n = 2 * abs(n)
+    steps = abs(n) // ell
+    out: set[PiElement] = set()
+    for x in v_elt.support():
+        for base in (x, x.inv()):
+            for r2 in range(steps):
+                target = base.s - 2 * ell * r2
+                for s_val in naive_window_values(target, two_n, -ell, ell):
+                    if s_val % 2:
+                        continue
+                    if base.r > 0 or (base.r == 0 and 0 < s_val):
+                        out.add(PiElement(-1, base.r, s_val))
+                for s_val in naive_window_values(target, two_n, 0, ell + 1):
+                    if s_val % 2 == 1:
+                        out.add(PiElement(-1, base.r, s_val))
+    return out
+
+
 def naive_pair_candidates(n: int, ell: int, L: int, v_elt: RingElement, modulus: int) -> set[PiElement]:
     """Elements (m, 2k), m >= 0, 0 < 2k < ell, whose pair orbits can meet supp."""
     out: set[PiElement] = set()
@@ -529,7 +582,7 @@ def naive_pair_candidates(n: int, ell: int, L: int, v_elt: RingElement, modulus:
         ms = {abs(x.r), L - x.r, x.r - L, L + x.r, -L - x.r}
         s_targets = (x.s, -x.s, x.s - ell, -x.s - ell)
         for target in s_targets:
-            for s_val in _window_values(target, modulus, 0, ell):
+            for s_val in naive_window_values(target, modulus, 0, ell):
                 if s_val % 2:
                     continue
                 for m_val in ms:
@@ -560,7 +613,7 @@ def naive_beta_decide(
     tilde = Tilde(n)
     if n % 2 == 0:
         steps = abs(n) // ell
-        for g in sorted(_chain_candidates(n, ell, vd), key=lambda p: (p.s, p.r)):
+        for g in sorted(naive_chain_candidates(n, ell, vd), key=lambda p: (p.s, p.r)):
             base_val = augment(tilde, vd, g)
             for r2 in range(1, steps):
                 h = PiElement(-1, g.r, g.s + 2 * ell * r2)
@@ -613,15 +666,20 @@ def naive_beta_decide(
 
 
 def naive_exact_power_of(v: Word, base: Word) -> Optional[int]:
-    """The k with ``base**k == v``, building both candidate powers first."""
+    """The k with ``base**k == v``, trying k = +-1, ..., +-(len(v) + 1) in
+    turn; the search stops once the power is longer than v, since the
+    powers of a word other than 1 only grow."""
     if v.is_identity:
         return 0
-    if base.is_identity or len(v) % len(base):
-        return None
-    n = len(v) // len(base)
-    for k in (n, -n):
-        if base**k == v:
+    power = Word.identity(v.basis)
+    for k in range(1, len(v) + 2):
+        power = naive_mul(power, base)
+        if power == v:
             return k
+        if naive_inv(power) == v:
+            return -k
+        if len(power) > len(v):
+            break
     return None
 
 

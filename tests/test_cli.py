@@ -120,6 +120,13 @@ class TestCliBehavior:
             build_parser().parse_args(["classify", "--word", "a"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("value", ["x", "2", "1.0"])
+    def test_bad_sign_names_the_flag_and_the_values(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["qn", "--epsilon", value, "--word", "a"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: argument --epsilon: expected +1 or -1\n")
+
     def test_non_utf8_batch_is_an_unreadable_file(self, capsys, tmp_path):
         batch = tmp_path / "words.bin"
         batch.write_bytes(b"a\n\xff\xfe b\n")

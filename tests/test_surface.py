@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import ADAPTED_MINUS, CLASSIC_MINUS, random_pi, random_word, words_strategy
+from conftest import ADAPTED_MINUS, ADAPTED_PLUS, CLASSIC_MINUS, CLASSIC_PLUS, random_pi, random_word, words_strategy
 from fgquad import (
     BasisTag,
     EpsilonMismatch,
@@ -12,6 +12,7 @@ from fgquad import (
     parse_word,
     project,
     relator_in,
+    sgn,
 )
 from oracles import apply_phi
 
@@ -41,6 +42,11 @@ class TestProject:
         for _ in range(300):
             w = random_word(rng, CLASSIC_MINUS, 5)
             assert project(w) == project(change_basis(w, ADAPTED_MINUS))
+
+    @given(st.sampled_from([ADAPTED_MINUS, ADAPTED_PLUS, CLASSIC_MINUS, CLASSIC_PLUS]).flatmap(words_strategy))
+    def test_orientation_is_read_from_the_projection(self, w):
+        # table_branch is given the orientation of v as project(v).w_eps()
+        assert project(w).w_eps() == sgn(w)
 
 
 class TestPiAlgebra:

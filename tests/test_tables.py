@@ -3,7 +3,7 @@
 import sys
 from collections import Counter
 
-from fgquad import classify, project, sgn, verify_solution
+from fgquad import classify, project, verify_solution
 from fgquad.tables import all_fixtures, instantiate_witness, table_branch
 
 # Every fixture row the explicit-solution tables checked before the registry
@@ -97,7 +97,8 @@ def test_closed_branches_point_at_the_family_of_their_rows():
     closed = [fx for fx in all_fixtures() if fx.row.startswith(("Table 1", "Table 2"))]
     assert len(closed) == 20
     for fx in closed:
-        branch = table_branch(fx.spec, project(fx.v), sgn(fx.v))
+        vbar = project(fx.v)
+        branch = table_branch(fx.spec, vbar, vbar.w_eps())
         assert (branch.row, branch.kind) == (fx.row, "exists")
         assert instantiate_witness(branch.family, fx.v) == (fx.first, fx.second)
 

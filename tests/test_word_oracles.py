@@ -33,15 +33,16 @@ from fgquad import (
     q_n,
     square_root,
 )
-from fgquad.derived import _beta_decide, _squares_decide
+from fgquad.derived import _beta_decide, _chain_candidates, _squares_decide, _window_values
 from fgquad.groupring import conjugate_power_product, relator_jacobian_alpha
 from fgquad.tables import _exact_power_of
-from fgquad.words import relator_in
+from fgquad.words import primitive_root, relator_in
 from oracles import (
     element_class,
     naive_change_basis,
     naive_augment,
     naive_beta_decide,
+    naive_chain_candidates,
     naive_cyclic_reduce,
     naive_exact_divide,
     naive_exact_power_of,
@@ -50,11 +51,13 @@ from oracles import (
     naive_mul,
     naive_pair_candidates,
     naive_pow,
+    naive_primitive_root,
     naive_project,
     naive_q_n,
     naive_square_root,
     naive_squares_decide,
     naive_twisted_augment,
+    naive_window_values,
     reduce_syllables,
     reference_parse,
 )
@@ -136,6 +139,20 @@ class TestWordAlgebra:
             square = Word(square.basis, reduce_syllables([*square.syls[:-1], (gen, exp + nudge)]))
         for x in (square, other):
             assert square_root(x) == naive_square_root(x)
+
+    @oracle_settings
+    @given(power_bases(), st.integers(-12, 12), words())
+    def test_primitive_root(self, w, k, other):
+        power = naive_pow(w, k)
+        for x in (power, naive_inv(power), other):
+            root, e = primitive_root(x)
+            assert (root, e) == naive_primitive_root(x)
+            assert naive_pow(root, e) == x
+
+    def test_exact_power_of_a_base_that_is_not_cyclically_reduced(self):
+        v, base = parse_word("b a^2 B", ADAPTED_MINUS), parse_word("b a B", ADAPTED_MINUS)
+        assert _exact_power_of(v, base) == naive_exact_power_of(v, base) == 2
+        assert _exact_power_of(v.inv(), base) == -2
 
     @oracle_settings
     @given(power_bases(), st.integers(-12, 12), st.integers(-2, 2), st.data())
@@ -490,6 +507,18 @@ class TestBetaDecide:
         case, v, override = args
         got = result_or_error(_beta_decide, case, v, override)
         assert got == result_or_error(naive_beta_decide, case, v, override)
+
+    @oracle_settings
+    @given(st.integers(-60, 60), st.integers(1, 30).map(lambda k: 2 * k), st.integers(-40, 40), st.integers(-40, 40))
+    def test_window_values(self, value, modulus, lo, hi):
+        assert list(_window_values(value, modulus, lo, hi)) == naive_window_values(value, modulus, lo, hi)
+
+    @oracle_settings
+    @given(beta_cases())
+    def test_chain_candidates(self, args):
+        case, v, _ = args
+        ell = odd_part(case.n)
+        assert _chain_candidates(case.n, ell, v) == naive_chain_candidates(case.n, ell, v)
 
     def test_every_outcome_is_reached(self):
         # the seeded cases reach exhausted windows of both parities, with and

@@ -24,7 +24,7 @@ from fgquad import (
 )
 from fgquad.cli import main
 from fgquad.groupring import SparseSum, conjugate_power_product
-from fgquad.tables import _exact_power_of
+from fgquad.tables import _even_power, _exact_power_of
 from oracles import reduce_syllables
 
 
@@ -50,6 +50,14 @@ def test_one_syllable_is_no_power_of_the_relator():
     v = Word.gen(ADAPTED_MINUS, "b", 1000000)
     start = perf_counter()
     assert _exact_power_of(v, relator_in(ADAPTED_MINUS)) is None
+    assert perf_counter() - start < 0.1
+
+
+def test_even_power_of_a_long_syllable():
+    # the root comes from the four syllables of the core, not its 2000002 letters
+    u = Word(ADAPTED_MINUS, ((0, 1000000), (1, 1)))
+    start = perf_counter()
+    assert _even_power(u * u) == [(u, 1)]
     assert perf_counter() - start < 0.1
 
 
@@ -87,6 +95,21 @@ def test_exhausted_translation_window():
     result = second_decide(MixedCase("eq2_nf", n=3), v)
     assert perf_counter() - start < 0.3
     assert result.trace["window"] == [-405, 406] and result.trace["window_exhausted"]
+
+
+def test_wide_translation_window_answered_early():
+    # the window is tried from L = 0 outwards, so a million-wide override
+    # costs nothing when L = 1 already holds
+    argv = [
+        "second-derived", "--delta", "1", "--epsilon", "-1", "--theta", "-1", "--class", "nonfaithful",
+        "--word", "b^2 conj(a) conj(b)", "--l-window", "1000000",
+    ]
+    buf = io.StringIO()
+    start = perf_counter()
+    with redirect_stdout(buf):
+        code = main(argv)
+    assert perf_counter() - start < 0.1
+    assert code == 0 and '"L": 1,' in buf.getvalue() and '"window": [-1000000, 1000001]' in buf.getvalue()
 
 
 def test_wicks_matcher_on_a_core_at_the_default_budget(monkeypatch):
