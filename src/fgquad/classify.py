@@ -16,7 +16,7 @@ from .derived import analyze_v, second_decide
 from .errors import BudgetExceeded, InvalidBudget, WitnessUnverified
 from .tables import MIXED, degree_two_witness, instantiate_witness, locate
 from .wicks import DEFAULT_WICKS_LEN
-from .words import EquationSpec, Frame, Word, change_basis, swap_frame, verify_solution
+from .words import EquationSpec, Frame, Word, change_basis, primitive_root, swap_frame, verify_solution
 
 Outcome = Literal["exists", "not_exists", "undetermined"]
 Reason = Literal[
@@ -71,11 +71,13 @@ def pattern_witness(spec: EquationSpec, v: Word) -> Optional[tuple[Word, Word]]:
     powers, perfect squares and even powers, (alpha*beta)-powers, relator
     times a beta-power, and the single explicit beta^2-conjugate row.  The
     first pair that passes substitution, lies in the requested class and has
-    its first unknown in the relator subgroup is returned.
+    its first unknown in the relator subgroup is returned.  The primitive
+    root of ``v`` is computed once, for all the families.
     """
     faithful = spec.solution_class == "faithful"
+    shape = primitive_root(v)
     for family in MIXED:
-        for pair in family.pairs(v):
+        for pair in family.pairs(v, *shape):
             res = verify_solution(spec, v, *pair)
             if res.holds and res.x_in_n and res.faithful == faithful:
                 return pair

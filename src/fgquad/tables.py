@@ -14,6 +14,7 @@ and ``MIXED``, and ``verify_tables`` checks every sample row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterator, Literal, Optional
 
 from .groupring import conjugate_power_product
@@ -41,17 +42,20 @@ class Family:
     """One explicitly solved shape of the conjugation parameter ``v``.
 
     ``match(v)`` lists the parameter tuples under which ``v`` has the shape
-    (none: no match); ``build(v, *params)`` writes the pair in the basis of
+    (none: no match); a ``MIXED`` matcher also takes the primitive root of
+    ``v``, ``match(v, root, e)`` with ``v == root**e``, computed once for
+    all of them.  ``build(v, *params)`` writes the pair in the basis of
     ``v``.  Each row is a table cell, the equation it solves and sample
     values of ``v`` in that equation's basis.
     """
 
-    match: Callable[[Word], list[tuple]]
+    match: Callable[..., list[tuple]]
     build: Callable[..., Pair]
     rows: tuple[tuple[str, EquationSpec, tuple[str, ...]], ...]
 
-    def pairs(self, v: Word) -> Iterator[Pair]:
-        for params in self.match(v):
+    def pairs(self, v: Word, *shape: object) -> Iterator[Pair]:
+        """The pairs of every match; ``shape`` is ``(root, e)`` for a ``MIXED`` family."""
+        for params in self.match(v, *shape):
             yield self.build(v, *params)
 
 
@@ -75,21 +79,32 @@ def _one(param: Optional[object]) -> list[tuple]:
     return [] if param is None else [(param,)]
 
 
-def _klein(match: Callable[[Word], list[tuple]]) -> Callable[[Word], list[tuple]]:
-    return lambda v: match(v) if v.basis.epsilon == -1 else []
+def _klein(match: Callable[..., list[tuple]]) -> Callable[..., list[tuple]]:
+    return lambda v, *shape: match(v, *shape) if v.basis.epsilon == -1 else []
 
 
-def _exact_power_of(v: Word, base: Word) -> Optional[int]:
-    """The k with base**k == v, if any: v and base share their primitive
-    root up to inversion and the exponent of base divides that of v."""
-    if v.is_identity:
+def _exact_power_of(v: tuple[Word, int], base: tuple[Word, int]) -> Optional[int]:
+    """The k with base**k == v, given both as ``(root, e)``: v and base share
+    their primitive root up to inversion and the exponent of base divides
+    that of v."""
+    (root_v, e_v), (root_b, e_b) = v, base
+    if root_v.is_identity:
         return 0
-    (root_v, e_v), (root_b, e_b) = primitive_root(v), primitive_root(base)
     if e_v % e_b:
         return None
     if root_v == root_b:
         return e_v // e_b
     return -(e_v // e_b) if root_v == root_b.inv() else None
+
+
+@cache  # four bases, like relator_in
+def _relator_root(basis: BasisTag) -> tuple[Word, int]:
+    return primitive_root(relator_in(basis))
+
+
+@cache  # four bases
+def _ab_squared_root(basis: BasisTag) -> tuple[Word, int]:
+    return primitive_root((Word.gen(basis, "a") * Word.gen(basis, "b")) ** 2)
 
 
 def _xy(delta: int, eps: int, theta: int, cls: str) -> EquationSpec:
@@ -185,15 +200,15 @@ DEGREE_TWO = (
 )
 
 
-# Mixed-case families (Tables 3 and 4), in the order pattern_witness tries them.
-def _even_power(v: Word) -> list[tuple]:
+# Mixed-case families (Tables 3 and 4), in the order pattern_witness tries
+# them; each matcher takes v = root**e.
+def _even_power(v: Word, root: Word, e: int) -> list[tuple]:
     """v = u^{2k} with orientation-reversing u, one entry per such split."""
-    root, e = primitive_root(v)
     splits = [(root**j, e // (2 * j)) for j in range(1, e + 1) if e % (2 * j) == 0]
     return [(u, k) for u, k in splits if sgn(u) == -1]
 
 
-def _relator_beta_power(v: Word) -> list[tuple]:
+def _relator_beta_power(v: Word, *_: object) -> list[tuple]:
     """v = B beta^{2n}."""
     w = _R(v).inv() * v
     hit = len(w.syls) <= 1 and all(g == 1 and e % 2 == 0 for g, e in w.syls)
@@ -216,7 +231,7 @@ def _beta2_b_alpha_pair(v: Word) -> Pair:
 def _squares(build: Callable[[Word, Word], Pair]) -> Family:
     """v = u^2, solved in the three square cells of Tables 3 and 4."""
     return Family(
-        lambda v: _one(square_root(v)),
+        lambda v, root, e: _one(square_root(v, (root, e))),
         build,
         (
             ("Table 3 (4c)", _xy(-1, -1, -1, "faithful"), ("b^2", "(a b)^2")),
@@ -229,7 +244,7 @@ def _squares(build: Callable[[Word, Word], Pair]) -> Family:
 def _relator_power(u: Callable[[Word], Word], row: str, cls: str) -> Family:
     """v = R^m collapses the right-hand side, so (1, u) solves for any u."""
     return Family(
-        lambda v: _one(_exact_power_of(v, _R(v))),
+        lambda v, root, e: _one(_exact_power_of((root, e), _relator_root(v.basis))),
         lambda v, m: (Word.identity(v.basis), u(v)),
         ((row, _xy(-1, -1, -1, cls), ("R", "R^2", "R^3")),),
     )
@@ -246,7 +261,7 @@ MIXED = (
         (("Table 4 (2c)", _xy(1, -1, -1, "nonfaithful"), _EVEN_POWERS),),
     ),
     Family(
-        _klein(lambda v: _one(_exact_power_of(v, (_a(v) * _b(v)) ** 2))),
+        _klein(lambda v, root, e: _one(_exact_power_of((root, e), _ab_squared_root(v.basis)))),
         lambda v, n: (comm(v, _b(v)), _b(v)),
         (("Table 3 (4d)", _xy(-1, -1, -1, "faithful"), ("(a b)^2", "(a b)^4", "(a b)^6")),),
     ),
@@ -256,7 +271,7 @@ MIXED = (
         (("Table 4 (2d)", _xy(1, -1, -1, "nonfaithful"), ("R b^2", "R b^4", "R b^6")),),
     ),
     Family(
-        _klein(lambda v: _when(v == _b(v, 2) * conj(_a(v), _R(v)))),
+        _klein(lambda v, *_: _when(v == _b(v, 2) * conj(_a(v), _R(v)))),
         _beta2_b_alpha_pair,
         (("Table 4 (2e)", _xy(1, -1, -1, "nonfaithful"), ("b^2 conj(a)",)),),
     ),
@@ -356,10 +371,11 @@ def locate(spec: EquationSpec, v: Word) -> tuple[Word, PiElement, Branch]:
     return v_ad, vbar, table_branch(spec, vbar, vbar.w_eps())
 
 
-def instantiate_witness(family: Family, v: Word) -> Pair:
+def instantiate_witness(family: Family, v: Word, *shape: object) -> Pair:
     """The pair of ``family`` at ``v`` under its first match (a closed
-    branch's family matches every ``v`` of the branch)."""
-    return next(family.pairs(v))
+    branch's family matches every ``v`` of the branch); ``shape`` as in
+    ``Family.pairs``."""
+    return next(family.pairs(v, *shape))
 
 
 def degree_two_witness(spec: EquationSpec, v_classic: Word) -> Optional[Pair]:
@@ -397,7 +413,8 @@ def all_fixtures() -> list[Fixture]:
         for row, spec, samples in family.rows:
             for text in samples:
                 v = parse_word(text, spec.basis)
-                out.append(Fixture(row, spec, v, *instantiate_witness(family, v)))
+                shape = primitive_root(v) if family in MIXED else ()
+                out.append(Fixture(row, spec, v, *instantiate_witness(family, v, *shape)))
     return out
 
 

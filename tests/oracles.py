@@ -72,7 +72,7 @@ from fgquad import (
 from fgquad.derived import DecideResult, MixedCase
 from fgquad.errors import DomainMismatch, EpsilonMismatch
 from fgquad.groupring import conjugate_power_product, relator_jacobian_alpha
-from fgquad.orbits import Action, Pair, _Translation, _check_eps, _heads, _period
+from fgquad.orbits import Action, Pair, _Translation, _check_eps
 from fgquad.wicks import WicksMatch
 
 
@@ -499,8 +499,8 @@ def translation_key(action: _Translation, g: PiElement) -> Pair:
     the orbit of ``g``: two elements share an orbit exactly when their keys
     are equal."""
     _check_eps(action, g)
-    period = _period(action)
-    return min((r, s % period) for (r, s), _ in _heads(action, (g.r, g.s)))
+    period = action._period
+    return min((r, s % period) for (r, s), _ in action._heads((g.r, g.s)))
 
 
 def naive_augment(action: Action, v: RingElement, base: PiElement) -> int:
@@ -591,6 +591,11 @@ def naive_pair_candidates(n: int, ell: int, L: int, v_elt: RingElement, modulus:
     return out
 
 
+def augment_at(action: _Translation, v: RingElement, g: PiElement) -> int:
+    """``augment`` at the ``(r, s)`` pair of the element ``g``."""
+    return augment(action, v, (g.r, g.s))
+
+
 def naive_beta_decide(
     case: MixedCase, v_elt: RingElement, window_override: Optional[int]
 ) -> DecideResult:
@@ -614,10 +619,10 @@ def naive_beta_decide(
     if n % 2 == 0:
         steps = abs(n) // ell
         for g in sorted(naive_chain_candidates(n, ell, vd), key=lambda p: (p.s, p.r)):
-            base_val = augment(tilde, vd, g)
+            base_val = augment_at(tilde, vd, g)
             for r2 in range(1, steps):
                 h = PiElement(-1, g.r, g.s + 2 * ell * r2)
-                if augment(tilde, vd, h) != base_val:
+                if augment_at(tilde, vd, h) != base_val:
                     cert = f"chain condition fails at ({g.r},{g.s}) with shift {r2}"
                     return DecideResult(False, certificate=cert, trace=trace)
         candidates = window + [bound + 2]
@@ -627,7 +632,7 @@ def naive_beta_decide(
             u_l = PiElement(-1, L, ell)
             ok = True
             for g in naive_pair_candidates(n, ell, L, vd, 2 * abs(n)):
-                if augment(action, vd, g) != augment(action, vd, u_l * g):
+                if augment_at(action, vd, g) != augment_at(action, vd, u_l * g):
                     ok = False
                     break
             if ok:
@@ -643,7 +648,7 @@ def naive_beta_decide(
         action = HatL(n, L)
         ok = True
         for g in naive_pair_candidates(n, ell, L, vd, 2 * ell):
-            if augment(action, vd, g) != 0:
+            if augment_at(action, vd, g) != 0:
                 ok = False
                 break
         if ok:
@@ -651,7 +656,7 @@ def naive_beta_decide(
             m_top = max(p_l, r_alpha + abs(L)) + 2
             for m_val in range(1, m_top + 1):
                 expected = 1 if 0 < m_val <= p_l else 0
-                if augment(action, vd, PiElement(-1, m_val, 0)) % 2 != expected:
+                if augment(action, vd, (m_val, 0)) % 2 != expected:
                     ok = False
                     break
         if ok:

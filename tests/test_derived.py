@@ -383,8 +383,8 @@ class TestSecondDecideBetaPowers:
     def test_unsolvable_even_fails_beyond_window(self):
         # sanity of the stabilized representative: when the pair conditions
         # exhaust the window for even n, parameters beyond it fail too
-        from fgquad.orbits import TildeL, augment, odd_part
-        from oracles import naive_pair_candidates
+        from fgquad.orbits import TildeL, odd_part
+        from oracles import augment_at, naive_pair_candidates
 
         pair_unsolvable = []
         terms = [
@@ -409,7 +409,7 @@ class TestSecondDecideBetaPowers:
                 action = TildeL(n, L)
                 u_l = PiElement(-1, L, ell)
                 ok = all(
-                    augment(action, v, g) == augment(action, v, u_l * g)
+                    augment_at(action, v, g) == augment_at(action, v, u_l * g)
                     for g in naive_pair_candidates(n, ell, L, v, 2 * abs(n))
                 )
                 assert not ok, f"n={n} V={v}: conditions pass at L={L} beyond window"

@@ -126,6 +126,14 @@ class TestWordAlgebra:
         assert w**k == naive_pow(w, k)
 
     @oracle_settings
+    @given(power_bases())
+    def test_plus_and_minus_one_powers(self, w):
+        # power_bases draws conjugates t * core * t**-1 too, which are not
+        # cyclically reduced
+        assert w**1 is w
+        assert w**-1 == naive_pow(w, -1)
+
+    @oracle_settings
     @given(words())
     def test_cyclic_reduce(self, w):
         assert cyclic_reduce(w) == naive_cyclic_reduce(w)
@@ -151,8 +159,8 @@ class TestWordAlgebra:
 
     def test_exact_power_of_a_base_that_is_not_cyclically_reduced(self):
         v, base = parse_word("b a^2 B", ADAPTED_MINUS), parse_word("b a B", ADAPTED_MINUS)
-        assert _exact_power_of(v, base) == naive_exact_power_of(v, base) == 2
-        assert _exact_power_of(v.inv(), base) == -2
+        assert _exact_power_of(primitive_root(v), primitive_root(base)) == naive_exact_power_of(v, base) == 2
+        assert _exact_power_of(primitive_root(v.inv()), primitive_root(base)) == -2
 
     @oracle_settings
     @given(power_bases(), st.integers(-12, 12), st.integers(-2, 2), st.data())
@@ -167,7 +175,7 @@ class TestWordAlgebra:
             near = Word(basis, reduce_syllables([*power.syls[:-1], (gen, exp + nudge)]))
         other = word_in(basis, data.draw(syllables()))
         for x in (power, near, other):
-            assert _exact_power_of(x, base) == naive_exact_power_of(x, base)
+            assert _exact_power_of(primitive_root(x), primitive_root(base)) == naive_exact_power_of(x, base)
 
     @oracle_settings
     @given(words())
@@ -290,6 +298,45 @@ class TestParser:
         text = text[: cut % (len(text) + 1)]
         assert outcome(parse_word, text, basis) == outcome(reference_parse, text, basis)
 
+    @pytest.mark.parametrize("basis", BASES, ids=str)
+    def test_conjugates_relator_powers_and_seams(self, basis):
+        for text in seeded_conjugate_texts():
+            assert outcome(parse_word, text, basis) == outcome(reference_parse, text, basis), text
+
+
+# Exponents of conj(u)^k and R^k: empty, the ±1 powers, small ones, one past
+# the shared-syllable table and a long one.
+CONJ_EXPONENTS = (0, 1, -1, 2, -2, 65, -65, 1000, -1000)
+
+
+def seeded_conjugate_texts(seed: int = 15) -> list[str]:
+    """Texts whose terms go into the enclosing syllable list as conjugates
+    (``conj(u)^k`` is u, then R repeated |k| times, then u^-1), relator
+    powers, nested conjugates, and conjugates whose ends cancel against
+    their neighbours; then random mixes of them, and broken ones."""
+    cases = [f"conj(a b^2 A)^{k}" for k in CONJ_EXPONENTS]
+    cases += [f"R^{k}" for k in CONJ_EXPONENTS if abs(k) < 1000]
+    cases += [
+        "conj(1)", "conj(1)^-3", "conj( 1 )^ 2", "conj(conj(a)^-2)", "conj(conj(conj(b)^2) a)^-1",
+        "a conj(A) b", "A conj(a) a", "b^2 conj(B^2 a)^-2 A B^-2", "conj(a)conj(A)", "conj(a)^2 conj(a)^-2",
+        "R conj(1)^-1", "R^2 R^-2", "(conj(a B)^-1 R)^3", "[conj(a), R^-1]^2", "[a conj(b), B]",
+    ]
+    rng = random.Random(seed)
+    atoms = ["a", "B", "A^3", "b^-2", "1", "R", "conj(1)", "conj(A)", "conj(b a^2)", "conj(conj(a)^-2)"]
+    for _ in range(40):
+        terms = []
+        for _ in range(rng.randint(1, 5)):
+            atom = rng.choice(atoms)
+            k = rng.choice([None, -65, -2, -1, 0, 1, 2, 3])
+            terms.append(atom if k is None or atom[-1].isdigit() else f"{atom}^{k}")
+        text = " ".join(terms)
+        cases.append(f"({text})^{rng.choice([-2, -1, 1, 2])}" if rng.random() < 0.3 else text)
+    broken = ["conj(a", "conj(a)^", "conj(a)^x", "conj()^2 b", "R^", "R^-", "conj(1)^ -", "[a, conj(b)^2", "conj(a]"]
+    for text in cases[-10:]:
+        at = rng.randint(0, len(text))
+        broken.append(text[:at] + rng.choice(["^", ")", "(", "conj(", "x"]) + text[at:])
+    return cases + broken
+
 
 # ---------------------------------------------------------------------------
 # Exact division and orbit augmentation
@@ -371,7 +418,7 @@ class TestAugment:
         # the first again
         for v in elements + elements[:1]:
             for action, base in twisted:
-                got = result_or_error(augment, action, v, base)
+                got = result_or_error(augment, action, v, (base.r, base.s))
                 assert got == result_or_error(naive_twisted_augment, action, v, base)
 
 @st.composite
@@ -404,7 +451,7 @@ class TestEveryAugmentation:
         for v in elements:
             for base in bases + list(v.terms):
                 for action in kinds:
-                    got = result_or_error(augment, action, v, base)
+                    got = result_or_error(augment, action, v, (base.r, base.s))
                     assert got == result_or_error(naive_augment, action, v, base)
 
     def test_every_outcome_is_reached(self):
@@ -414,7 +461,7 @@ class TestEveryAugmentation:
         seen: Counter = Counter()
         for _ in range(3000):
             action, v, base = random_augment_case(rng)
-            got = result_or_error(augment, action, v, base)
+            got = result_or_error(augment, action, v, (base.r, base.s))
             assert got == result_or_error(naive_augment, action, v, base)
             defective = element_class(action, base).defective
             seen[type(action).__name__, got[0], defective] += 1
@@ -518,7 +565,7 @@ class TestBetaDecide:
     def test_chain_candidates(self, args):
         case, v, _ = args
         ell = odd_part(case.n)
-        assert _chain_candidates(case.n, ell, v) == naive_chain_candidates(case.n, ell, v)
+        assert _chain_candidates(case.n, ell, v) == {(g.r, g.s) for g in naive_chain_candidates(case.n, ell, v)}
 
     def test_every_outcome_is_reached(self):
         # the seeded cases reach exhausted windows of both parities, with and
@@ -546,7 +593,7 @@ class TestBetaDecide:
         # test_box_oracle finds no box solution
         case = MixedCase("eq4_f", n=3)
         v = RingElement.make(-1, [(PiElement(-1, -2, -1), 1)])
-        failing = {(g.r, g.s) for g in naive_pair_candidates(3, 3, 1, v, 6) if augment(HatL(3, 1), v, g)}
+        failing = {(g.r, g.s) for g in naive_pair_candidates(3, 3, 1, v, 6) if augment(HatL(3, 1), v, (g.r, g.s))}
         assert failing == {(3, 2)}
         result = _beta_decide(case, v, None)
         assert result == naive_beta_decide(case, v, None)

@@ -1,8 +1,11 @@
 """Inputs that were quadratic or worse in the word layer or the translation
 search now finish at once, the Wicks matcher builds its layouts once per
-call, and q_n does its arithmetic on integer pairs and refuses a word outside
-the kernel before it walks the letters."""
+call, q_n does its arithmetic on integer pairs and refuses a word outside
+the kernel before it walks the letters, and the mixed-case path takes one
+primitive root per pattern scan and no cyclic reduction per substitution
+check."""
 
+import importlib
 import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,22 +13,30 @@ from time import perf_counter
 
 from conftest import ADAPTED_MINUS, random_word
 import fgquad.wicks
+import fgquad.words
+from fgquad import tables
 from fgquad import (
+    EquationSpec,
     MixedCase,
     PiElement,
     RingElement,
     Word,
     cyclic_reduce,
     parse_word,
+    pattern_witness,
     project,
     q_n,
     relator_in,
     second_decide,
+    verify_solution,
 )
 from fgquad.cli import main
 from fgquad.groupring import SparseSum, conjugate_power_product
 from fgquad.tables import _even_power, _exact_power_of
+from fgquad.words import primitive_root
 from oracles import reduce_syllables
+
+classify_module = importlib.import_module("fgquad.classify")  # fgquad.classify is the function
 
 
 def test_canon_of_a_huge_power():
@@ -49,7 +60,7 @@ def test_one_syllable_is_no_power_of_the_relator():
     # b^1000000 has the letter count of R^250000 but one syllable
     v = Word.gen(ADAPTED_MINUS, "b", 1000000)
     start = perf_counter()
-    assert _exact_power_of(v, relator_in(ADAPTED_MINUS)) is None
+    assert _exact_power_of(primitive_root(v), primitive_root(relator_in(ADAPTED_MINUS))) is None
     assert perf_counter() - start < 0.1
 
 
@@ -57,7 +68,7 @@ def test_even_power_of_a_long_syllable():
     # the root comes from the four syllables of the core, not its 2000002 letters
     u = Word(ADAPTED_MINUS, ((0, 1000000), (1, 1)))
     start = perf_counter()
-    assert _even_power(u * u) == [(u, 1)]
+    assert _even_power(u * u, *primitive_root(u * u)) == [(u, 1)]
     assert perf_counter() - start < 0.1
 
 
@@ -170,3 +181,43 @@ def test_q_n_refuses_a_huge_power_outside_the_kernel():
     assert perf_counter() - start < 0.1
     assert code == 1 and out.getvalue() == ""
     assert err.getvalue() == "error: word does not project to the identity\n"
+
+
+def counted(monkeypatch, modules, name: str) -> list:
+    """Replace ``name`` in each module by a wrapper that records its first
+    argument; returns the record."""
+    calls: list = []
+    real = getattr(modules[0], name)
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_pattern_witness_takes_one_primitive_root(monkeypatch):
+    # every MIXED matcher reads the one root of v, and the roots of R and
+    # (ab)^2 are kept per basis; this v matches no family, so all of them run
+    spec = EquationSpec(-1, -1, -1, "nonfaithful", "adapted_xy")
+    v = parse_word("a^2 b^4 conj(a b) conj(B)^-1", spec.basis)
+    tables._relator_root.cache_clear()
+    tables._ab_squared_root.cache_clear()
+    calls = counted(monkeypatch, [fgquad.words, tables, classify_module], "primitive_root")
+    assert pattern_witness(spec, v) is None
+    assert calls == [v, relator_in(spec.basis), (Word.gen(spec.basis, "a") * Word.gen(spec.basis, "b")) ** 2]
+    calls.clear()
+    assert pattern_witness(spec, v) is None
+    assert calls == [v]
+
+
+def test_substitution_check_makes_no_cyclic_reduction(monkeypatch):
+    # x y x^-delta y^-1 at delta = -1 and R^theta raise only to +-1
+    rng = random.Random(15)
+    v, first, second = (random_word(rng, ADAPTED_MINUS, 400) for _ in range(3))
+    calls = counted(monkeypatch, [fgquad.words], "cyclic_reduce")
+    for theta in (1, -1):
+        verify_solution(EquationSpec(-1, -1, theta, "nonfaithful", "adapted_xy"), v, first, second)
+    assert calls == []
