@@ -9,11 +9,11 @@ witness pairs; undetermined verdicts carry the trace of what was tried.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
 from typing import Literal, Optional
 
 from .derived import analyze_v, second_decide
 from .errors import BudgetExceeded, InvalidBudget, WitnessUnverified
+from .record import Record
 from .tables import MIXED, degree_two_witness, instantiate_witness, locate
 from .wicks import DEFAULT_WICKS_LEN
 from .words import EquationSpec, Frame, Word, change_basis, primitive_root, swap_frame, verify_solution
@@ -27,26 +27,55 @@ Reason = Literal[
 ]
 
 
-@dataclass(frozen=True)
-class Budgets:
-    wicks_len: int = DEFAULT_WICKS_LEN
-    enum_bound: int = 8
-    l_window_override: Optional[int] = None
+DEFAULT_ENUM_BOUND = 8  # cap on the infinite enumeration families
 
-    def __post_init__(self) -> None:
-        if self.wicks_len <= 0 or self.enum_bound <= 0:
+
+class Budgets(Record):
+    __slots__ = ("wicks_len", "enum_bound", "l_window_override")
+    wicks_len: int
+    enum_bound: int
+    l_window_override: Optional[int]
+
+    def __init__(
+        self,
+        wicks_len: int = DEFAULT_WICKS_LEN,
+        enum_bound: int = DEFAULT_ENUM_BOUND,
+        l_window_override: Optional[int] = None,
+    ) -> None:
+        if wicks_len <= 0 or enum_bound <= 0:
             raise InvalidBudget("budgets must be positive")
+        object.__setattr__(self, "wicks_len", wicks_len)
+        object.__setattr__(self, "enum_bound", enum_bound)
+        object.__setattr__(self, "l_window_override", l_window_override)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
+    __slots__ = ("outcome", "branch", "witness", "verified", "reason", "certificate", "trace")
     outcome: Outcome
     branch: str
-    witness: Optional[tuple[Word, Word]] = None
-    verified: bool = False
-    reason: Optional[Reason] = None
-    certificate: Optional[str] = None
-    trace: dict = field(default_factory=dict)
+    witness: Optional[tuple[Word, Word]]
+    verified: bool
+    reason: Optional[Reason]
+    certificate: Optional[str]
+    trace: dict
+
+    def __init__(
+        self,
+        outcome: Outcome,
+        branch: str,
+        witness: Optional[tuple[Word, Word]] = None,
+        verified: bool = False,
+        reason: Optional[Reason] = None,
+        certificate: Optional[str] = None,
+        trace: Optional[dict] = None,
+    ) -> None:
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "verified", verified)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "trace", {} if trace is None else trace)
 
 
 def _exists(
@@ -61,7 +90,7 @@ def _exists(
     result = verify_solution(spec, v, first, second)
     if not (result.holds and result.faithful == (spec.solution_class == "faithful")):
         raise WitnessUnverified(f"unverified witness for branch {row}")
-    return Verdict("exists", row, (first, second), True, trace=trace or {})
+    return Verdict("exists", row, (first, second), True, trace=trace)
 
 
 def pattern_witness(spec: EquationSpec, v: Word) -> Optional[tuple[Word, Word]]:
@@ -87,7 +116,7 @@ def pattern_witness(spec: EquationSpec, v: Word) -> Optional[tuple[Word, Word]]:
 def classify(spec: EquationSpec, v: Word, budgets: Budgets = Budgets()) -> Verdict:
     """Decide whether the family member has a solution of the requested class."""
     v_ad, vbar, branch = locate(spec, v)
-    spec_ad = replace(spec, frame="adapted_xy")
+    spec_ad = EquationSpec(spec.delta, spec.epsilon, spec.theta, spec.solution_class, "adapted_xy")
     if branch.kind == "abelian":
         return Verdict(
             "not_exists",
@@ -101,7 +130,7 @@ def classify(spec: EquationSpec, v: Word, budgets: Budgets = Budgets()) -> Verdi
         assert branch.family is not None
         return _exists(spec, v, instantiate_witness(branch.family, v_ad), "adapted_xy", branch.row)
     if branch.kind == "degree_two":
-        spec_z = replace(spec, frame="original_z")
+        spec_z = EquationSpec(spec.delta, spec.epsilon, spec.theta, spec.solution_class, "original_z")
         pair = degree_two_witness(spec_z, change_basis(v, spec_z.basis))
         if pair is None:
             return Verdict(
@@ -132,7 +161,7 @@ def classify(spec: EquationSpec, v: Word, budgets: Budgets = Budgets()) -> Verdi
         report = wicks_search(spec_ad, v_ad, budgets.wicks_len)
     except BudgetExceeded as exc:
         trace["wicks"] = str(exc)
-        trace["budgets"] = asdict(budgets)
+        trace["budgets"] = budgets._asdict()
         return Verdict("undetermined", branch.row, trace=trace)
     wanted = spec.solution_class == "faithful"
     for pair, faithful in report.solutions:

@@ -9,16 +9,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .classify import Budgets, classify
+from .classify import DEFAULT_ENUM_BOUND, Budgets, classify
 from .derived import ConjData, analyze_v, first_solutions, second_decide
 from .errors import FgquadError
 from .groupring import q_n
 from .surface import PiElement, project
 from .tables import locate, verify_tables
-from .wicks import wicks_search
+from .wicks import DEFAULT_WICKS_LEN, wicks_search
 from .words import BasisTag, EquationSpec, Word, parse_word
 
 
@@ -44,10 +43,10 @@ _FLAGS: dict[str, dict] = {
     "--word": dict(help="conjugation parameter (word grammar)"),
     "--batch": dict(help="file with one word per line"),
     "--wicks-len": dict(
-        dest="wicks_len", type=int, default=Budgets.wicks_len, help="cyclic length budget (default %(default)s)"
+        dest="wicks_len", type=int, default=DEFAULT_WICKS_LEN, help="cyclic length budget (default %(default)s)"
     ),
     "--enum-bound": dict(
-        dest="enum_bound", type=int, default=Budgets.enum_bound, help="enumeration bound (default %(default)s)"
+        dest="enum_bound", type=int, default=DEFAULT_ENUM_BOUND, help="enumeration bound (default %(default)s)"
     ),
     "--l-window": dict(dest="l_window_override", metavar="L_WINDOW", type=int, help="widen the translation window"),
     "--output": dict(choices=("jsonl", "text"), default="jsonl", help="output format (default jsonl)"),
@@ -66,7 +65,7 @@ def _basis(args: argparse.Namespace) -> BasisTag:
 
 def _budgets(args: argparse.Namespace) -> Budgets:
     """The command's budget flags; the budgets it does not read keep their defaults."""
-    return Budgets(**{f.name: getattr(args, f.name) for f in fields(Budgets) if f.name in args})
+    return Budgets(**{name: getattr(args, name) for name in Budgets._fields if name in args})
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +108,7 @@ def _classify(args: argparse.Namespace, text: str, word: Word) -> dict:
             witness=verdict.witness and _pair(*verdict.witness),
             certificate=verdict.certificate,
         ),
-        "budgets": asdict(budgets),
+        "budgets": budgets._asdict(),
     }
 
 
@@ -127,7 +126,7 @@ def _wicks(args: argparse.Namespace, text: str, word: Word) -> dict:
         "solutions": [{**_pair(*pair), "faithful": faithful} for pair, faithful in report.solutions],
         "matches": len(report.matches),
         "exhaustive": True,
-        "budgets": asdict(budgets),
+        "budgets": budgets._asdict(),
     }
 
 
@@ -236,6 +235,11 @@ def _inputs(args: argparse.Namespace) -> Iterator[tuple[Optional[int], Optional[
         yield None, getattr(args, "word", None)
 
 
+def _message(exc: Exception) -> str:
+    """The text of a failed input's error; a MemoryError usually carries none."""
+    return str(exc) or "out of memory"
+
+
 def _run(args: argparse.Namespace, stream) -> int:
     command = _COMMANDS[args.command]
     _budgets(args)  # a bad budget fails the whole command, not each line
@@ -244,10 +248,10 @@ def _run(args: argparse.Namespace, stream) -> int:
         try:
             word = parse_word(text, _basis(args)) if command.spec else None
             record = command.record(args, text, word)
-        except FgquadError as exc:
+        except (FgquadError, MemoryError) as exc:
             if number is None:
                 raise
-            record = {"input": text, "line": number, "error": str(exc)}
+            record = {"input": text, "line": number, "error": _message(exc)}
         if "error" in record or record.get("failures"):  # a bad line, or failing fixture rows
             status = 1
         _emit(args.output, record, stream)
@@ -259,8 +263,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args, sys.stdout)
-    except FgquadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FgquadError, MemoryError) as exc:
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,8 +23,7 @@ Python 3.11.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import CaseMismatch, NotMixedCase
 from .groupring import (
@@ -38,6 +37,7 @@ from .groupring import (
 )
 from .orbits import HatAbs, HatL, Pair, Tilde, TildeL, _inv, _mul, augment, odd_part, orbit_key
 from .quotient import p_q, q_divisible_by_two
+from .record import Record
 from .surface import PiElement, project
 from .tables import Branch, CaseKind
 from .words import BasisTag, Word
@@ -51,8 +51,7 @@ _CASE_PARAMS: dict[CaseKind, tuple[int, int, int]] = {
 }
 
 
-@dataclass(frozen=True)
-class MixedCase:
+class MixedCase(NamedTuple):
     kind: CaseKind
     n: int
     m: int = 0
@@ -107,8 +106,7 @@ class MixedCase:
         return f"{self.kind}({bits})"
 
 
-@dataclass(frozen=True)
-class ConjData:
+class ConjData(NamedTuple):
     vbar: PiElement
     case: MixedCase
     V: RingElement
@@ -134,8 +132,7 @@ def analyze_v(v: Word, vbar: PiElement, branch: Branch) -> ConjData:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FirstSolution:
+class FirstSolution(NamedTuple):
     L: Optional[int]
     ell: int
     xtilde: RingElement
@@ -215,13 +212,27 @@ def first_solutions(case: MixedCase, vbar: PiElement, bound: int) -> list[FirstS
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecideResult:
+class DecideResult(Record):
+    __slots__ = ("solvable", "ell", "L", "certificate", "trace")
     solvable: bool
-    ell: Optional[int] = None
-    L: Optional[int] = None
-    certificate: Optional[str] = None
-    trace: dict = field(default_factory=dict)
+    ell: Optional[int]
+    L: Optional[int]
+    certificate: Optional[str]
+    trace: dict
+
+    def __init__(
+        self,
+        solvable: bool,
+        ell: Optional[int] = None,
+        L: Optional[int] = None,
+        certificate: Optional[str] = None,
+        trace: Optional[dict] = None,
+    ) -> None:
+        object.__setattr__(self, "solvable", solvable)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "trace", {} if trace is None else trace)
 
 
 def _window_values(value: int, modulus: int, lo: int, hi: int) -> range:

@@ -8,11 +8,11 @@ subgroup onto (Z[pi], +).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, TypeVar
 
 from .errors import DomainMismatch, EpsilonMismatch, NotDivisible, NotInKernel
+from .record import Record
 from .surface import PiElement, project
 from .words import BasisTag, Word, change_basis, conj, relator_in
 
@@ -21,17 +21,22 @@ _Sum = TypeVar("_Sum", bound="SparseSum")
 _Pair = tuple[int, int]  # canonical coordinates (r, s) of a quotient-group element
 
 
-@dataclass(frozen=True)
-class SparseSum:
+class SparseSum(Record):
     """Finite formal sum over the quotient group; no zero coefficients stored.
 
     The additive structure shared by the group ring and by its quotient Q;
     subclasses differ only in how ``make`` normalises the terms.
     """
 
+    __slots__ = ("epsilon", "mod", "terms")
     epsilon: int
-    mod: int = 0  # 0 = integer coefficients, 2 = mod-2 coefficients
-    terms: Mapping[PiElement, int] = field(default_factory=dict)
+    mod: int  # 0 = integer coefficients, 2 = mod-2 coefficients
+    terms: Mapping[PiElement, int]
+
+    def __init__(self, epsilon: int, mod: int, terms: Mapping[PiElement, int]) -> None:
+        _set_epsilon(self, epsilon)
+        _set_mod(self, mod)
+        _set_terms(self, terms)
 
     @classmethod
     def make(cls: type[_Sum], epsilon: int, items: Iterable[tuple[PiElement, int]], mod: int = 0) -> _Sum:
@@ -46,7 +51,7 @@ class SparseSum:
 
     @classmethod
     def zero(cls: type[_Sum], epsilon: int) -> _Sum:
-        return cls(epsilon)
+        return cls(epsilon, 0, {})
 
     def _check(self, other: "SparseSum") -> None:
         if self.epsilon != other.epsilon:
@@ -90,8 +95,15 @@ class SparseSum:
         return "{" + ", ".join(f"({g.r},{g.s}): {self.terms[g]}" for g in self.support()) + "}"
 
 
+# the slots' setters, bound once: a sum is built on every ring operation
+_set_epsilon, _set_mod, _set_terms = SparseSum.epsilon.__set__, SparseSum.mod.__set__, SparseSum.terms.__set__
+
+
 class RingElement(SparseSum):
-    """Element of Z[pi] or Z2[pi] with the twisted product."""
+    """Element of Z[pi] or Z2[pi] with the twisted product.
+
+    It keeps a ``__dict__`` (no ``__slots__``) for its cache of residue sums.
+    """
 
     @staticmethod
     def monomial(g: PiElement, coeff: int = 1) -> "RingElement":

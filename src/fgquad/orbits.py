@@ -28,11 +28,11 @@ Python 3.11.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Union
 
 from .errors import EpsilonMismatch, InconsistentSign, SingularBase
 from .groupring import RingElement
+from .record import Record
 from .surface import PiElement
 
 
@@ -46,21 +46,21 @@ def odd_part(n: int) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class HatAbs:
+class HatAbs(Record):
+    __slots__ = ("u",)
     u: PiElement
 
-    def __post_init__(self) -> None:
-        if self.u.epsilon == -1 and self.u.w_eps() != 1:
+    def __init__(self, u: PiElement) -> None:
+        if u.epsilon == -1 and u.w_eps() != 1:
             raise ValueError("translation element must be orientation-preserving")
+        object.__setattr__(self, "u", u)
 
     @property
     def epsilon(self) -> int:
         return self.u.epsilon
 
 
-@dataclass(frozen=True)
-class _Translation:
+class _Translation(Record):
     """An action built on translation by the nonzero parameter n, on the
     Klein bottle group.
 
@@ -70,47 +70,52 @@ class _Translation:
     actions with a parameter L, are set once per action.
     """
 
+    __slots__ = ("n", "_period")
     n: int
-    _period: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.n == 0:
-            raise ValueError("n must be nonzero")
-        object.__setattr__(self, "_period", 2 * abs(self.n))
-
+    _period: int
     epsilon = -1
 
+    def __init__(self, n: int) -> None:
+        if n == 0:
+            raise ValueError("n must be nonzero")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_period", 2 * abs(n))
 
-@dataclass(frozen=True)
+
 class Tilde(_Translation):
+    __slots__ = ()
+
     def _heads(self, g: Pair) -> list[tuple[Pair, int]]:
         return [(g, 1), (_inv(g), -1)]
 
 
-@dataclass(frozen=True)
 class _WithL(_Translation):
     """A translation action with the parameter L."""
 
+    __slots__ = ("L", "_u")
     L: int
-    _u: Pair = field(init=False, repr=False, compare=False)
+    _u: Pair
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        object.__setattr__(self, "_u", (self.L, odd_part(self.n)))
+    def __init__(self, n: int, L: int) -> None:
+        super().__init__(n)
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "_u", (L, odd_part(n)))
 
 
-@dataclass(frozen=True)
 class TildeL(_WithL):
+    __slots__ = ()
+
     def _heads(self, g: Pair) -> list[tuple[Pair, int]]:
         u = self._u
         jg = _mul(u, _inv(_mul(u, g)))  # the reflection j_L
         return [(g, 1), (_inv(g), -1), (_inv(jg), 1), (jg, -1)]
 
 
-@dataclass(frozen=True)
 class HatL(_WithL):
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    __slots__ = ()
+
+    def __init__(self, n: int, L: int) -> None:
+        super().__init__(n, L)
         object.__setattr__(self, "_period", 2 * self._u[1])
 
     def _heads(self, g: Pair) -> list[tuple[Pair, int]]:

@@ -7,21 +7,45 @@ integer pair ``(r, s)``.  The product rule is twisted by the sign
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import EpsilonMismatch
+from .record import Record
 from .words import BasisTag, Word, change_basis
 
 
-@dataclass(frozen=True, order=True)
-class PiElement:
+class PiElement(Record):
+    """The element alpha^r * beta^s; elements compare as ``(epsilon, r, s)``."""
+
+    __slots__ = ("epsilon", "r", "s")
     epsilon: int
     r: int
     s: int
 
-    def __post_init__(self) -> None:
-        if self.epsilon not in (1, -1):
+    def __init__(self, epsilon: int, r: int, s: int) -> None:
+        if epsilon not in (1, -1):
             raise ValueError("epsilon must be +1 or -1")
+        _set_epsilon(self, epsilon)
+        _set_r(self, r)
+        _set_s(self, s)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not PiElement:
+            return NotImplemented
+        return (self.epsilon, self.r, self.s) == (other.epsilon, other.r, other.s)
+
+    def __hash__(self) -> int:
+        return hash((self.epsilon, self.r, self.s))
+
+    def __lt__(self, other: "PiElement") -> bool:
+        return self._values() < other._values() if type(other) is PiElement else NotImplemented
+
+    def __le__(self, other: "PiElement") -> bool:
+        return self._values() <= other._values() if type(other) is PiElement else NotImplemented
+
+    def __gt__(self, other: "PiElement") -> bool:
+        return self._values() > other._values() if type(other) is PiElement else NotImplemented
+
+    def __ge__(self, other: "PiElement") -> bool:
+        return self._values() >= other._values() if type(other) is PiElement else NotImplemented
 
     @staticmethod
     def identity(epsilon: int) -> "PiElement":
@@ -64,6 +88,11 @@ class PiElement:
 
     def __str__(self) -> str:
         return f"({self.r},{self.s})"
+
+
+# the slots' setters, bound once: an element is built on every product and
+# inverse, and a setter call costs less than object.__setattr__
+_set_epsilon, _set_r, _set_s = PiElement.epsilon.__set__, PiElement.r.__set__, PiElement.s.__set__
 
 
 def project(w: Word) -> PiElement:

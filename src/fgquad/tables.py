@@ -13,9 +13,8 @@ and ``MIXED``, and ``verify_tables`` checks every sample row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterator, Literal, Optional
+from typing import Callable, Iterator, Literal, NamedTuple, Optional
 
 from .groupring import conjugate_power_product
 from .surface import PiElement, project
@@ -37,8 +36,7 @@ from .words import (
 Pair = tuple[Word, Word]
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One explicitly solved shape of the conjugation parameter ``v``.
 
     ``match(v)`` lists the parameter tuples under which ``v`` has the shape
@@ -287,8 +285,7 @@ BranchKind = Literal["exists", "not_exists", "mixed", "degree_two", "abelian"]
 CaseKind = Literal["eq2_nf", "eq3_nf", "eq4_f", "eq4_nf"]
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     row: str
     kind: BranchKind
     family: Optional[Family] = None  # the witness family of an "exists" branch
@@ -397,8 +394,7 @@ def degree_two_witness(spec: EquationSpec, v_classic: Word) -> Optional[Pair]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     row: str
     spec: EquationSpec
     v: Word
@@ -418,14 +414,12 @@ def all_fixtures() -> list[Fixture]:
     return out
 
 
-@dataclass(frozen=True)
-class FixtureFailure:
+class FixtureFailure(NamedTuple):
     row: str
     reason: str
 
 
-@dataclass(frozen=True)
-class TableReport:
+class TableReport(NamedTuple):
     checked: int
     failures: list[FixtureFailure]
 

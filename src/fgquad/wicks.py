@@ -15,8 +15,7 @@ compare of signed letter codes; part words are built only for a match.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Literal, NamedTuple, Optional
 
 from .errors import BudgetExceeded, ExtractionFailed
 from .words import (
@@ -55,8 +54,7 @@ _KIND_FORMS: dict[Kind, tuple[FormName, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class WicksMatch:
+class WicksMatch(NamedTuple):
     shift: int
     form: FormName
     parts: dict[str, Word]
@@ -179,8 +177,7 @@ def extract_solution(match: WicksMatch, t: Word) -> tuple[Word, Word]:
     return x, y
 
 
-@dataclass(frozen=True)
-class WicksReport:
+class WicksReport(NamedTuple):
     solutions: list[tuple[tuple[Word, Word], bool]]
     matches: list[WicksMatch]
 

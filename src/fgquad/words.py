@@ -26,11 +26,11 @@ coordinates ``(r, s)`` of the quotient instead of multiplying group elements.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Iterator, Literal, Optional
+from typing import Iterable, Iterator, Literal, NamedTuple, Optional
 
 from .errors import BasisMismatch, WordSyntaxError
+from .record import Record
 
 Kind = Literal["classic", "adapted"]
 
@@ -38,8 +38,7 @@ _GEN_CHARS = "ab"
 _INV_CHARS = "AB"
 
 
-@dataclass(frozen=True, slots=True)
-class BasisTag:
+class BasisTag(Record):
     """Which pair of free generators a word is written in, plus the sign.
 
     For ``epsilon == +1`` the classic and adapted bases coincide; for
@@ -47,14 +46,25 @@ class BasisTag:
     ``classic`` and ``adapted`` hand out one shared tag per basis.
     """
 
+    __slots__ = ("kind", "epsilon")
     kind: Kind
     epsilon: int
 
-    def __post_init__(self) -> None:
-        if self.epsilon not in (1, -1):
+    def __init__(self, kind: Kind, epsilon: int) -> None:
+        if epsilon not in (1, -1):
             raise ValueError("epsilon must be +1 or -1")
-        if self.kind not in ("classic", "adapted"):
+        if kind not in ("classic", "adapted"):
             raise ValueError("kind must be 'classic' or 'adapted'")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "epsilon", epsilon)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not BasisTag:
+            return NotImplemented
+        return (self.kind, self.epsilon) == (other.kind, other.epsilon)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.epsilon))
 
     @staticmethod
     @cache  # one tag per epsilon
@@ -101,12 +111,24 @@ def _inverse(syls: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
     return tuple(inverse(s) or (s[0], -s[1]) for s in reversed(syls))
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
+class Word(Record):
     """A freely reduced word in the rank-2 free group."""
 
+    __slots__ = ("basis", "syls")
     basis: BasisTag
     syls: tuple[tuple[int, int], ...]
+
+    def __init__(self, basis: BasisTag, syls: tuple[tuple[int, int], ...]) -> None:
+        _set_basis(self, basis)
+        _set_syls(self, syls)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Word:
+            return NotImplemented
+        return (self.basis, self.syls) == (other.basis, other.syls)
+
+    def __hash__(self) -> int:
+        return hash((self.basis, self.syls))
 
     @staticmethod
     def identity(basis: BasisTag) -> "Word":
@@ -184,6 +206,11 @@ class Word:
             else:
                 parts.append(f"{ch}^{exp}")
         return " ".join(parts)
+
+
+# the slots' setters, bound once: a word is built on every product, power and
+# inverse, and a setter call costs less than object.__setattr__
+_set_basis, _set_syls = Word.basis.__set__, Word.syls.__set__
 
 
 def conj(u: Word, w: Word) -> Word:
@@ -450,8 +477,7 @@ SolutionClass = Literal["faithful", "nonfaithful"]
 Frame = Literal["original_z", "adapted_xy"]
 
 
-@dataclass(frozen=True)
-class EquationSpec:
+class EquationSpec(Record):
     """Parameters of the quadratic equation family.
 
     ``original_z`` means the equation Q_delta(z1, z2) = v R^theta v^-1 R in the
@@ -459,16 +485,29 @@ class EquationSpec:
     the adapted basis.
     """
 
+    __slots__ = ("delta", "epsilon", "theta", "solution_class", "frame")
     delta: int
     epsilon: int
     theta: int
-    solution_class: SolutionClass = "nonfaithful"
-    frame: Frame = "adapted_xy"
+    solution_class: SolutionClass
+    frame: Frame
 
-    def __post_init__(self) -> None:
-        for name in ("delta", "epsilon", "theta"):
-            if getattr(self, name) not in (1, -1):
+    def __init__(
+        self,
+        delta: int,
+        epsilon: int,
+        theta: int,
+        solution_class: SolutionClass = "nonfaithful",
+        frame: Frame = "adapted_xy",
+    ) -> None:
+        for name, sign in (("delta", delta), ("epsilon", epsilon), ("theta", theta)):
+            if sign not in (1, -1):
                 raise ValueError(f"{name} must be +1 or -1")
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "solution_class", solution_class)
+        object.__setattr__(self, "frame", frame)
 
     @property
     def basis(self) -> BasisTag:
@@ -509,8 +548,7 @@ def solution_is_faithful(spec: EquationSpec, first: Word, second: Word) -> bool:
     return sgn(first) == 1 and sgn(second) == spec.delta
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     holds: bool
     faithful: bool
     x_in_n: bool  # False in the original frame, where it is not checked

@@ -4,12 +4,14 @@ A name that is added or removed shows up as a diff of this list.
 """
 
 import ast
-import dataclasses
 import functools
 import importlib
 import importlib.util
 import inspect
+import os
 from pathlib import Path
+import subprocess
+import sys
 import types
 
 import fgquad
@@ -95,6 +97,18 @@ def test_submodules_are_attributes_but_not_exported():
     assert isinstance(fgquad.words, types.ModuleType) and isinstance(fgquad.wicks, types.ModuleType)
 
 
+def test_import_loads_no_code_generating_modules():
+    # the records build no code at import: importing the package, in a fresh
+    # interpreter with no site hooks, loads neither dataclasses nor inspect
+    root = str(Path(fgquad.__file__).parents[1])
+    code = "import sys, fgquad; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=root), capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout == "[]\n"
+
+
 def test_traced_names_resolve():
     # the benchmark tracer wraps these functions by name; a missing one would
     # break every traced run
@@ -174,13 +188,26 @@ _MEMBER_KINDS = (types.FunctionType, staticmethod, classmethod, property, functo
 
 
 def _public_members(cls: type) -> set[str]:
-    """The dataclass fields, methods and properties of ``cls`` and of its
-    bases in the package, less the names that start with an underscore."""
-    names = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+    """The fields, methods and properties of ``cls`` and of its bases in the
+    package, less the names that start with an underscore.  A NamedTuple
+    lists its fields in ``_fields``; a slotted class has them in the
+    ``__slots__`` of its classes."""
+    names = set(cls._fields) if issubclass(cls, tuple) else set()
     for klass in cls.__mro__:
         if klass.__module__.startswith("fgquad."):
+            names |= set(vars(klass).get("__slots__", ()))
             names |= {name for name, value in vars(klass).items() if isinstance(value, _MEMBER_KINDS)}
     return {name for name in names if not name.startswith("_")}
+
+
+def test_public_members_list_record_fields():
+    # the member guard below sees the fields of slotted classes and NamedTuples
+    assert {"outcome", "verified", "trace"} <= _public_members(fgquad.Verdict)
+    assert {"basis", "syls"} <= _public_members(fgquad.Word)
+    assert {"wicks_len", "enum_bound", "l_window_override"} <= _public_members(fgquad.Budgets)
+    assert {"epsilon", "mod", "terms"} <= _public_members(fgquad.QElement)
+    assert {"n", "L"} <= _public_members(fgquad.TildeL)
+    assert {"kind", "n", "m", "label"} <= _public_members(fgquad.MixedCase)
 
 
 def test_every_public_member_runs_in_src():

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from fgquad import cli
 from fgquad.cli import build_parser, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -114,6 +115,35 @@ class TestCliBehavior:
         assert [record["input"] for record in records] == ["a", "a ?", "b b"]
         assert records[1] == {"input": "a ?", "line": 2 + blank_lines, "error": "unexpected character '?' (at offset 2)"}
         assert records[0]["verdict"] == "not_exists" and records[2]["verdict"] == "exists"
+
+    def test_memory_error_on_a_batch_line_is_an_error_record(self, monkeypatch, tmp_path):
+        classify_record = cli._COMMANDS["classify"].record
+
+        def record(args, text, word):
+            if text == "b b":
+                raise MemoryError
+            return classify_record(args, text, word)
+
+        monkeypatch.setitem(cli._COMMANDS, "classify", cli._COMMANDS["classify"]._replace(record=record))
+        batch = tmp_path / "words.txt"
+        batch.write_text("a\nb b\nconj(a) conj(A)\n")
+        code, out = run_cli(
+            ["classify", "--delta", "1", "--epsilon", "-1", "--theta", "-1",
+             "--class", "nonfaithful", "--batch", str(batch)]
+        )
+        records = [json.loads(line) for line in out.splitlines()]
+        assert code == 1
+        assert records[1] == {"input": "b b", "line": 2, "error": "out of memory"}
+        assert records[0]["verdict"] == "not_exists" and records[2]["verdict"] == "not_exists"
+
+    def test_memory_error_on_a_word_is_an_error_line(self, capsys, monkeypatch):
+        def record(args, text, word):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._COMMANDS, "canon", cli._COMMANDS["canon"]._replace(record=record))
+        code, out = run_cli(["canon", "--epsilon", "1", "--word", "a"])
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == "error: out of memory\n"
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
