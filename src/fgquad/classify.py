@@ -158,7 +158,7 @@ def classify(spec: EquationSpec, v: Word, budgets: Budgets = Budgets()) -> Verdi
     from .wicks import wicks_search
 
     try:
-        report = wicks_search(spec_ad, v_ad, budgets.wicks_len)
+        report = wicks_search(spec_ad, v_ad, budgets.wicks_len, spec.solution_class)
     except BudgetExceeded as exc:
         trace["wicks"] = str(exc)
         trace["budgets"] = budgets._asdict()

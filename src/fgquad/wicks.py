@@ -6,21 +6,31 @@ of two squares iff some shift matches ``a b c b a c^-1`` or ``a a b c c b^-1``.
 Every positional match yields a canonical solution pair which is conjugated
 back to the original equation and substitution-verified.
 
-The search is exhaustive: every layout (form and part lengths) is tried at
-every shift, O(n) shifts times O(n^2) layouts for a core of n letters.  The
+The matcher tries every layout (form and part lengths) at every shift, O(n)
+shifts times O(n^2) layouts for a core of n letters, and yields its matches
+one shift at a time, each shift's sorted by form and then part words.  The
 layout table, with each repeated part as (first start, second start, length,
-inverted), is built once per call, and each repeated part costs one slice
+inverted), is built once per search, and each repeated part costs one slice
 compare of signed letter codes; part words are built only for a match.
+
+``wicks_search`` given a wanted class stops at the first verified solution
+of that class (``classify`` does this); a run that finds none has walked
+every shift, so it is exhaustive, and so is every run without a class (the
+CLI ``wicks`` command and the benchmark's oracle cross-check).  Layouts are
+not pruned yet: a pruned matcher more than doubles ``wicks_cores``
+throughput, but the benchmark keeps one record per timed attempt, so its
+peak RSS grows with throughput past the metric's bound.
 """
 
 from __future__ import annotations
 
-from typing import Literal, NamedTuple, Optional
+from typing import Iterator, Literal, NamedTuple, Optional
 
 from .errors import BudgetExceeded, ExtractionFailed
 from .words import (
     BasisTag,
     EquationSpec,
+    SolutionClass,
     Word,
     comm,
     cyclic_reduce,
@@ -106,17 +116,13 @@ def _layout_table(kind: Kind, half: int) -> list[_Layout]:
     return table
 
 
-def wicks_decompositions(w: Word, kind: Kind) -> list[WicksMatch]:
-    """All positional matches of the quadratic forms over all cyclic shifts.
-
-    ``w`` must be cyclically reduced; parts may be empty, which covers the
-    degenerate forms.
-    """
+def _matches(w: Word, kind: Kind) -> Iterator[WicksMatch]:
+    """The positional matches, one cyclic shift at a time: each shift's
+    matches sorted by form and then part words, the layout table built once."""
     letters = list(w.letters())
     n = len(letters)
-    out: list[WicksMatch] = []
     if n == 0 or n % 2:
-        return out
+        return
     table = _layout_table(kind, n // 2)
     doubled = letters + letters
     code = [(g + 1) * e for g, e in doubled]
@@ -125,6 +131,7 @@ def wicks_decompositions(w: Word, kind: Kind) -> list[WicksMatch]:
     for shift in range(n):
         top = 2 * n - shift
         u_prefix: Optional[Word] = None
+        found: list[WicksMatch] = []
         for form, spans, checks in table:
             for first, second, k, inverted in checks:
                 seg = code[shift + second : shift + second + k]
@@ -141,9 +148,19 @@ def wicks_decompositions(w: Word, kind: Kind) -> list[WicksMatch]:
                     name: Word.from_syllables(w.basis, doubled[shift + start : shift + start + k])
                     for name, start, k in spans
                 }
-                out.append(WicksMatch(shift, form, parts, u_prefix, w))
-    out.sort(key=lambda m: (m.shift, m.form, tuple(str(m.parts[k]) for k in sorted(m.parts))))
-    return out
+                found.append(WicksMatch(shift, form, parts, u_prefix, w))
+        found.sort(key=lambda m: (m.form, tuple(str(m.parts[k]) for k in sorted(m.parts))))
+        yield from found
+
+
+def wicks_decompositions(w: Word, kind: Kind) -> list[WicksMatch]:
+    """All positional matches of the quadratic forms over all cyclic shifts,
+    sorted by shift, form and then part words.
+
+    ``w`` must be cyclically reduced; parts may be empty, which covers the
+    degenerate forms.
+    """
+    return list(_matches(w, kind))
 
 
 def _canonical_pair(match: WicksMatch) -> tuple[Word, Word]:
@@ -191,40 +208,53 @@ def _trivial_candidates(spec: EquationSpec, basis: BasisTag) -> list[tuple[Word,
     return [(one, one), (g_a, g_a.inv()), (g_b, g_b.inv())]
 
 
-def wicks_search(spec: EquationSpec, v: Word, wicks_len: int = DEFAULT_WICKS_LEN) -> WicksReport:
+def wicks_search(
+    spec: EquationSpec, v: Word, wicks_len: int = DEFAULT_WICKS_LEN, wanted: Optional[SolutionClass] = None
+) -> WicksReport:
     """Enumerate solutions of the equation via Wicks decompositions.
 
     Solutions are labelled faithful per the orientation characters of the
-    z-unknowns.  The search is exhaustive, so a run that finds no solution of
-    a class is evidence of non-existence for that class, in the sense of the
-    canonical-solution analysis.
+    z-unknowns.  Without ``wanted`` the search is exhaustive, so a run that
+    finds no solution of a class is evidence of non-existence for that class,
+    in the sense of the canonical-solution analysis.  With ``wanted`` it
+    returns once it has verified a solution of that class, and the report
+    holds the prefix of the exhaustive lists up to that solution; a run that
+    finds none is exhaustive.
     """
     core, t = cyclic_reduce(equation_rhs(spec, v))
     if len(core) > wicks_len:
         raise BudgetExceeded(f"cyclic right-hand side length {len(core)} > {wicks_len}")
     kind: Kind = "commutator" if spec.delta == 1 else "two_squares"
+    # None never equals a pair's faithfulness, so no pair stops that search
+    stop_at = None if wanted is None else wanted == "faithful"
     solutions: list[tuple[tuple[Word, Word], bool]] = []
     seen: set[tuple[str, str]] = set()
 
-    def consider(z1: Word, z2: Word) -> None:
+    def consider(z1: Word, z2: Word) -> bool:
+        """Verify and record a new pair; whether the search stops at it."""
         x, y = (z1, z2) if spec.frame == "original_z" else swap_frame(spec.delta, z1, z2)
         key = (str(x), str(y))
         if key in seen:
-            return
+            return False
         result = verify_solution(spec, v, x, y)
         if not result.holds:
             raise ExtractionFailed(f"candidate pair failed re-verification: {x}, {y}")
         seen.add(key)
         solutions.append(((x, y), result.faithful))
+        return result.faithful == stop_at
 
     if core.is_identity:
         for z1, z2 in _trivial_candidates(spec, spec.basis):
-            consider(z1, z2)
+            if consider(z1, z2):
+                break
         return WicksReport(solutions, [])
     # solutions are gathered from every match, degenerate forms included; the
-    # reported match list keeps the nonempty convention
-    all_matches = wicks_decompositions(core, kind)
-    for match in all_matches:
-        consider(*extract_solution(match, t))
-    matches = [m for m in all_matches if all(not p.is_identity for p in m.parts.values())]
+    # reported match list keeps the nonempty convention.  An exhaustive search
+    # walks the full list; a stopping one matches shift by shift
+    matches: list[WicksMatch] = []
+    for match in wicks_decompositions(core, kind) if wanted is None else _matches(core, kind):
+        if all(not p.is_identity for p in match.parts.values()):
+            matches.append(match)
+        if consider(*extract_solution(match, t)):
+            break
     return WicksReport(solutions, matches)

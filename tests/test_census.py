@@ -8,7 +8,14 @@ over the full answers: outcome, branch, reason, certificate, witness strings,
 ``verified`` and trace, as sorted JSON, one line per verdict in enumeration
 order.  A change to any answer, witness or trace changes the file.
 
-Re-record it only in a change that declares its answer diff:
+A second golden, ``golden/census_bench.jsonl``, pins the same full answers
+over the three seed-1 benchmark corpora (5120 inputs, built by importing
+``bench/corpus.py``): one line per workload with its number of verdicts and
+one sha256.  It is the only golden that holds the Wicks witnesses of cores
+with 16 to 40 letters (``wicks_cores``); the benchmark references carry no
+witnesses.
+
+Re-record both only in a change that declares its answer diff:
 
     PYTHONPATH=src python tests/test_census.py --write
 """
@@ -16,6 +23,7 @@ Re-record it only in a change that declares its answer diff:
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import sys
 from collections import Counter
@@ -25,6 +33,9 @@ from pathlib import Path
 from fgquad import EquationSpec, classify, parse_word
 
 GOLDEN = Path(__file__).parent / "golden" / "census.jsonl"
+BENCH_GOLDEN = Path(__file__).parent / "golden" / "census_bench.jsonl"
+BENCH_CORPUS = Path(__file__).parents[1] / "bench" / "corpus.py"
+BENCH_SEED = 1
 MAX_LEN = 5
 _INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
 
@@ -48,6 +59,20 @@ def specs() -> list[EquationSpec]:
     ]
 
 
+def answer_line(verdict) -> bytes:
+    """One verdict's full answer as a sorted JSON line."""
+    answer = {
+        "outcome": verdict.outcome,
+        "branch": verdict.branch,
+        "reason": verdict.reason,
+        "certificate": verdict.certificate,
+        "witness": verdict.witness and [str(w) for w in verdict.witness],
+        "verified": verdict.verified,
+        "trace": verdict.trace,
+    }
+    return (json.dumps(answer, sort_keys=True) + "\n").encode()
+
+
 def census() -> str:
     """The golden file's text."""
     counts: Counter = Counter()
@@ -58,22 +83,30 @@ def census() -> str:
         for text in reduced_words(MAX_LEN):
             verdict = classify(spec, parse_word(text, spec.basis))
             counts[label, verdict.branch, verdict.outcome, verdict.reason] += 1
-            answer = {
-                "outcome": verdict.outcome,
-                "branch": verdict.branch,
-                "reason": verdict.reason,
-                "certificate": verdict.certificate,
-                "witness": verdict.witness and [str(w) for w in verdict.witness],
-                "verified": verdict.verified,
-                "trace": verdict.trace,
-            }
-            digest.update((json.dumps(answer, sort_keys=True) + "\n").encode())
+            digest.update(answer_line(verdict))
             total += 1
     lines = [
         json.dumps({"spec": spec, "branch": branch, "outcome": outcome, "reason": reason, "count": count})
         for (spec, branch, outcome, reason), count in sorted(counts.items(), key=lambda kv: str(kv[0]))
     ]
     lines.append(json.dumps({"verdicts": total, "sha256": digest.hexdigest()}))
+    return "\n".join(lines) + "\n"
+
+
+def bench_census() -> str:
+    """The benchmark golden's text: one line per seed-1 workload, in corpus order."""
+    spec = importlib.util.spec_from_file_location("bench_corpus", BENCH_CORPUS)
+    corpus = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = corpus  # its dataclass looks its module up
+    spec.loader.exec_module(corpus)
+    lines = []
+    for name, generate in corpus.WORKLOADS.items():
+        digest = hashlib.sha256()
+        queries = generate(BENCH_SEED)
+        for q in queries:
+            eq = EquationSpec(q.delta, q.epsilon, q.theta, q.solution_class, q.frame)
+            digest.update(answer_line(classify(eq, parse_word(q.text, eq.basis))))
+        lines.append(json.dumps({"workload": name, "verdicts": len(queries), "sha256": digest.hexdigest()}))
     return "\n".join(lines) + "\n"
 
 
@@ -86,8 +119,13 @@ def test_census_matches_golden():
     assert census() == GOLDEN.read_text()
 
 
+def test_bench_census_matches_golden():
+    assert bench_census() == BENCH_GOLDEN.read_text()
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_census.py --write")
-    GOLDEN.write_text(census())
-    print(f"wrote {GOLDEN}")
+    for path, text in ((GOLDEN, census()), (BENCH_GOLDEN, bench_census())):
+        path.write_text(text)
+        print(f"wrote {path}")

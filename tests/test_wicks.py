@@ -1,15 +1,18 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fgquad
 from conftest import ADAPTED_MINUS, ADAPTED_PLUS, CLASSIC_PLUS, random_word
 from fgquad import (
     BudgetExceeded,
     EquationSpec,
     Word,
     analyze_v,
+    classify,
     comm,
     cyclic_reduce,
     equation_rhs,
@@ -331,3 +334,62 @@ class TestSearch:
                 continue
             data = analyze_v(*locate(spec, v))
             assert second_decide(data.case, data.V).solvable, f"{kind}: v={v}"
+
+
+def solution_rows(solutions):
+    return [(str(x), str(y), faithful) for (x, y), faithful in solutions]
+
+
+class TestEarlyStop:
+    """A search for one class stops at the exhaustive search's first pair of
+    that class, and a search that finds none walks everything."""
+
+    def test_stopping_search_is_a_prefix_of_the_exhaustive_one(self):
+        rng = random.Random(17)
+        outcomes = set()
+        for delta, solution_class, frame in product(
+            (1, -1), ("faithful", "nonfaithful"), ("adapted_xy", "original_z")
+        ):
+            checked = 0
+            while checked < 16:
+                spec = EquationSpec(delta, rng.choice((1, -1)), rng.choice((1, -1)), solution_class, frame)
+                v = random_word(rng, spec.basis, 6)
+                core, _ = cyclic_reduce(equation_rhs(spec, v))
+                if not 16 <= len(core) <= 40:
+                    continue
+                every = wicks_search(spec, v)
+                stopped = wicks_search(spec, v, wanted=solution_class)
+                wanted = solution_class == "faithful"
+                first = next((i for i, (_, faithful) in enumerate(every.solutions) if faithful == wanted), None)
+                if first is None:
+                    assert solution_rows(stopped.solutions) == solution_rows(every.solutions), v
+                else:
+                    assert solution_rows(stopped.solutions) == solution_rows(every.solutions[: first + 1]), v
+                assert match_rows(stopped.matches) == match_rows(every.matches[: len(stopped.matches)]), v
+                outcomes.add((first is not None, len(stopped.solutions) < len(every.solutions)))
+                checked += 1
+        # some searches stop early, and some find no pair of the class
+        assert {(True, True), (False, False)} <= outcomes
+
+    def test_classify_extracts_only_up_to_its_witness(self, monkeypatch):
+        # wicks_cores (seed 1) input 912: an 18-letter commutator core with
+        # 22 matches; the first nonfaithful pair comes from the second match,
+        # at shift 4, which classify returns as its witness
+        spec = EquationSpec(1, -1, -1, "nonfaithful", "adapted_xy")
+        v = parse_word("B^2 conj(b)", spec.basis)
+        extracted = []
+        extract = fgquad.wicks.extract_solution
+
+        def counted(match, t):
+            extracted.append(match)
+            return extract(match, t)
+
+        monkeypatch.setattr(fgquad.wicks, "extract_solution", counted)
+        verdict = classify(spec, v)
+        stopped = extracted[:]
+        extracted.clear()
+        every = wicks_search(spec, v)
+        assert len(extracted) == 22
+        assert match_rows(stopped) == match_rows(extracted[:2]) and stopped[-1].shift == 4
+        first = next(pair for pair, faithful in every.solutions if not faithful)
+        assert verdict.outcome == "exists" and verdict.witness == first
