@@ -14,6 +14,7 @@ from typing import Literal, Optional
 from .derived import analyze_v, second_decide
 from .errors import BudgetExceeded, InvalidBudget, WitnessUnverified
 from .record import Record
+from .surface import project
 from .tables import MIXED, degree_two_witness, instantiate_witness, locate
 from .wicks import DEFAULT_WICKS_LEN
 from .words import EquationSpec, Frame, Word, change_basis, primitive_root, swap_frame, verify_solution
@@ -108,7 +109,7 @@ def pattern_witness(spec: EquationSpec, v: Word) -> Optional[tuple[Word, Word]]:
     for family in MIXED:
         for pair in family.pairs(v, *shape):
             res = verify_solution(spec, v, *pair)
-            if res.holds and res.x_in_n and res.faithful == faithful:
+            if res.holds and res.faithful == faithful and project(pair[0]).is_identity:
                 return pair
     return None
 

@@ -30,10 +30,10 @@ from .groupring import (
     RingElement,
     alt_geom_ratio,
     alt_geom_terms,
-    conjugate_power_product,
     geom_ratio,
     geom_terms,
     q_n,
+    series_word,
 )
 from .orbits import HatAbs, HatL, Pair, Tilde, TildeL, _inv, _mul, augment, odd_part, orbit_key
 from .quotient import p_q, q_divisible_by_two
@@ -190,7 +190,7 @@ def _first_candidates(case: MixedCase, bound: int) -> Iterator[FirstSolution]:
         c_bar = project(c)
         for ell in _divisors(top, bound, odd_only):
             xtilde = ratio(c_bar, 2 * top, ell)
-            x_word = conjugate_power_product(eps, [(c**e, sign) for e, sign in terms(2 * top, ell)])
+            x_word = series_word(c, terms(2 * top, ell))
             yield FirstSolution(L, ell, xtilde, c_bar**ell, x_word, c**ell)
 
 

@@ -178,6 +178,23 @@ def alt_geom_terms(two_d: int, ell: int) -> list[tuple[int, int]]:
     return evens + [(-(2 * j + 1) * ell, 1) for j in range(-k)]
 
 
+def series_word(c: Word, terms: Iterable[tuple[int, int]]) -> Word:
+    """The representative word prod (c^e R c^-e)^sign of a term list.
+
+    It is read as c^e1 R^sign1 c^(e2-e1) ... R^signk c^-ek: one syllable
+    list, reduced once, so no power c^e is built only to cancel again.
+    """
+    rel = relator_in(c.basis)
+    syls: list[tuple[int, int]] = []
+    at = 0
+    for e, sign in terms:
+        syls += (c ** (e - at)).syls
+        syls += (rel**sign).syls
+        at = e
+    syls += (c**-at).syls
+    return Word.from_syllables(c.basis, syls)
+
+
 def _series(x: PiElement, terms: list[tuple[int, int]], divisor: RingElement, a: int) -> RingElement:
     """The sum of the terms at powers of ``x``, checked by multiplying it back
     by ``divisor`` onto 1 - x**a."""
@@ -210,9 +227,9 @@ def alt_geom_ratio(x: PiElement, two_d: int, ell: int) -> RingElement:
 # ---------------------------------------------------------------------------
 
 
-def _fox_pairs(w: Word) -> tuple[_Pair, dict[_Pair, int], dict[_Pair, int]]:
-    """One walk over ``w``: its projection ``(r, s)`` and its quotient-projected
-    free derivatives by alpha and by beta, keyed by ``(r, s)``, zeros dropped.
+def _fox_pairs(w: Word) -> tuple[dict[_Pair, int], dict[_Pair, int]]:
+    """One walk over ``w``: its quotient-projected free derivatives by alpha
+    and by beta, keyed by ``(r, s)``, zeros dropped.
 
     A letter alpha^{+-1} moves r by +-sigma(s) and a letter beta^{+-1} moves
     s by +-1.  A letter adds the prefix before it and an inverse letter
@@ -240,11 +257,7 @@ def _fox_pairs(w: Word) -> tuple[_Pair, dict[_Pair, int], dict[_Pair, int]]:
                 key = (x, s)
                 d_alpha[key] = get_alpha(key, 0) + c
             r += sigma * e
-    return (
-        (r, s),
-        {key: c for key, c in d_alpha.items() if c},
-        {key: c for key, c in d_beta.items() if c},
-    )
+    return {key: c for key, c in d_alpha.items() if c}, {key: c for key, c in d_beta.items() if c}
 
 
 def _ring(epsilon: int, pairs: Mapping[_Pair, int]) -> RingElement:
@@ -258,7 +271,7 @@ def fox_derivative(w: Word, gen: str) -> RingElement:
     """The quotient-projected free derivative of ``w`` by generator 'a' or 'b'."""
     if gen not in ("a", "b"):
         raise ValueError(f"generator must be 'a' or 'b', got {gen!r}")
-    _, d_alpha, d_beta = _fox_pairs(w)
+    d_alpha, d_beta = _fox_pairs(w)
     return _ring(w.basis.epsilon, d_alpha if gen == "a" else d_beta)
 
 
@@ -327,14 +340,15 @@ def q_n(w: Word) -> RingElement:
     sum_i n_i * class(u_i).  Computed via Fox calculus plus exact division,
     with the beta-column identity as a built-in consistency check, all on
     coefficients keyed by ``(r, s)``; group elements are built for the result
-    only.  A word outside the kernel is refused by its projection, which walks
-    syllables, before the Fox walk expands it letter by letter.
+    only.  A classic word is converted once.  A word outside the kernel is
+    refused by its projection, which walks syllables, before the Fox walk
+    expands it letter by letter.
     """
+    if w.basis.kind != "adapted":
+        w = change_basis(w, BasisTag.adapted(w.basis.epsilon))
     if not project(w).is_identity:
         raise NotInKernel("word does not project to the identity")
-    end, d_alpha, d_beta = _fox_pairs(w)
-    if end != (0, 0):
-        raise NotInKernel("word does not project to the identity")
+    d_alpha, d_beta = _fox_pairs(w)
     eps = w.basis.epsilon
     try:
         lam = _divide_pairs(eps, d_alpha)

@@ -13,7 +13,7 @@ from .words import BasisTag, Word, change_basis
 
 
 class PiElement(Record):
-    """The element alpha^r * beta^s; elements compare as ``(epsilon, r, s)``."""
+    """The element alpha^r * beta^s."""
 
     __slots__ = ("epsilon", "r", "s")
     epsilon: int
@@ -34,18 +34,6 @@ class PiElement(Record):
 
     def __hash__(self) -> int:
         return hash((self.epsilon, self.r, self.s))
-
-    def __lt__(self, other: "PiElement") -> bool:
-        return self._values() < other._values() if type(other) is PiElement else NotImplemented
-
-    def __le__(self, other: "PiElement") -> bool:
-        return self._values() <= other._values() if type(other) is PiElement else NotImplemented
-
-    def __gt__(self, other: "PiElement") -> bool:
-        return self._values() > other._values() if type(other) is PiElement else NotImplemented
-
-    def __ge__(self, other: "PiElement") -> bool:
-        return self._values() >= other._values() if type(other) is PiElement else NotImplemented
 
     @staticmethod
     def identity(epsilon: int) -> "PiElement":

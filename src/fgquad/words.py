@@ -460,12 +460,9 @@ def parse_word(text: str, basis: BasisTag) -> Word:
     parser = _Parser(text, basis)
     syls: list[tuple[int, int]] = []
     try:
-        parser.parse_word(syls)
+        parser.parse_word(syls)  # returns only at the end of the text
     except RecursionError:  # the parser recurses once per level of nesting
         raise parser.error("nesting too deep") from None
-    parser.skip_ws()
-    if parser.pos != len(text):
-        raise parser.error(f"unexpected character {parser.peek()!r}")
     return Word(basis, _reduce(syls))
 
 
@@ -551,20 +548,15 @@ def solution_is_faithful(spec: EquationSpec, first: Word, second: Word) -> bool:
 class VerifyResult(NamedTuple):
     holds: bool
     faithful: bool
-    x_in_n: bool  # False in the original frame, where it is not checked
 
 
 def verify_solution(spec: EquationSpec, v: Word, first: Word, second: Word) -> VerifyResult:
-    """Substitute a candidate pair and check the equation in the spec's frame."""
+    """Substitute a candidate pair: whether it solves the equation in the
+    spec's frame, and whether it is faithful.  Whether the first unknown lies
+    in the relator subgroup is left to the callers that read it."""
     basis = spec.basis
     for w in (v, first, second):
         if w.basis != basis:
             raise BasisMismatch(f"expected words in {basis}")
     holds = equation_lhs(spec, first, second) == equation_rhs(spec, v)
-    faithful = solution_is_faithful(spec, first, second)
-    if spec.frame == "original_z":
-        return VerifyResult(holds, faithful, False)
-    from .surface import project  # local import to avoid a cycle
-
-    x_in_n = project(first).is_identity
-    return VerifyResult(holds, faithful, x_in_n)
+    return VerifyResult(holds, solution_is_faithful(spec, first, second))

@@ -14,6 +14,8 @@ import subprocess
 import sys
 import types
 
+import pytest
+
 import fgquad
 
 PUBLIC = [
@@ -107,6 +109,61 @@ def test_import_loads_no_code_generating_modules():
         env=dict(os.environ, PYTHONPATH=root), capture_output=True, text=True, check=True, timeout=60,
     )
     assert done.stdout == "[]\n"
+
+
+def test_records_refuse_assignment_and_deletion():
+    records = [
+        (fgquad.Word.identity(fgquad.BasisTag.adapted(1)), "syls"),
+        (fgquad.PiElement(-1, 1, 2), "r"),
+        (fgquad.EquationSpec(1, -1, -1, "faithful", "adapted_xy"), "frame"),
+    ]
+    for record, field in records:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(record, field)
+        assert getattr(record, field) is not None
+
+
+# every module of src/fgquad but __init__.py, each importing only modules
+# listed before it
+LAYERS = [
+    "errors", "record", "words", "surface", "groupring", "quotient", "orbits",
+    "tables", "derived", "wicks", "classify", "cli",
+]
+
+
+def _imported_modules(node: ast.AST) -> list[str]:
+    """The package modules that an import statement names, by file stem;
+    ``"fgquad"`` for the package itself."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 1:
+        names = [f"fgquad.{node.module}"] if node.module else [f"fgquad.{alias.name}" for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.module == "fgquad":
+        names = [f"fgquad.{alias.name}" for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""]
+    else:
+        return []
+    return [name.split(".")[1] if "." in name else name for name in names if name.split(".")[0] == "fgquad"]
+
+
+def test_modules_import_only_earlier_layers():
+    # every import inside the package, at module level or in a function body,
+    # points at an earlier layer, so the package has no import cycle
+    src = Path(fgquad.__file__).parent
+    modules = sorted(path.stem for path in src.glob("*.py") if path.name != "__init__.py")
+    assert modules == sorted(LAYERS)
+    rank = {name: i for i, name in enumerate(LAYERS)}
+    backward = [
+        (module, target)
+        for module in LAYERS
+        for node in ast.walk(ast.parse((src / f"{module}.py").read_text()))
+        for target in _imported_modules(node)
+        if rank.get(target, len(LAYERS)) >= rank[module]
+    ]
+    assert backward == []
 
 
 def test_traced_names_resolve():

@@ -192,7 +192,7 @@ class TestWitnessCheck:
         classify_module = importlib.import_module("fgquad.classify")
 
         def refuse(spec, v, first, second):
-            return VerifyResult(False, False, False)
+            return VerifyResult(False, False)
 
         monkeypatch.setattr(classify_module, "verify_solution", refuse)
         spec = EquationSpec(1, 1, -1, "faithful", "adapted_xy")

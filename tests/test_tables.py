@@ -3,8 +3,8 @@
 import sys
 from collections import Counter
 
-from fgquad import classify, project, verify_solution
-from fgquad.tables import all_fixtures, instantiate_witness, table_branch
+from fgquad import BasisTag, EquationSpec, Word, classify, project, tables, verify_solution, verify_tables
+from fgquad.tables import Fixture, FixtureFailure, TableReport, all_fixtures, instantiate_witness, table_branch
 
 # Every fixture row the explicit-solution tables checked before the registry
 # replaced the per-table fixture builders: row, delta, epsilon, theta, class,
@@ -115,3 +115,27 @@ def test_classify_builds_witnesses_without_parsing(monkeypatch):
     for fx in fixtures:
         verdict = classify(fx.spec, fx.v)
         assert verdict.outcome == "exists" and verdict.verified, fx.row
+
+
+def test_verify_tables_reports_each_failure_reason(monkeypatch):
+    # for v = 1 the right-hand side R^-1 R is trivial, so (x, y) = (b, 1)
+    # solves x y x^-1 y^-1 = 1, but w(b) = -1 and b is outside the relator
+    # subgroup; (a, b) solves nothing.  A pair that fails several checks is
+    # reported by the first, and the original frame has no x-in-N check
+    adapted, classic = BasisTag.adapted(-1), BasisTag.classic(-1)
+    one, a, b = Word.identity(adapted), Word.gen(adapted, "a"), Word.gen(adapted, "b")
+    faithful = EquationSpec(1, -1, -1, "faithful", "adapted_xy")
+    nonfaithful = EquationSpec(1, -1, -1, "nonfaithful", "adapted_xy")
+    original = EquationSpec(1, -1, -1, "nonfaithful", "original_z")
+    fixtures = [
+        Fixture("unsolved", faithful, one, a, b),
+        Fixture("wrong class", faithful, one, b, one),
+        Fixture("outside N", nonfaithful, one, b, one),
+        Fixture("original frame", original, Word.identity(classic), Word.gen(classic, "b"), Word.identity(classic)),
+    ]
+    monkeypatch.setattr(tables, "all_fixtures", lambda: fixtures)
+    assert verify_tables() == TableReport(4, [
+        FixtureFailure("unsolved", "substitution failed"),
+        FixtureFailure("wrong class", "wrong solution class"),
+        FixtureFailure("outside N", "first unknown not in the relator subgroup"),
+    ])

@@ -18,6 +18,7 @@ from fgquad import (
     equation_rhs,
     parse_word,
     project,
+    relator_in,
     second_decide,
     square_root,
     wicks_decompositions,
@@ -370,6 +371,19 @@ class TestEarlyStop:
                 checked += 1
         # some searches stop early, and some find no pair of the class
         assert {(True, True), (False, False)} <= outcomes
+
+    def test_trivial_core_stops_at_its_first_candidate(self):
+        # v = R makes the right-hand side R R^-1 R^-1 R trivial: the search
+        # tries the trivial candidates (1, 1), (1, a), (1, b) in turn, and the
+        # first of them is already faithful
+        spec = EquationSpec(1, -1, -1, "faithful", "adapted_xy")
+        v = relator_in(spec.basis)
+        assert equation_rhs(spec, v).is_identity
+        every = wicks_search(spec, v)
+        stopped = wicks_search(spec, v, wanted="faithful")
+        assert solution_rows(every.solutions) == [("1", "1", True), ("1", "a", True), ("1", "b", False)]
+        assert solution_rows(stopped.solutions) == solution_rows(every.solutions[:1])
+        assert every.matches == stopped.matches == []
 
     def test_classify_extracts_only_up_to_its_witness(self, monkeypatch):
         # wicks_cores (seed 1) input 912: an 18-letter commutator core with

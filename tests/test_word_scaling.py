@@ -3,10 +3,12 @@ search now finish at once, the Wicks matcher builds its layouts once per
 call, q_n does its arithmetic on integer pairs and refuses a word outside
 the kernel before it walks the letters, and the mixed-case path takes one
 primitive root per pattern scan and no cyclic reduction per substitution
-check."""
+check, and a representative word of the first derived equation is built from
+one syllable list."""
 
 import importlib
 import io
+import json
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from time import perf_counter
@@ -94,6 +96,21 @@ def test_classify_a_long_alpha_power_in_the_original_frame():
         code = main(argv)
     assert perf_counter() - start < 2.0
     assert code == 0 and '"verdict": "exists"' in buf.getvalue()
+
+
+def test_first_derived_of_a_long_beta_power():
+    # each representative word is read as c^e1 R c^(e2-e1) ... R c^-ek, so no
+    # power c^e is built for a term only to cancel again
+    argv = ["first-derived", "--delta", "1", "--epsilon", "-1", "--theta", "-1", "--class", "nonfaithful",
+            "--word", "b^2000", "--enum-bound", "1"]
+    buf = io.StringIO()
+    start = perf_counter()
+    with redirect_stdout(buf):
+        code = main(argv)
+    assert perf_counter() - start < 4.0
+    assert code == 0
+    out = json.loads(buf.getvalue())
+    assert out["case"] == "eq2_nf(n=1000)" and len(out["solutions"]) == 24
 
 
 def test_exhausted_translation_window():
