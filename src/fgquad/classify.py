@@ -16,7 +16,7 @@ from .errors import BudgetExceeded, InvalidBudget, WitnessUnverified
 from .record import Record
 from .surface import project
 from .tables import MIXED, degree_two_witness, instantiate_witness, locate
-from .wicks import DEFAULT_WICKS_LEN
+from .wicks import DEFAULT_WICKS_LEN, wicks_search
 from .words import EquationSpec, Frame, Word, change_basis, primitive_root, swap_frame, verify_solution
 
 Outcome = Literal["exists", "not_exists", "undetermined"]
@@ -156,7 +156,6 @@ def classify(spec: EquationSpec, v: Word, budgets: Budgets = Budgets()) -> Verdi
     pair = pattern_witness(spec_ad, v_ad)
     if pair is not None:
         return _exists(spec, v, pair, "adapted_xy", branch.row, trace)
-    from .wicks import wicks_search
 
     try:
         report = wicks_search(spec_ad, v_ad, budgets.wicks_len, spec.solution_class)

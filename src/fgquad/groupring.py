@@ -197,10 +197,22 @@ def series_word(c: Word, terms: Iterable[tuple[int, int]]) -> Word:
 
 def _series(x: PiElement, terms: list[tuple[int, int]], divisor: RingElement, a: int) -> RingElement:
     """The sum of the terms at powers of ``x``, checked by multiplying it back
-    by ``divisor`` onto 1 - x**a."""
+    by ``divisor`` onto 1 - x**a.
+
+    Each term's power is the previous one times ``x`` to the step between
+    their exponents; the term lists hold runs of one step, so each step's
+    power is built once.
+    """
     if terms and x.is_identity:
         raise NotDivisible("ratio base must not be the identity")
-    result = RingElement.make(x.epsilon, [(x**e, sign) for e, sign in terms])
+    items: list[tuple[PiElement, int]] = []
+    power, at, steps = PiElement.identity(x.epsilon), 0, {}
+    for e, sign in terms:
+        if e - at not in steps:
+            steps[e - at] = x ** (e - at)
+        power, at = power * steps[e - at], e
+        items.append((power, sign))
+    result = RingElement.make(x.epsilon, items)
     if result * divisor != one_minus_pow(x, a):
         raise NotDivisible("geometric expansion failed verification")
     return result

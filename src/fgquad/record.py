@@ -35,7 +35,7 @@ class Record:
         return {name: getattr(self, name) for name in self._fields}
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+        return tuple([getattr(self, name) for name in self._fields])  # from a list, see words._inverse
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):

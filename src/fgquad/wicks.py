@@ -6,20 +6,26 @@ of two squares iff some shift matches ``a b c b a c^-1`` or ``a a b c c b^-1``.
 Every positional match yields a canonical solution pair which is conjugated
 back to the original equation and substitution-verified.
 
-The matcher tries every layout (form and part lengths) at every shift, O(n)
-shifts times O(n^2) layouts for a core of n letters, and yields its matches
-one shift at a time, each shift's sorted by form and then part words.  The
-layout table, with each repeated part as (first start, second start, length,
-inverted), is built once per search, and each repeated part costs one slice
-compare of signed letter codes; part words are built only for a match.
+The matcher walks the n shifts of an n-letter core and yields its matches
+one shift at a time, each shift's sorted by form and then part words.  At a
+shift each form has its own loop over the part lengths (h = n/2 letters per
+half), and each repeated part is one slice compare of signed letter codes,
+made as soon as the lengths it depends on are fixed, so a failed compare
+skips every layout that shares that part.  In ``a b c a^-1 b^-1 c^-1`` and
+``a a b c c b^-1`` the second ``a`` (``a^-1`` in the first) depends on |a|
+alone, so a failed one drops all h - |a| + 1 layouts of that length;
+``d e d^-1 e^-1`` has h + 1 layouts; in ``a b c b a c^-1`` the second ``b``
+and ``a`` both need (|a|, |b|), so that form costs O(h^2) compares per
+shift.  Part words are built only for a match.
 
 ``wicks_search`` given a wanted class stops at the first verified solution
 of that class (``classify`` does this); a run that finds none has walked
 every shift, so it is exhaustive, and so is every run without a class (the
-CLI ``wicks`` command and the benchmark's oracle cross-check).  Layouts are
-not pruned yet: a pruned matcher more than doubles ``wicks_cores``
-throughput, but the benchmark keeps one record per timed attempt, so its
-peak RSS grows with throughput past the metric's bound.
+CLI ``wicks`` command and the benchmark's oracle cross-check).  There is no
+bound on |b| from longest common extensions and no segment hashing yet:
+they would speed the matcher up further, but the benchmark keeps one
+record per timed attempt, so its peak RSS grows with throughput past the
+metric's bound.
 """
 
 from __future__ import annotations
@@ -50,19 +56,6 @@ Kind = Literal["commutator", "two_squares"]
 
 DEFAULT_WICKS_LEN = 64  # cap on the cyclic right-hand-side length
 
-# segment layout per form: (part name, inverted?)
-_FORM_LAYOUT: dict[FormName, tuple[tuple[str, bool], ...]] = {
-    "orientable_abc": (("a", False), ("b", False), ("c", False), ("a", True), ("b", True), ("c", True)),
-    "orientable_de": (("d", False), ("e", False), ("d", True), ("e", True)),
-    "nonorientable_abcbac": (("a", False), ("b", False), ("c", False), ("b", False), ("a", False), ("c", True)),
-    "nonorientable_aabcc": (("a", False), ("a", False), ("b", False), ("c", False), ("c", False), ("b", True)),
-}
-
-_KIND_FORMS: dict[Kind, tuple[FormName, ...]] = {
-    "commutator": ("orientable_abc", "orientable_de"),
-    "two_squares": ("nonorientable_abcbac", "nonorientable_aabcc"),
-}
-
 
 class WicksMatch(NamedTuple):
     shift: int
@@ -72,84 +65,75 @@ class WicksMatch(NamedTuple):
     core: Word
 
 
-def _enumerate_lengths(n_parts: int, total: int) -> list[tuple[int, ...]]:
-    """Every composition of ``total`` into ``n_parts`` parts, empty ones too."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + (v,), remaining - v, slots - 1)
-
-    rec((), total, n_parts)
-    return out
+_Span = tuple[str, int, int]  # a part's name, start in the doubled core and length
 
 
-# one layout: its form, each part's (name, start, length) in the shifted
-# core, and the repeated-part checks (first start, second start, length,
-# inverted); a first occurrence is never inverted
-_Layout = tuple[FormName, tuple[tuple[str, int, int], ...], tuple[tuple[int, int, int, bool], ...]]
+def _layouts(
+    code: list[int], inverse: list[int], s: int, n: int, kind: Kind
+) -> Iterator[tuple[FormName, tuple[_Span, ...]]]:
+    """The matching layouts at shift ``s``: each one's form and its parts'
+    spans, sorted by name.
 
-
-def _layout_table(kind: Kind, half: int) -> list[_Layout]:
-    """Every layout of the kind's forms, in form order, then composition order."""
-    table: list[_Layout] = []
-    for form in _KIND_FORMS[kind]:
-        layout = _FORM_LAYOUT[form]
-        part_names = sorted({name for name, _ in layout})
-        for combo in _enumerate_lengths(len(part_names), half):
-            lengths = dict(zip(part_names, combo))
-            starts: dict[str, int] = {}
-            checks: list[tuple[int, int, int, bool]] = []
-            pos = 0
-            for name, inverted in layout:
-                k = lengths[name]
-                if name not in starts:
-                    starts[name] = pos
-                elif k:
-                    checks.append((starts[name], pos, k, inverted))
-                pos += k
-            spans = tuple((name, starts[name], lengths[name]) for name in part_names)
-            table.append((form, spans, tuple(checks)))
-    return table
+    ``code[s : s + n]`` is the shifted core and ``inverse[t - x - k : t - x]``
+    inverts ``code[s + x : s + x + k]``.
+    """
+    h, t, m, end = n // 2, 2 * n - s, s + n // 2, s + n
+    if kind == "commutator":
+        for i in range(h + 1):
+            # a b c a^-1 b^-1 c^-1: a^-1 at h depends on |a| alone
+            if code[m : m + i] != inverse[t - i : t]:
+                continue
+            for j in range(h - i + 1):
+                if (
+                    code[m + i : m + i + j] == inverse[t - i - j : t - i]
+                    and code[m + i + j : end] == inverse[t - h : t - i - j]
+                ):
+                    yield "orientable_abc", (("a", s, i), ("b", s + i, j), ("c", s + i + j, h - i - j))
+        for i in range(h + 1):
+            # d e d^-1 e^-1
+            if code[m : m + i] == inverse[t - i : t] and code[m + i : end] == inverse[t - h : t - i]:
+                yield "orientable_de", (("d", s, i), ("e", s + i, h - i))
+        return
+    for i in range(h + 1):
+        # a b c b a c^-1: the second b at h and the second a after it need both lengths
+        for j in range(h - i + 1):
+            if (
+                code[m : m + j] == code[s + i : s + i + j]
+                and code[m + j : m + j + i] == code[s : s + i]
+                and code[m + i + j : end] == inverse[t - h : t - i - j]
+            ):
+                yield "nonorientable_abcbac", (("a", s, i), ("b", s + i, j), ("c", s + i + j, h - i - j))
+    for i in range(h + 1):
+        # a a b c c b^-1: the second a depends on |a| alone
+        if code[s + i : s + 2 * i] != code[s : s + i]:
+            continue
+        for j in range(h - i + 1):
+            c, k = s + 2 * i + j, h - i - j  # the first c and its length
+            if code[end - j : end] == inverse[t - 2 * i - j : t - 2 * i] and code[c + k : end - j] == code[c : c + k]:
+                yield "nonorientable_aabcc", (("a", s, i), ("b", s + 2 * i, j), ("c", c, k))
 
 
 def _matches(w: Word, kind: Kind) -> Iterator[WicksMatch]:
     """The positional matches, one cyclic shift at a time: each shift's
-    matches sorted by form and then part words, the layout table built once."""
+    matches sorted by form and then part words."""
     letters = list(w.letters())
     n = len(letters)
     if n == 0 or n % 2:
         return
-    table = _layout_table(kind, n // 2)
     doubled = letters + letters
     code = [(g + 1) * e for g, e in doubled]
-    # inverse[2n - x - k : 2n - x] is the inverse of code[x : x + k]
     inverse = [-c for c in reversed(code)]
     for shift in range(n):
-        top = 2 * n - shift
         u_prefix: Optional[Word] = None
         found: list[WicksMatch] = []
-        for form, spans, checks in table:
-            for first, second, k, inverted in checks:
-                seg = code[shift + second : shift + second + k]
-                if inverted:
-                    if seg != inverse[top - first - k : top - first]:
-                        break
-                elif seg != code[shift + first : shift + first + k]:
-                    break
-            else:
-                # no dedupe: two compositions differ in some part's length
-                if u_prefix is None:
-                    u_prefix = Word.from_syllables(w.basis, letters[:shift])
-                parts = {
-                    name: Word.from_syllables(w.basis, doubled[shift + start : shift + start + k])
-                    for name, start, k in spans
-                }
-                found.append(WicksMatch(shift, form, parts, u_prefix, w))
-        found.sort(key=lambda m: (m.form, tuple(str(m.parts[k]) for k in sorted(m.parts))))
+        # no dedupe: two layouts of a form differ in some part's length
+        for form, spans in _layouts(code, inverse, shift, n, kind):
+            if u_prefix is None:
+                u_prefix = Word.from_syllables(w.basis, letters[:shift])
+            parts = {name: Word.from_syllables(w.basis, doubled[start : start + k]) for name, start, k in spans}
+            found.append(WicksMatch(shift, form, parts, u_prefix, w))
+        # the key's tuple is built from a list, see words._inverse
+        found.sort(key=lambda m: (m.form, tuple([str(m.parts[k]) for k in sorted(m.parts)])))
         yield from found
 
 

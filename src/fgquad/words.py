@@ -108,7 +108,11 @@ def _reduce(syllables: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]
 def _inverse(syls: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
     """The syllables of the inverse word, shared ones where there are any."""
     inverse = _INV_SYL.get
-    return tuple(inverse(s) or (s[0], -s[1]) for s in reversed(syls))
+    # from a list: CPython builds a tuple from a generator at 10 slots and
+    # resizes it, and a resized tuple of under 20 items that dies stays on
+    # the free list of its length until a full collection, so built from a
+    # generator these lists, and the pools they pin, would grow with every call
+    return tuple([inverse(s) or (s[0], -s[1]) for s in reversed(syls)])
 
 
 class Word(Record):

@@ -22,11 +22,12 @@ the orbit layer.  ``naive_exact_power_of`` tries every power of
 the base in turn, and ``naive_beta_decide`` builds the whole set of
 pair candidates for every translation parameter before checking any, from
 window values and chain candidates that test each value's parity.
-``naive_wicks_decompositions`` is the Wicks matcher before its layout table:
-it rebuilds the length compositions at every shift and compares each layout
-as lists of letter tuples, inverting a segment by reversing it.  It reads
-the forms from its own table, written from the module docstring of
-``fgquad.wicks``, so a wrong layout in the library cannot hide in both.
+``naive_wicks_decompositions`` is the Wicks matcher with no pruning: at
+every shift it rebuilds every composition of the part lengths and compares
+each whole layout as lists of letter tuples, inverting a segment by
+reversing it.  It reads the forms from its own table, written from the
+module docstring of ``fgquad.wicks``, so a wrong layout in the library
+cannot hide in both.
 It admits empty parts unless told otherwise, as the library matcher does, so
 it can stand in for it; ``nonempty`` keeps the matches with every part
 nonempty.  ``naive_geom_rep_word`` and ``naive_alt_rep_word`` are the

@@ -138,6 +138,16 @@ def matcher_cores(draw):
     return cyclic_reduce(w)[0]
 
 
+def letter_word(rng, basis, length):
+    """A reduced word of exactly ``length`` letters."""
+    letters = []
+    while len(letters) < length:
+        letter = (rng.randrange(2), rng.choice((-1, 1)))
+        if not letters or letter != (letters[-1][0], -letters[-1][1]):
+            letters.append(letter)
+    return Word.from_syllables(basis, letters)
+
+
 def match_rows(matches):
     return [
         (m.shift, m.form, [(k, str(p)) for k, p in sorted(m.parts.items())], str(m.u_prefix), str(m.core))
@@ -146,7 +156,7 @@ def match_rows(matches):
 
 
 class TestMatcherOracle:
-    """The layout-table matcher lists what the naive matcher lists, in order."""
+    """The library matcher lists what the naive matcher lists, in order."""
 
     @given(matcher_cores(), st.sampled_from(("commutator", "two_squares")), st.booleans())
     def test_same_ordered_matches(self, core, kind, allow_empty):
@@ -171,6 +181,32 @@ class TestMatcherOracle:
                 seen.update((m.form, any(p.is_identity for p in m.parts.values())) for m in matches)
         # an empty part of d e d^-1 e^-1 leaves e e^-1, which no reduced core is
         assert seen == {(form, empty) for form in TEMPLATES for empty in (False, True)} - {("orientable_de", True)}
+
+    def test_same_ordered_matches_on_long_cores(self):
+        # 200 cores of 16-64 letters, where each part-length loop runs well
+        # past its first values: in each run of five, a template core of each
+        # form with parts of 0-16 letters, matched for the form's kind, then
+        # a random core; every basis meets every kind
+        rng = random.Random(64)
+        seen = set()
+        for index in range(200):
+            basis = BASES[index // 5 % 2]
+            form = (*sorted(TEMPLATES), None)[index % 5]
+            core = Word.identity(basis)
+            while not 16 <= len(core) <= 64 or len(core) % 2:
+                if form is None:
+                    core = letter_word(rng, basis, rng.randint(16, 64))
+                else:
+                    core = TEMPLATES[form](*(letter_word(rng, basis, rng.randint(0, 16)) for _ in range(3)))
+                core = cyclic_reduce(core)[0]
+            if form is None:
+                kind = ("commutator", "two_squares")[index // 10 % 2]
+            else:
+                kind = "commutator" if form.startswith("orientable") else "two_squares"
+            matches = wicks_decompositions(core, kind)
+            assert match_rows(matches) == match_rows(naive_wicks_decompositions(core, kind))
+            seen.update(m.form for m in matches)
+        assert seen == set(TEMPLATES)
 
 
 class TestExtraction:

@@ -1,10 +1,10 @@
 """Inputs that were quadratic or worse in the word layer or the translation
-search now finish at once, the Wicks matcher builds its layouts once per
-call, q_n does its arithmetic on integer pairs and refuses a word outside
-the kernel before it walks the letters, and the mixed-case path takes one
-primitive root per pattern scan and no cyclic reduction per substitution
-check, and a representative word of the first derived equation is built from
-one syllable list."""
+search now finish at once, the Wicks matcher drops every layout that
+shares a part which fails its compare, q_n does its arithmetic on integer
+pairs and refuses a word outside the kernel before it walks the letters,
+and the mixed-case path takes one primitive root per pattern scan and no
+cyclic reduction per substitution check, and a representative word of the
+first derived equation is built from one syllable list."""
 
 import importlib
 import io
@@ -14,7 +14,6 @@ from contextlib import redirect_stderr, redirect_stdout
 from time import perf_counter
 
 from conftest import ADAPTED_MINUS, random_word
-import fgquad.wicks
 import fgquad.words
 from fgquad import tables
 from fgquad import (
@@ -31,12 +30,13 @@ from fgquad import (
     relator_in,
     second_decide,
     verify_solution,
+    wicks_decompositions,
 )
 from fgquad.cli import main
 from fgquad.groupring import SparseSum, conjugate_power_product
 from fgquad.tables import _even_power, _exact_power_of
 from fgquad.words import primitive_root
-from oracles import reduce_syllables
+from oracles import naive_wicks_decompositions, reduce_syllables
 
 classify_module = importlib.import_module("fgquad.classify")  # fgquad.classify is the function
 
@@ -140,9 +140,10 @@ def test_wide_translation_window_answered_early():
     assert code == 0 and '"L": 1,' in buf.getvalue() and '"window": [-1000000, 1000001]' in buf.getvalue()
 
 
-def test_wicks_matcher_on_a_core_at_the_default_budget(monkeypatch):
+def test_wicks_matcher_on_a_core_at_the_default_budget():
     # 64 letters is the default wicks_len: 64 shifts of 561 + 33 (commutator)
-    # or 561 + 561 (two squares) layouts each
+    # or 561 + 561 (two squares) layouts each, most pruned by a part that
+    # fails its compare
     rng = random.Random(64)
     letters = [(0, 1)]
     while len(letters) < 64:
@@ -151,20 +152,11 @@ def test_wicks_matcher_on_a_core_at_the_default_budget(monkeypatch):
             letters.append((g, e))
     core = Word.from_syllables(ADAPTED_MINUS, letters)
     assert len(core) == 64 and cyclic_reduce(core)[0] == core
-    builds = []
-    enumerate_lengths = fgquad.wicks._enumerate_lengths
-
-    def counted(n_parts, total):
-        builds.append(n_parts)
-        return enumerate_lengths(n_parts, total)
-
-    monkeypatch.setattr(fgquad.wicks, "_enumerate_lengths", counted)
+    kinds = ("commutator", "two_squares")
     start = perf_counter()
-    for kind in ("commutator", "two_squares"):
-        fgquad.wicks.wicks_decompositions(core, kind)
+    found = [wicks_decompositions(core, kind) for kind in kinds]
     assert perf_counter() - start < 0.25
-    # once per call and form: (a, b, c) then (d, e); then the two three-part forms
-    assert builds == [3, 2, 3, 3]
+    assert found == [naive_wicks_decompositions(core, kind) for kind in kinds]
 
 
 def test_q_n_of_a_long_conjugate_product(monkeypatch):
