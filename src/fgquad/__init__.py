@@ -27,14 +27,7 @@ from .errors import (
     WitnessUnverified,
     WordSyntaxError,
 )
-from .groupring import (
-    RingElement,
-    alt_geom_ratio,
-    exact_divide,
-    fox_derivative,
-    geom_ratio,
-    q_n,
-)
+from .groupring import RingElement, exact_divide, fox_derivative, q_n
 from .orbits import HatAbs, HatL, Tilde, TildeL, augment, odd_part, orbit_key, same_orbit
 from .quotient import QElement, p_q, q_divisible_by_two
 from .surface import PiElement, project
@@ -66,7 +59,7 @@ __all__ = [
     "BasisMismatch", "BudgetExceeded", "CaseMismatch", "DomainMismatch", "EpsilonMismatch",
     "ExtractionFailed", "FgquadError", "InconsistentSign", "InvalidBudget", "NotDivisible",
     "NotInKernel", "NotMixedCase", "SingularBase", "WitnessUnverified", "WordSyntaxError",
-    "RingElement", "alt_geom_ratio", "exact_divide", "fox_derivative", "geom_ratio", "q_n",
+    "RingElement", "exact_divide", "fox_derivative", "q_n",
     "HatAbs", "HatL", "Tilde", "TildeL", "augment", "odd_part", "orbit_key", "same_orbit",
     "QElement", "p_q", "q_divisible_by_two",
     "PiElement", "project",

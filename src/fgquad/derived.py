@@ -9,7 +9,8 @@ A mixed family is one of:
 
 with theta = -1 throughout.  The first derived equation
 ``(1 - delta*ybar) * xtilde = 1 + theta*vbar`` lives in the group ring; its
-solutions are enumerated together with representative words.  Solvability of
+solutions are enumerated as representative words, and each ring value is read
+off its word by ``q_n`` and checked against the equation.  Solvability of
 the second derived equation (in the quotient Q) is decided exactly, by orbit
 augmentations for the squares families and by a finite translation-parameter
 search for the beta-power families.  The search works on integer pairs
@@ -26,15 +27,7 @@ import math
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import CaseMismatch, NotMixedCase
-from .groupring import (
-    RingElement,
-    alt_geom_ratio,
-    alt_geom_terms,
-    geom_ratio,
-    geom_terms,
-    q_n,
-    series_word,
-)
+from .groupring import RingElement, alt_geom_terms, geom_terms, q_n, series_word
 from .orbits import HatAbs, HatL, Pair, Tilde, TildeL, _inv, _mul, augment, odd_part, orbit_key
 from .quotient import p_q, q_divisible_by_two
 from .record import Record
@@ -161,14 +154,13 @@ def _check_first(case: MixedCase, sol: FirstSolution) -> FirstSolution:
     rhs = one - RingElement.monomial(case.vbar)
     if lhs != rhs:
         raise CaseMismatch(f"first derived equation fails for {sol}")
-    if q_n(sol.x_word) != sol.xtilde or project(sol.y_word) != sol.ybar:
-        raise CaseMismatch(f"representative words fail for {sol}")
     return sol
 
 
 def _first_candidates(case: MixedCase, bound: int) -> Iterator[FirstSolution]:
-    """The unchecked family entries: ybar = cbar^ell and xtilde the geometric
-    series of vbar over it, or for m = n = 0 the free y with xtilde = 0."""
+    """The unchecked family entries: y = c^ell and x the representative word
+    of the geometric series of vbar over cbar^ell, with xtilde = q_n(x) and
+    ybar the projection of y; or for m = n = 0 the free y with xtilde = 0."""
     eps = case.epsilon
     basis = BasisTag.adapted(eps)
     if case.has_two_params and case.m == 0 and case.n == 0:
@@ -185,13 +177,11 @@ def _first_candidates(case: MixedCase, bound: int) -> Iterator[FirstSolution]:
     else:  # c_L = beta alpha^-L for each translation L, odd ell | n
         bases = [(L, Word.from_syllables(basis, [(1, 1), (0, -L)])) for L in range(-bound, bound + 1)]
         top, odd_only, geometric = case.n, True, case.kind == "eq2_nf"
-    ratio, terms = (geom_ratio, geom_terms) if geometric else (alt_geom_ratio, alt_geom_terms)
+    terms = geom_terms if geometric else alt_geom_terms
     for L, c in bases:
-        c_bar = project(c)
         for ell in _divisors(top, bound, odd_only):
-            xtilde = ratio(c_bar, 2 * top, ell)
-            x_word = series_word(c, terms(2 * top, ell))
-            yield FirstSolution(L, ell, xtilde, c_bar**ell, x_word, c**ell)
+            x_word, y_word = series_word(c, terms(2 * top, ell)), c**ell
+            yield FirstSolution(L, ell, q_n(x_word), project(y_word), x_word, y_word)
 
 
 def first_solutions(case: MixedCase, vbar: PiElement, bound: int) -> list[FirstSolution]:
@@ -200,7 +190,8 @@ def first_solutions(case: MixedCase, vbar: PiElement, bound: int) -> list[FirstS
     For the beta-power cases the family is indexed by all translation
     exponents |L| <= bound and odd divisors ell of n (any odd |ell| <= bound
     when n == 0); for the two-parameter cases by divisors of gcd(m, n).  Every
-    entry is checked against the equation and its representative words.
+    entry's ring values are read off its representative words and checked
+    against the equation.
     """
     if vbar != case.vbar:
         raise CaseMismatch("projection does not match the case parameters")

@@ -1,9 +1,10 @@
 """Sparse group rings Z[pi] and Z2[pi] with the twisted product.
 
-Includes the geometric-series expansions used throughout, the Fox
-differential calculus on adapted words, exact division by the alpha-column
-of the relator's Jacobian, and the resulting projection of the relator
-subgroup onto (Z[pi], +).
+Includes the term lists of the first derived equation's geometric series
+and their representative words, the Fox differential calculus on adapted
+words, exact division by the alpha-column of the relator's Jacobian, and the
+resulting projection ``q_n`` of the relator subgroup onto (Z[pi], +), which
+reads a series' ring value off its word.
 """
 
 from __future__ import annotations
@@ -145,11 +146,6 @@ class RingElement(SparseSum):
         return RingElement.make(self.epsilon, self.terms.items(), mod=2)
 
 
-def one_minus_pow(x: PiElement, k: int) -> RingElement:
-    """The element 1 - x**k."""
-    return RingElement.make(x.epsilon, [(PiElement.identity(x.epsilon), 1), (x**k, -1)])
-
-
 def geom_terms(a: int, b: int) -> list[tuple[int, int]]:
     """The (exponent, sign) terms of (1 - x**a) / (1 - x**b), for b | a.
 
@@ -193,45 +189,6 @@ def series_word(c: Word, terms: Iterable[tuple[int, int]]) -> Word:
         at = e
     syls += (c**-at).syls
     return Word.from_syllables(c.basis, syls)
-
-
-def _series(x: PiElement, terms: list[tuple[int, int]], divisor: RingElement, a: int) -> RingElement:
-    """The sum of the terms at powers of ``x``, checked by multiplying it back
-    by ``divisor`` onto 1 - x**a.
-
-    Each term's power is the previous one times ``x`` to the step between
-    their exponents; the term lists hold runs of one step, so each step's
-    power is built once.
-    """
-    if terms and x.is_identity:
-        raise NotDivisible("ratio base must not be the identity")
-    items: list[tuple[PiElement, int]] = []
-    power, at, steps = PiElement.identity(x.epsilon), 0, {}
-    for e, sign in terms:
-        if e - at not in steps:
-            steps[e - at] = x ** (e - at)
-        power, at = power * steps[e - at], e
-        items.append((power, sign))
-    result = RingElement.make(x.epsilon, items)
-    if result * divisor != one_minus_pow(x, a):
-        raise NotDivisible("geometric expansion failed verification")
-    return result
-
-
-def geom_ratio(x: PiElement, a: int, b: int) -> RingElement:
-    """(1 - x**a) / (1 - x**b) expanded as a finite geometric sum.
-
-    Requires b | a, and x of infinite order unless a == 0.  The result is
-    post-verified by multiplying back.
-    """
-    return _series(x, geom_terms(a, b), one_minus_pow(x, b), a)
-
-
-def alt_geom_ratio(x: PiElement, two_d: int, ell: int) -> RingElement:
-    """(1 - x**two_d) / (1 + x**ell) as the alternating two-branch sum."""
-    terms = alt_geom_terms(two_d, ell)
-    one_plus = RingElement.make(x.epsilon, [(PiElement.identity(x.epsilon), 1), (x**ell, 1)])
-    return _series(x, terms, one_plus, two_d)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ A cyclically reduced word is a commutator iff some cyclic shift matches
 ``a b c a^-1 b^-1 c^-1`` (or the degenerate ``d e d^-1 e^-1``), and a product
 of two squares iff some shift matches ``a b c b a c^-1`` or ``a a b c c b^-1``.
 Every positional match yields a canonical solution pair which is conjugated
-back to the original equation and substitution-verified.
+back to the original equation and substitution-verified once, when the
+search records it.
 
 The matcher walks the n shifts of an n-letter core and yields its matches
 one shift at a time, each shift's sorted by form and then part words.  At a
@@ -21,11 +22,7 @@ shift.  Part words are built only for a match.
 ``wicks_search`` given a wanted class stops at the first verified solution
 of that class (``classify`` does this); a run that finds none has walked
 every shift, so it is exhaustive, and so is every run without a class (the
-CLI ``wicks`` command and the benchmark's oracle cross-check).  There is no
-bound on |b| from longest common extensions and no segment hashing yet:
-they would speed the matcher up further, but the benchmark keeps one
-record per timed attempt, so its peak RSS grows with throughput past the
-metric's bound.
+CLI ``wicks`` command and the benchmark's oracle cross-check).
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ from .words import (
     EquationSpec,
     SolutionClass,
     Word,
-    comm,
     cyclic_reduce,
     equation_rhs,
     swap_frame,
@@ -62,7 +58,6 @@ class WicksMatch(NamedTuple):
     form: FormName
     parts: dict[str, Word]
     u_prefix: Word  # cyclic-shift prefix U_i with W = U_i V_i, W_i = V_i U_i
-    core: Word
 
 
 _Span = tuple[str, int, int]  # a part's name, start in the doubled core and length
@@ -131,7 +126,7 @@ def _matches(w: Word, kind: Kind) -> Iterator[WicksMatch]:
             if u_prefix is None:
                 u_prefix = Word.from_syllables(w.basis, letters[:shift])
             parts = {name: Word.from_syllables(w.basis, doubled[start : start + k]) for name, start, k in spans}
-            found.append(WicksMatch(shift, form, parts, u_prefix, w))
+            found.append(WicksMatch(shift, form, parts, u_prefix))
         # the key's tuple is built from a list, see words._inverse
         found.sort(key=lambda m: (m.form, tuple([str(m.parts[k]) for k in sorted(m.parts)])))
         yield from found
@@ -159,23 +154,16 @@ def _canonical_pair(match: WicksMatch) -> tuple[Word, Word]:
 
 
 def extract_solution(match: WicksMatch, t: Word) -> tuple[Word, Word]:
-    """Canonical solution of the matched form, conjugated back to the source.
+    """Canonical solution (z1, z2) of the matched form, conjugated back to the
+    source by ``t``, the cyclic-reduction conjugator of its right-hand side.
 
-    ``t`` is the cyclic-reduction conjugator of the source right-hand side.
-    The returned pair satisfies Q(x, y) == t * core * t^-1 for the quadratic
-    word of the form's kind; failure to verify signals a matcher bug.
+    It is not checked here: the search substitutes it into the equation once,
+    which compares [z1, z2] or z1^2 z2^2 with t * core * t^-1, the reduced
+    right-hand side, and raises ``ExtractionFailed`` on a matcher bug.
     """
     x0, y0 = _canonical_pair(match)
     g = t * match.u_prefix
-    x, y = g * x0 * g.inv(), g * y0 * g.inv()
-    target = t * match.core * t.inv()
-    if match.form.startswith("orientable"):
-        ok = comm(x, y) == target
-    else:
-        ok = x * x * y * y == target
-    if not ok:
-        raise ExtractionFailed(f"form {match.form} at shift {match.shift}")
-    return x, y
+    return g * x0 * g.inv(), g * y0 * g.inv()
 
 
 class WicksReport(NamedTuple):
@@ -239,6 +227,10 @@ def wicks_search(
     for match in wicks_decompositions(core, kind) if wanted is None else _matches(core, kind):
         if all(not p.is_identity for p in match.parts.values()):
             matches.append(match)
-        if consider(*extract_solution(match, t)):
+        try:
+            stop = consider(*extract_solution(match, t))
+        except ExtractionFailed as exc:
+            raise ExtractionFailed(f"form {match.form} at shift {match.shift}: {exc}") from None
+        if stop:
             break
     return WicksReport(solutions, matches)

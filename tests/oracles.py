@@ -33,7 +33,11 @@ it can stand in for it; ``nonempty`` keeps the matches with every part
 nonempty.  ``naive_geom_rep_word`` and ``naive_alt_rep_word`` are the
 representative words of the first derived equation as they were written
 before the geometric series became one term list: each series spelled out as
-a word, apart from its ring sum.
+a word, apart from its ring sum.  ``geom_ratio`` and ``alt_geom_ratio`` are
+that ring sum, the ring-side series the library built before it read each
+series' value off its word with ``q_n``: the terms summed at powers of the
+base, then checked by multiplying back by the divisor (``one_minus_pow``
+builds 1 - x**k).
 
 Three functions that no verdict runs live here as well, for the tests that
 check the algebra with them: ``apply_phi``, the Klein-bottle automorphism
@@ -72,7 +76,7 @@ from fgquad import (
 )
 from fgquad.derived import DecideResult, MixedCase
 from fgquad.errors import DomainMismatch, EpsilonMismatch
-from fgquad.groupring import conjugate_power_product, relator_jacobian_alpha
+from fgquad.groupring import alt_geom_terms, conjugate_power_product, geom_terms, relator_jacobian_alpha
 from fgquad.orbits import Action, Pair, _Translation, _check_eps
 from fgquad.wicks import WicksMatch
 
@@ -829,7 +833,7 @@ def naive_wicks_decompositions(w: Word, kind: str, allow_empty: bool = True) -> 
                 if key in seen:
                     continue
                 seen.add(key)
-                out.append(WicksMatch(shift, form, parts, u_prefix, w))
+                out.append(WicksMatch(shift, form, parts, u_prefix))
     out.sort(key=lambda m: (m.shift, m.form, tuple(str(m.parts[k]) for k in sorted(m.parts))))
     return out
 
@@ -863,6 +867,50 @@ def naive_alt_rep_word(eps: int, c: Word, D: int, ell: int) -> Word:
         factors.extend((c ** (2 * D + 2 * j * ell), -1) for j in range(0, -D // ell))
         factors.extend((c ** (-(2 * j - 1) * ell), 1) for j in range(1, -D // ell + 1))
     return conjugate_power_product(eps, factors)
+
+
+def one_minus_pow(x: PiElement, k: int) -> RingElement:
+    """The element 1 - x**k."""
+    return RingElement.make(x.epsilon, [(PiElement.identity(x.epsilon), 1), (x**k, -1)])
+
+
+def _series(x: PiElement, terms: list[tuple[int, int]], divisor: RingElement, a: int) -> RingElement:
+    """The sum of the terms at powers of ``x``, checked by multiplying it back
+    by ``divisor`` onto 1 - x**a.
+
+    Each term's power is the previous one times ``x`` to the step between
+    their exponents; the term lists hold runs of one step, so each step's
+    power is built once.
+    """
+    if terms and x.is_identity:
+        raise NotDivisible("ratio base must not be the identity")
+    items: list[tuple[PiElement, int]] = []
+    power, at, steps = PiElement.identity(x.epsilon), 0, {}
+    for e, sign in terms:
+        if e - at not in steps:
+            steps[e - at] = x ** (e - at)
+        power, at = power * steps[e - at], e
+        items.append((power, sign))
+    result = RingElement.make(x.epsilon, items)
+    if result * divisor != one_minus_pow(x, a):
+        raise NotDivisible("geometric expansion failed verification")
+    return result
+
+
+def geom_ratio(x: PiElement, a: int, b: int) -> RingElement:
+    """(1 - x**a) / (1 - x**b) expanded as a finite geometric sum.
+
+    Requires b | a, and x of infinite order unless a == 0.  The result is
+    post-verified by multiplying back.
+    """
+    return _series(x, geom_terms(a, b), one_minus_pow(x, b), a)
+
+
+def alt_geom_ratio(x: PiElement, two_d: int, ell: int) -> RingElement:
+    """(1 - x**two_d) / (1 + x**ell) as the alternating two-branch sum."""
+    terms = alt_geom_terms(two_d, ell)
+    one_plus = RingElement.make(x.epsilon, [(PiElement.identity(x.epsilon), 1), (x**ell, 1)])
+    return _series(x, terms, one_plus, two_d)
 
 
 def apply_phi(L: int, x: PiElement) -> PiElement:

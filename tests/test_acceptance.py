@@ -23,7 +23,6 @@ from fgquad import (
     cyclic_reduce,
     equation_rhs,
     first_solutions,
-    geom_ratio,
     parse_word,
     project,
     q_n,
@@ -33,8 +32,8 @@ from fgquad import (
     wicks_decompositions,
     wicks_search,
 )
-from fgquad.groupring import conjugate_power_product, one_minus_pow
-from oracles import naive_wicks_decompositions, nonempty
+from fgquad.groupring import conjugate_power_product
+from oracles import geom_ratio, naive_wicks_decompositions, nonempty, one_minus_pow
 from test_cli import GOLDEN_DIR, GOLDEN_INVOCATIONS, run_cli
 from test_orbits import HAT_ABS_MINUS, HAT_ABS_PLUS, HAT_L, TILDE, TILDE_L, assert_box_agreement
 from test_quotient import congruent, one_plus_ratio

@@ -53,7 +53,6 @@ PUBLIC = [
     "WitnessUnverified",
     "Word",
     "WordSyntaxError",
-    "alt_geom_ratio",
     "analyze_v",
     "augment",
     "change_basis",
@@ -66,7 +65,6 @@ PUBLIC = [
     "extract_solution",
     "first_solutions",
     "fox_derivative",
-    "geom_ratio",
     "odd_part",
     "orbit_key",
     "p_q",

@@ -13,9 +13,10 @@ import random
 import pytest
 
 from conftest import random_pi
-from fgquad import MixedCase, PiElement, RingElement, geom_ratio, p_q, second_decide
+from fgquad import MixedCase, PiElement, RingElement, p_q, second_decide
 from fgquad.orbits import odd_part
 from fgquad.quotient import QElement
+from oracles import geom_ratio
 
 
 def _q_support(elt: RingElement) -> frozenset:

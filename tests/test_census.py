@@ -93,12 +93,18 @@ def census() -> str:
     return "\n".join(lines) + "\n"
 
 
-def bench_census() -> str:
-    """The benchmark golden's text: one line per seed-1 workload, in corpus order."""
+def bench_corpus():
+    """``bench/corpus.py``, imported read-only as the module ``bench_corpus``."""
     spec = importlib.util.spec_from_file_location("bench_corpus", BENCH_CORPUS)
     corpus = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = corpus  # its dataclass looks its module up
     spec.loader.exec_module(corpus)
+    return corpus
+
+
+def bench_census() -> str:
+    """The benchmark golden's text: one line per seed-1 workload, in corpus order."""
+    corpus = bench_corpus()
     lines = []
     for name, generate in corpus.WORKLOADS.items():
         digest = hashlib.sha256()

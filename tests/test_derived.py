@@ -5,6 +5,7 @@ import pytest
 from conftest import ADAPTED_MINUS, ADAPTED_PLUS, random_pi, random_word
 from fgquad import (
     BasisTag,
+    CaseMismatch,
     EquationSpec,
     HatAbs,
     MixedCase,
@@ -14,7 +15,6 @@ from fgquad import (
     Word,
     analyze_v,
     first_solutions,
-    geom_ratio,
     parse_word,
     project,
     q_n,
@@ -23,8 +23,8 @@ from fgquad import (
 )
 from fgquad import derived
 from fgquad.tables import locate
-from fgquad.groupring import alt_geom_terms, geom_terms, one_minus_pow, series_word
-from oracles import naive_alt_rep_word, naive_geom_rep_word, rank1_check
+from fgquad.groupring import alt_geom_terms, geom_terms, series_word
+from oracles import alt_geom_ratio, geom_ratio, naive_alt_rep_word, naive_geom_rep_word, one_minus_pow, rank1_check
 
 
 def ring(eps, *terms):
@@ -136,6 +136,43 @@ class TestFirstSolutions:
                         old = naive_geom_rep_word if kind == "eq2_nf" else naive_alt_rep_word
                         expected = old(-1, c_l, n, sol.ell)
                     assert sol.x_word == expected
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_series_words_read_off_the_ring_series(self, eps):
+        # q_n of each representative word is the naive ring-side series,
+        # over seeded bases and the MixedCase bases of both epsilon
+        rng = random.Random(20 + eps)
+        basis = BasisTag.adapted(eps)
+        bases = [random_word(rng, basis, 4) for _ in range(12)]
+        bases += [Word.from_syllables(basis, [(1, 1), (0, -L)]) for L in range(-2, 3)]
+        kind = "eq3_nf" if eps == 1 else "eq4_nf"
+        bases += [MixedCase(kind, n=n, m=m).c_word for n, m in ((1, 0), (2, 1), (-3, 6), (0, 2))]
+        checked = 0
+        for c in bases:
+            c_bar = project(c)
+            if c_bar.is_identity:
+                continue
+            for a in range(-8, 9):
+                for b in (k for k in range(-8, 9) if k and a % k == 0):
+                    assert q_n(series_word(c, geom_terms(a, b))) == geom_ratio(c_bar, a, b)
+                    checked += 1
+            for two_d in range(-12, 13, 2):
+                for ell in (k for k in range(-6, 7) if k and (two_d // 2) % k == 0):
+                    assert q_n(series_word(c, alt_geom_terms(two_d, ell))) == alt_geom_ratio(c_bar, two_d, ell)
+                    checked += 1
+        assert checked > 1000
+
+    @pytest.mark.parametrize("kind,n,m", [("eq2_nf", 3, 0), ("eq4_f", -3, 0), ("eq3_nf", 2, 4), ("eq4_nf", 1, 2)])
+    def test_a_series_word_missing_a_term_fails_the_equation(self, monkeypatch, kind, n, m):
+        # the first derived equation is the only check of a ring series: a
+        # representative word that drops one term of its series is caught
+        def dropped(c, terms):
+            return series_word(c, terms[1:])
+
+        monkeypatch.setattr(derived, "series_word", dropped)
+        case = MixedCase(kind, n=n, m=m)
+        with pytest.raises(CaseMismatch, match="first derived equation fails"):
+            first_solutions(case, case.vbar, 1)
 
     def test_rank1_holds_on_entries(self):
         for kind, n, m in [("eq2_nf", 2, 0), ("eq4_f", 3, 0), ("eq3_nf", 2, 4), ("eq4_nf", 1, 2)]:

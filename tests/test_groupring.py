@@ -10,18 +10,16 @@ from fgquad import (
     PiElement,
     RingElement,
     Word,
-    alt_geom_ratio,
     conj,
     exact_divide,
     fox_derivative,
-    geom_ratio,
     parse_word,
     project,
     q_n,
     relator_in,
 )
-from fgquad.groupring import conjugate_power_product, one_minus_pow, relator_jacobian_alpha
-from oracles import relator_jacobian_beta
+from fgquad.groupring import alt_geom_terms, conjugate_power_product, geom_terms, relator_jacobian_alpha
+from oracles import alt_geom_ratio, geom_ratio, one_minus_pow, relator_jacobian_beta
 
 
 def elt(eps, *terms):
@@ -66,7 +64,9 @@ class TestGeomRatio:
 
     def test_not_divisible(self):
         with pytest.raises(NotDivisible):
-            geom_ratio(PiElement.beta(-1), 3, 2)
+            geom_terms(3, 2)
+        with pytest.raises(NotDivisible):
+            alt_geom_terms(6, 2)
 
     def test_defining_identity(self, rng):
         for _ in range(300):

@@ -8,14 +8,11 @@ from fgquad import (
     QElement,
     RingElement,
     Word,
-    alt_geom_ratio,
-    geom_ratio,
     p_q,
     parse_word,
     q_divisible_by_two,
 )
-from fgquad.groupring import one_minus_pow
-from oracles import q_nf_commutator
+from oracles import alt_geom_ratio, geom_ratio, one_minus_pow, q_nf_commutator
 from test_groupring import random_ring
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import product
 
@@ -10,6 +11,7 @@ from conftest import ADAPTED_MINUS, ADAPTED_PLUS, CLASSIC_PLUS, random_word
 from fgquad import (
     BudgetExceeded,
     EquationSpec,
+    ExtractionFailed,
     Word,
     analyze_v,
     classify,
@@ -24,6 +26,7 @@ from fgquad import (
     wicks_decompositions,
     wicks_search,
 )
+from fgquad import cli
 from fgquad.tables import all_fixtures, locate
 from fgquad.words import solution_is_faithful, swap_frame
 from oracles import naive_wicks_decompositions, nonempty
@@ -150,7 +153,7 @@ def letter_word(rng, basis, length):
 
 def match_rows(matches):
     return [
-        (m.shift, m.form, [(k, str(p)) for k, p in sorted(m.parts.items())], str(m.u_prefix), str(m.core))
+        (m.shift, m.form, [(k, str(p)) for k, p in sorted(m.parts.items())], str(m.u_prefix))
         for m in matches
     ]
 
@@ -252,6 +255,52 @@ class TestExtraction:
 
         pairs = [extract_solution(m, Word.identity(basis)) for m in matches]
         assert any(x * x * y * y == w for x, y in pairs)
+
+
+class TestExtractionFailed:
+    """A canonical pair that does not solve the equation is caught once, by
+    the search's substitution check, and named by its match."""
+
+    SPEC = EquationSpec(1, -1, -1, "nonfaithful", "adapted_xy")
+    WORD = "B^2 conj(b)"  # an 18-letter commutator core with 22 matches
+
+    @pytest.fixture
+    def wrong_pair(self, monkeypatch):
+        def wrong(match):
+            a = Word.gen(match.u_prefix.basis, "a")
+            return a, a
+
+        monkeypatch.setattr(fgquad.wicks, "_canonical_pair", wrong)
+
+    def test_search_names_the_form_and_shift(self, wrong_pair):
+        v = parse_word(self.WORD, self.SPEC.basis)
+        core, _ = cyclic_reduce(equation_rhs(self.SPEC, v))
+        first = wicks_decompositions(core, "commutator")[0]
+        with pytest.raises(ExtractionFailed, match=f"^form {first.form} at shift {first.shift}: "):
+            wicks_search(self.SPEC, v)
+
+    def test_classify_lets_it_out_typed(self, wrong_pair):
+        with pytest.raises(ExtractionFailed, match="^form .* at shift "):
+            classify(self.SPEC, parse_word(self.WORD, self.SPEC.basis))
+
+    def test_cli_batch_writes_an_error_record_and_goes_on(self, wrong_pair, tmp_path, capsys):
+        batch = tmp_path / "words.txt"
+        batch.write_text(f"a\n{self.WORD}\na\n")
+        code = cli.main(
+            ["classify", "--delta", "1", "--epsilon", "-1", "--theta", "-1", "--class", "nonfaithful", "--batch", str(batch)]
+        )
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert code == 1
+        assert [record["input"] for record in records] == ["a", self.WORD, "a"]
+        assert records[1].keys() == {"input", "line", "error"} and records[1]["line"] == 2
+        assert records[1]["error"].startswith("form ") and " at shift " in records[1]["error"]
+        assert records[0]["verdict"] == records[2]["verdict"] == "not_exists"
+
+    def test_cli_wicks_word_is_an_error_line(self, wrong_pair, capsys):
+        code = cli.main(
+            ["wicks", "--delta", "1", "--epsilon", "-1", "--theta", "-1", "--class", "nonfaithful", "--word", self.WORD]
+        )
+        assert code == 1 and capsys.readouterr().err.startswith("error: form ")
 
 
 class TestSquareRoots:
