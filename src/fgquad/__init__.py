@@ -29,7 +29,7 @@ from .errors import (
 )
 from .groupring import RingElement, exact_divide, fox_derivative, q_n
 from .orbits import HatAbs, HatL, Tilde, TildeL, augment, odd_part, orbit_key, same_orbit
-from .quotient import QElement, p_q, q_divisible_by_two
+from .quotient import p_q
 from .surface import PiElement, project
 from .tables import verify_tables
 from .wicks import WicksMatch, WicksReport, extract_solution, wicks_decompositions, wicks_search
@@ -61,7 +61,7 @@ __all__ = [
     "NotInKernel", "NotMixedCase", "SingularBase", "WitnessUnverified", "WordSyntaxError",
     "RingElement", "exact_divide", "fox_derivative", "q_n",
     "HatAbs", "HatL", "Tilde", "TildeL", "augment", "odd_part", "orbit_key", "same_orbit",
-    "QElement", "p_q", "q_divisible_by_two",
+    "p_q",
     "PiElement", "project",
     "verify_tables",
     "WicksMatch", "WicksReport", "extract_solution", "wicks_decompositions", "wicks_search",

@@ -15,10 +15,7 @@ the second derived equation (in the quotient Q) is decided exactly, by orbit
 augmentations for the squares families and by a finite translation-parameter
 search for the beta-power families.  The search works on integer pairs
 ``(r, s)``: its chain and pair candidates, the products u_L * g and the bases
-it augments at are pairs, so it builds no quotient-group element.  On the
-traced seed-1 ``derived_large`` benchmark run, ``second_decide`` takes
-0.062 s of self time over its 512 calls on a 2-vCPU x86 container with
-Python 3.11.
+it augments at are pairs, so it builds no quotient-group element.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from typing import Iterator, NamedTuple, Optional
 from .errors import CaseMismatch, NotMixedCase
 from .groupring import RingElement, alt_geom_terms, geom_terms, q_n, series_word
 from .orbits import HatAbs, HatL, Pair, Tilde, TildeL, _inv, _mul, augment, odd_part, orbit_key
-from .quotient import p_q, q_divisible_by_two
+from .quotient import p_q
 from .record import Record
 from .surface import PiElement, project
 from .tables import Branch, CaseKind
@@ -410,7 +407,7 @@ def second_decide(
             if qv.is_zero:
                 return DecideResult(True, trace=trace)
             return DecideResult(False, certificate=f"p_Q(V) = {qv} != 0", trace=trace)
-        if q_divisible_by_two(qv):
+        if qv.reduce_mod2().is_zero:
             return DecideResult(True, trace=trace)
         return DecideResult(False, certificate=f"p_Q(V) = {qv} is not divisible by 2", trace=trace)
     return _beta_decide(case, v_elt, L_window_override)

@@ -10,7 +10,7 @@ reads a series' ring value off its word.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Mapping, TypeVar
+from typing import Iterable, Mapping
 
 from .errors import DomainMismatch, EpsilonMismatch, NotDivisible, NotInKernel
 from .record import Record
@@ -18,18 +18,17 @@ from .surface import PiElement, project
 from .words import BasisTag, Word, change_basis, conj, relator_in
 
 
-_Sum = TypeVar("_Sum", bound="SparseSum")
 _Pair = tuple[int, int]  # canonical coordinates (r, s) of a quotient-group element
 
 
-class SparseSum(Record):
-    """Finite formal sum over the quotient group; no zero coefficients stored.
+class RingElement(Record):
+    """Element of Z[pi] or Z2[pi] with the twisted product: a finite formal
+    sum over the quotient group, with no zero coefficients stored.
 
-    The additive structure shared by the group ring and by its quotient Q;
-    subclasses differ only in how ``make`` normalises the terms.
+    Its ``__dict__`` holds the cache of residue sums.
     """
 
-    __slots__ = ("epsilon", "mod", "terms")
+    __slots__ = ("epsilon", "mod", "terms", "__dict__")
     epsilon: int
     mod: int  # 0 = integer coefficients, 2 = mod-2 coefficients
     terms: Mapping[PiElement, int]
@@ -39,22 +38,22 @@ class SparseSum(Record):
         _set_mod(self, mod)
         _set_terms(self, terms)
 
-    @classmethod
-    def make(cls: type[_Sum], epsilon: int, items: Iterable[tuple[PiElement, int]], mod: int = 0) -> _Sum:
+    @staticmethod
+    def make(epsilon: int, items: Iterable[tuple[PiElement, int]], mod: int = 0) -> "RingElement":
         acc: dict[PiElement, int] = {}
         for g, c in items:
             if g.epsilon != epsilon:
                 raise EpsilonMismatch("term epsilon differs from element epsilon")
             acc[g] = acc.get(g, 0) + c
         if mod == 2:
-            return cls(epsilon, mod, {g: 1 for g, c in acc.items() if c % 2})
-        return cls(epsilon, mod, {g: c for g, c in acc.items() if c})
+            return RingElement(epsilon, mod, {g: 1 for g, c in acc.items() if c % 2})
+        return RingElement(epsilon, mod, {g: c for g, c in acc.items() if c})
 
-    @classmethod
-    def zero(cls: type[_Sum], epsilon: int) -> _Sum:
-        return cls(epsilon, 0, {})
+    @staticmethod
+    def zero(epsilon: int) -> "RingElement":
+        return RingElement(epsilon, 0, {})
 
-    def _check(self, other: "SparseSum") -> None:
+    def _check(self, other: "RingElement") -> None:
         if self.epsilon != other.epsilon:
             raise EpsilonMismatch("mixed epsilon in ring operation")
         if self.mod != other.mod:
@@ -67,25 +66,16 @@ class SparseSum(Record):
     def support(self) -> list[PiElement]:
         return sorted(self.terms, key=lambda g: (g.s, g.r))
 
-    def __add__(self: _Sum, other: _Sum) -> _Sum:
+    def __add__(self, other: "RingElement") -> "RingElement":
         self._check(other)
         items = list(self.terms.items()) + list(other.terms.items())
-        return self.make(self.epsilon, items, self.mod)
+        return RingElement.make(self.epsilon, items, self.mod)
 
-    def __neg__(self: _Sum) -> _Sum:
-        return self.make(self.epsilon, [(g, -c) for g, c in self.terms.items()], self.mod)
+    def __neg__(self) -> "RingElement":
+        return RingElement.make(self.epsilon, [(g, -c) for g, c in self.terms.items()], self.mod)
 
-    def __sub__(self: _Sum, other: _Sum) -> _Sum:
+    def __sub__(self, other: "RingElement") -> "RingElement":
         return self + -other
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (
-            self.epsilon == other.epsilon
-            and self.mod == other.mod
-            and dict(self.terms) == dict(other.terms)
-        )
 
     def __hash__(self) -> int:
         return hash((self.epsilon, self.mod, frozenset(self.terms.items())))
@@ -94,17 +84,6 @@ class SparseSum(Record):
         if not self.terms:
             return "0"
         return "{" + ", ".join(f"({g.r},{g.s}): {self.terms[g]}" for g in self.support()) + "}"
-
-
-# the slots' setters, bound once: a sum is built on every ring operation
-_set_epsilon, _set_mod, _set_terms = SparseSum.epsilon.__set__, SparseSum.mod.__set__, SparseSum.terms.__set__
-
-
-class RingElement(SparseSum):
-    """Element of Z[pi] or Z2[pi] with the twisted product.
-
-    It keeps a ``__dict__`` (no ``__slots__``) for its cache of residue sums.
-    """
 
     @staticmethod
     def monomial(g: PiElement, coeff: int = 1) -> "RingElement":
@@ -144,6 +123,10 @@ class RingElement(SparseSum):
 
     def reduce_mod2(self) -> "RingElement":
         return RingElement.make(self.epsilon, self.terms.items(), mod=2)
+
+
+# the slots' setters, bound once: a sum is built on every ring operation
+_set_epsilon, _set_mod, _set_terms = RingElement.epsilon.__set__, RingElement.mod.__set__, RingElement.terms.__set__
 
 
 def geom_terms(a: int, b: int) -> list[tuple[int, int]]:
@@ -248,7 +231,7 @@ def relator_jacobian_alpha(epsilon: int) -> RingElement:
     """Projected derivative of the relator by alpha: 1 - beta (torus) or 1 + alpha*beta."""
     one = PiElement.identity(epsilon)
     if epsilon == 1:
-        return RingElement.make(1, [(one, 1), (PiElement.beta(1), -1)])
+        return RingElement.make(1, [(one, 1), (PiElement(1, 0, 1), -1)])
     return RingElement.make(-1, [(one, 1), (PiElement(-1, 1, 1), 1)])
 
 

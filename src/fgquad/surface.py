@@ -39,10 +39,6 @@ class PiElement(Record):
     def identity(epsilon: int) -> "PiElement":
         return PiElement(epsilon, 0, 0)
 
-    @staticmethod
-    def beta(epsilon: int, k: int = 1) -> "PiElement":
-        return PiElement(epsilon, 0, k)
-
     def _check(self, other: "PiElement") -> None:
         if self.epsilon != other.epsilon:
             raise EpsilonMismatch(f"{self.epsilon} vs {other.epsilon}")

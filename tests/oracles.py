@@ -39,11 +39,13 @@ series' value off its word with ``q_n``: the terms summed at powers of the
 base, then checked by multiplying back by the divisor (``one_minus_pow``
 builds 1 - x**k).
 
-Three functions that no verdict runs live here as well, for the tests that
+Four functions that no verdict runs live here as well, for the tests that
 check the algebra with them: ``apply_phi``, the Klein-bottle automorphism
 beta -> beta*alpha^L on canonical coordinates; ``q_nf_commutator``, the image
-in Q of a commutator of two products of relator conjugates; and
-``rank1_check``, which finds k with vbar == ybar**k and the sign condition.
+in Q of a commutator of two products of relator conjugates;
+``naive_q_classes``, the coefficients of an element's image in Q read pair
+by pair, with no representative; and ``rank1_check``, which finds k with
+vbar == ybar**k and the sign condition.
 So do two parts of the orbit layer that only tests read: ``element_class``,
 the stabilizer class of a base that ``augment`` computes inline, and
 ``translation_key``, the closed-form orbit key of the translation actions,
@@ -63,7 +65,6 @@ from fgquad import (
     NotDivisible,
     NotInKernel,
     PiElement,
-    QElement,
     RingElement,
     SingularBase,
     Tilde,
@@ -72,6 +73,7 @@ from fgquad import (
     WordSyntaxError,
     augment,
     odd_part,
+    p_q,
     project,
 )
 from fgquad.derived import DecideResult, MixedCase
@@ -925,7 +927,7 @@ def apply_phi(L: int, x: PiElement) -> PiElement:
 
 def q_nf_commutator(
     left: Iterable[tuple[Word, int]], right: Iterable[tuple[Word, int]]
-) -> QElement:
+) -> RingElement:
     """Image in Q of the commutator of two products of relator conjugates.
 
     [prod_i (u_i R u_i^-1)^{n_i}, prod_j (v_j R v_j^-1)^{m_j}] maps to the
@@ -933,16 +935,28 @@ def q_nf_commutator(
     """
     lefts = [(project(u), n) for u, n in left]
     rights = [(project(v), m) for v, m in right]
-    if not lefts or not rights:
-        eps = (lefts or rights)[0][0].epsilon if (lefts or rights) else 1
-        return QElement.zero(eps)
-    eps = lefts[0][0].epsilon
+    eps = (lefts or rights)[0][0].epsilon if (lefts or rights) else 1
     items = [
         (ubar.inv() * vbar, n * m)
         for ubar, n in lefts
         for vbar, m in rights
     ]
-    return QElement.make(eps, items)
+    return p_q(RingElement.make(eps, items))
+
+
+def naive_q_classes(v: RingElement) -> dict[frozenset[PiElement], int]:
+    """The coefficients of v's image in Q, one per unordered pair {g, g**-1}
+    with g != 1 that v's support meets: c_g - c_{g**-1}.
+
+    No representative is chosen: g is whichever of the two v lists first, so
+    only whether a value is zero, or even, is fixed.
+    """
+    out: dict[frozenset[PiElement], int] = {}
+    for g, c in v.terms.items():
+        pair = frozenset((g, g.inv()))
+        if not g.is_identity and pair not in out:
+            out[pair] = c - v.terms.get(g.inv(), 0)
+    return out
 
 
 def rank1_check(vbar: PiElement, ybar: PiElement, delta: int, theta: int) -> Optional[int]:

@@ -130,7 +130,7 @@ def test_criterion_5_lemma_suite():
     rng = random.Random(5)
     basis = ADAPTED_MINUS
     alpha_w, beta_w = Word.gen(basis, "a"), Word.gen(basis, "b")
-    alpha, beta = PiElement(-1, 1, 0), PiElement.beta(-1)
+    alpha, beta = PiElement(-1, 1, 0), PiElement(-1, 0, 1)
     # alpha-power commutator words
     for L in range(-5, 6):
         w = alpha_w**L * beta_w * alpha_w**L * beta_w.inv()
@@ -169,7 +169,7 @@ def test_criterion_5_lemma_suite():
             for L in range(-3, 4):
                 c = PiElement(-1, L, ell)
                 assert congruent(
-                    RingElement.monomial(PiElement.beta(-1, n)),
+                    RingElement.monomial(PiElement(-1, 0, n)),
                     geom_ratio(c, 2 * n // ell, 1)
                     * RingElement.monomial(PiElement(-1, L, ell - n)),
                 )
@@ -182,7 +182,7 @@ def test_criterion_5_lemma_suite():
             lhs = geom_ratio(beta, -2 * n, 2) * RingElement.monomial(beta) * a_m
             rhs = one_minus_pow(beta, 2 * n) * z1 * a_m
             if n % 2:
-                rhs = rhs + RingElement.monomial(PiElement.beta(-1, n)) * a_m
+                rhs = rhs + RingElement.monomial(PiElement(-1, 0, n)) * a_m
             assert congruent(lhs, rhs)
     report(5, "lemma suite", started, 10.0)
 

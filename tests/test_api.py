@@ -41,7 +41,6 @@ PUBLIC = [
     "NotInKernel",
     "NotMixedCase",
     "PiElement",
-    "QElement",
     "RingElement",
     "SingularBase",
     "Tilde",
@@ -71,7 +70,6 @@ PUBLIC = [
     "parse_word",
     "pattern_witness",
     "project",
-    "q_divisible_by_two",
     "q_n",
     "relator_in",
     "same_orbit",
@@ -186,8 +184,8 @@ BENCH_ONLY = {"Verdict.verified"}
 
 
 # defaulted parameters that no src call passes: main's argv is for callers
-# outside the package, and PiElement.beta leaves with the tracer retarget
-UNPASSED_DEFAULTS = {"main(argv)", "PiElement.beta(k)"}
+# outside the package
+UNPASSED_DEFAULTS = {"main(argv)"}
 
 
 @functools.cache
@@ -260,7 +258,7 @@ def test_public_members_list_record_fields():
     assert {"outcome", "verified", "trace"} <= _public_members(fgquad.Verdict)
     assert {"basis", "syls"} <= _public_members(fgquad.Word)
     assert {"wicks_len", "enum_bound", "l_window_override"} <= _public_members(fgquad.Budgets)
-    assert {"epsilon", "mod", "terms"} <= _public_members(fgquad.QElement)
+    assert {"epsilon", "mod", "terms"} <= _public_members(fgquad.RingElement)
     assert {"n", "L"} <= _public_members(fgquad.TildeL)
     assert {"kind", "n", "m", "label"} <= _public_members(fgquad.MixedCase)
 

@@ -15,7 +15,6 @@ import pytest
 from conftest import random_pi
 from fgquad import MixedCase, PiElement, RingElement, p_q, second_decide
 from fgquad.orbits import odd_part
-from fgquad.quotient import QElement
 from oracles import geom_ratio
 
 

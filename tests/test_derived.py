@@ -404,7 +404,7 @@ class TestSecondDecideBetaPowers:
             w = RingElement.make(
                 -1, [(random_pi(rng, -1, 3), rng.randint(-2, 2)) for _ in range(2)]
             )
-            beta = PiElement.beta(-1)
+            beta = PiElement(-1, 0, 1)
             perturbed = v + one_minus_pow(beta, 2 * n) * w
             perturbed = perturbed + RingElement.monomial(PiElement.identity(-1), rng.randint(-2, 2))
             g = random_pi(rng, -1, 3)

@@ -1,18 +1,21 @@
+import random
+
 import pytest
 
 from conftest import ADAPTED_MINUS, random_pi
 from fgquad import (
+    CaseMismatch,
     DomainMismatch,
     EpsilonMismatch,
+    MixedCase,
     PiElement,
-    QElement,
     RingElement,
     Word,
     p_q,
     parse_word,
-    q_divisible_by_two,
+    second_decide,
 )
-from oracles import alt_geom_ratio, geom_ratio, one_minus_pow, q_nf_commutator
+from oracles import alt_geom_ratio, geom_ratio, naive_q_classes, one_minus_pow, q_nf_commutator
 from test_groupring import random_ring
 
 
@@ -34,6 +37,10 @@ def one_plus_ratio(x: PiElement, c: int) -> RingElement:
     return out
 
 
+def on_representative(g: PiElement) -> bool:
+    return g.s > 0 or (g.s == 0 and g.r > 0)
+
+
 class TestPq:
     def test_identity_killed(self):
         assert p_q(mono(-1, 0, 0, 5)).is_zero
@@ -48,7 +55,7 @@ class TestPq:
 
     def test_folding_coefficients(self):
         p = mono(1, 1, 0, 2) + mono(1, -1, 0, 1)
-        assert p_q(p) == QElement.make(1, [(PiElement(1, 1, 0), 1)])
+        assert p_q(p) == mono(1, 1, 0)
 
     def test_kernel_invariance(self, rng):
         for _ in range(100):
@@ -65,35 +72,64 @@ class TestPq:
     def test_mod2_domain(self, rng):
         for _ in range(100):
             p = random_ring(rng, -1)
-            assert p_q(p.reduce_mod2()) == QElement.make(
-                -1, p.reduce_mod2().terms.items(), mod=2
-            )
+            assert p_q(p.reduce_mod2()) == p_q(p).reduce_mod2()
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    @pytest.mark.parametrize("mod", [0, 2])
+    def test_matches_the_pairwise_oracle(self, eps, mod):
+        # V is a sum of pairs c*(g + g^-1), which vanish in Q, and of the
+        # identity, plus now and then a few monomials with odd or even
+        # coefficients, so that both answers of each test come up
+        rng = random.Random(21 + 10 * eps + mod)
+        seen = set()
+        for _ in range(400):
+            items = [(PiElement.identity(eps), rng.randint(-3, 3))]
+            for _ in range(rng.randint(0, 4)):
+                g, c = random_pi(rng, eps, 4), rng.randint(-3, 3)
+                items += [(g, c), (g.inv(), c)]
+            if rng.random() < 0.5:
+                scale = rng.choice((1, 2))
+                items += [(random_pi(rng, eps, 4), scale * rng.randint(-2, 2)) for _ in range(rng.randint(1, 3))]
+            v = RingElement.make(eps, items, mod)
+            values = naive_q_classes(v).values()
+            kept = [c for c in values if (c % 2 if mod else c)]
+            q = p_q(v)
+            assert (q.epsilon, q.mod) == (eps, mod)
+            assert all(on_representative(g) for g in q.terms)
+            assert len(q.terms) == len(kept)
+            assert q.is_zero == (not kept)
+            assert q.reduce_mod2().is_zero == all(c % 2 == 0 for c in values)
+            seen.add((q.is_zero, q.reduce_mod2().is_zero))
+        both = {(True, True), (False, False)}
+        assert seen == (both | {(False, True)} if mod == 0 else both)
 
 
 class TestSparseSum:
     def test_identity_term_epsilon_checked_before_it_is_dropped(self):
+        # p_q drops the identity term of a ring element, whose epsilon the
+        # ring element's make has checked
         with pytest.raises(EpsilonMismatch):
-            QElement.make(1, [(PiElement.identity(-1), 1)])
+            p_q(RingElement.make(1, [(PiElement.identity(-1), 1)]))
 
-    @pytest.mark.parametrize("cls", [RingElement, QElement])
-    def test_mixed_operands(self, cls):
+    @pytest.mark.parametrize(
+        "make",
+        [RingElement.make, lambda eps, items, mod=0: p_q(RingElement.make(eps, items, mod))],
+        ids=["RingElement", "p_q"],
+    )
+    def test_mixed_operands(self, make):
         g = PiElement(-1, 1, 1)
-        x = cls.make(-1, [(g, 1)])
+        x = make(-1, [(g, 1)])
         with pytest.raises(EpsilonMismatch):
-            x + cls.make(1, [(PiElement(1, 1, 1), 1)])
+            x + make(1, [(PiElement(1, 1, 1), 1)])
         with pytest.raises(DomainMismatch):
-            x - cls.make(-1, [(g, 1)], mod=2)
-
-    def test_equality_within_one_class(self):
-        g = PiElement(-1, 1, 1)
-        assert RingElement.make(-1, [(g, 1)]) != QElement.make(-1, [(g, 1)])
-        assert QElement.make(-1, [(g, 1)]) == QElement.make(-1, [(g.inv(), -1)])
-        assert len({QElement.make(-1, [(g, 1)]), QElement.make(-1, [(g.inv(), -1)])}) == 1
+            x - make(-1, [(g, 1)], mod=2)
 
     def test_str_and_negation(self):
-        x = QElement.make(-1, [(PiElement(-1, 0, -2), 1), (PiElement(-1, 1, 0), 3)])
-        assert str(x) == "{(1,0): 3, (0,2): -1}"
-        assert str(-x) == "{(1,0): -3, (0,2): 1}"
+        g = PiElement(-1, 1, 1)
+        assert p_q(RingElement.monomial(g)) == p_q(RingElement.monomial(g.inv(), -1))
+        x = p_q(RingElement.make(-1, [(PiElement(-1, 0, -2), -1), (PiElement(-1, 1, 0), 3)]))
+        assert str(x) == "{(1,0): 3, (0,2): 1}"
+        assert str(-x) == "{(1,0): -3, (0,2): -1}"
         assert (x - x).is_zero and str(x - x) == "0"
 
 
@@ -103,7 +139,7 @@ class TestCommutatorImage:
         one = Word.identity(basis)
         alpha = Word.gen(basis, "a")
         got = q_nf_commutator([(one, 1)], [(alpha, 1)])
-        assert got == QElement.make(-1, [(PiElement(-1, 1, 0), 1)])
+        assert got == mono(-1, 1, 0)
 
     def test_equal_sides_cancel(self):
         basis = ADAPTED_MINUS
@@ -121,21 +157,26 @@ class TestCommutatorImage:
 
 
 class TestDivisibility:
+    """An element of Q is divisible by 2 when its reduction mod 2 is zero."""
+
     def test_examples(self):
         g, h = PiElement(-1, 1, 1), PiElement(-1, 0, 2)
-        assert q_divisible_by_two(QElement.make(-1, [(g, 2), (h, -4)]))
-        assert not q_divisible_by_two(QElement.make(-1, [(g, 1)]))
-        assert q_divisible_by_two(QElement.zero(-1))
+        assert p_q(RingElement.make(-1, [(g, 2), (h, -4)])).reduce_mod2().is_zero
+        assert p_q(RingElement.make(-1, [(g, 1), (g.inv(), 1)])).reduce_mod2().is_zero
+        assert not p_q(RingElement.make(-1, [(g, 1)])).reduce_mod2().is_zero
+        assert p_q(RingElement.zero(-1)).reduce_mod2().is_zero
 
     def test_domain_guard(self):
-        with pytest.raises(DomainMismatch):
-            q_divisible_by_two(QElement.make(-1, [(PiElement(-1, 1, 1), 1)], mod=2))
+        # the divisibility test of eq4_f at n == 0 reads integer coefficients:
+        # a mod-2 V is refused before it
+        v = RingElement.make(-1, [(PiElement(-1, 1, 1), 1)], mod=2)
+        with pytest.raises(CaseMismatch):
+            second_decide(MixedCase("eq4_f", n=0), v)
 
     def test_matches_mod2_projection(self, rng):
         for _ in range(200):
             p = random_ring(rng, -1)
-            x = p_q(p)
-            assert q_divisible_by_two(x) == p_q(p.reduce_mod2()).is_zero
+            assert p_q(p).reduce_mod2().is_zero == p_q(p.reduce_mod2()).is_zero
 
 
 def congruent(a: RingElement, b: RingElement) -> bool:
@@ -183,7 +224,7 @@ class TestCorollaryCongruences:
             for ell in (e for e in (-3, -1, 1, 3) if n % e == 0):
                 for L in range(-3, 4):
                     c = PiElement(-1, L, ell)
-                    lhs = RingElement.monomial(PiElement.beta(-1, n))
+                    lhs = RingElement.monomial(PiElement(-1, 0, n))
                     rhs = geom_ratio(c, 2 * n // ell, 1) * RingElement.monomial(
                         PiElement(-1, L, ell - n)
                     )
@@ -212,7 +253,7 @@ class TestCorollaryCongruences:
 
     def test_mixed_translate_form(self):
         # (1-b^{2n})/(1-b^{2l}) b^{2kl} a^m ~ (1-b^{2n})/(1-c) (b^{2kl}+c b^{-n})/(1+c) a^m
-        beta = PiElement.beta(-1)
+        beta = PiElement(-1, 0, 1)
         for n in (-4, -2, 2, 4):
             for ell in (e for e in (-3, -1, 1, 3) if n % e == 0):
                 for L in (-2, 0, 1, 3):
@@ -237,7 +278,7 @@ class TestCorollaryCongruences:
 class TestCorrectionTerm:
     def test_construction(self):
         # (1-b^{-2n})/(1-b^2) b a^m ~ (1-b^{2n}) Z1 a^m (+ b^n a^m for odd n)
-        beta = PiElement.beta(-1)
+        beta = PiElement(-1, 0, 1)
         for n in [k for k in range(-4, 5) if k]:
             if n % 2 == 0:
                 z1 = -geom_ratio(beta, n, 2) * RingElement.monomial(
@@ -252,5 +293,5 @@ class TestCorrectionTerm:
                 lhs = geom_ratio(beta, -2 * n, 2) * RingElement.monomial(beta) * a_m
                 rhs = one_minus_pow(beta, 2 * n) * z1 * a_m
                 if n % 2:
-                    rhs = rhs + RingElement.monomial(PiElement.beta(-1, n)) * a_m
+                    rhs = rhs + RingElement.monomial(PiElement(-1, 0, n)) * a_m
                 assert congruent(lhs, rhs)
