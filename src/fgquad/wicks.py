@@ -10,19 +10,40 @@ search records it.
 The matcher walks the n shifts of an n-letter core and yields its matches
 one shift at a time, each shift's sorted by form and then part words.  At a
 shift each form has its own loop over the part lengths (h = n/2 letters per
-half), and each repeated part is one slice compare of signed letter codes,
-made as soon as the lengths it depends on are fixed, so a failed compare
-skips every layout that shares that part.  In ``a b c a^-1 b^-1 c^-1`` and
+half), and each repeated part is one compare of signed letter codes, made as
+soon as the lengths it depends on are fixed, so a failed compare skips every
+layout that shares that part.  In ``a b c a^-1 b^-1 c^-1`` and
 ``a a b c c b^-1`` the second ``a`` (``a^-1`` in the first) depends on |a|
 alone, so a failed one drops all h - |a| + 1 layouts of that length;
-``d e d^-1 e^-1`` has h + 1 layouts; in ``a b c b a c^-1`` the second ``b``
-and ``a`` both need (|a|, |b|), so that form costs O(h^2) compares per
-shift.  Part words are built only for a match.
+``d e d^-1 e^-1`` has h + 1 layouts.  For a fixed |a| two compares are
+monotone in |b|: the second ``b`` of ``a b c b a c^-1`` starts at h and the
+first at |a|, a prefix compare, and the ``b^-1`` that ends
+``a a b c c b^-1`` inverts ``b`` from its first letter, a suffix compare, so
+a failure at one |b| is a failure at every longer one.  Each is extended by
+one letter per |b| and its first failure ends the loop, so the loop runs
+1 + lce times, lce being the longest common extension of the two
+positions, instead of h - |a| + 1: a two-squares shift costs O(h)
+part-length steps on a core whose extensions are short, not O(h^2).  The
+commutator kind still tries every |b| for each |a| whose ``a^-1`` matches.
+Part words are built only for a match.
 
 ``wicks_search`` given a wanted class stops at the first verified solution
 of that class (``classify`` does this); a run that finds none has walked
 every shift, so it is exhaustive, and so is every run without a class (the
 CLI ``wicks`` command and the benchmark's oracle cross-check).
+
+A class-wise ``wicks_exhaustive`` answer rests on two claims from the
+Wicks-form analysis (Wicks 1962; Culler 1981), which this module does not
+prove:
+
+1. every solution is equivalent to the canonical pair of some match, that
+   is, carried to it by conjugation and an automorphism of F(z1, z2) that
+   fixes ``[z1, z2]`` or ``z1^2 z2^2``;
+2. the class does not change under that equivalence: conjugation keeps
+   ``sgn``, and such an automorphism acts as a homeomorphism of the
+   punctured torus or Klein bottle, so it keeps the orientation character.
+
+``tests/test_census.py`` referees every census verdict with this search.
 """
 
 from __future__ import annotations
@@ -90,21 +111,24 @@ def _layouts(
                 yield "orientable_de", (("d", s, i), ("e", s + i, h - i))
         return
     for i in range(h + 1):
-        # a b c b a c^-1: the second b at h and the second a after it need both lengths
+        # a b c b a c^-1: the second b at h is a prefix compare, grown by
+        # one letter per |b|; the first |b| it fails at ends the loop
         for j in range(h - i + 1):
-            if (
-                code[m : m + j] == code[s + i : s + i + j]
-                and code[m + j : m + j + i] == code[s : s + i]
-                and code[m + i + j : end] == inverse[t - h : t - i - j]
-            ):
+            if j and code[m + j - 1] != code[s + i + j - 1]:
+                break
+            if code[m + j : m + j + i] == code[s : s + i] and code[m + i + j : end] == inverse[t - h : t - i - j]:
                 yield "nonorientable_abcbac", (("a", s, i), ("b", s + i, j), ("c", s + i + j, h - i - j))
     for i in range(h + 1):
         # a a b c c b^-1: the second a depends on |a| alone
         if code[s + i : s + 2 * i] != code[s : s + i]:
             continue
+        # b^-1 at the end is a suffix compare, grown by one letter per |b|;
+        # the first |b| it fails at ends the loop
         for j in range(h - i + 1):
+            if j and code[end - j] != inverse[t - 2 * i - j]:
+                break
             c, k = s + 2 * i + j, h - i - j  # the first c and its length
-            if code[end - j : end] == inverse[t - 2 * i - j : t - 2 * i] and code[c + k : end - j] == code[c : c + k]:
+            if code[c + k : end - j] == code[c : c + k]:
                 yield "nonorientable_aabcc", (("a", s, i), ("b", s + 2 * i, j), ("c", c, k))
 
 

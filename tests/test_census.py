@@ -15,7 +15,13 @@ one sha256.  It is the only golden that holds the Wicks witnesses of cores
 with 16 to 40 letters (``wicks_cores``); the benchmark references carry no
 witnesses.
 
-Re-record both only in a change that declares its answer diff:
+The Wicks search referees every census verdict: run exhaustively in the
+verdict's own frame, it finds a solution of the class for every ``exists``
+and for none of the ``not_exists``.  The ``wicks_exhaustive`` answers were
+decided by the library matcher, so they are refereed by the naive matcher of
+``tests/oracles.py``.
+
+Re-record both goldens only in a change that declares its answer diff:
 
     PYTHONPATH=src python tests/test_census.py --write
 """
@@ -30,7 +36,9 @@ from collections import Counter
 from itertools import product
 from pathlib import Path
 
-from fgquad import EquationSpec, classify, parse_word
+import fgquad.wicks
+from fgquad import EquationSpec, classify, parse_word, wicks_search
+from oracles import naive_wicks_decompositions
 
 GOLDEN = Path(__file__).parent / "golden" / "census.jsonl"
 BENCH_GOLDEN = Path(__file__).parent / "golden" / "census_bench.jsonl"
@@ -127,6 +135,34 @@ def test_census_matches_golden():
 
 def test_bench_census_matches_golden():
     assert bench_census() == BENCH_GOLDEN.read_text()
+
+
+def has_wicks_solution(spec: EquationSpec, v) -> bool:
+    """Whether the exhaustive Wicks search finds a solution of the class."""
+    faithful = spec.solution_class == "faithful"
+    return any(found == faithful for _, found in wicks_search(spec, v).solutions)
+
+
+def test_every_verdict_agrees_with_the_wicks_oracle(monkeypatch):
+    undetermined: Counter = Counter()
+    refereed = []
+    for spec, text in product(specs(), reduced_words(MAX_LEN)):
+        v = parse_word(text, spec.basis)
+        verdict = classify(spec, v)
+        if verdict.reason == "wicks_exhaustive":
+            refereed.append((spec, v))
+            continue
+        solvable = has_wicks_solution(spec, v)
+        if verdict.outcome == "undetermined":
+            undetermined[solvable] += 1
+        else:
+            assert solvable == (verdict.outcome == "exists"), (spec, text, verdict.outcome, verdict.reason)
+    monkeypatch.setattr(fgquad.wicks, "wicks_decompositions", naive_wicks_decompositions)
+    for spec, v in refereed:
+        assert not has_wicks_solution(spec, v), (spec, str(v))
+    assert len(refereed) == 4
+    # the target of deciding the degree-two branch with the Wicks search
+    assert undetermined == {True: 515, False: 1998}
 
 
 if __name__ == "__main__":

@@ -151,6 +151,17 @@ def letter_word(rng, basis, length):
     return Word.from_syllables(basis, letters)
 
 
+def periodic_part(rng, basis, root, a=None):
+    """A power of ``root`` or of its inverse, a few random letters, or, given
+    ``a``, a prefix of ``a``."""
+    pick = rng.randrange(3 if a is None else 4)
+    if pick < 2:
+        return (root if pick == 0 else root.inv()) ** rng.randint(0, 12)
+    if pick == 2:
+        return letter_word(rng, basis, rng.randint(0, 3))
+    return Word.from_syllables(basis, list(a.letters())[: rng.randint(0, len(a))])
+
+
 def match_rows(matches):
     return [
         (m.shift, m.form, [(k, str(p)) for k, p in sorted(m.parts.items())], str(m.u_prefix))
@@ -210,6 +221,32 @@ class TestMatcherOracle:
             assert match_rows(matches) == match_rows(naive_wicks_decompositions(core, kind))
             seen.update(m.form for m in matches)
         assert seen == set(TEMPLATES)
+
+    def test_same_ordered_matches_on_periodic_two_squares_cores(self):
+        # 100 cores of 16-64 letters, half of each two-squares form, whose
+        # parts are powers of one 1-2 letter root (a^k, (a b)^k), short
+        # random words or, for b and c, a prefix of a: the second b of
+        # a b c b a c^-1 and the b^-1 that ends a a b c c b^-1 then match for
+        # many |b| past the planted one, and the matcher stops at the first
+        # |b| they fail at
+        rng = random.Random(22)
+        forms = ("nonorientable_abcbac", "nonorientable_aabcc")
+        seen = set()
+        for index in range(100):
+            basis = BASES[index // 2 % 2]
+            form = forms[index % 2]
+            core = Word.identity(basis)
+            while not 16 <= len(core) <= 64 or len(core) % 2:
+                root = letter_word(rng, basis, rng.randint(1, 2))
+                a = periodic_part(rng, basis, root)
+                b, c = (periodic_part(rng, basis, root, a) for _ in range(2))
+                core = cyclic_reduce(TEMPLATES[form](a, b, c))[0]
+            every = wicks_decompositions(core, "two_squares")
+            for allow_empty in (False, True):
+                matches = every if allow_empty else nonempty(every)
+                assert match_rows(matches) == match_rows(naive_wicks_decompositions(core, "two_squares", allow_empty))
+            seen.update(m.form for m in nonempty(every))
+        assert seen == set(forms)
 
 
 class TestExtraction:

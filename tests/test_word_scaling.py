@@ -1,6 +1,8 @@
 """Inputs that were quadratic or worse in the word layer or the translation
 search now finish at once, the Wicks matcher drops every layout that
-shares a part which fails its compare, q_n does its arithmetic on integer
+shares a part which fails its compare and ends each two-squares loop over
+|b| at the first length whose prefix or suffix compare fails (a 400-letter
+core), q_n does its arithmetic on integer
 pairs and refuses a word outside the kernel before it walks the letters,
 and the mixed-case path takes one primitive root per pattern scan and no
 cyclic reduction per substitution check, and a representative word of the
@@ -157,6 +159,28 @@ def test_wicks_matcher_on_a_core_at_the_default_budget():
     found = [wicks_decompositions(core, kind) for kind in kinds]
     assert perf_counter() - start < 0.25
     assert found == [naive_wicks_decompositions(core, kind) for kind in kinds]
+
+
+def test_two_squares_matcher_on_a_core_of_400_letters():
+    # a b c b a c^-1 planted in 400 random letters: the second b of that form
+    # and the b^-1 that ends a a b c c b^-1 grow by one letter per |b|, so
+    # each |b| loop stops at the first length they fail at (about 0.3 s; a
+    # loop over every |b| takes 6-8 s)
+    rng = random.Random(400)
+    core = Word.identity(ADAPTED_MINUS)
+    while len(core) != 400 or cyclic_reduce(core)[0] != core:
+        letters = [(0, 1)]
+        while len(letters) < 200:
+            g, e = rng.randrange(2), rng.choice((-1, 1))
+            if (g, -e) != letters[-1]:
+                letters.append((g, e))
+        i, j = sorted(rng.sample(range(1, 200), 2))
+        a, b, c = (Word.from_syllables(ADAPTED_MINUS, letters[x:y]) for x, y in ((0, i), (i, j), (j, 200)))
+        core = a * b * c * b * a * c.inv()
+    start = perf_counter()
+    found = wicks_decompositions(core, "two_squares")
+    assert perf_counter() - start < 2.0
+    assert (0, "nonorientable_abcbac", {"a": a, "b": b, "c": c}) in [m[:3] for m in found]
 
 
 def test_q_n_of_a_long_conjugate_product(monkeypatch):
