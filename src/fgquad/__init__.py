@@ -20,6 +20,7 @@ from .errors import (
     FgquadError,
     InconsistentSign,
     InvalidBudget,
+    InvalidSpec,
     NotDivisible,
     NotInKernel,
     NotMixedCase,
@@ -57,8 +58,8 @@ __all__ = [
     "ConjData", "DecideResult", "FirstSolution", "MixedCase", "analyze_v", "first_solutions",
     "second_decide",
     "BasisMismatch", "BudgetExceeded", "CaseMismatch", "DomainMismatch", "EpsilonMismatch",
-    "ExtractionFailed", "FgquadError", "InconsistentSign", "InvalidBudget", "NotDivisible",
-    "NotInKernel", "NotMixedCase", "SingularBase", "WitnessUnverified", "WordSyntaxError",
+    "ExtractionFailed", "FgquadError", "InconsistentSign", "InvalidBudget", "InvalidSpec",
+    "NotDivisible", "NotInKernel", "NotMixedCase", "SingularBase", "WitnessUnverified", "WordSyntaxError",
     "RingElement", "exact_divide", "fox_derivative", "q_n",
     "HatAbs", "HatL", "Tilde", "TildeL", "augment", "odd_part", "orbit_key", "same_orbit",
     "p_q",

@@ -32,22 +32,15 @@ DEFAULT_ENUM_BOUND = 8  # cap on the infinite enumeration families
 
 
 class Budgets(Record):
-    __slots__ = ("wicks_len", "enum_bound", "l_window_override")
+    __slots__ = ("wicks_len", "enum_bound")
     wicks_len: int
     enum_bound: int
-    l_window_override: Optional[int]
 
-    def __init__(
-        self,
-        wicks_len: int = DEFAULT_WICKS_LEN,
-        enum_bound: int = DEFAULT_ENUM_BOUND,
-        l_window_override: Optional[int] = None,
-    ) -> None:
+    def __init__(self, wicks_len: int = DEFAULT_WICKS_LEN, enum_bound: int = DEFAULT_ENUM_BOUND) -> None:
         if wicks_len <= 0 or enum_bound <= 0:
             raise InvalidBudget("budgets must be positive")
         object.__setattr__(self, "wicks_len", wicks_len)
         object.__setattr__(self, "enum_bound", enum_bound)
-        object.__setattr__(self, "l_window_override", l_window_override)
 
 
 class Verdict(Record):
@@ -142,7 +135,7 @@ def classify(spec: EquationSpec, v: Word, budgets: Budgets = Budgets()) -> Verdi
         return _exists(spec, v, pair, "original_z", branch.row)
     # mixed case
     data = analyze_v(v_ad, vbar, branch)
-    decision = second_decide(data.case, data.V, budgets.l_window_override)
+    decision = second_decide(data.case, data.V)
     trace = {"case": data.case.label(), "second_derived": decision.trace}
     if not decision.solvable:
         return Verdict(

@@ -48,7 +48,6 @@ _FLAGS: dict[str, dict] = {
     "--enum-bound": dict(
         dest="enum_bound", type=int, default=DEFAULT_ENUM_BOUND, help="enumeration bound (default %(default)s)"
     ),
-    "--l-window": dict(dest="l_window_override", metavar="L_WINDOW", type=int, help="widen the translation window"),
     "--output": dict(choices=("jsonl", "text"), default="jsonl", help="output format (default jsonl)"),
 }
 
@@ -149,9 +148,8 @@ def _first_derived(args: argparse.Namespace, text: str, word: Word) -> dict:
 
 
 def _second_derived(args: argparse.Namespace, text: str, word: Word) -> dict:
-    budgets = _budgets(args)
     data = analyze_v(*locate(_spec(args), word))
-    result = second_decide(data.case, data.V, budgets.l_window_override)
+    result = second_decide(data.case, data.V)
     return {
         **_derived_head(text, data),
         "verdict": "solvable" if result.solvable else "unsolvable",
@@ -182,11 +180,11 @@ class _Command(NamedTuple):
 _FULL = ("--epsilon", "--delta", "--theta", "--class", "--frame")
 
 _COMMANDS: dict[str, _Command] = {
-    "classify": _Command("classify one word or a batch file", _classify, _FULL, ("--wicks-len", "--l-window"), True),
+    "classify": _Command("classify one word or a batch file", _classify, _FULL, ("--wicks-len",), True),
     "verify-tables": _Command("substitution-check all fixture rows", _verify_tables),
     "wicks": _Command("run the Wicks-form oracle", _wicks, _FULL, ("--wicks-len",)),
     "first-derived": _Command("enumerate first-derived-equation solutions", _first_derived, _FULL, ("--enum-bound",)),
-    "second-derived": _Command("decide the second derived equation", _second_derived, _FULL, ("--l-window",)),
+    "second-derived": _Command("decide the second derived equation", _second_derived, _FULL),
     "qn": _Command("project a relator-subgroup word to the group ring", _qn, ("--epsilon",)),
     "canon": _Command("canonical form of a word in the quotient group", _canon, ("--epsilon",)),
 }

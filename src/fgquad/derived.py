@@ -13,7 +13,8 @@ solutions are enumerated as representative words, and each ring value is read
 off its word by ``q_n`` and checked against the equation.  Solvability of
 the second derived equation (in the quotient Q) is decided exactly, by orbit
 augmentations for the squares families and by a finite translation-parameter
-search for the beta-power families.  The search works on integer pairs
+search for the beta-power families, over a window that ``_beta_decide``
+proves complete, so it has no knob.  The search works on integer pairs
 ``(r, s)``: its chain and pair candidates, the products u_L * g and the bases
 it augments at are pairs, so it builds no quotient-group element.
 """
@@ -310,21 +311,50 @@ def _pair_candidates(rows: list[tuple[int, list[int]]], L: int) -> Iterator[Pair
                     yield m_val, s_val
 
 
-def _beta_decide(
-    case: MixedCase, v_elt: RingElement, window_override: Optional[int]
-) -> DecideResult:
+def _beta_decide(case: MixedCase, v_elt: RingElement) -> DecideResult:
     """Translation-parameter search for the beta-power families, n != 0.
 
     Candidates are ``(r, s)`` pairs; each action, with its period and u_L,
     is built once per L and the residue sums once per element.
+
+    The window ``|L| <= bound = 2 r_alpha + |n| + 2`` (and ``bound + 1``) is
+    complete: no L outside it holds unless one inside it does.  Here r_alpha
+    is the largest |r| in the support of ``vd``, u = (L, ell), and an
+    augmentation reads residue keys ``(r, s mod period)`` in which r is never
+    reduced, so a key with |r| > r_alpha adds 0.
+
+    Odd n (``HatL``, ell = |n|, period 2 ell).  The base (m, 0) is
+    defective (n divides 0), and its orbit heads have the keys (+-m, 0),
+    (L - m, ell) and (L + m, ell), so its augmentation is the parity of
+    ``vd`` over those four.  Let |L| >= 2 r_alpha + 2 and m = r_alpha + 1.  Then
+    m <= |L| - 1 <= p_L < m_top, so the condition at (m, 0) is checked and
+    asks for an odd augmentation.  But |L -+ m| >= |L| - m >= r_alpha + 1,
+    so every key has |r| > r_alpha and the augmentation is 0: no such L
+    holds, and bound >= 2 r_alpha + 3 covers every other L.
+
+    Even n (``TildeL``, period 2|n|).  The chain conditions do not read L.
+    A pair candidate is g = (m, 2k) with 0 < 2k < ell, and j_L(g) = (m, -2k)
+    for every L, so the heads of g are (+-m, +-2k) whatever L is; those of
+    u_L g = (L - m, ell + 2k) are (L - m, +-(ell + 2k)) and
+    (L + m, +-(ell + 2k)), with sign + at ell + 2k and - at -(ell + 2k)
+    on both.  Neither base is defective: 0 < 2k < |n|, and ell + 2k is odd
+    while n is even.  Let |L| > 2 r_alpha and take a support row
+    r <= r_alpha.
+      * m = r: |L -+ r| > r_alpha, so the u_L g side is 0 and the condition
+        is "the L-free augmentation at (r, 2k) is 0".
+      * m = |L - r| (or |L + r|): m > r_alpha, so the g side is 0.  Of
+        L -+ m, one is r (or -r), for L > 0 and L < 0 alike, and the other
+        has |.| > r_alpha.  So the condition is "the signed sum over
+        (r, ell + 2k) and (r, -(ell + 2k)) (or -r) is 0", free of L.
+    So ``holds(L)`` is the same for every |L| > 2 r_alpha.  L = -bound is
+    one of them, and the scan, which goes from L = 0 outwards, reaches it
+    before any |L| > bound.
     """
     n = case.n
     ell = odd_part(n)
     vd = v_elt if case.kind == "eq2_nf" else v_elt.reduce_mod2()
     r_alpha = max((abs(g.r) for g in vd.terms), default=0)
     bound = 2 * r_alpha + abs(n) + 2
-    if window_override is not None:
-        bound = max(bound, window_override)
     trace: dict = {
         "case": case.label(),
         "branch": "translation_search",
@@ -340,8 +370,8 @@ def _beta_decide(
                 if augment(tilde, vd, (r, s + 2 * ell * r2)) != base_val:
                     cert = f"chain condition fails at ({r},{s}) with shift {r2}"
                     return DecideResult(False, certificate=cert, trace=trace)
-        # beyond the window every parameter acts like the appended stabilized
-        # representative, so the search below is exhaustive
+        # every |L| > 2 r_alpha acts alike (see above), the appended stabilized
+        # representative too, so the search below is exhaustive
         trace["stabilized_L"] = bound + 2
         rows = _pair_rows(ell, vd, 2 * abs(n))
         # j_L sends (m, 2k) to (m, -2k) whatever L is, so the augmentation at
@@ -386,9 +416,7 @@ def _beta_decide(
     )
 
 
-def second_decide(
-    case: MixedCase, v_elt: RingElement, L_window_override: Optional[int] = None
-) -> DecideResult:
+def second_decide(case: MixedCase, v_elt: RingElement) -> DecideResult:
     """Decide solvability of the second derived equation for the case."""
     if v_elt.epsilon != case.epsilon or v_elt.mod != 0:
         raise CaseMismatch("ring element does not match the case")
@@ -410,4 +438,4 @@ def second_decide(
         if qv.reduce_mod2().is_zero:
             return DecideResult(True, trace=trace)
         return DecideResult(False, certificate=f"p_Q(V) = {qv} is not divisible by 2", trace=trace)
-    return _beta_decide(case, v_elt, L_window_override)
+    return _beta_decide(case, v_elt)

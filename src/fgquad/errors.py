@@ -67,3 +67,8 @@ class BudgetExceeded(FgquadError, RuntimeError):
 
 class InvalidBudget(FgquadError, ValueError):
     """A search budget is not positive."""
+
+
+class InvalidSpec(FgquadError, ValueError):
+    """An equation parameter is outside its domain: a sign other than +1 or
+    -1, or an unknown solution class or frame."""

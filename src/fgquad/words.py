@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import re
 from functools import cache
-from typing import Iterable, Iterator, Literal, NamedTuple, Optional
+from typing import Iterable, Iterator, Literal, NamedTuple, Optional, get_args
 
-from .errors import BasisMismatch, WordSyntaxError
+from .errors import BasisMismatch, InvalidSpec, WordSyntaxError
 from .record import Record
 
 Kind = Literal["classic", "adapted"]
@@ -476,6 +476,7 @@ def parse_word(text: str, basis: BasisTag) -> Word:
 
 SolutionClass = Literal["faithful", "nonfaithful"]
 Frame = Literal["original_z", "adapted_xy"]
+_CLASSES, _FRAMES = get_args(SolutionClass), get_args(Frame)
 
 
 class EquationSpec(Record):
@@ -503,7 +504,11 @@ class EquationSpec(Record):
     ) -> None:
         for name, sign in (("delta", delta), ("epsilon", epsilon), ("theta", theta)):
             if sign not in (1, -1):
-                raise ValueError(f"{name} must be +1 or -1")
+                raise InvalidSpec(f"{name} must be +1 or -1")
+        if solution_class not in _CLASSES:
+            raise InvalidSpec(f"solution_class must be one of {', '.join(_CLASSES)}, not {solution_class!r}")
+        if frame not in _FRAMES:
+            raise InvalidSpec(f"frame must be one of {', '.join(_FRAMES)}, not {frame!r}")
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "theta", theta)

@@ -603,11 +603,25 @@ def augment_at(action: _Translation, v: RingElement, g: PiElement) -> int:
     return augment(action, v, (g.r, g.s))
 
 
+def naive_pair_conditions(n: int, L: int, vd: RingElement) -> bool:
+    """Whether every pair condition of even ``n`` holds at ``L``: the
+    augmentations at g and at u_L * g agree for every pair candidate g."""
+    ell = odd_part(n)
+    action = TildeL(n, L)
+    u_l = PiElement(-1, L, ell)
+    return all(
+        augment_at(action, vd, g) == augment_at(action, vd, u_l * g)
+        for g in naive_pair_candidates(n, ell, L, vd, 2 * abs(n))
+    )
+
+
 def naive_beta_decide(
     case: MixedCase, v_elt: RingElement, window_override: Optional[int]
 ) -> DecideResult:
     """The translation search building every pair candidate for every L
-    before checking any."""
+    before checking any.  A ``window_override`` wider than the natural
+    window widens the scan, which the library no longer can: the tests use
+    it to check that the natural window is complete."""
     n = case.n
     ell = odd_part(n)
     vd = v_elt if case.kind == "eq2_nf" else v_elt.reduce_mod2()
@@ -635,14 +649,7 @@ def naive_beta_decide(
         candidates = window + [bound + 2]
         trace["stabilized_L"] = bound + 2
         for L in candidates:
-            action = TildeL(n, L)
-            u_l = PiElement(-1, L, ell)
-            ok = True
-            for g in naive_pair_candidates(n, ell, L, vd, 2 * abs(n)):
-                if augment_at(action, vd, g) != augment_at(action, vd, u_l * g):
-                    ok = False
-                    break
-            if ok:
+            if naive_pair_conditions(n, L, vd):
                 trace["L"] = L
                 return DecideResult(True, ell=ell, L=L, trace=trace)
         trace["window_exhausted"] = True

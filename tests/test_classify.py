@@ -70,11 +70,13 @@ class TestClassifyExamples:
         assert "second_derived" in verdict.trace and "budgets" in verdict.trace
 
     def test_budget_record_lists_every_budget(self):
-        # the same record as the CLI's, the translation window included
+        # the same record as the CLI's; the translation window is no budget,
+        # since its natural size is complete
+        assert Budgets._fields == ("wicks_len", "enum_bound")
         spec = EquationSpec(1, -1, -1, "nonfaithful", "adapted_xy")
         v = parse_word("conj(a) conj(A)", ADAPTED_MINUS)
-        verdict = classify(spec, v, Budgets(wicks_len=4, enum_bound=3, l_window_override=12))
-        assert verdict.trace["budgets"] == {"wicks_len": 4, "enum_bound": 3, "l_window_override": 12}
+        verdict = classify(spec, v, Budgets(wicks_len=4, enum_bound=3))
+        assert verdict.trace["budgets"] == {"wicks_len": 4, "enum_bound": 3}
 
     @pytest.mark.parametrize("budgets", [{"wicks_len": 0}, {"enum_bound": -1}])
     def test_invalid_budget_is_typed(self, budgets):

@@ -466,16 +466,18 @@ class TestSecondDecideBetaPowers:
         case = MixedCase("eq2_nf", n=n)
         for size in (50, 400):
             # terms come with a chain partner 2*ell higher, so even n gets
-            # past the chain condition to the pair conditions
-            rng = random.Random(size)
-            terms = [((100, 2), 1), ((100, 2 + 2 * ell), 1)]
-            for _ in range(size // 2):
-                r, s = rng.randint(-100, 100), rng.randint(-40, 40)
-                terms += [((r, s), 1), ((r, s + 2 * ell), 1)]
-            v = ring(-1, *terms)
-            for override in (None, 800):
+            # past the chain condition to the pair conditions; |r| up to 400
+            # gives a window of about 800 values of L on each side
+            for spread in (100, 400):
+                rng = random.Random(size)
+                terms = [((spread, 2), 1), ((spread, 2 + 2 * ell), 1)]
+                for _ in range(size // 2):
+                    r, s = rng.randint(-spread, spread), rng.randint(-40, 40)
+                    terms += [((r, s), 1), ((r, s + 2 * ell), 1)]
+                v = ring(-1, *terms)
                 calls = 0
-                result = second_decide(case, v, override)
-                assert result.trace.get("window_exhausted"), (size, override)
+                result = second_decide(case, v)
+                assert result.trace.get("window_exhausted"), (size, spread)
                 lo, hi = result.trace["window"]
-                assert calls <= 6 * (hi - lo + 2), (size, override, calls)
+                assert hi > 2 * spread
+                assert calls <= 6 * (hi - lo + 2), (size, spread, calls)

@@ -13,6 +13,7 @@ import pytest
 from conftest import ADAPTED_MINUS, ADAPTED_PLUS, CLASSIC_MINUS, CLASSIC_PLUS
 from fgquad import (
     BasisTag,
+    EquationSpec,
     FgquadError,
     HatL,
     MixedCase,
@@ -22,6 +23,7 @@ from fgquad import (
     TildeL,
     Word,
     WordSyntaxError,
+    analyze_v,
     augment,
     change_basis,
     cyclic_reduce,
@@ -35,7 +37,7 @@ from fgquad import (
 )
 from fgquad.derived import _beta_decide, _chain_candidates, _squares_decide, _window_values
 from fgquad.groupring import conjugate_power_product, relator_jacobian_alpha
-from fgquad.tables import _exact_power_of
+from fgquad.tables import _exact_power_of, locate
 from fgquad.words import primitive_root, relator_in
 from oracles import (
     element_class,
@@ -50,6 +52,7 @@ from oracles import (
     naive_inv,
     naive_mul,
     naive_pair_candidates,
+    naive_pair_conditions,
     naive_pow,
     naive_primitive_root,
     naive_project,
@@ -61,6 +64,7 @@ from oracles import (
     reduce_syllables,
     reference_parse,
 )
+from test_census import bench_corpus
 
 BASES = (ADAPTED_MINUS, ADAPTED_PLUS, CLASSIC_MINUS, CLASSIC_PLUS)
 bases = st.sampled_from(BASES)
@@ -529,8 +533,7 @@ def beta_cases(draw):
     n = draw(st.sampled_from([-6, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6, 9, 10, 12, 15]))
     piece = st.tuples(st.integers(-5, 5), st.integers(-12, 12), st.integers(-2, 2), st.sampled_from([0, 1, -1]))
     v = RingElement.make(-1, beta_terms(odd_part(n), draw(st.lists(piece, max_size=6))))
-    override = draw(st.one_of(st.none(), st.integers(0, 30)))
-    return MixedCase(kind, n=n), v, override
+    return MixedCase(kind, n=n), v
 
 
 def random_beta_case(rng: random.Random):
@@ -540,20 +543,43 @@ def random_beta_case(rng: random.Random):
         (rng.randint(-5, 5), rng.randint(-12, 12), rng.randint(-2, 2), rng.choice([0, 1, -1]))
         for _ in range(rng.randint(0, 6))
     ]
-    override = rng.choice([None, rng.randint(0, 30)])
-    return MixedCase(kind, n=n), RingElement.make(-1, beta_terms(odd_part(n), pieces)), override
+    return MixedCase(kind, n=n), RingElement.make(-1, beta_terms(odd_part(n), pieces))
+
+
+def searched_element(case: MixedCase, v: RingElement) -> tuple[RingElement, int]:
+    """The element the translation search augments, and its largest |r|."""
+    vd = v if case.kind == "eq2_nf" else v.reduce_mod2()
+    return vd, max((abs(g.r) for g in vd.support()), default=0)
+
+
+def assert_window_complete(case: MixedCase, v: RingElement) -> None:
+    """A scan 40 values of L wider than the natural window gives the same
+    answer: the same verdict, ell, L and certificate."""
+    result = _beta_decide(case, v)
+    bound = result.trace["window"][1] - 1
+    wide = naive_beta_decide(case, v, bound + 40)
+    assert wide.trace["window"] == [-bound - 40, bound + 41]
+    answer = (result.solvable, result.ell, result.L, result.certificate)
+    assert (wide.solvable, wide.ell, wide.L, wide.certificate) == answer, (case, v)
 
 
 class TestBetaDecide:
     """The fail-fast translation search against the search that builds every
-    pair candidate for every L first: the same result, trace included."""
+    pair candidate for every L first: the same result, trace included.  The
+    natural window is complete: the lemmas of the ``_beta_decide`` docstring
+    hold, and a wider scan gives the same answer."""
 
     @oracle_settings
     @given(beta_cases())
     def test_against_full_candidate_sets(self, args):
-        case, v, override = args
-        got = result_or_error(_beta_decide, case, v, override)
-        assert got == result_or_error(naive_beta_decide, case, v, override)
+        case, v = args
+        got = result_or_error(_beta_decide, case, v)
+        assert got == result_or_error(naive_beta_decide, case, v, None)
+
+    @oracle_settings
+    @given(beta_cases())
+    def test_a_wider_window_changes_no_answer(self, args):
+        assert_window_complete(*args)
 
     @oracle_settings
     @given(st.integers(-60, 60), st.integers(1, 30).map(lambda k: 2 * k), st.integers(-40, 40), st.integers(-40, 40))
@@ -563,28 +589,78 @@ class TestBetaDecide:
     @oracle_settings
     @given(beta_cases())
     def test_chain_candidates(self, args):
-        case, v, _ = args
+        case, v = args
         ell = odd_part(case.n)
         assert _chain_candidates(case.n, ell, v) == {(g.r, g.s) for g in naive_chain_candidates(case.n, ell, v)}
 
     def test_every_outcome_is_reached(self):
-        # the seeded cases reach exhausted windows of both parities, with and
-        # without an override, as well as solvable parameters and the chain
-        # condition
+        # the seeded cases reach exhausted windows of both parities, solvable
+        # parameters and the chain condition, and a wider scan changes none
         rng = random.Random(7)
         seen: Counter = Counter()
         for _ in range(1500):
-            case, v, override = random_beta_case(rng)
-            got = result_or_error(_beta_decide, case, v, override)
-            assert got == result_or_error(naive_beta_decide, case, v, override)
+            case, v = random_beta_case(rng)
+            got = result_or_error(_beta_decide, case, v)
+            assert got == result_or_error(naive_beta_decide, case, v, None)
+            assert_window_complete(case, v)
             result = got[1]
             outcome = "solvable" if result.solvable else (result.certificate or "").split()[0]
-            seen[case.n % 2, outcome, override is None] += 1
+            seen[case.n % 2, outcome] += 1
         for parity in (0, 1):
-            for default_window in (True, False):
-                assert seen[parity, "no", default_window], (parity, default_window)
-                assert seen[parity, "solvable", default_window], (parity, default_window)
-        assert seen[0, "chain", True] + seen[0, "chain", False]
+            assert seen[parity, "no"] and seen[parity, "solvable"], parity
+        assert seen[0, "chain"]
+
+    def test_odd_lemma_no_parameter_beyond_twice_the_support_holds(self):
+        # odd n, |L| >= 2 r_alpha + 2: the base (r_alpha + 1, 0) lies in
+        # 0 < m <= p_L, where the HatL conditions need an odd augmentation,
+        # but its four residue keys miss the support
+        rng = random.Random(23)
+        checked = 0
+        for _ in range(600):
+            case, v = random_beta_case(rng)
+            if case.n % 2 == 0:
+                continue
+            vd, r_alpha = searched_element(case, v)
+            for size in range(2 * r_alpha + 2, 2 * r_alpha + 21):
+                for L in (size, -size):
+                    assert augment(HatL(case.n, L), vd, (r_alpha + 1, 0)) % 2 == 0, (case, v, L)
+                    checked += 1
+        assert checked > 5000
+
+    def test_even_lemma_pair_conditions_agree_beyond_twice_the_support(self):
+        # even n, |L| > 2 r_alpha: the pair conditions give the same answer
+        # at every L of either sign, and both answers occur
+        rng = random.Random(29)
+        seen: Counter = Counter()
+        for _ in range(600):
+            case, v = random_beta_case(rng)
+            if case.n % 2:
+                continue
+            vd, r_alpha = searched_element(case, v)
+            answers = {
+                naive_pair_conditions(case.n, L, vd)
+                for size in range(2 * r_alpha + 1, 2 * r_alpha + 26)
+                for L in (size, -size)
+            }
+            assert len(answers) == 1, (case, v)
+            seen[answers.pop()] += 1
+        assert seen[True] and seen[False]
+
+    def test_a_wider_window_changes_no_answer_on_the_bench_corpora(self):
+        # every beta-power input (n != 0) of the seed-1 derived_large and
+        # wicks_cores corpora
+        corpus = bench_corpus()
+        checked = 0
+        for name in ("derived_large", "wicks_cores"):
+            for q in corpus.WORKLOADS[name](1):
+                spec = EquationSpec(q.delta, q.epsilon, q.theta, q.solution_class, q.frame)
+                v_ad, vbar, branch = locate(spec, parse_word(q.text, spec.basis))
+                if branch.case in ("eq2_nf", "eq4_f"):
+                    data = analyze_v(v_ad, vbar, branch)
+                    if data.case.n:
+                        assert_window_complete(data.case, data.V)
+                        checked += 1
+        assert checked == 1807
 
     def test_only_the_l_plus_r_candidate_fails(self):
         # eq4_f(n=3), V = (-2,-1): at L = 1 the candidates are m = r = 2,
@@ -595,6 +671,6 @@ class TestBetaDecide:
         v = RingElement.make(-1, [(PiElement(-1, -2, -1), 1)])
         failing = {(g.r, g.s) for g in naive_pair_candidates(3, 3, 1, v, 6) if augment(HatL(3, 1), v, (g.r, g.s))}
         assert failing == {(3, 2)}
-        result = _beta_decide(case, v, None)
+        result = _beta_decide(case, v)
         assert result == naive_beta_decide(case, v, None)
         assert not result.solvable and result.trace["window_exhausted"]

@@ -127,21 +127,6 @@ def test_exhausted_translation_window():
     assert result.trace["window"] == [-405, 406] and result.trace["window_exhausted"]
 
 
-def test_wide_translation_window_answered_early():
-    # the window is tried from L = 0 outwards, so a million-wide override
-    # costs nothing when L = 1 already holds
-    argv = [
-        "second-derived", "--delta", "1", "--epsilon", "-1", "--theta", "-1", "--class", "nonfaithful",
-        "--word", "b^2 conj(a) conj(b)", "--l-window", "1000000",
-    ]
-    buf = io.StringIO()
-    start = perf_counter()
-    with redirect_stdout(buf):
-        code = main(argv)
-    assert perf_counter() - start < 0.1
-    assert code == 0 and '"L": 1,' in buf.getvalue() and '"window": [-1000000, 1000001]' in buf.getvalue()
-
-
 def test_wicks_matcher_on_a_core_at_the_default_budget():
     # 64 letters is the default wicks_len: 64 shifts of 561 + 33 (commutator)
     # or 561 + 561 (two squares) layouts each, most pruned by a part that

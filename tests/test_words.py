@@ -11,6 +11,8 @@ from fgquad import (
     BasisMismatch,
     BasisTag,
     EquationSpec,
+    FgquadError,
+    InvalidSpec,
     Word,
     WordSyntaxError,
     change_basis,
@@ -208,6 +210,26 @@ class TestBasisTag:
         # both classes keep their fields in slots
         assert not hasattr(BasisTag.adapted(1), "__dict__")
         assert not hasattr(Word.identity(ADAPTED_PLUS), "__dict__")
+
+
+class TestEquationSpec:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, -1, -1), "delta must be +1 or -1"),
+            ((1, 2, -1), "epsilon must be +1 or -1"),
+            ((1, -1, -1, "Faithful"), "solution_class must be one of faithful, nonfaithful, not 'Faithful'"),
+            ((1, -1, -1, "faithful", "original"), "frame must be one of original_z, adapted_xy, not 'original'"),
+        ],
+    )
+    def test_bad_parameter_is_refused(self, args, message):
+        # a misspelt class or frame used to stand silently for another one:
+        # "Faithful" was decided as the non-faithful class, "original" as the
+        # adapted frame
+        with pytest.raises(InvalidSpec) as exc:
+            EquationSpec(*args)
+        assert str(exc.value) == message
+        assert isinstance(exc.value, FgquadError) and isinstance(exc.value, ValueError)
 
 
 class TestRelator:
