@@ -86,7 +86,7 @@ def _present(**fields) -> dict:
 
 
 def _derived_head(text: str, data: ConjData) -> dict:
-    return {"input": text, "case": data.case.label(), "vbar": _vbar(data.vbar), "V": str(data.V)}
+    return {"input": text, "case": data.case.label(), "vbar": _vbar(data.case.vbar), "V": str(data.V)}
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +132,7 @@ def _wicks(args: argparse.Namespace, text: str, word: Word) -> dict:
 def _first_derived(args: argparse.Namespace, text: str, word: Word) -> dict:
     budgets = _budgets(args)
     data = analyze_v(*locate(_spec(args), word))
-    sols = first_solutions(data.case, data.vbar, budgets.enum_bound)
+    sols = first_solutions(data.case, budgets.enum_bound)
     solutions = [
         {
             "L": sol.L,

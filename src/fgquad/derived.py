@@ -28,7 +28,6 @@ from .errors import CaseMismatch, NotMixedCase
 from .groupring import RingElement, alt_geom_terms, geom_terms, q_n, series_word
 from .orbits import HatAbs, HatL, Pair, Tilde, TildeL, _inv, _mul, augment, odd_part, orbit_key
 from .quotient import p_q
-from .record import Record
 from .surface import PiElement, project
 from .tables import Branch, CaseKind
 from .words import BasisTag, Word
@@ -98,7 +97,6 @@ class MixedCase(NamedTuple):
 
 
 class ConjData(NamedTuple):
-    vbar: PiElement
     case: MixedCase
     V: RingElement
 
@@ -115,7 +113,7 @@ def analyze_v(v: Word, vbar: PiElement, branch: Branch) -> ConjData:
             branch=branch.row,
         )
     case = MixedCase(branch.case, n=vbar.s // _CASE_PARAMS[branch.case][2], m=vbar.r // 2)
-    return ConjData(vbar, case, q_n(case.v0_word.inv() * v))
+    return ConjData(case, q_n(case.v0_word.inv() * v))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +180,7 @@ def _first_candidates(case: MixedCase, bound: int) -> Iterator[FirstSolution]:
             yield FirstSolution(L, ell, q_n(x_word), project(y_word), x_word, y_word)
 
 
-def first_solutions(case: MixedCase, vbar: PiElement, bound: int) -> list[FirstSolution]:
+def first_solutions(case: MixedCase, bound: int) -> list[FirstSolution]:
     """Enumerate the solution family of the first derived equation.
 
     For the beta-power cases the family is indexed by all translation
@@ -191,8 +189,6 @@ def first_solutions(case: MixedCase, vbar: PiElement, bound: int) -> list[FirstS
     entry's ring values are read off its representative words and checked
     against the equation.
     """
-    if vbar != case.vbar:
-        raise CaseMismatch("projection does not match the case parameters")
     return [_check_first(case, sol) for sol in _first_candidates(case, bound)]
 
 
@@ -201,27 +197,12 @@ def first_solutions(case: MixedCase, vbar: PiElement, bound: int) -> list[FirstS
 # ---------------------------------------------------------------------------
 
 
-class DecideResult(Record):
-    __slots__ = ("solvable", "ell", "L", "certificate", "trace")
+class DecideResult(NamedTuple):
     solvable: bool
-    ell: Optional[int]
-    L: Optional[int]
-    certificate: Optional[str]
     trace: dict
-
-    def __init__(
-        self,
-        solvable: bool,
-        ell: Optional[int] = None,
-        L: Optional[int] = None,
-        certificate: Optional[str] = None,
-        trace: Optional[dict] = None,
-    ) -> None:
-        object.__setattr__(self, "solvable", solvable)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "trace", {} if trace is None else trace)
+    ell: Optional[int] = None
+    L: Optional[int] = None
+    certificate: Optional[str] = None
 
 
 def _window_values(value: int, modulus: int, lo: int, hi: int) -> range:
@@ -229,16 +210,13 @@ def _window_values(value: int, modulus: int, lo: int, hi: int) -> range:
     return range(lo + 1 + (value - lo - 1) % modulus, hi, modulus)
 
 
-def _window(bound: int, stabilized: bool) -> Iterator[int]:
+def _window(bound: int) -> Iterator[int]:
     """The translation parameters in the order they are tried: 0, -1, 1, ...,
-    -bound, bound, bound + 1, then bound + 2 if ``stabilized``."""
+    -bound, bound."""
     yield 0
     for L in range(1, bound + 1):
         yield -L
         yield L
-    yield bound + 1
-    if stabilized:
-        yield bound + 2
 
 
 def _squares_decide(case: MixedCase, v_elt: RingElement) -> DecideResult:
@@ -317,20 +295,22 @@ def _beta_decide(case: MixedCase, v_elt: RingElement) -> DecideResult:
     Candidates are ``(r, s)`` pairs; each action, with its period and u_L,
     is built once per L and the residue sums once per element.
 
-    The window ``|L| <= bound = 2 r_alpha + |n| + 2`` (and ``bound + 1``) is
-    complete: no L outside it holds unless one inside it does.  Here r_alpha
-    is the largest |r| in the support of ``vd``, u = (L, ell), and an
-    augmentation reads residue keys ``(r, s mod period)`` in which r is never
-    reduced, so a key with |r| > r_alpha adds 0.
+    The window ``|L| <= bound = 2 r_alpha + 1`` is complete: no L outside it
+    is the first to hold.  Here r_alpha is the largest |r| in the support of
+    ``vd``, u = (L, ell), and an augmentation reads residue keys
+    ``(r, s mod period)`` in which r is never reduced, so a key with
+    |r| > r_alpha adds 0.
 
     Odd n (``HatL``, ell = |n|, period 2 ell).  The base (m, 0) is
     defective (n divides 0), and its orbit heads have the keys (+-m, 0),
     (L - m, ell) and (L + m, ell), so its augmentation is the parity of
-    ``vd`` over those four.  Let |L| >= 2 r_alpha + 2 and m = r_alpha + 1.  Then
-    m <= |L| - 1 <= p_L < m_top, so the condition at (m, 0) is checked and
-    asks for an odd augmentation.  But |L -+ m| >= |L| - m >= r_alpha + 1,
-    so every key has |r| > r_alpha and the augmentation is 0: no such L
-    holds, and bound >= 2 r_alpha + 3 covers every other L.
+    ``vd`` over those four.  For m > r_alpha + |L| every key has
+    |r| > r_alpha, so the augmentation is 0, and p_L <= |L| < m asks for 0:
+    the bases up to r_alpha + |L| are the only ones to check.  Let
+    |L| >= 2 r_alpha + 2 and m = r_alpha + 1.  Then m <= |L| - 1 <= p_L, so
+    the condition at (m, 0) is checked and asks for an odd augmentation.
+    But |L -+ m| >= |L| - m >= r_alpha + 1, so every key has |r| > r_alpha
+    and the augmentation is 0: no such L holds.
 
     Even n (``TildeL``, period 2|n|).  The chain conditions do not read L.
     A pair candidate is g = (m, 2k) with 0 < 2k < ell, and j_L(g) = (m, -2k)
@@ -348,18 +328,18 @@ def _beta_decide(case: MixedCase, v_elt: RingElement) -> DecideResult:
         (r, ell + 2k) and (r, -(ell + 2k)) (or -r) is 0", free of L.
     So ``holds(L)`` is the same for every |L| > 2 r_alpha.  L = -bound is
     one of them, and the scan, which goes from L = 0 outwards, reaches it
-    before any |L| > bound.
+    first.
     """
     n = case.n
     ell = odd_part(n)
     vd = v_elt if case.kind == "eq2_nf" else v_elt.reduce_mod2()
     r_alpha = max((abs(g.r) for g in vd.terms), default=0)
-    bound = 2 * r_alpha + abs(n) + 2
+    bound = 2 * r_alpha + 1
     trace: dict = {
         "case": case.label(),
         "branch": "translation_search",
         "ell": ell,
-        "window": [-bound, bound + 1],
+        "window": [-bound, bound],
     }
     if n % 2 == 0:
         tilde = Tilde(n)
@@ -370,9 +350,8 @@ def _beta_decide(case: MixedCase, v_elt: RingElement) -> DecideResult:
                 if augment(tilde, vd, (r, s + 2 * ell * r2)) != base_val:
                     cert = f"chain condition fails at ({r},{s}) with shift {r2}"
                     return DecideResult(False, certificate=cert, trace=trace)
-        # every |L| > 2 r_alpha acts alike (see above), the appended stabilized
-        # representative too, so the search below is exhaustive
-        trace["stabilized_L"] = bound + 2
+        # every |L| > 2 r_alpha acts like L = -bound (see above), so the
+        # search below is exhaustive
         rows = _pair_rows(ell, vd, 2 * abs(n))
         # j_L sends (m, 2k) to (m, -2k) whatever L is, so the augmentation at
         # a candidate is the same for every L; only the u_L * g side moves
@@ -398,13 +377,12 @@ def _beta_decide(case: MixedCase, v_elt: RingElement) -> DecideResult:
             if any(augment(action, vd, g) != 0 for g in _pair_candidates(rows, L)):
                 return False
             p_l = L - 1 if L >= 1 else -L
-            m_top = max(p_l, r_alpha + abs(L)) + 2
             return all(
-                augment(action, vd, (m_val, 0)) % 2 == (1 if 0 < m_val <= p_l else 0)
-                for m_val in range(1, m_top + 1)
+                augment(action, vd, (m_val, 0)) % 2 == (m_val <= p_l)
+                for m_val in range(1, r_alpha + abs(L) + 1)
             )
 
-    for L in _window(bound, n % 2 == 0):
+    for L in _window(bound):
         if holds(L):
             trace["L"] = L
             return DecideResult(True, ell=ell, L=L, trace=trace)

@@ -626,15 +626,15 @@ def naive_beta_decide(
     ell = odd_part(n)
     vd = v_elt if case.kind == "eq2_nf" else v_elt.reduce_mod2()
     r_alpha = max((abs(g.r) for g in vd.support()), default=0)
-    bound = 2 * r_alpha + abs(n) + 2
+    bound = 2 * r_alpha + 1
     if window_override is not None:
         bound = max(bound, window_override)
-    window = sorted(range(-bound, bound + 2), key=lambda L: (abs(L), L))
+    window = sorted(range(-bound, bound + 1), key=lambda L: (abs(L), L))
     trace: dict = {
         "case": case.label(),
         "branch": "translation_search",
         "ell": ell,
-        "window": [-bound, bound + 1],
+        "window": [-bound, bound],
     }
     tilde = Tilde(n)
     if n % 2 == 0:
@@ -646,9 +646,7 @@ def naive_beta_decide(
                 if augment_at(tilde, vd, h) != base_val:
                     cert = f"chain condition fails at ({g.r},{g.s}) with shift {r2}"
                     return DecideResult(False, certificate=cert, trace=trace)
-        candidates = window + [bound + 2]
-        trace["stabilized_L"] = bound + 2
-        for L in candidates:
+        for L in window:
             if naive_pair_conditions(n, L, vd):
                 trace["L"] = L
                 return DecideResult(True, ell=ell, L=L, trace=trace)

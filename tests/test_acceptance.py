@@ -92,12 +92,12 @@ def test_criterion_3_first_derived():
     for n in range(-6, 7):
         for kind in ("eq2_nf", "eq4_f"):
             case = MixedCase(kind, n=n)
-            entries += recheck(case, first_solutions(case, case.vbar, 2))
+            entries += recheck(case, first_solutions(case, 2))
     for n in range(-6, 7):
         for m in range(-6, 7):
             for kind in ("eq3_nf", "eq4_nf"):
                 case = MixedCase(kind, n=n, m=m)
-                entries += recheck(case, first_solutions(case, case.vbar, 2))
+                entries += recheck(case, first_solutions(case, 2))
     assert entries == 1486  # deterministic enumeration size at bound 2
     report(3, "first derived equation", started, 5.0)
 

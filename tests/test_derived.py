@@ -74,7 +74,7 @@ class TestAnalyzeV:
 class TestFirstSolutions:
     def test_beta_family_entry(self):
         case = MixedCase("eq2_nf", n=1)
-        sols = first_solutions(case, case.vbar, 2)
+        sols = first_solutions(case, 2)
         entry = next(s for s in sols if s.L == 0 and s.ell == 1)
         assert entry.ybar == PiElement(-1, 0, 1)
         assert entry.xtilde == ring(-1, ((0, 0), 1), ((0, 1), 1))
@@ -83,14 +83,14 @@ class TestFirstSolutions:
 
     def test_torus_alpha_entry(self):
         case = MixedCase("eq3_nf", n=0, m=1)
-        sols = first_solutions(case, case.vbar, 2)
+        sols = first_solutions(case, 2)
         entry = next(s for s in sols if s.ell == 1)
         assert entry.ybar == PiElement(1, 1, 0)
         assert entry.xtilde == ring(1, ((0, 0), 1), ((1, 0), -1))
 
     def test_trivial_projection_entries(self):
         case = MixedCase("eq3_nf", n=0, m=0)
-        sols = first_solutions(case, case.vbar, 2)
+        sols = first_solutions(case, 2)
         assert all(s.xtilde.is_zero and s.x_word.is_identity for s in sols)
         assert any(s.y_word == parse_word("a^2 b", ADAPTED_PLUS) for s in sols)
 
@@ -107,7 +107,7 @@ class TestFirstSolutions:
         # every enumerated entry passes the internal equation and word checks
         for n, m in params:
             case = MixedCase(kind, n=n, m=m)
-            sols = first_solutions(case, case.vbar, 2)
+            sols = first_solutions(case, 2)
             assert sols
 
     @pytest.mark.parametrize("eps", [1, -1])
@@ -128,7 +128,7 @@ class TestFirstSolutions:
                 case = MixedCase(kind, n=n, m=m)
                 if m == n == 0 and case.has_two_params:
                     continue
-                for sol in first_solutions(case, case.vbar, 2):
+                for sol in first_solutions(case, 2):
                     if case.has_two_params:
                         expected = naive_alt_rep_word(case.epsilon, case.c_word, case.d, sol.ell)
                     else:
@@ -172,12 +172,12 @@ class TestFirstSolutions:
         monkeypatch.setattr(derived, "series_word", dropped)
         case = MixedCase(kind, n=n, m=m)
         with pytest.raises(CaseMismatch, match="first derived equation fails"):
-            first_solutions(case, case.vbar, 1)
+            first_solutions(case, 1)
 
     def test_rank1_holds_on_entries(self):
         for kind, n, m in [("eq2_nf", 2, 0), ("eq4_f", 3, 0), ("eq3_nf", 2, 4), ("eq4_nf", 1, 2)]:
             case = MixedCase(kind, n=n, m=m)
-            for sol in first_solutions(case, case.vbar, 2):
+            for sol in first_solutions(case, 2):
                 assert rank1_check(case.vbar, sol.ybar, case.delta, -1) is not None
 
 
@@ -415,8 +415,8 @@ class TestSecondDecideBetaPowers:
             )
 
     def test_unsolvable_even_fails_beyond_window(self):
-        # sanity of the stabilized representative: when the pair conditions
-        # exhaust the window for even n, parameters beyond it fail too
+        # when the pair conditions exhaust the window for even n, parameters
+        # beyond it fail too: every |L| > 2 r_alpha acts like the window's -bound
         from fgquad.orbits import TildeL, odd_part
         from oracles import augment_at, naive_pair_candidates
 

@@ -553,12 +553,15 @@ def searched_element(case: MixedCase, v: RingElement) -> tuple[RingElement, int]
 
 
 def assert_window_complete(case: MixedCase, v: RingElement) -> None:
-    """A scan 40 values of L wider than the natural window gives the same
-    answer: the same verdict, ell, L and certificate."""
+    """The natural window is ``|L| <= 2 r_alpha + 1``, and a scan out to
+    ``|L| = 2 r_alpha + |n| + 43`` gives the same answer: the same verdict,
+    ell, L and certificate."""
     result = _beta_decide(case, v)
-    bound = result.trace["window"][1] - 1
-    wide = naive_beta_decide(case, v, bound + 40)
-    assert wide.trace["window"] == [-bound - 40, bound + 41]
+    _, r_alpha = searched_element(case, v)
+    assert result.trace["window"] == [-(2 * r_alpha + 1), 2 * r_alpha + 1]
+    reach = 2 * r_alpha + abs(case.n) + 43
+    wide = naive_beta_decide(case, v, reach)
+    assert wide.trace["window"] == [-reach, reach]
     answer = (result.solvable, result.ell, result.L, result.certificate)
     assert (wide.solvable, wide.ell, wide.L, wide.certificate) == answer, (case, v)
 
@@ -626,6 +629,25 @@ class TestBetaDecide:
                     assert augment(HatL(case.n, L), vd, (r_alpha + 1, 0)) % 2 == 0, (case, v, L)
                     checked += 1
         assert checked > 5000
+
+    def test_odd_lemma_bases_beyond_the_support_and_l_augment_to_even(self):
+        # odd n: for m > r_alpha + |L| the four residue keys of the base
+        # (m, 0) miss the support, so the HatL scan of the bases stops at
+        # r_alpha + |L|
+        rng = random.Random(31)
+        checked = 0
+        for _ in range(300):
+            case, v = random_beta_case(rng)
+            if case.n % 2 == 0:
+                continue
+            vd, r_alpha = searched_element(case, v)
+            bound = 2 * r_alpha + 1
+            for L in range(-bound, bound + 1):
+                action = HatL(case.n, L)
+                for m_val in range(r_alpha + abs(L) + 1, r_alpha + abs(L) + 21):
+                    assert augment(action, vd, (m_val, 0)) % 2 == 0, (case, v, L, m_val)
+                    checked += 1
+        assert checked > 20000
 
     def test_even_lemma_pair_conditions_agree_beyond_twice_the_support(self):
         # even n, |L| > 2 r_alpha: the pair conditions give the same answer

@@ -116,7 +116,7 @@ def test_first_derived_of_a_long_beta_power():
 
 
 def test_exhausted_translation_window():
-    # 400 terms with |r| <= 200: the window [-405, 406] holds 812 parameters,
+    # 400 terms with |r| <= 200: the window [-401, 401] holds 803 parameters,
     # none of which satisfies the conditions
     rng = random.Random(3)
     terms = [(PiElement(-1, rng.randint(-200, 200), rng.randint(-40, 40)), 1) for _ in range(399)]
@@ -124,7 +124,7 @@ def test_exhausted_translation_window():
     start = perf_counter()
     result = second_decide(MixedCase("eq2_nf", n=3), v)
     assert perf_counter() - start < 0.3
-    assert result.trace["window"] == [-405, 406] and result.trace["window_exhausted"]
+    assert result.trace["window"] == [-401, 401] and result.trace["window_exhausted"]
 
 
 def test_wicks_matcher_on_a_core_at_the_default_budget():
