@@ -14,9 +14,9 @@ off its word by ``q_n`` and checked against the equation.  Solvability of
 the second derived equation (in the quotient Q) is decided exactly, by orbit
 augmentations for the squares families and by a finite translation-parameter
 search for the beta-power families, over a window that ``_beta_decide``
-proves complete, so it has no knob.  The search works on integer pairs
-``(r, s)``: its chain and pair candidates, the products u_L * g and the bases
-it augments at are pairs, so it builds no quotient-group element.
+proves complete, so it has no knob.  Ring terms are ``(r, s)`` pairs, and so
+are the orbit keys, the chain and pair candidates and the bases the search
+augments at; the products u_L * g run ``surface.mul``, the one product rule.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from typing import Iterator, NamedTuple, Optional
 
 from .errors import CaseMismatch, NotMixedCase
 from .groupring import RingElement, alt_geom_terms, geom_terms, q_n, series_word
-from .orbits import HatAbs, HatL, Pair, Tilde, TildeL, _inv, _mul, augment, odd_part, orbit_key
+from .orbits import HatAbs, HatL, Tilde, TildeL, augment, odd_part, orbit_key
 from .quotient import p_q
-from .surface import PiElement, project
+from .surface import Pair, PiElement, inv, mul, project
 from .tables import Branch, CaseKind
 from .words import BasisTag, Word
 
@@ -146,8 +146,8 @@ def _divisors(n: int, bound: int, odd_only: bool) -> list[int]:
 def _check_first(case: MixedCase, sol: FirstSolution) -> FirstSolution:
     eps = case.epsilon
     one = RingElement.one(eps)
-    lhs = (one - RingElement.monomial(sol.ybar, case.delta)) * sol.xtilde
-    rhs = one - RingElement.monomial(case.vbar)
+    lhs = (one - RingElement.monomial(eps, sol.ybar.pair, case.delta)) * sol.xtilde
+    rhs = one - RingElement.monomial(eps, case.vbar.pair)
     if lhs != rhs:
         raise CaseMismatch(f"first derived equation fails for {sol}")
     return sol
@@ -226,17 +226,17 @@ def _squares_decide(case: MixedCase, v_elt: RingElement) -> DecideResult:
     action = HatAbs(case.c_bar**case.d)
     # one pass: every orbit meeting the support by its key, with its first
     # element in support order and its augmentation
-    reps: dict[tuple[int, int], PiElement] = {}
-    sums: dict[tuple[int, int], int] = {}
+    reps: dict[Pair, Pair] = {}
+    sums: dict[Pair, int] = {}
     for g in v2.support():
         key = orbit_key(action, g)
         reps.setdefault(key, g)
         sums[key] = sums.get(key, 0) + v2.terms[g]
     trace["orbits"] = len(reps)
-    identity_key = orbit_key(action, PiElement.identity(case.epsilon))
-    for key, rep in reps.items():
+    identity_key = orbit_key(action, (0, 0))
+    for key, (r, s) in reps.items():
         if key != identity_key and sums[key] % 2:
-            cert = f"orbit of ({rep.r},{rep.s}) has odd augmentation"
+            cert = f"orbit of ({r},{s}) has odd augmentation"
             return DecideResult(False, certificate=cert, trace=trace)
     return DecideResult(True, ell=case.d, trace=trace)
 
@@ -248,7 +248,7 @@ def _chain_candidates(n: int, ell: int, v_elt: RingElement) -> set[Pair]:
     out: set[Pair] = set()
     # the modulus is even, so every value of a window has the parity of s
     for x in v_elt.support():
-        for r, s in ((x.r, x.s), _inv((x.r, x.s))):
+        for r, s in (x, inv(-1, x)):
             if s % 2:  # odd s in (0, ell]
                 lo, hi = 0, ell + 1
             elif r > 0:  # even s in (-ell, ell)
@@ -266,9 +266,9 @@ def _pair_rows(ell: int, v_elt: RingElement, modulus: int) -> list[tuple[int, li
     """The part of the pair candidates that does not depend on L: for each
     |alpha-degree| r of the support, the even s in (0, ell) its terms reach."""
     rows: dict[int, set[int]] = {}
-    for x in v_elt.support():
-        s_vals = rows.setdefault(abs(x.r), set())
-        for target in (x.s, -x.s, x.s - ell, -x.s - ell):
+    for r, s in v_elt.support():
+        s_vals = rows.setdefault(abs(r), set())
+        for target in (s, -s, s - ell, -s - ell):
             if target % 2 == 0:  # the modulus is even: the window has the parity of the target
                 s_vals.update(_window_values(target, modulus, 0, ell))
     return [(r, sorted(s_vals)) for r, s_vals in rows.items() if s_vals]
@@ -333,7 +333,7 @@ def _beta_decide(case: MixedCase, v_elt: RingElement) -> DecideResult:
     n = case.n
     ell = odd_part(n)
     vd = v_elt if case.kind == "eq2_nf" else v_elt.reduce_mod2()
-    r_alpha = max((abs(g.r) for g in vd.terms), default=0)
+    r_alpha = max((abs(r) for r, _ in vd.terms), default=0)
     bound = 2 * r_alpha + 1
     trace: dict = {
         "case": case.label(),
@@ -364,7 +364,7 @@ def _beta_decide(case: MixedCase, v_elt: RingElement) -> DecideResult:
             for g in _pair_candidates(rows, L):
                 if g not in fixed:
                     fixed[g] = augment(action, vd, g)
-                if fixed[g] != augment(action, vd, _mul(u_l, g)):
+                if fixed[g] != augment(action, vd, mul(-1, u_l, g)):
                     return False
             return True
 

@@ -70,5 +70,6 @@ class InvalidBudget(FgquadError, ValueError):
 
 
 class InvalidSpec(FgquadError, ValueError):
-    """An equation parameter is outside its domain: a sign other than +1 or
-    -1, or an unknown solution class or frame."""
+    """A parameter is outside its domain: a sign other than +1 or -1, a zero
+    n, an unknown solution class, frame, basis kind or generator, or an
+    orientation-reversing translation element."""

@@ -5,6 +5,10 @@ and their representative words, the Fox differential calculus on adapted
 words, exact division by the alpha-column of the relator's Jacobian, and the
 resulting projection ``q_n`` of the relator subgroup onto (Z[pi], +), which
 reads a series' ring value off its word.
+
+Ring terms are the ``(r, s)`` pairs of ``surface``, with epsilon stored once
+per element; the product runs ``surface.mul``, the one product rule, and the
+Fox walk and the division build their elements straight from pair dicts.
 """
 
 from __future__ import annotations
@@ -12,18 +16,16 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .errors import DomainMismatch, EpsilonMismatch, NotDivisible, NotInKernel
+from .errors import DomainMismatch, EpsilonMismatch, InvalidSpec, NotDivisible, NotInKernel
 from .record import Record
-from .surface import PiElement, project
+from .surface import Pair, mul, project
 from .words import BasisTag, Word, change_basis, conj, relator_in
-
-
-_Pair = tuple[int, int]  # canonical coordinates (r, s) of a quotient-group element
 
 
 class RingElement(Record):
     """Element of Z[pi] or Z2[pi] with the twisted product: a finite formal
-    sum over the quotient group, with no zero coefficients stored.
+    sum over the quotient group, keyed by ``(r, s)`` pairs, with no zero
+    coefficients stored.
 
     Its ``__dict__`` holds the cache of residue sums.
     """
@@ -31,19 +33,17 @@ class RingElement(Record):
     __slots__ = ("epsilon", "mod", "terms", "__dict__")
     epsilon: int
     mod: int  # 0 = integer coefficients, 2 = mod-2 coefficients
-    terms: Mapping[PiElement, int]
+    terms: Mapping[Pair, int]
 
-    def __init__(self, epsilon: int, mod: int, terms: Mapping[PiElement, int]) -> None:
+    def __init__(self, epsilon: int, mod: int, terms: Mapping[Pair, int]) -> None:
         _set_epsilon(self, epsilon)
         _set_mod(self, mod)
         _set_terms(self, terms)
 
     @staticmethod
-    def make(epsilon: int, items: Iterable[tuple[PiElement, int]], mod: int = 0) -> "RingElement":
-        acc: dict[PiElement, int] = {}
+    def make(epsilon: int, items: Iterable[tuple[Pair, int]], mod: int = 0) -> "RingElement":
+        acc: dict[Pair, int] = {}
         for g, c in items:
-            if g.epsilon != epsilon:
-                raise EpsilonMismatch("term epsilon differs from element epsilon")
             acc[g] = acc.get(g, 0) + c
         if mod == 2:
             return RingElement(epsilon, mod, {g: 1 for g, c in acc.items() if c % 2})
@@ -63,8 +63,9 @@ class RingElement(Record):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support(self) -> list[PiElement]:
-        return sorted(self.terms, key=lambda g: (g.s, g.r))
+    def support(self) -> list[Pair]:
+        """The terms' pairs by beta-degree, then alpha-degree."""
+        return sorted(self.terms, key=lambda g: (g[1], g[0]))
 
     def __add__(self, other: "RingElement") -> "RingElement":
         self._check(other)
@@ -83,20 +84,21 @@ class RingElement(Record):
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        return "{" + ", ".join(f"({g.r},{g.s}): {self.terms[g]}" for g in self.support()) + "}"
+        return "{" + ", ".join(f"({r},{s}): {self.terms[r, s]}" for r, s in self.support()) + "}"
 
     @staticmethod
-    def monomial(g: PiElement, coeff: int = 1) -> "RingElement":
-        return RingElement.make(g.epsilon, [(g, coeff)])
+    def monomial(epsilon: int, g: Pair, coeff: int = 1) -> "RingElement":
+        return RingElement.make(epsilon, [(g, coeff)])
 
     @staticmethod
     def one(epsilon: int) -> "RingElement":
-        return RingElement.monomial(PiElement.identity(epsilon))
+        return RingElement.monomial(epsilon, (0, 0))
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         self._check(other)
+        eps = self.epsilon
         items = [
-            (g * h, c * d)
+            (mul(eps, g, h), c * d)
             for g, c in self.terms.items()
             for h, d in other.terms.items()
         ]
@@ -112,8 +114,8 @@ class RingElement(Record):
         sums = self._residue_sums.get(period)
         if sums is None:
             sums = self._residue_sums[period] = {}
-            for g, c in self.terms.items():
-                key = (g.r, g.s % period)
+            for (r, s), c in self.terms.items():
+                key = (r, s % period)
                 sums[key] = sums.get(key, 0) + c
         return sums
 
@@ -179,7 +181,7 @@ def series_word(c: Word, terms: Iterable[tuple[int, int]]) -> Word:
 # ---------------------------------------------------------------------------
 
 
-def _fox_pairs(w: Word) -> tuple[dict[_Pair, int], dict[_Pair, int]]:
+def _fox_pairs(w: Word) -> tuple[dict[Pair, int], dict[Pair, int]]:
     """One walk over ``w``: its quotient-projected free derivatives by alpha
     and by beta, keyed by ``(r, s)``, zeros dropped.
 
@@ -190,8 +192,8 @@ def _fox_pairs(w: Word) -> tuple[dict[_Pair, int], dict[_Pair, int]]:
     if w.basis.kind != "adapted":
         w = change_basis(w, BasisTag.adapted(w.basis.epsilon))
     twisted = w.basis.epsilon == -1
-    d_alpha: dict[_Pair, int] = {}
-    d_beta: dict[_Pair, int] = {}
+    d_alpha: dict[Pair, int] = {}
+    d_beta: dict[Pair, int] = {}
     get_alpha, get_beta = d_alpha.get, d_beta.get
     r = s = 0
     for g, e in w.syls:
@@ -212,30 +214,22 @@ def _fox_pairs(w: Word) -> tuple[dict[_Pair, int], dict[_Pair, int]]:
     return {key: c for key, c in d_alpha.items() if c}, {key: c for key, c in d_beta.items() if c}
 
 
-def _ring(epsilon: int, pairs: Mapping[_Pair, int]) -> RingElement:
-    """The integer element with the nonzero coefficients ``pairs``, in their order."""
-    return RingElement(
-        epsilon, 0, {PiElement(epsilon, r, s): c for (r, s), c in pairs.items()}
-    )
-
-
 def fox_derivative(w: Word, gen: str) -> RingElement:
     """The quotient-projected free derivative of ``w`` by generator 'a' or 'b'."""
     if gen not in ("a", "b"):
-        raise ValueError(f"generator must be 'a' or 'b', got {gen!r}")
+        raise InvalidSpec(f"generator must be 'a' or 'b', got {gen!r}")
     d_alpha, d_beta = _fox_pairs(w)
-    return _ring(w.basis.epsilon, d_alpha if gen == "a" else d_beta)
+    return RingElement(w.basis.epsilon, 0, d_alpha if gen == "a" else d_beta)
 
 
 def relator_jacobian_alpha(epsilon: int) -> RingElement:
     """Projected derivative of the relator by alpha: 1 - beta (torus) or 1 + alpha*beta."""
-    one = PiElement.identity(epsilon)
     if epsilon == 1:
-        return RingElement.make(1, [(one, 1), (PiElement(1, 0, 1), -1)])
-    return RingElement.make(-1, [(one, 1), (PiElement(-1, 1, 1), 1)])
+        return RingElement.make(1, [((0, 0), 1), ((0, 1), -1)])
+    return RingElement.make(-1, [((0, 0), 1), ((1, 1), 1)])
 
 
-def _divide_pairs(epsilon: int, p: Mapping[_Pair, int]) -> dict[_Pair, int]:
+def _divide_pairs(epsilon: int, p: Mapping[Pair, int]) -> dict[Pair, int]:
     """Solve lam * d == p exactly, for d the alpha-column Jacobian element and
     ``p`` given by its nonzero coefficients keyed by ``(r, s)``.
 
@@ -246,7 +240,7 @@ def _divide_pairs(epsilon: int, p: Mapping[_Pair, int]) -> dict[_Pair, int]:
     and touches only row ``s_top - 1``, so the division is linear in the terms
     it visits.
     """
-    lam: dict[_Pair, int] = {}
+    lam: dict[Pair, int] = {}
     if not p:
         return lam
     rows: dict[int, dict[int, int]] = {}
@@ -282,7 +276,7 @@ def exact_divide(p: RingElement, d: RingElement) -> RingElement:
     eps = p.epsilon
     if d != relator_jacobian_alpha(eps):
         raise NotDivisible("divisor must be the alpha-column Jacobian element")
-    return _ring(eps, _divide_pairs(eps, {(g.r, g.s): c for g, c in p.terms.items()}))
+    return RingElement(eps, 0, _divide_pairs(eps, p.terms))
 
 
 def q_n(w: Word) -> RingElement:
@@ -291,10 +285,10 @@ def q_n(w: Word) -> RingElement:
     A product of conjugates prod_i (u_i R u_i^-1)^{n_i} maps to
     sum_i n_i * class(u_i).  Computed via Fox calculus plus exact division,
     with the beta-column identity as a built-in consistency check, all on
-    coefficients keyed by ``(r, s)``; group elements are built for the result
-    only.  A classic word is converted once.  A word outside the kernel is
-    refused by its projection, which walks syllables, before the Fox walk
-    expands it letter by letter.
+    coefficients keyed by ``(r, s)``, which the result holds as they are.  A
+    classic word is converted once.  A word outside the kernel is refused by
+    its projection, which walks syllables, before the Fox walk expands it
+    letter by letter.
     """
     if w.basis.kind != "adapted":
         w = change_basis(w, BasisTag.adapted(w.basis.epsilon))
@@ -307,17 +301,15 @@ def q_n(w: Word) -> RingElement:
     except NotDivisible as exc:  # pragma: no cover - guarded by the projection test
         raise NotInKernel(str(exc)) from exc
     # the beta-column of the relator's Jacobian is alpha - 1, and
-    # lam * (alpha - 1) holds +c at (r + sigma(s), s) and -c at (r, s)
-    twisted = eps == -1
-    check: dict[_Pair, int] = {}
-    for (r, s), c in lam.items():
-        key = (r - 1 if twisted and s & 1 else r + 1, s)
+    # lam * (alpha - 1) holds +c at g * alpha and -c at g
+    check: dict[Pair, int] = {}
+    for g, c in lam.items():
+        key = mul(eps, g, (1, 0))
         check[key] = check.get(key, 0) + c
-        key = (r, s)
-        check[key] = check.get(key, 0) - c
+        check[g] = check.get(g, 0) - c
     if {key: c for key, c in check.items() if c} != d_beta:
         raise NotInKernel("beta-column consistency check failed")
-    return _ring(eps, lam)
+    return RingElement(eps, 0, lam)
 
 
 def conjugate_power_product(

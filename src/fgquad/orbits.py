@@ -8,36 +8,36 @@ Four action kinds act on the quotient group:
 * ``TildeL(n, L)`` -- Tilde extended by the reflection j_L;
 * ``HatL(n, L)``   -- left translation by alpha^L beta^{l_max} plus inversion.
 
-Each action serves one decider.  The squares decider partitions a mod-2
-support into HatAbs orbits by their closed-form key (``orbit_key``: g and
-g^-1 reduced modulo the translation lattice), one key per term, and sums each
-orbit's coefficients itself.  The translation search augments over orbits of
-the other three (``augment``) at bases given as integer pairs ``(r, s)``:
-each orbit is a finite union of arithmetic families ``{(r, s + period*k)}``
-whose heads are computed on integer pairs, and the augmentation, twisted by
-the character that sends both generators of the acting group to -1, reads
-the coefficient sums of the heads' residue classes
-(``RingElement.residue_sums``, kept with the element).  An action sets its
-period and u_L = alpha^L beta^l_max once, when it is built, so the search
-pays for them once per L, not once per candidate.  Both are linear in the
-support.
+Elements are the ``(r, s)`` pairs that key the group ring's terms, moved by
+``surface.mul`` and ``surface.inv``, the one product rule.  Each action
+serves one decider.  The squares decider partitions a mod-2 support into
+HatAbs orbits by their closed-form key (``orbit_key``: g and g^-1 reduced
+modulo the translation lattice), one key per term, and sums each orbit's
+coefficients itself.  The translation search augments over orbits of the
+other three (``augment``) at a base pair: each orbit is a finite union of
+arithmetic families ``{(r, s + period*k)}`` through heads that are products
+of pairs, and the augmentation, twisted by the character that sends both
+generators of the acting group to -1, reads the coefficient sums of the
+heads' residue classes (``RingElement.residue_sums``, kept with the
+element).  An action sets its period and u_L = alpha^L beta^l_max once,
+when it is built, so the search pays for them once per L, not once per
+candidate.  Both are linear in the support.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Union
 
-from .errors import EpsilonMismatch, InconsistentSign, SingularBase
+from .errors import EpsilonMismatch, InconsistentSign, InvalidSpec, SingularBase
 from .groupring import RingElement
 from .record import Record
-from .surface import PiElement
+from .surface import Pair, PiElement, inv, mul
 
 
 def odd_part(n: int) -> int:
     """The odd part l_max of |n|: |n| = 2^k * l_max with l_max odd."""
     if n == 0:
-        raise ValueError("n must be nonzero")
+        raise InvalidSpec("n must be nonzero")
     m = abs(n)
     while m % 2 == 0:
         m //= 2
@@ -50,12 +50,8 @@ class HatAbs(Record):
 
     def __init__(self, u: PiElement) -> None:
         if u.epsilon == -1 and u.w_eps() != 1:
-            raise ValueError("translation element must be orientation-preserving")
+            raise InvalidSpec("translation element must be orientation-preserving")
         object.__setattr__(self, "u", u)
-
-    @property
-    def epsilon(self) -> int:
-        return self.u.epsilon
 
 
 class _Translation(Record):
@@ -75,7 +71,7 @@ class _Translation(Record):
 
     def __init__(self, n: int) -> None:
         if n == 0:
-            raise ValueError("n must be nonzero")
+            raise InvalidSpec("n must be nonzero")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_period", 2 * abs(n))
 
@@ -84,7 +80,7 @@ class Tilde(_Translation):
     __slots__ = ()
 
     def _heads(self, g: Pair) -> list[tuple[Pair, int]]:
-        return [(g, 1), (_inv(g), -1)]
+        return [(g, 1), (inv(-1, g), -1)]
 
 
 class _WithL(_Translation):
@@ -105,8 +101,8 @@ class TildeL(_WithL):
 
     def _heads(self, g: Pair) -> list[tuple[Pair, int]]:
         u = self._u
-        jg = _mul(u, _inv(_mul(u, g)))  # the reflection j_L
-        return [(g, 1), (_inv(g), -1), (_inv(jg), 1), (jg, -1)]
+        jg = mul(-1, u, inv(-1, mul(-1, u, g)))  # the reflection j_L
+        return [(g, 1), (inv(-1, g), -1), (inv(-1, jg), 1), (jg, -1)]
 
 
 class HatL(_WithL):
@@ -121,30 +117,18 @@ class HatL(_WithL):
         # two-sided translate families u^a g^e u^b with a, b mod 2.  The
         # character sends both generators to -1, giving the sign (-1)^(a+b)
         # for e=+1 and its negative for e=-1.
-        u, gi = self._u, _inv(g)
-        ug, ugi = _mul(u, g), _mul(u, gi)
+        u, gi = self._u, inv(-1, g)
+        ug, ugi = mul(-1, u, g), mul(-1, u, gi)
         return [
             (g, 1),
             (gi, -1),
             (ug, -1),
             (ugi, 1),
-            (_mul(g, u), -1),
-            (_mul(gi, u), 1),
-            (_mul(ug, u), 1),
-            (_mul(ugi, u), -1),
+            (mul(-1, g, u), -1),
+            (mul(-1, gi, u), 1),
+            (mul(-1, ug, u), 1),
+            (mul(-1, ugi, u), -1),
         ]
-
-
-Action = Union[HatAbs, _Translation]
-
-
-def _check_eps(action: Action, *elements: PiElement) -> None:
-    for g in elements:
-        if g.epsilon != action.epsilon:
-            raise EpsilonMismatch("element epsilon does not match the action")
-
-
-Pair = tuple[int, int]  # canonical coordinates (r, s)
 
 
 def _lattice_rep(r: int, s: int, a: int, b: int, c: int) -> Pair:
@@ -157,16 +141,7 @@ def _lattice_rep(r: int, s: int, a: int, b: int, c: int) -> Pair:
     return r, s % m if m else s
 
 
-def _mul(x: Pair, y: Pair) -> Pair:
-    """``PiElement.mul`` on the Klein bottle, without building elements."""
-    return x[0] + (-y[0] if x[1] & 1 else y[0]), x[1] + y[1]
-
-
-def _inv(x: Pair) -> Pair:
-    return (x[0] if x[1] & 1 else -x[0]), -x[1]
-
-
-def orbit_key(action: HatAbs, g: PiElement) -> Pair:
+def orbit_key(action: HatAbs, g: Pair) -> Pair:
     """A canonical point of the orbit of ``g``: two elements share an orbit
     exactly when their keys are equal.
 
@@ -176,14 +151,13 @@ def orbit_key(action: HatAbs, g: PiElement) -> Pair:
     moves by two-sided translates, giving the lattice Z*u + Z*(0, 2*u.s), and
     its inverse is (r, -s).
     """
-    _check_eps(action, g)
-    u, r, s = action.u, g.r, g.s
+    u, (r, s) = action.u, g
     if u.epsilon == -1 and s & 1:
         return min(_lattice_rep(r, s, u.r, u.s, 2 * u.s), _lattice_rep(r, -s, u.r, u.s, 2 * u.s))
     return min(_lattice_rep(r, s, u.r, u.s, 0), _lattice_rep(-r, -s, u.r, u.s, 0))
 
 
-def same_orbit(action: HatAbs, g: PiElement, h: PiElement) -> bool:
+def same_orbit(action: HatAbs, g: Pair, h: Pair) -> bool:
     """Decide orbit membership by comparing orbit keys."""
     return orbit_key(action, g) == orbit_key(action, h)
 
@@ -216,7 +190,7 @@ def augment(action: _Translation, v: RingElement, base: Pair) -> int:
     for key, sign in key_sign.items():
         if key in sums:
             if not sign:
-                g = next(g for g in v.terms if key_sign.get((g.r, g.s % period)) == 0)
-                raise InconsistentSign(f"{g} resolves with both signs from base ({r},{s})")
+                gr, gs = next(g for g in v.terms if key_sign.get((g[0], g[1] % period)) == 0)
+                raise InconsistentSign(f"({gr},{gs}) resolves with both signs from base ({r},{s})")
             total += sign * sums[key]
     return total % 2 if v.mod == 2 else total

@@ -5,12 +5,14 @@ pi is torsion-free, so no class is its own inverse, and an element of Q is
 its coefficients folded onto one representative of each pair {g, g**-1}: the
 one with s > 0, or with s == 0 and r > 0.  Inversion negates s (and negates r
 when s == 0), so exactly one of the two qualifies.  Modulo 2 the fold needs
-no sign, since -c and c agree there.
+no sign, since -c and c agree there.  Terms are ``(r, s)`` pairs, inverted by
+``surface.inv``, the one inverse of the package.
 """
 
 from __future__ import annotations
 
 from .groupring import RingElement
+from .surface import inv
 
 
 def p_q(p: RingElement) -> RingElement:
@@ -18,8 +20,9 @@ def p_q(p: RingElement) -> RingElement:
     unless g is the representative of its pair."""
     items = []
     for g, c in p.terms.items():
-        if g.s > 0 or (g.s == 0 and g.r > 0):
+        r, s = g
+        if s > 0 or (s == 0 and r > 0):
             items.append((g, c))
-        elif not g.is_identity:
-            items.append((g.inv(), -c))
+        elif g != (0, 0):
+            items.append((inv(p.epsilon, g), -c))
     return RingElement.make(p.epsilon, items, p.mod)

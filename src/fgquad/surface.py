@@ -3,13 +3,30 @@
 Every element has a unique canonical form alpha^r * beta^s, stored as the
 integer pair ``(r, s)``.  The product rule is twisted by the sign
 ``sigma(s) = epsilon**s``; all Klein-bottle identities follow from it.
+``mul`` and ``inv`` are that rule on pairs, the one product and inverse of
+the package: the group ring keys its terms by pairs, the orbit layer and the
+translation search move pairs, and ``PiElement``, the value of one projected
+element, delegates to them.
 """
 
 from __future__ import annotations
 
-from .errors import EpsilonMismatch
+from .errors import EpsilonMismatch, InvalidSpec
 from .record import Record
 from .words import BasisTag, Word, change_basis
+
+Pair = tuple[int, int]  # canonical coordinates (r, s) of alpha^r * beta^s
+
+
+def mul(epsilon: int, x: Pair, y: Pair) -> Pair:
+    """The product x * y: beta^s moves alpha^r' to alpha^(sigma(s) r')."""
+    r, s = x
+    return (r - y[0] if epsilon == -1 and s & 1 else r + y[0]), s + y[1]
+
+
+def inv(epsilon: int, x: Pair) -> Pair:
+    r, s = x
+    return (r if epsilon == -1 and s & 1 else -r), -s
 
 
 class PiElement(Record):
@@ -22,33 +39,26 @@ class PiElement(Record):
 
     def __init__(self, epsilon: int, r: int, s: int) -> None:
         if epsilon not in (1, -1):
-            raise ValueError("epsilon must be +1 or -1")
+            raise InvalidSpec("epsilon must be +1 or -1")
         _set_epsilon(self, epsilon)
         _set_r(self, r)
         _set_s(self, s)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not PiElement:
-            return NotImplemented
-        return (self.epsilon, self.r, self.s) == (other.epsilon, other.r, other.s)
-
-    def __hash__(self) -> int:
-        return hash((self.epsilon, self.r, self.s))
 
     @staticmethod
     def identity(epsilon: int) -> "PiElement":
         return PiElement(epsilon, 0, 0)
 
-    def _check(self, other: "PiElement") -> None:
-        if self.epsilon != other.epsilon:
-            raise EpsilonMismatch(f"{self.epsilon} vs {other.epsilon}")
+    @property
+    def pair(self) -> Pair:
+        return self.r, self.s
 
     def __mul__(self, other: "PiElement") -> "PiElement":
-        self._check(other)
-        return PiElement(self.epsilon, self.r + self.w_eps() * other.r, self.s + other.s)
+        if self.epsilon != other.epsilon:
+            raise EpsilonMismatch(f"{self.epsilon} vs {other.epsilon}")
+        return PiElement(self.epsilon, *mul(self.epsilon, self.pair, other.pair))
 
     def inv(self) -> "PiElement":
-        return PiElement(self.epsilon, -self.w_eps() * self.r, -self.s)
+        return PiElement(self.epsilon, *inv(self.epsilon, self.pair))
 
     def __pow__(self, k: int) -> "PiElement":
         if k < 0:
@@ -74,8 +84,8 @@ class PiElement(Record):
         return f"({self.r},{self.s})"
 
 
-# the slots' setters, bound once: an element is built on every product and
-# inverse, and a setter call costs less than object.__setattr__
+# the slots' setters, bound once: an element is built on every projection,
+# and a setter call costs less than object.__setattr__
 _set_epsilon, _set_r, _set_s = PiElement.epsilon.__set__, PiElement.r.__set__, PiElement.s.__set__
 
 
@@ -91,4 +101,3 @@ def project(w: Word) -> PiElement:
         else:
             r += -exp if twisted and s & 1 else exp
     return PiElement(w.basis.epsilon, r, s)
-

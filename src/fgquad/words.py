@@ -52,9 +52,9 @@ class BasisTag(Record):
 
     def __init__(self, kind: Kind, epsilon: int) -> None:
         if epsilon not in (1, -1):
-            raise ValueError("epsilon must be +1 or -1")
+            raise InvalidSpec("epsilon must be +1 or -1")
         if kind not in ("classic", "adapted"):
-            raise ValueError("kind must be 'classic' or 'adapted'")
+            raise InvalidSpec("kind must be 'classic' or 'adapted'")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "epsilon", epsilon)
 

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from fgquad import BasisTag, PiElement, Word
+from fgquad import BasisTag, PiElement, RingElement, Word
 
 
 def random_word(rng: random.Random, basis: BasisTag, max_len: int = 8) -> Word:
@@ -18,6 +18,11 @@ def random_word(rng: random.Random, basis: BasisTag, max_len: int = 8) -> Word:
 
 def random_pi(rng: random.Random, epsilon: int, span: int = 8) -> PiElement:
     return PiElement(epsilon, rng.randint(-span, span), rng.randint(-span, span))
+
+
+def mono(g: PiElement, coeff: int = 1) -> RingElement:
+    """The ring element coeff * g, keyed by the (r, s) pair of the group element g."""
+    return RingElement.monomial(g.epsilon, g.pair, coeff)
 
 
 def syllable_lists(max_size: int = 8):

@@ -18,7 +18,9 @@ is kept too: orbit families built from group elements, pairwise membership
 tests, the augmentation that tests every term against every orbit family,
 and the squares decider that partitions the support pairwise;
 ``orbit_in_box`` lists orbit elements in a box for the box-oracle tests of
-the orbit layer.  ``naive_exact_power_of`` tries every power of
+the orbit layer.  These take group elements and check their epsilon against
+the action themselves, since the library's orbit layer takes ``(r, s)``
+pairs, which carry none.  ``naive_exact_power_of`` tries every power of
 the base in turn, and ``naive_beta_decide`` builds the whole set of
 pair candidates for every translation parameter before checking any, from
 window values and chain candidates that test each value's parity.
@@ -79,7 +81,7 @@ from fgquad import (
 from fgquad.derived import DecideResult, MixedCase
 from fgquad.errors import DomainMismatch, EpsilonMismatch
 from fgquad.groupring import alt_geom_terms, conjugate_power_product, geom_terms, relator_jacobian_alpha
-from fgquad.orbits import Action, Pair, _Translation, _check_eps
+from fgquad.orbits import _Translation
 from fgquad.wicks import WicksMatch
 
 
@@ -221,15 +223,15 @@ def naive_fox_derivative(w: Word, gen: str) -> RingElement:
     w = _adapted(w)
     eps = w.basis.epsilon
     idx = 0 if gen == "a" else 1
-    items: list[tuple[PiElement, int]] = []
+    items: list[tuple[tuple[int, int], int]] = []
     prefix = PiElement.identity(eps)
     for g, e in w.syls:
         base = PiElement(eps, 1, 0) if g == 0 else PiElement(eps, 0, 1)
         if g == idx:
             if e > 0:
-                items.extend((prefix * base**j, 1) for j in range(e))
+                items.extend(((prefix * base**j).pair, 1) for j in range(e))
             else:
-                items.extend((prefix * base ** (-j), -1) for j in range(1, -e + 1))
+                items.extend(((prefix * base ** (-j)).pair, -1) for j in range(1, -e + 1))
         prefix = prefix * base**e
     return RingElement.make(eps, items)
 
@@ -337,19 +339,19 @@ def naive_exact_divide(p: RingElement, d: RingElement) -> RingElement:
         raise NotDivisible("divisor must be the alpha-column Jacobian element")
     if p.is_zero:
         return RingElement.zero(eps)
-    s_min = min(g.s for g in p.terms)
-    lam_items: list[tuple[PiElement, int]] = []
+    s_min = min(s for _, s in p.terms)
+    lam_items: list[tuple[tuple[int, int], int]] = []
     current = p
     while not current.is_zero:
-        s_top = max(g.s for g in current.terms)
+        s_top = max(s for _, s in current.terms)
         if s_top < s_min + 1:
             raise NotDivisible("nonzero remainder in exact division")
-        row = [(g, c) for g, c in current.terms.items() if g.s == s_top]
+        row = [(r, c) for (r, s), c in current.terms.items() if s == s_top]
         if eps == 1:
-            lam_row = [(PiElement(1, g.r, s_top - 1), -c) for g, c in row]
+            lam_row = [((r, s_top - 1), -c) for r, c in row]
         else:
             sigma = -1 if (s_top - 1) % 2 else 1
-            lam_row = [(PiElement(-1, g.r - sigma, s_top - 1), c) for g, c in row]
+            lam_row = [((r - sigma, s_top - 1), c) for r, c in row]
         lam_items.extend(lam_row)
         current = current - RingElement.make(eps, lam_row) * d
     return RingElement.make(eps, lam_items)
@@ -357,10 +359,7 @@ def naive_exact_divide(p: RingElement, d: RingElement) -> RingElement:
 
 def relator_jacobian_beta(epsilon: int) -> RingElement:
     """Projected derivative of the relator by beta: alpha - 1 for both signs."""
-    return RingElement.make(
-        epsilon,
-        [(PiElement(epsilon, 1, 0), 1), (PiElement.identity(epsilon), -1)],
-    )
+    return RingElement.make(epsilon, [((1, 0), 1), ((0, 0), -1)])
 
 
 def naive_q_n(w: Word) -> RingElement:
@@ -455,6 +454,23 @@ def _hat_abs_odd_member(u: PiElement, head: PiElement, x: PiElement) -> bool:
     return (x.s - head.s) % un2 == 0
 
 
+Action = Union[HatAbs, _Translation]
+
+
+def _check_eps(action: Action, *elements: PiElement) -> None:
+    """The oracles' own epsilon check: the library's orbit layer takes
+    ``(r, s)`` pairs, which carry no epsilon."""
+    eps = action.u.epsilon if isinstance(action, HatAbs) else action.epsilon
+    for g in elements:
+        if g.epsilon != eps:
+            raise EpsilonMismatch("element epsilon does not match the action")
+
+
+def _elements(v: RingElement) -> list[tuple[PiElement, int]]:
+    """The terms of ``v`` as group elements, in their order."""
+    return [(PiElement(v.epsilon, r, s), c) for (r, s), c in v.terms.items()]
+
+
 def naive_same_orbit(action: Action, g: PiElement, h: PiElement) -> bool:
     """Orbit membership by testing ``h`` against each family through ``g``."""
     _check_eps(action, g, h)
@@ -470,14 +486,14 @@ def naive_same_orbit(action: Action, g: PiElement, h: PiElement) -> bool:
 
 def naive_orbit_parity(action: Action, v: RingElement, base: PiElement) -> int:
     """Plain mod-2 augmentation, one membership test per term."""
-    return sum(c for g, c in v.terms.items() if naive_same_orbit(action, base, g)) % 2
+    return sum(c for g, c in _elements(v) if naive_same_orbit(action, base, g)) % 2
 
 
 def naive_twisted_augment(action: Action, v: RingElement, base: PiElement) -> int:
     """Twisted augmentation over the orbit families of ``base``, term by term."""
     families = orbit_families(action, base)
     total = 0
-    for g, c in v.terms.items():
+    for g, c in _elements(v):
         signs = {f.sign for f in families if f.contains(g)}
         if len(signs) == 2:
             raise InconsistentSign(f"{g} resolves with both signs from base {base}")
@@ -501,13 +517,13 @@ def element_class(action: _Translation, g: PiElement) -> ElementClass:
     return ElementClass(g_tilde_regular=not singular, defective=defective)
 
 
-def translation_key(action: _Translation, g: PiElement) -> Pair:
+def translation_key(action: _Translation, g: PiElement) -> tuple[int, int]:
     """The least residue class ``(r, s mod period)`` over the family heads of
     the orbit of ``g``: two elements share an orbit exactly when their keys
     are equal."""
     _check_eps(action, g)
     period = action._period
-    return min((r, s % period) for (r, s), _ in action._heads((g.r, g.s)))
+    return min((r, s % period) for (r, s), _ in action._heads(g.pair))
 
 
 def naive_augment(action: Action, v: RingElement, base: PiElement) -> int:
@@ -535,7 +551,7 @@ def naive_squares_decide(case: MixedCase, v_elt: RingElement) -> DecideResult:
     action = HatAbs(case.c_bar**case.d)
     identity = PiElement.identity(case.epsilon)
     reps: list[PiElement] = []
-    for g in v2.support():
+    for g in (PiElement(case.epsilon, r, s) for r, s in v2.support()):
         if not any(naive_same_orbit(action, rep, g) for rep in reps):
             reps.append(g)
     trace["orbits"] = len(reps)
@@ -567,7 +583,7 @@ def naive_chain_candidates(n: int, ell: int, v_elt: RingElement) -> set[PiElemen
     two_n = 2 * abs(n)
     steps = abs(n) // ell
     out: set[PiElement] = set()
-    for x in v_elt.support():
+    for x in (PiElement(-1, r, s) for r, s in v_elt.support()):
         for base in (x, x.inv()):
             for r2 in range(steps):
                 target = base.s - 2 * ell * r2
@@ -585,9 +601,9 @@ def naive_chain_candidates(n: int, ell: int, v_elt: RingElement) -> set[PiElemen
 def naive_pair_candidates(n: int, ell: int, L: int, v_elt: RingElement, modulus: int) -> set[PiElement]:
     """Elements (m, 2k), m >= 0, 0 < 2k < ell, whose pair orbits can meet supp."""
     out: set[PiElement] = set()
-    for x in v_elt.support():
-        ms = {abs(x.r), L - x.r, x.r - L, L + x.r, -L - x.r}
-        s_targets = (x.s, -x.s, x.s - ell, -x.s - ell)
+    for r, s in v_elt.support():
+        ms = {abs(r), L - r, r - L, L + r, -L - r}
+        s_targets = (s, -s, s - ell, -s - ell)
         for target in s_targets:
             for s_val in naive_window_values(target, modulus, 0, ell):
                 if s_val % 2:
@@ -600,7 +616,7 @@ def naive_pair_candidates(n: int, ell: int, L: int, v_elt: RingElement, modulus:
 
 def augment_at(action: _Translation, v: RingElement, g: PiElement) -> int:
     """``augment`` at the ``(r, s)`` pair of the element ``g``."""
-    return augment(action, v, (g.r, g.s))
+    return augment(action, v, g.pair)
 
 
 def naive_pair_conditions(n: int, L: int, vd: RingElement) -> bool:
@@ -625,7 +641,7 @@ def naive_beta_decide(
     n = case.n
     ell = odd_part(n)
     vd = v_elt if case.kind == "eq2_nf" else v_elt.reduce_mod2()
-    r_alpha = max((abs(g.r) for g in vd.support()), default=0)
+    r_alpha = max((abs(r) for r, _ in vd.support()), default=0)
     bound = 2 * r_alpha + 1
     if window_override is not None:
         bound = max(bound, window_override)
@@ -703,7 +719,7 @@ def naive_exact_power_of(v: Word, base: Word) -> Optional[int]:
 def orbit_in_box(action: Action, g: PiElement, radius: int) -> set[PiElement]:
     """All orbit elements with |r| <= radius and |s| <= radius."""
     _check_eps(action, g)
-    eps = action.epsilon
+    eps = g.epsilon
     out: set[PiElement] = set()
     if isinstance(action, (Tilde, TildeL, HatL)):
         for fam in orbit_families(action, g):
@@ -878,7 +894,7 @@ def naive_alt_rep_word(eps: int, c: Word, D: int, ell: int) -> Word:
 
 def one_minus_pow(x: PiElement, k: int) -> RingElement:
     """The element 1 - x**k."""
-    return RingElement.make(x.epsilon, [(PiElement.identity(x.epsilon), 1), (x**k, -1)])
+    return RingElement.make(x.epsilon, [((0, 0), 1), ((x**k).pair, -1)])
 
 
 def _series(x: PiElement, terms: list[tuple[int, int]], divisor: RingElement, a: int) -> RingElement:
@@ -891,13 +907,13 @@ def _series(x: PiElement, terms: list[tuple[int, int]], divisor: RingElement, a:
     """
     if terms and x.is_identity:
         raise NotDivisible("ratio base must not be the identity")
-    items: list[tuple[PiElement, int]] = []
+    items: list[tuple[tuple[int, int], int]] = []
     power, at, steps = PiElement.identity(x.epsilon), 0, {}
     for e, sign in terms:
         if e - at not in steps:
             steps[e - at] = x ** (e - at)
         power, at = power * steps[e - at], e
-        items.append((power, sign))
+        items.append((power.pair, sign))
     result = RingElement.make(x.epsilon, items)
     if result * divisor != one_minus_pow(x, a):
         raise NotDivisible("geometric expansion failed verification")
@@ -916,7 +932,7 @@ def geom_ratio(x: PiElement, a: int, b: int) -> RingElement:
 def alt_geom_ratio(x: PiElement, two_d: int, ell: int) -> RingElement:
     """(1 - x**two_d) / (1 + x**ell) as the alternating two-branch sum."""
     terms = alt_geom_terms(two_d, ell)
-    one_plus = RingElement.make(x.epsilon, [(PiElement.identity(x.epsilon), 1), (x**ell, 1)])
+    one_plus = RingElement.make(x.epsilon, [((0, 0), 1), ((x**ell).pair, 1)])
     return _series(x, terms, one_plus, two_d)
 
 
@@ -942,7 +958,7 @@ def q_nf_commutator(
     rights = [(project(v), m) for v, m in right]
     eps = (lefts or rights)[0][0].epsilon if (lefts or rights) else 1
     items = [
-        (ubar.inv() * vbar, n * m)
+        ((ubar.inv() * vbar).pair, n * m)
         for ubar, n in lefts
         for vbar, m in rights
     ]
@@ -957,10 +973,10 @@ def naive_q_classes(v: RingElement) -> dict[frozenset[PiElement], int]:
     only whether a value is zero, or even, is fixed.
     """
     out: dict[frozenset[PiElement], int] = {}
-    for g, c in v.terms.items():
+    for g, c in _elements(v):
         pair = frozenset((g, g.inv()))
         if not g.is_identity and pair not in out:
-            out[pair] = c - v.terms.get(g.inv(), 0)
+            out[pair] = c - v.terms.get(g.inv().pair, 0)
     return out
 
 

@@ -108,6 +108,26 @@ def test_import_loads_no_code_generating_modules():
     assert done.stdout == "[]\n"
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: fgquad.PiElement(0, 1, 2),
+        lambda: fgquad.BasisTag("adapted", 0),
+        lambda: fgquad.BasisTag("canonical", 1),
+        lambda: fgquad.odd_part(0),
+        lambda: fgquad.HatAbs(fgquad.PiElement(-1, 0, 1)),
+        lambda: fgquad.Tilde(0),
+        lambda: fgquad.fox_derivative(fgquad.Word.identity(fgquad.BasisTag.adapted(1)), "c"),
+    ],
+    ids=["PiElement", "BasisTag-epsilon", "BasisTag-kind", "odd_part", "HatAbs", "Tilde", "fox_derivative"],
+)
+def test_parameter_out_of_domain_is_a_typed_error(build):
+    # every failure is an FgquadError; a bad parameter is still a ValueError
+    with pytest.raises(fgquad.InvalidSpec) as exc:
+        build()
+    assert isinstance(exc.value, fgquad.FgquadError) and isinstance(exc.value, ValueError)
+
+
 def test_records_refuse_assignment_and_deletion():
     records = [
         (fgquad.Word.identity(fgquad.BasisTag.adapted(1)), "syls"),

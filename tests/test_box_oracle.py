@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from conftest import random_pi
+from conftest import mono, random_pi
 from fgquad import MixedCase, PiElement, RingElement, p_q, second_decide
 from fgquad.orbits import odd_part
 from oracles import geom_ratio
@@ -20,7 +20,7 @@ from oracles import geom_ratio
 
 def _q_support(elt: RingElement) -> frozenset:
     q = p_q(elt.reduce_mod2())
-    return frozenset((g.r, g.s) for g in q.terms)
+    return frozenset(q.terms)
 
 
 def _gf2_member(target: frozenset, generators: list[frozenset]) -> bool:
@@ -67,10 +67,10 @@ class TestSquaresBoxOracle:
 
     def _generators(self, case: MixedCase, radius: int) -> list[frozenset]:
         u = case.c_bar**case.d
-        one_minus_u = RingElement.one(case.epsilon) - RingElement.monomial(u)
+        one_minus_u = RingElement.one(case.epsilon) - mono(u)
         gens = []
         for g in _box_elements(case.epsilon, radius):
-            sup = _q_support(RingElement.monomial(g) * one_minus_u)
+            sup = _q_support(mono(g) * one_minus_u)
             if sup:
                 gens.append(sup)
         return gens
@@ -86,7 +86,7 @@ class TestSquaresBoxOracle:
             case = MixedCase(kind, n=n, m=m)
             v = RingElement.make(
                 case.epsilon,
-                [(random_pi(rng, case.epsilon, 3), rng.randint(0, 2)) for _ in range(3)],
+                [(random_pi(rng, case.epsilon, 3).pair, rng.randint(0, 2)) for _ in range(3)],
             )
             checked += 1
             target = _q_support(v)
@@ -124,7 +124,7 @@ class TestBetaPowerBoxOracle:
         target = _q_support(v + self._correction(n, L))
         gens = []
         for g in _box_elements(-1, radius):
-            sup = _q_support(RingElement.monomial(g) * ratio)
+            sup = _q_support(mono(g) * ratio)
             if sup:
                 gens.append(sup)
         return _gf2_member(target, gens)
@@ -137,7 +137,7 @@ class TestBetaPowerBoxOracle:
             n = rng.choice([-2, -1, 1, 2, 3])
             case = MixedCase("eq4_f", n=n)
             v = RingElement.make(
-                -1, [(random_pi(rng, -1, 2), rng.randint(0, 1)) for _ in range(3)]
+                -1, [(random_pi(rng, -1, 2).pair, rng.randint(0, 1)) for _ in range(3)]
             )
             checked += 1
             decider = second_decide(case, v).solvable
@@ -161,9 +161,7 @@ class TestBetaPowerBoxOracle:
         ]
         for n, terms in cases:
             case = MixedCase("eq4_f", n=n)
-            v = RingElement.make(
-                -1, [(PiElement(-1, r, s), c) for (r, s), c in terms]
-            )
+            v = RingElement.make(-1, terms)
             result = second_decide(case, v)
             if result.solvable:
                 continue

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import ADAPTED_MINUS, ADAPTED_PLUS, random_pi, random_word
+from conftest import ADAPTED_MINUS, ADAPTED_PLUS, mono, random_pi, random_word
 from fgquad import (
     BasisTag,
     CaseMismatch,
@@ -28,7 +28,7 @@ from oracles import alt_geom_ratio, geom_ratio, naive_alt_rep_word, naive_geom_r
 
 
 def ring(eps, *terms):
-    return RingElement.make(eps, [(PiElement(eps, r, s), c) for (r, s), c in terms])
+    return RingElement.make(eps, terms)
 
 
 SPEC_2NF = EquationSpec(1, -1, -1, "nonfaithful", "adapted_xy")
@@ -209,8 +209,8 @@ class TestNecessity:
                 found = True
                 xtilde, ybar = q_n(x), project(y)
                 one = RingElement.one(spec.epsilon)
-                lhs = (one - RingElement.monomial(ybar, spec.delta)) * xtilde
-                rhs = one + RingElement.monomial(vbar, spec.theta)
+                lhs = (one - mono(ybar, spec.delta)) * xtilde
+                rhs = one + mono(vbar, spec.theta)
                 assert lhs == rhs
                 assert rank1_check(vbar, ybar, spec.delta, spec.theta) is not None
             if found:
@@ -269,14 +269,14 @@ class TestSecondDecideSquares:
             eps = case.epsilon
             u = case.c_bar**case.d
             z = RingElement.make(
-                eps, [(random_pi(rng, eps, 4), rng.randint(-2, 2)) for _ in range(3)]
+                eps, [(random_pi(rng, eps, 4).pair, rng.randint(-2, 2)) for _ in range(3)]
             )
-            v = (RingElement.one(eps) - RingElement.monomial(u)) * z
+            v = (RingElement.one(eps) - mono(u)) * z
             for _ in range(rng.randint(0, 3)):
                 g = random_pi(rng, eps, 4)
                 if g.is_identity:
                     continue
-                v = v + RingElement.monomial(g) + RingElement.monomial(g.inv())
+                v = v + mono(g) + mono(g.inv())
             result = second_decide(case, v)
             assert result.solvable and result.ell == case.d
             hits += 1
@@ -290,9 +290,9 @@ class TestSecondDecideSquares:
                 continue
             case = MixedCase(kind, n=n, m=m)
             g = random_pi(rng, case.epsilon, 5)
-            if same_orbit(HatAbs(case.c_bar**case.d), g, PiElement.identity(case.epsilon)):
+            if same_orbit(HatAbs(case.c_bar**case.d), g.pair, (0, 0)):
                 continue
-            result = second_decide(case, RingElement.monomial(g))
+            result = second_decide(case, mono(g))
             assert not result.solvable and result.certificate is not None
             hits += 1
 
@@ -311,7 +311,7 @@ class TestSecondDecideSquares:
         monkeypatch.setattr(derived, "orbit_key", counting)
         case = MixedCase(kind, n=n, m=m)
         eps = case.epsilon
-        v = RingElement.make(eps, [(PiElement(eps, r, s), 1) for r in range(-12, 13) for s in range(-12, 13)])
+        v = RingElement.make(eps, [((r, s), 1) for r in range(-12, 13) for s in range(-12, 13)])
         result = derived._squares_decide(case, v)
         assert result.trace["orbits"] > 20
         assert calls <= 2 * len(v.terms) + 1
@@ -325,17 +325,17 @@ class TestSecondDecideSquares:
             case = MixedCase(kind, n=n, m=m)
             eps = case.epsilon
             v = RingElement.make(
-                eps, [(random_pi(rng, eps, 4), rng.randint(-2, 2)) for _ in range(3)]
+                eps, [(random_pi(rng, eps, 4).pair, rng.randint(-2, 2)) for _ in range(3)]
             )
             base = second_decide(case, v).solvable
             u = case.c_bar**case.d
             z = RingElement.make(
-                eps, [(random_pi(rng, eps, 4), rng.randint(-2, 2)) for _ in range(2)]
+                eps, [(random_pi(rng, eps, 4).pair, rng.randint(-2, 2)) for _ in range(2)]
             )
-            perturbed = v + (RingElement.one(eps) - RingElement.monomial(u)) * z
+            perturbed = v + (RingElement.one(eps) - mono(u)) * z
             g = random_pi(rng, eps, 4)
             if not g.is_identity:
-                perturbed = perturbed + RingElement.monomial(g) + RingElement.monomial(g.inv())
+                perturbed = perturbed + mono(g) + mono(g.inv())
             assert second_decide(case, perturbed).solvable == base
 
 
@@ -359,7 +359,7 @@ class TestSecondDecideBetaPowers:
             alpha = PiElement(-1, 1, 0)
             ratio = geom_ratio(c_star, 2 * n // ell, 1)
             z = RingElement.make(
-                -1, [(random_pi(rng, -1, 3), rng.randint(-2, 2)) for _ in range(3)]
+                -1, [(random_pi(rng, -1, 3).pair, rng.randint(-2, 2)) for _ in range(3)]
             )
             if n % 2 == 0:
                 c1 = RingElement.zero(-1)
@@ -369,14 +369,14 @@ class TestSecondDecideBetaPowers:
                 if n > 0:
                     c1 = base
                 else:
-                    c1 = RingElement.monomial(PiElement(-1, l0, -n), -1) * base
+                    c1 = mono(PiElement(-1, l0, -n), -1) * base
                 d_term = -base
             v = ratio * (z + c1) + d_term
             for _ in range(rng.randint(0, 2)):
                 g = random_pi(rng, -1, 3)
                 if g.is_identity:
                     continue
-                v = v + RingElement.monomial(g) + RingElement.monomial(g.inv())
+                v = v + mono(g) + mono(g.inv())
             result = second_decide(case, v)
             assert result.solvable, f"{case.label()} L0={l0} V={v}"
             hits += 1
@@ -398,18 +398,18 @@ class TestSecondDecideBetaPowers:
             n = rng.choice([-3, -2, -1, 1, 2, 3, 4])
             case = MixedCase(kind, n=n)
             v = RingElement.make(
-                -1, [(random_pi(rng, -1, 3), rng.randint(-2, 2)) for _ in range(3)]
+                -1, [(random_pi(rng, -1, 3).pair, rng.randint(-2, 2)) for _ in range(3)]
             )
             base = second_decide(case, v).solvable
             w = RingElement.make(
-                -1, [(random_pi(rng, -1, 3), rng.randint(-2, 2)) for _ in range(2)]
+                -1, [(random_pi(rng, -1, 3).pair, rng.randint(-2, 2)) for _ in range(2)]
             )
             beta = PiElement(-1, 0, 1)
             perturbed = v + one_minus_pow(beta, 2 * n) * w
-            perturbed = perturbed + RingElement.monomial(PiElement.identity(-1), rng.randint(-2, 2))
+            perturbed = perturbed + mono(PiElement.identity(-1), rng.randint(-2, 2))
             g = random_pi(rng, -1, 3)
             if not g.is_identity:
-                perturbed = perturbed + RingElement.monomial(g) + RingElement.monomial(g.inv())
+                perturbed = perturbed + mono(g) + mono(g.inv())
             assert second_decide(case, perturbed).solvable == base, (
                 f"{case.label()} V={v} perturbed={perturbed}"
             )

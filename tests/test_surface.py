@@ -14,6 +14,7 @@ from fgquad import (
     relator_in,
     sgn,
 )
+from fgquad.surface import inv, mul
 from oracles import apply_phi
 
 
@@ -47,6 +48,25 @@ class TestProject:
     def test_orientation_is_read_from_the_projection(self, w):
         # table_branch is given the orientation of v as project(v).w_eps()
         assert project(w).w_eps() == sgn(w)
+
+
+class TestProductRule:
+    def test_pairs_multiply_and_invert_as_words(self, rng):
+        # the one product rule on (r, s) pairs is the image of the word
+        # product and inverse under the projection, which walks syllables
+        # and multiplies nothing
+        for eps in (1, -1):
+            basis = BasisTag.adapted(eps)
+            for _ in range(500):
+                u, w = random_word(rng, basis), random_word(rng, basis)
+                assert mul(eps, project(u).pair, project(w).pair) == project(u * w).pair
+                assert inv(eps, project(u).pair) == project(u.inv()).pair
+
+    def test_klein_twist(self):
+        assert mul(-1, (0, 1), (1, 0)) == (-1, 1)
+        assert mul(1, (0, 1), (1, 0)) == (1, 1)
+        assert inv(-1, (1, 1)) == (1, -1)
+        assert inv(1, (1, 1)) == (-1, -1)
 
 
 class TestPiAlgebra:

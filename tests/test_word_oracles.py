@@ -357,7 +357,7 @@ def ring_elements(draw, eps: int, span: int = 8, mod: int = 0, far: int = 200) -
             max_size=12,
         )
     )
-    return RingElement.make(eps, [(PiElement(eps, r, s), c) for r, s, c in terms], mod)
+    return RingElement.make(eps, [((r, s), c) for r, s, c in terms], mod)
 
 
 def result_or_error(fn, *args):
@@ -412,7 +412,7 @@ class TestAugment:
     def test_twisted_bases(self, two_actions, elements, bases):
         # bases off and on the support, where the sums are mostly nonzero
         twisted = []
-        for base in [PiElement(-1, r, s) for r, s in bases] + list(elements[0].terms):
+        for base in [PiElement(-1, r, s) for r, s in bases + list(elements[0].terms)]:
             for action in two_actions:
                 cls = element_class(action, base)
                 if cls.g_tilde_regular if isinstance(action, Tilde) else not cls.defective:
@@ -422,7 +422,7 @@ class TestAugment:
         # the first again
         for v in elements + elements[:1]:
             for action, base in twisted:
-                got = result_or_error(augment, action, v, (base.r, base.s))
+                got = result_or_error(augment, action, v, base.pair)
                 assert got == result_or_error(naive_twisted_augment, action, v, base)
 
 @st.composite
@@ -440,8 +440,8 @@ def random_augment_case(rng: random.Random):
     n, L = rng.choice([1, -1, 2, 3, -3, 4, 5, 6]), rng.randint(-3, 3)
     action = rng.choice([Tilde(n), TildeL(n, L), HatL(n, L)])
     base = PiElement(-1, rng.randint(-5, 5), rng.randint(-5, 5))
-    terms = [(PiElement(-1, rng.randint(-5, 5), rng.randint(-5, 5)), rng.randint(-2, 2)) for _ in range(6)]
-    v = RingElement.make(-1, terms + [(base, 1)], mod=rng.choice([0, 2]))
+    terms = [((rng.randint(-5, 5), rng.randint(-5, 5)), rng.randint(-2, 2)) for _ in range(6)]
+    v = RingElement.make(-1, terms + [(base.pair, 1)], mod=rng.choice([0, 2]))
     return action, v, base
 
 
@@ -453,9 +453,9 @@ class TestEveryAugmentation:
     def test_against_oracle(self, case):
         kinds, elements, bases = case
         for v in elements:
-            for base in bases + list(v.terms):
+            for base in bases + [PiElement(-1, r, s) for r, s in v.terms]:
                 for action in kinds:
-                    got = result_or_error(augment, action, v, (base.r, base.s))
+                    got = result_or_error(augment, action, v, base.pair)
                     assert got == result_or_error(naive_augment, action, v, base)
 
     def test_every_outcome_is_reached(self):
@@ -465,7 +465,7 @@ class TestEveryAugmentation:
         seen: Counter = Counter()
         for _ in range(3000):
             action, v, base = random_augment_case(rng)
-            got = result_or_error(augment, action, v, (base.r, base.s))
+            got = result_or_error(augment, action, v, base.pair)
             assert got == result_or_error(naive_augment, action, v, base)
             defective = element_class(action, base).defective
             seen[type(action).__name__, got[0], defective] += 1
@@ -503,7 +503,7 @@ def squares_cases(draw):
     terms = []
     for g, k, inverse, right, c in draw(st.lists(spread, max_size=10)):
         g = g.inv() if inverse else g
-        terms.append((g * u**k if right else u**k * g, c))
+        terms.append(((g * u**k if right else u**k * g).pair, c))
     v = draw(ring_elements(eps, span=6, far=12)) + RingElement.make(eps, terms)
     return case, v
 
@@ -521,9 +521,9 @@ def beta_terms(ell: int, pieces):
     lower lets even n get past the chain condition to the pair conditions."""
     terms = []
     for r, s, c, partner in pieces:
-        terms.append((PiElement(-1, r, s), c))
+        terms.append(((r, s), c))
         if partner:
-            terms.append((PiElement(-1, r, s + 2 * ell * partner), c))
+            terms.append(((r, s + 2 * ell * partner), c))
     return terms
 
 
@@ -549,7 +549,7 @@ def random_beta_case(rng: random.Random):
 def searched_element(case: MixedCase, v: RingElement) -> tuple[RingElement, int]:
     """The element the translation search augments, and its largest |r|."""
     vd = v if case.kind == "eq2_nf" else v.reduce_mod2()
-    return vd, max((abs(g.r) for g in vd.support()), default=0)
+    return vd, max((abs(r) for r, _ in vd.support()), default=0)
 
 
 def assert_window_complete(case: MixedCase, v: RingElement) -> None:
@@ -594,7 +594,7 @@ class TestBetaDecide:
     def test_chain_candidates(self, args):
         case, v = args
         ell = odd_part(case.n)
-        assert _chain_candidates(case.n, ell, v) == {(g.r, g.s) for g in naive_chain_candidates(case.n, ell, v)}
+        assert _chain_candidates(case.n, ell, v) == {g.pair for g in naive_chain_candidates(case.n, ell, v)}
 
     def test_every_outcome_is_reached(self):
         # the seeded cases reach exhausted windows of both parities, solvable
@@ -690,8 +690,8 @@ class TestBetaDecide:
         # without the |L + r| m-value would accept L = 1, where
         # test_box_oracle finds no box solution
         case = MixedCase("eq4_f", n=3)
-        v = RingElement.make(-1, [(PiElement(-1, -2, -1), 1)])
-        failing = {(g.r, g.s) for g in naive_pair_candidates(3, 3, 1, v, 6) if augment(HatL(3, 1), v, (g.r, g.s))}
+        v = RingElement.make(-1, [((-2, -1), 1)])
+        failing = {g.pair for g in naive_pair_candidates(3, 3, 1, v, 6) if augment(HatL(3, 1), v, g.pair)}
         assert failing == {(3, 2)}
         result = _beta_decide(case, v)
         assert result == naive_beta_decide(case, v, None)

@@ -119,8 +119,8 @@ def test_exhausted_translation_window():
     # 400 terms with |r| <= 200: the window [-401, 401] holds 803 parameters,
     # none of which satisfies the conditions
     rng = random.Random(3)
-    terms = [(PiElement(-1, rng.randint(-200, 200), rng.randint(-40, 40)), 1) for _ in range(399)]
-    v = RingElement.make(-1, terms + [(PiElement(-1, 200, 1), 1)])
+    terms = [((rng.randint(-200, 200), rng.randint(-40, 40)), 1) for _ in range(399)]
+    v = RingElement.make(-1, terms + [((200, 1), 1)])
     start = perf_counter()
     result = second_decide(MixedCase("eq2_nf", n=3), v)
     assert perf_counter() - start < 0.3
@@ -171,21 +171,32 @@ def test_two_squares_matcher_on_a_core_of_400_letters():
 def test_q_n_of_a_long_conjugate_product(monkeypatch):
     # 2000 factors (u R u^-1)^n, about 23k letters: one walk, then the division
     # and the beta-column check on integer pairs, with no group-ring product
-    # or sum built on the way
+    # or sum built on the way.  The result holds the division's pair dict as
+    # it is: no make pass over its terms, and no group element but the one
+    # projection of w
     rng = random.Random(2000)
     factors = [(random_word(rng, ADAPTED_MINUS, 5), rng.choice((-2, -1, 1, 2))) for _ in range(2000)]
     w = conjugate_power_product(-1, factors)
     assert len(w) > 20000
-    expected = RingElement.make(-1, [(project(u), n) for u, n in factors])
+    expected = RingElement.make(-1, [(project(u).pair, n) for u, n in factors])
+    elements = 0
+    build = PiElement.__init__
+
+    def counting(self, *args):
+        nonlocal elements
+        elements += 1
+        build(self, *args)
 
     def refuse(*args):
         raise AssertionError("group-ring arithmetic inside q_n")
 
     monkeypatch.setattr(RingElement, "__mul__", refuse)
     monkeypatch.setattr(RingElement, "make", staticmethod(refuse))
+    monkeypatch.setattr(PiElement, "__init__", counting)
     start = perf_counter()
     got = q_n(w)
     assert perf_counter() - start < 1.0
+    assert elements == 1
     assert got == expected
 
 
