@@ -8,24 +8,33 @@ back to the original equation and substitution-verified once, when the
 search records it.
 
 The matcher walks the n shifts of an n-letter core and yields its matches
-one shift at a time, each shift's sorted by form and then part words.  At a
-shift each form has its own loop over the part lengths (h = n/2 letters per
-half), and each repeated part is one compare of signed letter codes, made as
-soon as the lengths it depends on are fixed, so a failed compare skips every
-layout that shares that part.  In ``a b c a^-1 b^-1 c^-1`` and
-``a a b c c b^-1`` the second ``a`` (``a^-1`` in the first) depends on |a|
-alone, so a failed one drops all h - |a| + 1 layouts of that length;
-``d e d^-1 e^-1`` has h + 1 layouts.  For a fixed |a| two compares are
-monotone in |b|: the second ``b`` of ``a b c b a c^-1`` starts at h and the
-first at |a|, a prefix compare, and the ``b^-1`` that ends
-``a a b c c b^-1`` inverts ``b`` from its first letter, a suffix compare, so
-a failure at one |b| is a failure at every longer one.  Each is extended by
-one letter per |b| and its first failure ends the loop, so the loop runs
-1 + lce times, lce being the longest common extension of the two
-positions, instead of h - |a| + 1: a two-squares shift costs O(h)
-part-length steps on a core whose extensions are short, not O(h^2).  The
-commutator kind still tries every |b| for each |a| whose ``a^-1`` matches.
-Part words are built only for a match.
+one shift at a time, each shift's sorted by form and then part words.  Each
+form splits the two halves of the shifted core (h = n/2 letters each) into
+its parts; part words are built only for a match.
+
+In the commutator kind every part is followed, h letters on, by its
+inverse, which makes it a valid piece.  ``_pieces`` finds the valid pieces
+of a core once, in O(n + pieces) letter compares, where trying every |a|
+and |b| at every shift compared O(n h^2) slices.  At a shift,
+``a b c a^-1 b^-1 c^-1`` visits only the valid a-pieces at the shift and the
+valid b-pieces after them, and tests c with one lookup; ``d e d^-1 e^-1``
+tests e the same way after each valid d-piece.
+
+In the two-squares kind each form has its own loop over the part lengths,
+and each repeated part is one compare of signed letter codes, made as soon
+as the lengths it depends on are fixed and led by a compare of its first
+letter, so most failed compares build no slice and a failed one skips every
+layout that shares that part.  The second ``a`` of ``a a b c c b^-1``
+depends on |a| alone, so a failed one drops all h - |a| + 1 layouts of that
+length.  For a fixed |a| two compares are monotone in |b|: the second ``b``
+of ``a b c b a c^-1`` starts at h and the first at |a|, a prefix compare,
+and the ``b^-1`` that ends ``a a b c c b^-1`` inverts ``b`` from its first
+letter, a suffix compare, so a failure at one |b| is a failure at every
+longer one.  Each is extended by one letter per |b| and its first failure
+ends the loop, so the loop runs 1 + lce times, lce being the longest common
+extension of the two positions, instead of h - |a| + 1: a two-squares shift
+costs O(h) part-length steps on a core whose extensions are short, and up to
+O(h^2) on a periodic one.
 
 ``wicks_search`` given a wanted class stops at the first verified solution
 of that class (``classify`` does this); a run that finds none has walked
@@ -82,45 +91,89 @@ class WicksMatch(NamedTuple):
 
 
 _Span = tuple[str, int, int]  # a part's name, start in the doubled core and length
+_Pieces = tuple[list[int], list[list[int]]]  # each centre's reach, each position's valid lengths
+
+
+def _pieces(code: list[int], n: int) -> _Pieces:
+    """The valid pieces of an ``n``-letter core, for the commutator kind:
+    each centre's reach and each position's valid lengths, ascending.
+
+    ``(p, k)`` is a valid piece when ``code[p + h : p + h + k]`` inverts
+    ``code[p : p + k]``, positions taken mod n.  ``(p - 1, k + 2)`` is valid
+    exactly when ``(p, k)`` is valid, ``code[p - 1 + h] == -code[p + k]`` and
+    ``code[p + h + k] == -code[p - 1]``, so the valid pieces of the centre
+    ``c = 2p + k (mod 2n)`` are those of its parity up to its reach
+    ``reach[c]``.  Each centre is seeded with the empty piece (c even) or the
+    one-letter one (c odd; reach -1 when that fails) and grown until its first
+    failing pair.  No chain gets to h letters, so none needs a bound: a piece
+    of h letters makes the core u u^-1 up to rotation, with two cancelling
+    pairs of adjacent letters where a freely reduced word has at most one
+    (across its ends), and growing a piece of h - 1 letters to h + 1 would
+    need a letter to invert itself.
+    """
+    h = n // 2
+    reach: list[int] = []
+    lengths: list[list[int]] = [[] for _ in range(n)]
+    for c in range(2 * n):
+        p, k = divmod(c, 2)
+        if k and code[p + h] != -code[p]:
+            reach.append(-1)
+            continue
+        lengths[p].append(k)
+        # p goes below 0 as the piece wraps: negative indices read the
+        # doubled code and the positions mod n
+        while code[p - 1 + h] == -code[p + k] and code[p + h + k] == -code[p - 1]:
+            p, k = p - 1, k + 2
+            lengths[p].append(k)
+        reach.append(k)
+    for row in lengths:
+        row.sort()
+    return reach, lengths
 
 
 def _layouts(
-    code: list[int], inverse: list[int], s: int, n: int, kind: Kind
+    code: list[int], inverse: list[int], pieces: Optional[_Pieces], s: int, n: int
 ) -> Iterator[tuple[FormName, tuple[_Span, ...]]]:
     """The matching layouts at shift ``s``: each one's form and its parts'
     spans, sorted by name.
 
     ``code[s : s + n]`` is the shifted core and ``inverse[t - x - k : t - x]``
-    inverts ``code[s + x : s + x + k]``.
+    inverts ``code[s + x : s + x + k]``.  ``pieces`` is the core's ``_pieces``
+    for the commutator kind and None for the two-squares kind.
     """
     h, t, m, end = n // 2, 2 * n - s, s + n // 2, s + n
-    if kind == "commutator":
-        for i in range(h + 1):
-            # a b c a^-1 b^-1 c^-1: a^-1 at h depends on |a| alone
-            if code[m : m + i] != inverse[t - i : t]:
-                continue
-            for j in range(h - i + 1):
-                if (
-                    code[m + i : m + i + j] == inverse[t - i - j : t - i]
-                    and code[m + i + j : end] == inverse[t - h : t - i - j]
-                ):
-                    yield "orientable_abc", (("a", s, i), ("b", s + i, j), ("c", s + i + j, h - i - j))
-        for i in range(h + 1):
-            # d e d^-1 e^-1
-            if code[m : m + i] == inverse[t - i : t] and code[m + i : end] == inverse[t - h : t - i]:
+    if pieces is not None:
+        # a part and its inverse h letters on form a valid piece, found by
+        # its length or by one lookup of its centre's reach
+        reach, lengths = pieces
+        for i in lengths[s]:
+            # a b c a^-1 b^-1 c^-1: pieces (s, |a|), (s + |a|, |b|), then c
+            for j in lengths[(s + i) % n]:
+                k = h - i - j
+                if k < 0:
+                    break
+                if reach[(2 * s + i + j + h) % (2 * n)] >= k:
+                    yield "orientable_abc", (("a", s, i), ("b", s + i, j), ("c", s + i + j, k))
+        for i in lengths[s]:
+            # d e d^-1 e^-1: pieces (s, |d|), then e
+            if reach[(2 * s + i + h) % (2 * n)] >= h - i:
                 yield "orientable_de", (("d", s, i), ("e", s + i, h - i))
         return
+    # each repeated part's first letter is compared before its slice
+    a0, c0 = code[s], -code[m - 1]  # the first letters of a and of the c^-1 in a b c b a c^-1
     for i in range(h + 1):
         # a b c b a c^-1: the second b at h is a prefix compare, grown by
         # one letter per |b|; the first |b| it fails at ends the loop
         for j in range(h - i + 1):
             if j and code[m + j - 1] != code[s + i + j - 1]:
                 break
+            if i and code[m + j] != a0 or i + j < h and code[m + i + j] != c0:
+                continue
             if code[m + j : m + j + i] == code[s : s + i] and code[m + i + j : end] == inverse[t - h : t - i - j]:
                 yield "nonorientable_abcbac", (("a", s, i), ("b", s + i, j), ("c", s + i + j, h - i - j))
     for i in range(h + 1):
         # a a b c c b^-1: the second a depends on |a| alone
-        if code[s + i : s + 2 * i] != code[s : s + i]:
+        if i and code[s + i] != a0 or code[s + i : s + 2 * i] != code[s : s + i]:
             continue
         # b^-1 at the end is a suffix compare, grown by one letter per |b|;
         # the first |b| it fails at ends the loop
@@ -128,6 +181,8 @@ def _layouts(
             if j and code[end - j] != inverse[t - 2 * i - j]:
                 break
             c, k = s + 2 * i + j, h - i - j  # the first c and its length
+            if k and code[c + k] != code[c]:
+                continue
             if code[c + k : end - j] == code[c : c + k]:
                 yield "nonorientable_aabcc", (("a", s, i), ("b", s + 2 * i, j), ("c", c, k))
 
@@ -142,11 +197,12 @@ def _matches(w: Word, kind: Kind) -> Iterator[WicksMatch]:
     doubled = letters + letters
     code = [(g + 1) * e for g, e in doubled]
     inverse = [-c for c in reversed(code)]
+    pieces = _pieces(code, n) if kind == "commutator" else None
     for shift in range(n):
         u_prefix: Optional[Word] = None
         found: list[WicksMatch] = []
         # no dedupe: two layouts of a form differ in some part's length
-        for form, spans in _layouts(code, inverse, shift, n, kind):
+        for form, spans in _layouts(code, inverse, pieces, shift, n):
             if u_prefix is None:
                 u_prefix = Word.from_syllables(w.basis, letters[:shift])
             parts = {name: Word.from_syllables(w.basis, doubled[start : start + k]) for name, start, k in spans}

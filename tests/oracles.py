@@ -32,7 +32,12 @@ module docstring of ``fgquad.wicks``, so a wrong layout in the library
 cannot hide in both.
 It admits empty parts unless told otherwise, as the library matcher does, so
 it can stand in for it; ``nonempty`` keeps the matches with every part
-nonempty.  ``naive_geom_rep_word`` and ``naive_alt_rep_word`` are the
+nonempty.  ``reference_layouts`` is the library matcher's layout loop before
+the commutator kind read its parts off a table of valid pieces: it tries
+every |b| for each |a| whose ``a^-1`` matches, comparing slices, and the
+two-squares kind compares each part's slice with no first-letter test.  It
+is fast enough for the cores of hundreds of letters that the naive matcher
+cannot take.  ``naive_geom_rep_word`` and ``naive_alt_rep_word`` are the
 representative words of the first derived equation as they were written
 before the geometric series became one term list: each series spelled out as
 a word, apart from its ring sum.  ``geom_ratio`` and ``alt_geom_ratio`` are
@@ -57,7 +62,7 @@ whose orbits ``augment`` sums over without keying them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from fgquad import (
     BasisTag,
@@ -864,6 +869,54 @@ def naive_wicks_decompositions(w: Word, kind: str, allow_empty: bool = True) -> 
 def nonempty(matches: list[WicksMatch]) -> list[WicksMatch]:
     """The matches whose parts are all nonempty (no degenerate form)."""
     return [m for m in matches if all(not p.is_identity for p in m.parts.values())]
+
+
+def reference_layouts(
+    code: list[int], inverse: list[int], s: int, n: int, kind: str
+) -> Iterator[tuple[str, tuple[tuple[str, int, int], ...]]]:
+    """The matching layouts at shift ``s``: each one's form and its parts'
+    spans, sorted by name.
+
+    ``code[s : s + n]`` is the shifted core and ``inverse[t - x - k : t - x]``
+    inverts ``code[s + x : s + x + k]``.
+    """
+    h, t, m, end = n // 2, 2 * n - s, s + n // 2, s + n
+    if kind == "commutator":
+        for i in range(h + 1):
+            # a b c a^-1 b^-1 c^-1: a^-1 at h depends on |a| alone
+            if code[m : m + i] != inverse[t - i : t]:
+                continue
+            for j in range(h - i + 1):
+                if (
+                    code[m + i : m + i + j] == inverse[t - i - j : t - i]
+                    and code[m + i + j : end] == inverse[t - h : t - i - j]
+                ):
+                    yield "orientable_abc", (("a", s, i), ("b", s + i, j), ("c", s + i + j, h - i - j))
+        for i in range(h + 1):
+            # d e d^-1 e^-1
+            if code[m : m + i] == inverse[t - i : t] and code[m + i : end] == inverse[t - h : t - i]:
+                yield "orientable_de", (("d", s, i), ("e", s + i, h - i))
+        return
+    for i in range(h + 1):
+        # a b c b a c^-1: the second b at h is a prefix compare, grown by
+        # one letter per |b|; the first |b| it fails at ends the loop
+        for j in range(h - i + 1):
+            if j and code[m + j - 1] != code[s + i + j - 1]:
+                break
+            if code[m + j : m + j + i] == code[s : s + i] and code[m + i + j : end] == inverse[t - h : t - i - j]:
+                yield "nonorientable_abcbac", (("a", s, i), ("b", s + i, j), ("c", s + i + j, h - i - j))
+    for i in range(h + 1):
+        # a a b c c b^-1: the second a depends on |a| alone
+        if code[s + i : s + 2 * i] != code[s : s + i]:
+            continue
+        # b^-1 at the end is a suffix compare, grown by one letter per |b|;
+        # the first |b| it fails at ends the loop
+        for j in range(h - i + 1):
+            if j and code[end - j] != inverse[t - 2 * i - j]:
+                break
+            c, k = s + 2 * i + j, h - i - j  # the first c and its length
+            if code[c + k : end - j] == code[c : c + k]:
+                yield "nonorientable_aabcc", (("a", s, i), ("b", s + 2 * i, j), ("c", c, k))
 
 
 def naive_geom_rep_word(eps: int, c: Word, n: int, ell: int) -> Word:

@@ -6,8 +6,6 @@ Run with ``pytest tests/test_acceptance.py -s`` to see one line per criterion.
 import random
 import time
 
-import pytest
-
 import fgquad.wicks
 from conftest import ADAPTED_MINUS, mono, random_pi, random_word
 from fgquad import (
@@ -18,7 +16,6 @@ from fgquad import (
     PiElement,
     RingElement,
     Word,
-    analyze_v,
     classify,
     cyclic_reduce,
     equation_rhs,
@@ -36,7 +33,7 @@ from fgquad.groupring import conjugate_power_product
 from oracles import geom_ratio, naive_wicks_decompositions, nonempty, one_minus_pow
 from test_cli import GOLDEN_DIR, GOLDEN_INVOCATIONS, run_cli
 from test_orbits import HAT_ABS_MINUS, HAT_ABS_PLUS, HAT_L, TILDE, TILDE_L, assert_box_agreement
-from test_quotient import congruent, one_plus_ratio
+from test_quotient import congruent
 
 
 def report(number: int, label: str, started: float, budget: float) -> None:

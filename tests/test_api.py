@@ -4,6 +4,7 @@ A name that is added or removed shows up as a diff of this list.
 """
 
 import ast
+import builtins
 import functools
 import importlib
 import importlib.util
@@ -339,3 +340,69 @@ def test_classify_calls_analyze_v_by_its_module_global():
     # bench/tracer.py times analyze_v by wrapping fgquad.classify.analyze_v,
     # and bench/test_bench.py reads that name
     assert importlib.import_module("fgquad.classify").analyze_v is importlib.import_module("fgquad.derived").analyze_v
+
+
+def _modules() -> list[Path]:
+    """The Python files of the package and of the tests."""
+    root = Path(fgquad.__file__).parents[2]
+    return sorted([*(root / "src" / "fgquad").glob("*.py"), *(root / "tests").glob("*.py")])
+
+
+def test_no_unused_imports():
+    # an imported name that the module never reads, nor lists in __all__;
+    # the scan is per file, not per scope
+    unused = []
+    for path in _modules():
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(getattr(target, "id", None) == "__all__" for target in node.targets):
+                used |= {item.value for item in node.value.elts}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.parent.name}/{path.name}:{node.lineno}: {name}" for name in names if name not in used]
+    assert unused == []
+
+
+# raises in src of a class outside FgquadError, each for a protocol outside
+# the package: a Record refuses assignment as a frozen object does, argparse
+# reads ArgumentTypeError from a type converter, and an unreadable --batch
+# file is an OSError like those of open itself
+FOREIGN_RAISES = {"record: AttributeError", "cli: ArgumentTypeError", "cli: OSError"}
+
+
+def _resolve(node: ast.expr, namespace: dict) -> object:
+    """The object a dotted name stands for in a module's namespace or the
+    builtins."""
+    if isinstance(node, ast.Name):
+        return namespace[node.id] if node.id in namespace else getattr(builtins, node.id)
+    assert isinstance(node, ast.Attribute), ast.unparse(node)
+    return getattr(_resolve(node.value, namespace), node.attr)
+
+
+def test_src_raises_only_package_errors():
+    # every raise in src names its class, or calls a function whose return
+    # annotation does (words' parser builds its errors with ``self.error``)
+    foreign = set()
+    for path in _modules():
+        if path.parent.name != "fgquad":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        module = fgquad if path.stem == "__init__" else importlib.import_module(f"fgquad.{path.stem}")
+        returns = {node.name: node.returns for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(target, ast.Attribute) and returns.get(target.attr) is not None:
+                target = returns[target.attr]
+            raised = _resolve(target, vars(module))
+            assert isinstance(raised, type) and issubclass(raised, BaseException), ast.unparse(node)
+            if not issubclass(raised, fgquad.FgquadError):
+                foreign.add(f"{path.stem}: {raised.__name__}")
+    assert foreign == FOREIGN_RAISES

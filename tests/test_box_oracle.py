@@ -10,8 +10,6 @@ a decider rejection together with a box solution would expose a bug.
 
 import random
 
-import pytest
-
 from conftest import mono, random_pi
 from fgquad import MixedCase, PiElement, RingElement, p_q, second_decide
 from fgquad.orbits import odd_part

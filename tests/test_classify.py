@@ -13,19 +13,16 @@ from fgquad import (
     VerifyResult,
     WitnessUnverified,
     Word,
-    change_basis,
     classify,
     comm,
     parse_word,
     pattern_witness,
     project,
     relator_in,
-    sgn,
     verify_solution,
     verify_tables,
 )
 from fgquad.tables import all_fixtures
-from fgquad.words import solution_is_faithful
 from oracles import naive_wicks_decompositions, rank1_check
 
 

@@ -10,7 +10,6 @@ from fgquad import (
     PiElement,
     RingElement,
     Word,
-    conj,
     exact_divide,
     fox_derivative,
     parse_word,

@@ -7,7 +7,6 @@ from conftest import random_pi
 from fgquad import (
     HatAbs,
     HatL,
-    InconsistentSign,
     PiElement,
     RingElement,
     SingularBase,

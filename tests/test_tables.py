@@ -3,7 +3,7 @@
 import sys
 from collections import Counter
 
-from fgquad import BasisTag, EquationSpec, Word, classify, project, tables, verify_solution, verify_tables
+from fgquad import BasisTag, EquationSpec, Word, classify, project, tables, verify_tables
 from fgquad.tables import Fixture, FixtureFailure, TableReport, all_fixtures, instantiate_witness, table_branch
 
 # Every fixture row the explicit-solution tables checked before the registry

@@ -28,8 +28,8 @@ from fgquad import (
 )
 from fgquad import cli
 from fgquad.tables import all_fixtures, locate
-from fgquad.words import solution_is_faithful, swap_frame
-from oracles import naive_wicks_decompositions, nonempty
+from fgquad.words import swap_frame
+from oracles import naive_wicks_decompositions, nonempty, reference_layouts
 
 
 class TestRhs:
@@ -223,30 +223,94 @@ class TestMatcherOracle:
         assert seen == set(TEMPLATES)
 
     def test_same_ordered_matches_on_periodic_two_squares_cores(self):
-        # 100 cores of 16-64 letters, half of each two-squares form, whose
-        # parts are powers of one 1-2 letter root (a^k, (a b)^k), short
-        # random words or, for b and c, a prefix of a: the second b of
-        # a b c b a c^-1 and the b^-1 that ends a a b c c b^-1 then match for
-        # many |b| past the planted one, and the matcher stops at the first
-        # |b| they fail at
-        rng = random.Random(22)
-        forms = ("nonorientable_abcbac", "nonorientable_aabcc")
-        seen = set()
-        for index in range(100):
-            basis = BASES[index // 2 % 2]
-            form = forms[index % 2]
-            core = Word.identity(basis)
-            while not 16 <= len(core) <= 64 or len(core) % 2:
-                root = letter_word(rng, basis, rng.randint(1, 2))
-                a = periodic_part(rng, basis, root)
-                b, c = (periodic_part(rng, basis, root, a) for _ in range(2))
-                core = cyclic_reduce(TEMPLATES[form](a, b, c))[0]
-            every = wicks_decompositions(core, "two_squares")
-            for allow_empty in (False, True):
-                matches = every if allow_empty else nonempty(every)
-                assert match_rows(matches) == match_rows(naive_wicks_decompositions(core, "two_squares", allow_empty))
-            seen.update(m.form for m in nonempty(every))
-        assert seen == set(forms)
+        # the second b of a b c b a c^-1 and the b^-1 that ends a a b c c b^-1
+        # then match for many |b| past the planted one, and the matcher stops
+        # at the first |b| they fail at
+        assert_periodic_cores_match("two_squares", ("nonorientable_abcbac", "nonorientable_aabcc"), 22)
+
+    def test_same_ordered_matches_on_periodic_commutator_cores(self):
+        # where a part meets the next one, the inverses h letters on often
+        # keep inverting each other, so a centre's chain of valid pieces runs
+        # on past the planted piece
+        assert_periodic_cores_match("commutator", ("orientable_abc", "orientable_de"), 26)
+
+
+def assert_periodic_cores_match(kind, forms, seed):
+    """On 100 cores of 16-64 letters, half of each of the kind's two forms,
+    whose parts are powers of one 1-2 letter root (a^k, (a b)^k), short random
+    words or, for b and c, a prefix of a, the library matcher lists what the
+    naive one lists, with and without empty parts, and both forms match."""
+    rng = random.Random(seed)
+    seen = set()
+    for index in range(100):
+        basis = BASES[index // 2 % 2]
+        form = forms[index % 2]
+        core = Word.identity(basis)
+        while not 16 <= len(core) <= 64 or len(core) % 2:
+            root = letter_word(rng, basis, rng.randint(1, 2))
+            a = periodic_part(rng, basis, root)
+            b, c = (periodic_part(rng, basis, root, a) for _ in range(2))
+            core = cyclic_reduce(TEMPLATES[form](a, b, c))[0]
+        every = wicks_decompositions(core, kind)
+        for allow_empty in (False, True):
+            matches = every if allow_empty else nonempty(every)
+            assert match_rows(matches) == match_rows(naive_wicks_decompositions(core, kind, allow_empty))
+        seen.update(m.form for m in nonempty(every))
+    assert seen == set(forms)
+
+def long_core(rng, basis, family, lo, hi):
+    """A cyclically reduced core of even length in [lo, hi]: random letters,
+    a template core of random parts, or a power of a 2-6 letter root."""
+    while True:
+        if family == "random":
+            w = letter_word(rng, basis, rng.randint(lo, hi))
+        elif family == "planted":
+            form = rng.choice(sorted(TEMPLATES))
+            w = TEMPLATES[form](*(letter_word(rng, basis, rng.randint(lo // 6, hi // 4)) for _ in range(3)))
+        else:
+            root = cyclic_reduce(letter_word(rng, basis, rng.randint(2, 6)))[0]
+            if len(root) < 2:
+                continue
+            w = root ** (rng.randint(lo, hi) // len(root))
+        core = cyclic_reduce(w)[0]
+        if lo <= len(core) <= hi and len(core) % 2 == 0:
+            return core
+
+
+def assert_same_layouts(core, kind):
+    """The matcher lists the reference's layouts at every shift."""
+    letters = list(core.letters())
+    n = len(letters)
+    code = [(g + 1) * e for g, e in letters + letters]
+    inverse = [-c for c in reversed(code)]
+    pieces = fgquad.wicks._pieces(code, n) if kind == "commutator" else None
+    for s in range(n):
+        layouts = sorted(fgquad.wicks._layouts(code, inverse, pieces, s, n))
+        assert layouts == sorted(reference_layouts(code, inverse, s, n, kind)), (str(core), kind, s)
+
+
+class TestLongCoreReference:
+    """The matcher lists the layouts of the slice-comparing matcher it
+    replaced, on cores too long for the naive one: random cores, template
+    cores of each form and powers of short roots, each matched for both
+    kinds."""
+
+    @pytest.mark.parametrize("family", ["random", "planted", "power"])
+    def test_cores_up_to_300_letters(self, family):
+        rng = random.Random(f"long:{family}")
+        for index in range(6):
+            core = long_core(rng, BASES[index % 2], family, 100, 300)
+            for kind in ("commutator", "two_squares"):
+                assert_same_layouts(core, kind)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("family", ["random", "planted", "power"])
+    def test_cores_up_to_800_letters(self, family):
+        rng = random.Random(f"longer:{family}")
+        for index, (lo, hi) in enumerate(((301, 500), (501, 650), (651, 800))):
+            core = long_core(rng, BASES[index % 2], family, lo, hi)
+            for kind in ("commutator", "two_squares"):
+                assert_same_layouts(core, kind)
 
 
 class TestExtraction:
