@@ -7,10 +7,12 @@ Every positional match yields a canonical solution pair which is conjugated
 back to the original equation and substitution-verified once, when the
 search records it.
 
-The matcher walks the n shifts of an n-letter core and yields its matches
-one shift at a time, each shift's sorted by form and then part words.  Each
-form splits the two halves of the shifted core (h = n/2 letters each) into
-its parts; part words are built only for a match.
+The matcher builds its tables once per core, then walks the n shifts of an
+n-letter core and yields its matches one shift at a time, each shift's
+sorted by form and then part words.  Each form splits the two halves of the
+shifted core (h = n/2 letters each) into its parts.  Each part word is
+built once per core, when a match first uses it, and its text only when a
+shift has two or more matches to sort.
 
 In the commutator kind every part is followed, h letters on, by its
 inverse, which makes it a valid piece.  ``_pieces`` finds the valid pieces
@@ -20,21 +22,27 @@ and |b| at every shift compared O(n h^2) slices.  At a shift,
 valid b-pieces after them, and tests c with one lookup; ``d e d^-1 e^-1``
 tests e the same way after each valid d-piece.
 
-In the two-squares kind each form has its own loop over the part lengths,
-and each repeated part is one compare of signed letter codes, made as soon
-as the lengths it depends on are fixed and led by a compare of its first
-letter, so most failed compares build no slice and a failed one skips every
-layout that shares that part.  The second ``a`` of ``a a b c c b^-1``
-depends on |a| alone, so a failed one drops all h - |a| + 1 layouts of that
-length.  For a fixed |a| two compares are monotone in |b|: the second ``b``
-of ``a b c b a c^-1`` starts at h and the first at |a|, a prefix compare,
-and the ``b^-1`` that ends ``a a b c c b^-1`` inverts ``b`` from its first
-letter, a suffix compare, so a failure at one |b| is a failure at every
-longer one.  Each is extended by one letter per |b| and its first failure
-ends the loop, so the loop runs 1 + lce times, lce being the longest common
-extension of the two positions, instead of h - |a| + 1: a two-squares shift
-costs O(h) part-length steps on a core whose extensions are short, and up to
-O(h^2) on a periodic one.
+The two-squares kind reads its layouts off the valid pieces, filed by the
+position where they end, and off ``_squares``, the squares of the core by
+position and half length.  In ``a b c b a c^-1`` the part c is followed h
+letters on by its inverse, so it is a valid piece that ends where the
+second half starts, and the rest of the two halves, a b and b a, are
+rotations of each other by |a| letters: one search for b a in (a b)(a b)
+lists every |a| for that c.  ``a a b c c b^-1`` is a square a a at the
+shift, b grown outward from it one letter pair at a time against the b^-1
+that ends the shift, and after each |b| a square c c of the length left,
+one set lookup.  An empty a or c would put b^-1 next to b, which a
+cyclically reduced core never has, so either forces |b| = 0.  A core
+costs O(n + pieces + squares + layouts) steps, plus the letter pairs that
+each square's b grows by; each step is a lookup, or one byte search made
+in C over at most n letters.  Trying every |a| at every shift, as the
+matcher before did, took O(n h) steps on a random core and O(n h^2) on a
+periodic one.
+
+The search forms the conjugator ``g = t U_s`` of a shift and its inverse
+once per shift and the right-hand side once, and compares the syllables of
+each pair with the pairs it has recorded before it substitutes it, so each
+distinct pair is checked once.
 
 ``wicks_search`` given a wanted class stops at the first verified solution
 of that class (``classify`` does this); a run that finds none has walked
@@ -95,8 +103,8 @@ _Pieces = tuple[list[int], list[list[int]]]  # each centre's reach, each positio
 
 
 def _pieces(code: list[int], n: int) -> _Pieces:
-    """The valid pieces of an ``n``-letter core, for the commutator kind:
-    each centre's reach and each position's valid lengths, ascending.
+    """The valid pieces of an ``n``-letter core: each centre's reach and each
+    position's valid lengths, ascending.
 
     ``(p, k)`` is a valid piece when ``code[p + h : p + h + k]`` inverts
     ``code[p : p + k]``, positions taken mod n.  ``(p - 1, k + 2)`` is valid
@@ -131,60 +139,102 @@ def _pieces(code: list[int], n: int) -> _Pieces:
     return reach, lengths
 
 
-def _layouts(
-    code: list[int], inverse: list[int], pieces: Optional[_Pieces], s: int, n: int
-) -> Iterator[tuple[FormName, tuple[_Span, ...]]]:
-    """The matching layouts at shift ``s``: each one's form and its parts'
-    spans, sorted by name.
+def _squares(text: bytes, n: int) -> list[set[int]]:
+    """The squares of an ``n``-letter core, for the two-squares kind: the
+    halves ``d`` of the squares ``text[p : p + 2d]`` at each position ``p``,
+    ``1 <= d <= n/2``, positions taken mod n.
 
-    ``code[s : s + n]`` is the shifted core and ``inverse[t - x - k : t - x]``
-    inverts ``code[s + x : s + x + k]``.  ``pieces`` is the core's ``_pieces``
-    for the commutator kind and None for the two-squares kind.
+    ``text`` is the doubled core, one nonzero byte per letter.  For each
+    ``d`` one XOR of the core with itself ``d`` letters on marks with a zero
+    byte each letter equal to the one ``d`` before it, and a square of half
+    ``d`` at ``p`` is a run of ``d`` zero bytes at ``p + d``: n/2 XORs and
+    one search per square.
     """
-    h, t, m, end = n // 2, 2 * n - s, s + n // 2, s + n
-    if pieces is not None:
+    halves: list[set[int]] = [set() for _ in range(n)]
+    whole = int.from_bytes(text, "big")
+    for d in range(1, n // 2 + 1):
+        marks = (whole ^ whole >> 8 * d).to_bytes(2 * n, "big")
+        run, stop = bytes(d), n + 2 * d - 1  # a square starts before n
+        q = marks.find(run, d, stop)
+        while q != -1:
+            halves[q - d].add(d)
+            q = marks.find(run, q + 1, stop)
+    return halves
+
+
+_Layout = tuple[FormName, tuple[_Span, ...]]
+
+
+def _layouts(code: list[int], n: int, kind: Kind) -> Iterator[list[_Layout]]:
+    """The matching layouts of an ``n``-letter core, shift by shift: at each
+    shift ``s`` the list of the layouts of ``code[s : s + n]``, each one's
+    form and its parts' spans, sorted by name.
+
+    The tables are built once per core and each shift reads its layouts off
+    them: the valid pieces for both kinds, and the squares for the
+    two-squares kind.
+    """
+    h = n // 2
+    reach, lengths = _pieces(code, n)
+    if kind == "commutator":
         # a part and its inverse h letters on form a valid piece, found by
         # its length or by one lookup of its centre's reach
-        reach, lengths = pieces
-        for i in lengths[s]:
-            # a b c a^-1 b^-1 c^-1: pieces (s, |a|), (s + |a|, |b|), then c
-            for j in lengths[(s + i) % n]:
-                k = h - i - j
-                if k < 0:
-                    break
-                if reach[(2 * s + i + j + h) % (2 * n)] >= k:
-                    yield "orientable_abc", (("a", s, i), ("b", s + i, j), ("c", s + i + j, k))
-        for i in lengths[s]:
-            # d e d^-1 e^-1: pieces (s, |d|), then e
-            if reach[(2 * s + i + h) % (2 * n)] >= h - i:
-                yield "orientable_de", (("d", s, i), ("e", s + i, h - i))
+        for s in range(n):
+            found: list[_Layout] = []
+            for i in lengths[s]:
+                # a b c a^-1 b^-1 c^-1: pieces (s, |a|), (s + |a|, |b|), then c
+                for j in lengths[(s + i) % n]:
+                    k = h - i - j
+                    if k < 0:
+                        break
+                    if reach[(2 * s + i + j + h) % (2 * n)] >= k:
+                        found.append(("orientable_abc", (("a", s, i), ("b", s + i, j), ("c", s + i + j, k))))
+            for i in lengths[s]:
+                # d e d^-1 e^-1: pieces (s, |d|), then e
+                if reach[(2 * s + i + h) % (2 * n)] >= h - i:
+                    found.append(("orientable_de", (("d", s, i), ("e", s + i, h - i))))
+            yield found
         return
-    # each repeated part's first letter is compared before its slice
-    a0, c0 = code[s], -code[m - 1]  # the first letters of a and of the c^-1 in a b c b a c^-1
-    for i in range(h + 1):
-        # a b c b a c^-1: the second b at h is a prefix compare, grown by
-        # one letter per |b|; the first |b| it fails at ends the loop
-        for j in range(h - i + 1):
-            if j and code[m + j - 1] != code[s + i + j - 1]:
-                break
-            if i and code[m + j] != a0 or i + j < h and code[m + i + j] != c0:
-                continue
-            if code[m + j : m + j + i] == code[s : s + i] and code[m + i + j : end] == inverse[t - h : t - i - j]:
-                yield "nonorientable_abcbac", (("a", s, i), ("b", s + i, j), ("c", s + i + j, h - i - j))
-    for i in range(h + 1):
-        # a a b c c b^-1: the second a depends on |a| alone
-        if i and code[s + i] != a0 or code[s + i : s + 2 * i] != code[s : s + i]:
-            continue
-        # b^-1 at the end is a suffix compare, grown by one letter per |b|;
-        # the first |b| it fails at ends the loop
-        for j in range(h - i + 1):
-            if j and code[end - j] != inverse[t - 2 * i - j]:
-                break
-            c, k = s + 2 * i + j, h - i - j  # the first c and its length
-            if k and code[c + k] != code[c]:
-                continue
-            if code[c + k : end - j] == code[c : c + k]:
-                yield "nonorientable_aabcc", (("a", s, i), ("b", s + 2 * i, j), ("c", c, k))
+    text = bytes([c + 3 for c in code])
+    ends: list[list[int]] = [[] for _ in range(n)]  # the valid lengths of the pieces ending at each position
+    for p, row in enumerate(lengths):
+        for k in row:
+            ends[(p + k) % n].append(k)
+    squares = _squares(text, n)
+    for s in range(n):
+        found = []
+        m = s + h
+        for k in ends[m % n]:
+            # a b c b a c^-1: c is a valid piece ending at the second half,
+            # and b a is a rotation of a b, by |a| letters: one layout per
+            # occurrence of b a in (a b)(a b)
+            ab, ba = text[s : m - k], text[m : s + n - k]
+            abab = ab + ab
+            i = abab.find(ba)
+            while i != -1:
+                found.append(("nonorientable_abcbac", (("a", s, i), ("b", s + i, h - k - i), ("c", m - k, k))))
+                i = abab.find(ba, i + 1)
+        # a a b c c b^-1: a square a a at s, b grown outward from it against
+        # the b^-1 that ends the shift, one letter pair at a time, and a
+        # square c c of the length left.  An empty a or c would put b^-1 next
+        # to b, which no cyclically reduced core has, so either forces
+        # |b| = 0 and a core that is a square at s: |a| = 0 is read here,
+        # |c| = 0 is |a| = h in the loop
+        here = squares[s]
+        if h in here:
+            found.append(("nonorientable_aabcc", (("a", s, 0), ("b", s, 0), ("c", s, h))))
+        for i in here:
+            b, j = s + 2 * i, 0
+            while True:
+                k = h - i - j
+                if not k or k in squares[(b + j) % n]:
+                    found.append(("nonorientable_aabcc", (("a", s, i), ("b", b, j), ("c", b + j, k))))
+                # b stops growing by |b| = h - |a| - 1, where the pair would
+                # be two adjacent letters, so k is 0 only at |a| = h
+                if code[s - 1 - j] != -code[b + j]:
+                    break
+                j += 1
+        yield found
 
 
 def _matches(w: Word, kind: Kind) -> Iterator[WicksMatch]:
@@ -194,22 +244,35 @@ def _matches(w: Word, kind: Kind) -> Iterator[WicksMatch]:
     n = len(letters)
     if n == 0 or n % 2:
         return
+    basis = w.basis
     doubled = letters + letters
     code = [(g + 1) * e for g, e in doubled]
-    inverse = [-c for c in reversed(code)]
-    pieces = _pieces(code, n) if kind == "commutator" else None
-    for shift in range(n):
-        u_prefix: Optional[Word] = None
-        found: list[WicksMatch] = []
-        # no dedupe: two layouts of a form differ in some part's length
-        for form, spans in _layouts(code, inverse, pieces, shift, n):
-            if u_prefix is None:
-                u_prefix = Word.from_syllables(w.basis, letters[:shift])
-            parts = {name: Word.from_syllables(w.basis, doubled[start : start + k]) for name, start, k in spans}
-            found.append(WicksMatch(shift, form, parts, u_prefix))
-        # the key's tuple is built from a list, see words._inverse
-        found.sort(key=lambda m: (m.form, tuple([str(m.parts[k]) for k in sorted(m.parts)])))
-        yield from found
+    # each part word and its text once per core, by its start mod n and length
+    words: dict[tuple[int, int], Word] = {}
+    texts: dict[tuple[int, int], str] = {}
+
+    def part(start: int, k: int) -> Word:
+        word = words.get((start % n, k))
+        if word is None:
+            word = words[start % n, k] = Word.from_syllables(basis, doubled[start : start + k])
+        return word
+
+    def text(start: int, k: int) -> str:
+        label = texts.get((start % n, k))
+        if label is None:
+            label = texts[start % n, k] = str(part(start, k))
+        return label
+
+    for shift, layouts in enumerate(_layouts(code, n, kind)):
+        if not layouts:
+            continue
+        if len(layouts) > 1:
+            # no ties: two layouts of a form differ in some part's length.
+            # The key's tuple is built from a list, see words._inverse
+            layouts.sort(key=lambda layout: (layout[0], tuple([text(start, k) for _, start, k in layout[1]])))
+        u_prefix = Word.from_syllables(basis, letters[:shift])
+        for form, spans in layouts:
+            yield WicksMatch(shift, form, {name: part(start, k) for name, start, k in spans}, u_prefix)
 
 
 def wicks_decompositions(w: Word, kind: Kind) -> list[WicksMatch]:
@@ -233,17 +296,18 @@ def _canonical_pair(match: WicksMatch) -> tuple[Word, Word]:
     return p["a"] * p["b"] * p["c"] * p["a"].inv(), p["a"] * p["c"].inv()
 
 
-def extract_solution(match: WicksMatch, t: Word) -> tuple[Word, Word]:
+def extract_solution(match: WicksMatch, g: Word, g_inv: Word) -> tuple[Word, Word]:
     """Canonical solution (z1, z2) of the matched form, conjugated back to the
-    source by ``t``, the cyclic-reduction conjugator of its right-hand side.
+    source by ``g = t * match.u_prefix``, ``t`` being the cyclic-reduction
+    conjugator of its right-hand side; ``g_inv`` is ``g``'s inverse.  The
+    search forms both once per shift.
 
     It is not checked here: the search substitutes it into the equation once,
     which compares [z1, z2] or z1^2 z2^2 with t * core * t^-1, the reduced
     right-hand side, and raises ``ExtractionFailed`` on a matcher bug.
     """
     x0, y0 = _canonical_pair(match)
-    g = t * match.u_prefix
-    return g * x0 * g.inv(), g * y0 * g.inv()
+    return g * x0 * g_inv, g * y0 * g_inv
 
 
 class WicksReport(NamedTuple):
@@ -273,22 +337,23 @@ def wicks_search(
     holds the prefix of the exhaustive lists up to that solution; a run that
     finds none is exhaustive.
     """
-    core, t = cyclic_reduce(equation_rhs(spec, v))
+    rhs = equation_rhs(spec, v)
+    core, t = cyclic_reduce(rhs)
     if len(core) > wicks_len:
         raise BudgetExceeded(f"cyclic right-hand side length {len(core)} > {wicks_len}")
     kind: Kind = "commutator" if spec.delta == 1 else "two_squares"
     # None never equals a pair's faithfulness, so no pair stops that search
     stop_at = None if wanted is None else wanted == "faithful"
     solutions: list[tuple[tuple[Word, Word], bool]] = []
-    seen: set[tuple[str, str]] = set()
+    seen: set[tuple[tuple, tuple]] = set()  # the syllables of each recorded pair
 
     def consider(z1: Word, z2: Word) -> bool:
         """Verify and record a new pair; whether the search stops at it."""
         x, y = (z1, z2) if spec.frame == "original_z" else swap_frame(spec.delta, z1, z2)
-        key = (str(x), str(y))
+        key = (x.syls, y.syls)
         if key in seen:
             return False
-        result = verify_solution(spec, v, x, y)
+        result = verify_solution(spec, v, x, y, rhs)
         if not result.holds:
             raise ExtractionFailed(f"candidate pair failed re-verification: {x}, {y}")
         seen.add(key)
@@ -304,11 +369,16 @@ def wicks_search(
     # reported match list keeps the nonempty convention.  An exhaustive search
     # walks the full list; a stopping one matches shift by shift
     matches: list[WicksMatch] = []
+    shift = -1
     for match in wicks_decompositions(core, kind) if wanted is None else _matches(core, kind):
+        if match.shift != shift:
+            shift = match.shift
+            g = t * match.u_prefix
+            g_inv = g.inv()
         if all(not p.is_identity for p in match.parts.values()):
             matches.append(match)
         try:
-            stop = consider(*extract_solution(match, t))
+            stop = consider(*extract_solution(match, g, g_inv))
         except ExtractionFailed as exc:
             raise ExtractionFailed(f"form {match.form} at shift {match.shift}: {exc}") from None
         if stop:

@@ -559,13 +559,17 @@ class VerifyResult(NamedTuple):
     faithful: bool
 
 
-def verify_solution(spec: EquationSpec, v: Word, first: Word, second: Word) -> VerifyResult:
+def verify_solution(
+    spec: EquationSpec, v: Word, first: Word, second: Word, rhs: Optional[Word] = None
+) -> VerifyResult:
     """Substitute a candidate pair: whether it solves the equation in the
-    spec's frame, and whether it is faithful.  Whether the first unknown lies
-    in the relator subgroup is left to the callers that read it."""
+    spec's frame, and whether it is faithful.  ``rhs`` is
+    ``equation_rhs(spec, v)`` when the caller has it already, as a search
+    that checks many pairs against one ``v`` does.  Whether the first unknown
+    lies in the relator subgroup is left to the callers that read it."""
     basis = spec.basis
     for w in (v, first, second):
         if w.basis != basis:
             raise BasisMismatch(f"expected words in {basis}")
-    holds = equation_lhs(spec, first, second) == equation_rhs(spec, v)
+    holds = equation_lhs(spec, first, second) == (equation_rhs(spec, v) if rhs is None else rhs)
     return VerifyResult(holds, solution_is_faithful(spec, first, second))

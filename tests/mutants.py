@@ -1,0 +1,152 @@
+"""A catalogue of mutants of the package, each with the tests that kill it.
+
+Each entry names a module of ``src/fgquad``, an exact source fragment that
+occurs once in it, the replacement that makes the mutant, and the tests
+(pytest node ids) that must fail on it.  ``run`` copies ``src/`` to a
+temporary directory, applies one mutant there and runs its tests in a
+subprocess against the copy; the checkout is never touched.  A mutant whose
+fragment no longer occurs is a stale entry, and one whose tests all pass
+survived; either is a failure.  ``tests/test_mutants.py`` runs every entry
+under the ``slow`` marker.  From the repository root:
+
+    python tests/mutants.py                  # every entry
+    python tests/mutants.py pieces_odd_seed  # the named entries
+
+The runner needs the standard library only.  Each later change that adds a
+decider or a matcher adds its mutants here.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # file stem under src/fgquad
+    fragment: str
+    replacement: str
+    tests: tuple[str, ...]  # node ids; every test they collect must fail
+
+
+MUTANTS = (
+    Mutant(
+        # the moved break of the two-squares matcher, on its outward growth
+        # of b: the |b| loop of a a b c c b^-1 ends at the first |b| whose
+        # c c is not a square, not at the first b^-1 letter that fails
+        "aabcc_break_on_square",
+        "wicks",
+        "                if not k or k in squares[(b + j) % n]:\n"
+        "                    found.append(",
+        "                if k and k not in squares[(b + j) % n]:\n"
+        "                    break\n"
+        "                else:\n"
+        "                    found.append(",
+        (
+            "tests/test_wicks.py::TestDecompositions::test_two_squares_pattern",
+            "tests/test_wicks.py::TestMatcherOracle::test_every_form_matched_with_and_without_empty_parts",
+        ),
+    ),
+    Mutant(
+        # every odd centre is seeded with its one-letter piece, valid or not
+        "pieces_odd_seed",
+        "wicks",
+        "if k and code[p + h] != -code[p]:",
+        "if False:",
+        (
+            "tests/test_wicks.py::TestMatcherOracle::test_same_ordered_matches_on_periodic_commutator_cores",
+            "tests/test_wicks.py::TestLongCoreReference::test_periodic_cores_up_to_300_letters",
+        ),
+    ),
+    Mutant(
+        # a centre's chain stops growing at h - 2 letters
+        "pieces_chain_cap",
+        "wicks",
+        "while code[p - 1 + h] == -code[p + k] and code[p + h + k] == -code[p - 1]:",
+        "while code[p - 1 + h] == -code[p + k] and code[p + h + k] == -code[p - 1] and k + 3 < h:",
+        ("tests/test_wicks.py::TestMatcherOracle::test_same_ordered_matches_on_periodic_commutator_cores",),
+    ),
+    Mutant(
+        # the square table stops one half-length short of n/2
+        "squares_drop_half",
+        "wicks",
+        "for d in range(1, n // 2 + 1):",
+        "for d in range(1, n // 2):",
+        (
+            "tests/test_wicks.py::TestSquareRoots::test_square_cores_match_both_degenerate_layouts",
+            "tests/test_wicks.py::TestLongCoreReference::test_periodic_cores_up_to_300_letters",
+        ),
+    ),
+    Mutant(
+        # each valid piece is filed one position past its end
+        "piece_end_off_by_one",
+        "wicks",
+        "ends[(p + k) % n].append(k)",
+        "ends[(p + k + 1) % n].append(k)",
+        (
+            "tests/test_wicks.py::TestMatcherOracle::test_every_form_matched_with_and_without_empty_parts",
+            "tests/test_wicks.py::TestLongCoreReference::test_periodic_cores_up_to_300_letters",
+        ),
+    ),
+    Mutant(
+        # a a b c c b^-1 with |c| = 0, the core a square a a at the shift, is
+        # never listed
+        "aabcc_skip_empty_c",
+        "wicks",
+        "if not k or k in squares[(b + j) % n]:",
+        "if k and k in squares[(b + j) % n]:",
+        (
+            "tests/test_wicks.py::TestSquareRoots::test_square_cores_match_both_degenerate_layouts",
+            "tests/test_wicks.py::TestLongCoreReference::test_periodic_cores_up_to_300_letters",
+        ),
+    ),
+)
+
+
+def run(mutant: Mutant) -> str | None:
+    """Apply ``mutant`` to a copy of ``src/`` and run its tests there: None
+    when every test fails, else why the entry does not hold."""
+    with tempfile.TemporaryDirectory(prefix="fgquad-mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        path = src / "fgquad" / f"{mutant.module}.py"
+        text = path.read_text()
+        count = text.count(mutant.fragment)
+        if count != 1:
+            return f"{mutant.name}: the fragment occurs {count} times in {mutant.module}.py"
+        path.write_text(text.replace(mutant.fragment, mutant.replacement))
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
+        )
+    # exit 1 is "some tests failed"; a mistyped node id or a mutant that
+    # breaks the import exits otherwise
+    summary = (done.stdout.strip().splitlines() or [done.stderr.strip()])[-1]
+    if done.returncode != 1 or re.search(r"\d+ passed", summary):
+        return f"{mutant.name}: pytest exit {done.returncode}: {summary}"
+    return None
+
+
+def main(names: list[str]) -> int:
+    problems = 0
+    for mutant in MUTANTS:
+        if names and mutant.name not in names:
+            continue
+        problem = run(mutant)
+        print(problem or f"{mutant.name}: killed")
+        problems += problem is not None
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -32,11 +32,12 @@ module docstring of ``fgquad.wicks``, so a wrong layout in the library
 cannot hide in both.
 It admits empty parts unless told otherwise, as the library matcher does, so
 it can stand in for it; ``nonempty`` keeps the matches with every part
-nonempty.  ``reference_layouts`` is the library matcher's layout loop before
-the commutator kind read its parts off a table of valid pieces: it tries
-every |b| for each |a| whose ``a^-1`` matches, comparing slices, and the
-two-squares kind compares each part's slice with no first-letter test.  It
-is fast enough for the cores of hundreds of letters that the naive matcher
+nonempty.  ``reference_layouts`` is the library matcher's per-shift layout
+loop from before it read its layouts off per-core tables of valid pieces
+and squares: the commutator kind tries every |b| for each |a| whose
+``a^-1`` matches, and the two-squares kind every |a| and, up to its first
+failed prefix or suffix compare, every |b|, each comparing slices.  It is
+fast enough for the cores of hundreds of letters that the naive matcher
 cannot take.  ``naive_geom_rep_word`` and ``naive_alt_rep_word`` are the
 representative words of the first derived equation as they were written
 before the geometric series became one term list: each series spelled out as

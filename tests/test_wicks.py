@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from itertools import product
 
 import pytest
@@ -18,6 +19,7 @@ from fgquad import (
     comm,
     cyclic_reduce,
     equation_rhs,
+    extract_solution,
     parse_word,
     project,
     relator_in,
@@ -283,10 +285,26 @@ def assert_same_layouts(core, kind):
     n = len(letters)
     code = [(g + 1) * e for g, e in letters + letters]
     inverse = [-c for c in reversed(code)]
-    pieces = fgquad.wicks._pieces(code, n) if kind == "commutator" else None
-    for s in range(n):
-        layouts = sorted(fgquad.wicks._layouts(code, inverse, pieces, s, n))
-        assert layouts == sorted(reference_layouts(code, inverse, s, n, kind)), (str(core), kind, s)
+    shifts = list(fgquad.wicks._layouts(code, n, kind))
+    assert len(shifts) == n
+    for s, layouts in enumerate(shifts):
+        assert sorted(layouts) == sorted(reference_layouts(code, inverse, s, n, kind)), (str(core), kind, s)
+
+
+def periodic_core(rng, basis, lo, hi, root_len):
+    """A cyclically reduced core of even length in [lo, hi]: a power of a
+    root of ``root_len`` letters, or such a power with one to three letters
+    changed."""
+    while True:
+        root = cyclic_reduce(letter_word(rng, basis, root_len))[0]
+        if len(root) != root_len:
+            continue
+        letters = list((root ** (rng.randint(lo, hi) // len(root))).letters())
+        for _ in range(rng.choice((0, 0, 1, 3))):
+            letters[rng.randrange(len(letters))] = (rng.randrange(2), rng.choice((-1, 1)))
+        core = cyclic_reduce(Word.from_syllables(basis, letters))[0]
+        if lo <= len(core) <= hi and len(core) % 2 == 0:
+            return core
 
 
 class TestLongCoreReference:
@@ -302,6 +320,31 @@ class TestLongCoreReference:
             core = long_core(rng, BASES[index % 2], family, 100, 300)
             for kind in ("commutator", "two_squares"):
                 assert_same_layouts(core, kind)
+
+    def test_periodic_cores_up_to_300_letters(self):
+        # a power of a short root has squares at almost every position and
+        # half length, and long rotations of a b in b a, so the tables list
+        # many layouts per shift; the powers of one letter, which the
+        # reference takes longest over, stay at 100-140 letters
+        rng = random.Random("periodic")
+        for index in range(8):
+            lo, hi = (100, 140) if index < 2 else (100, 300)
+            core = periodic_core(rng, BASES[index % 2], lo, hi, (1, 1, 2, 2, 3, 3, 4, 4)[index])
+            for kind in ("commutator", "two_squares"):
+                assert_same_layouts(core, kind)
+
+    def test_periodic_two_squares_core_of_480_letters_is_fast(self):
+        # (a B)^240 has 116160 two-squares layouts; the matcher that tried
+        # every |a| and |b| at each shift took 2.0 s to list them on a 2-vCPU
+        # x86 container (Python 3.11), the square and piece tables 0.09 s
+        core = parse_word("(a B)^240", ADAPTED_MINUS)
+        letters = list(core.letters())
+        code = [(g + 1) * e for g, e in letters + letters]
+        started = time.perf_counter()
+        count = sum(len(layouts) for layouts in fgquad.wicks._layouts(code, len(letters), "two_squares"))
+        elapsed = time.perf_counter() - started
+        assert count == 116160
+        assert elapsed < 0.5, f"{elapsed:.2f}s"
 
     @pytest.mark.slow
     @pytest.mark.parametrize("family", ["random", "planted", "power"])
@@ -321,10 +364,8 @@ class TestExtraction:
         w = a * b * c * a.inv() * b.inv() * c.inv()
         matches = [m for m in wicks_decompositions(w, "commutator") if m.shift == 0]
         assert matches
-        from fgquad import extract_solution
-
         for m in matches:
-            x, y = extract_solution(m, Word.identity(basis))
+            x, y = extract_solution(m, m.u_prefix, m.u_prefix.inv())
             assert x * y * x.inv() * y.inv() == w
 
     def test_two_squares_bounded_search_agrees(self):
@@ -352,9 +393,7 @@ class TestExtraction:
             for z1, z2 in found
         )
         matches = wicks_decompositions(w, "two_squares")
-        from fgquad import extract_solution
-
-        pairs = [extract_solution(m, Word.identity(basis)) for m in matches]
+        pairs = [extract_solution(m, m.u_prefix, m.u_prefix.inv()) for m in matches]
         assert any(x * x * y * y == w for x, y in pairs)
 
 
@@ -523,6 +562,43 @@ class TestSearch:
             assert second_decide(data.case, data.V).solvable, f"{kind}: v={v}"
 
 
+class TestVerification:
+    """An exhaustive search builds the right-hand side once and substitutes
+    each distinct pair once, before it records it."""
+
+    def test_one_check_per_distinct_pair(self, monkeypatch):
+        # 38 matches on a 26-letter commutator core give 18 distinct pairs
+        spec = EquationSpec(1, -1, -1, "nonfaithful", "adapted_xy")
+        v = parse_word("conj(a) conj(A)", spec.basis)
+        core, t = cyclic_reduce(equation_rhs(spec, v))
+        matches = wicks_decompositions(core, "commutator")
+        distinct = set()
+        for m in matches:
+            g = t * m.u_prefix
+            distinct.add(extract_solution(m, g, g.inv()))
+        assert len(distinct) == 18 and len(matches) == 38
+        built, checked = [], []
+        build, verify = fgquad.words.equation_rhs, fgquad.wicks.verify_solution
+
+        def counted_build(*args):
+            built.append(args)
+            return build(*args)
+
+        def counted_verify(*args):
+            checked.append(args)
+            return verify(*args)
+
+        # verify_solution builds the right-hand side through words' global
+        # when no caller passes it
+        monkeypatch.setattr(fgquad.wicks, "equation_rhs", counted_build)
+        monkeypatch.setattr(fgquad.words, "equation_rhs", counted_build)
+        monkeypatch.setattr(fgquad.wicks, "verify_solution", counted_verify)
+        report = wicks_search(spec, v)
+        assert len(built) == 1
+        assert len(checked) == len(report.solutions) == len(distinct)
+        assert {pair for pair, _ in report.solutions} == {args[2:4] for args in checked} == distinct
+
+
 def solution_rows(solutions):
     return [(str(x), str(y), faithful) for (x, y), faithful in solutions]
 
@@ -580,9 +656,9 @@ class TestEarlyStop:
         extracted = []
         extract = fgquad.wicks.extract_solution
 
-        def counted(match, t):
+        def counted(match, g, g_inv):
             extracted.append(match)
-            return extract(match, t)
+            return extract(match, g, g_inv)
 
         monkeypatch.setattr(fgquad.wicks, "extract_solution", counted)
         verdict = classify(spec, v)

@@ -66,6 +66,39 @@ class TestParse:
             parse_word(text, CLASSIC_PLUS)
         assert exc.value.offset == 2
 
+    @pytest.mark.parametrize(
+        "text, syls",
+        [
+            ("a^0", ()),
+            ("a^-0", ()),
+            ("a^065", ((0, 65),)),
+            ("a^ 2", ((0, 2),)),
+            ("a ^2", ((0, 2),)),
+            ("a^64", ((0, 64),)),
+            ("a^65", ((0, 65),)),
+            ("B^-65", ((1, 65),)),
+            ("a\tb\nA", ((0, 1), (1, 1), (0, -1))),
+            ("a^\t2\n", ((0, 2),)),
+            ("\ta\n^\n-3 b", ((0, -3), (1, 1))),
+        ],
+    )
+    def test_exponent_tokens(self, text, syls):
+        # the values a faster tokenizer must keep: zero and leading zeros,
+        # white space on either side of '^', and 64/65, where the parser's
+        # table of shared syllables ends
+        assert parse_word(text, CLASSIC_PLUS).syls == syls
+
+    def test_group_exponent_with_leading_zero(self):
+        basis = ADAPTED_MINUS
+        assert parse_word("conj(a)^065", basis) == conj(Word.gen(basis, "a"), relator_in(basis) ** 65)
+
+    @pytest.mark.parametrize("text, offset", [("a^+1", 2), ("a^", 2), ("a^-", 3)])
+    def test_exponent_errors(self, text, offset):
+        # no '+' sign, and a '^' or '-' needs digits after it
+        with pytest.raises(WordSyntaxError) as exc:
+            parse_word(text, CLASSIC_PLUS)
+        assert (str(exc.value), exc.value.offset) == (f"expected integer (at offset {offset})", offset)
+
     def test_unbalanced(self):
         with pytest.raises(WordSyntaxError):
             parse_word("(a b", CLASSIC_PLUS)
