@@ -17,7 +17,7 @@ from .record import Record
 from .surface import project
 from .tables import MIXED, degree_two_witness, instantiate_witness, locate
 from .wicks import DEFAULT_WICKS_LEN, wicks_search
-from .words import EquationSpec, Frame, Word, change_basis, primitive_root, swap_frame, verify_solution
+from .words import EquationSpec, Frame, Word, change_basis, equation_rhs, primitive_root, swap_frame, verify_solution
 
 Outcome = Literal["exists", "not_exists", "undetermined"]
 Reason = Literal[
@@ -95,13 +95,15 @@ def pattern_witness(spec: EquationSpec, v: Word) -> Optional[tuple[Word, Word]]:
     times a beta-power, and the single explicit beta^2-conjugate row.  The
     first pair that passes substitution, lies in the requested class and has
     its first unknown in the relator subgroup is returned.  The primitive
-    root of ``v`` is computed once, for all the families.
+    root of ``v`` and the right-hand side are computed once, for all the
+    families.
     """
     faithful = spec.solution_class == "faithful"
     shape = primitive_root(v)
+    rhs = equation_rhs(spec, v)
     for family in MIXED:
         for pair in family.pairs(v, *shape):
-            res = verify_solution(spec, v, *pair)
+            res = verify_solution(spec, v, *pair, rhs)
             if res.holds and res.faithful == faithful and project(pair[0]).is_identity:
                 return pair
     return None

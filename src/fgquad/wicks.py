@@ -10,9 +10,11 @@ search records it.
 The matcher builds its tables once per core, then walks the n shifts of an
 n-letter core and yields its matches one shift at a time, each shift's
 sorted by form and then part words.  Each form splits the two halves of the
-shifted core (h = n/2 letters each) into its parts.  Each part word is
-built once per core, when a match first uses it, and its text only when a
-shift has two or more matches to sort.
+shifted core (h = n/2 letters each) into its parts.  Each part word and
+each shift prefix U_s is built once per core, when a match first uses it,
+as a slice of the doubled core's syllable runs (``_doubled``), in
+O(syllables) where reducing its letters took O(letters); its text is built
+only when a shift has two or more matches to sort.
 
 In the commutator kind every part is followed, h letters on, by its
 inverse, which makes it a valid piece.  ``_pieces`` finds the valid pieces
@@ -42,7 +44,10 @@ periodic one.
 The search forms the conjugator ``g = t U_s`` of a shift and its inverse
 once per shift and the right-hand side once, and compares the syllables of
 each pair with the pairs it has recorded before it substitutes it, so each
-distinct pair is checked once.
+distinct pair is checked once.  What is left per match is ``Word``
+algebra: about six products to extract a pair, and three products and two
+inverses to check a distinct one, each linear in the syllables of its
+result (see ``words``).
 
 ``wicks_search`` given a wanted class stops at the first verified solution
 of that class (``classify`` does this); a run that finds none has walked
@@ -65,7 +70,7 @@ prove:
 
 from __future__ import annotations
 
-from typing import Iterator, Literal, NamedTuple, Optional
+from typing import Callable, Iterator, Literal, NamedTuple, Optional
 
 from .errors import BudgetExceeded, ExtractionFailed
 from .words import (
@@ -73,6 +78,7 @@ from .words import (
     EquationSpec,
     SolutionClass,
     Word,
+    _reduce,
     cyclic_reduce,
     equation_rhs,
     swap_frame,
@@ -237,25 +243,62 @@ def _layouts(code: list[int], n: int, kind: Kind) -> Iterator[list[_Layout]]:
         yield found
 
 
+def _doubled(w: Word) -> tuple[list[int], Callable[[int, int], Word]]:
+    """The doubled core of an ``n``-letter word ``w``: the code of each
+    letter, and ``part(start, k)``, the word of the ``k <= n`` letters from
+    ``start``.
+
+    A part word is built once per start mod n and length, as a slice of the
+    doubled core's syllable runs with its two end syllables trimmed, in
+    O(syllables); only a slice across the seam of a core whose first and
+    last syllables share a generator is reduced, since those two merge.
+    """
+    n = len(w)
+    basis, syls = w.basis, w.syls
+    doubled = syls + syls
+    # each letter's code and syllable, and where each syllable starts
+    code: list[int] = []
+    owner: list[int] = []
+    starts: list[int] = []
+    for i, (g, e) in enumerate(doubled):
+        starts.append(len(code))
+        code += [g + 1 if e > 0 else -g - 1] * abs(e)
+        owner += [i] * abs(e)
+    # the second copy's first syllable, when it merges with the one before
+    seam = len(syls) if syls[0][0] == syls[-1][0] else len(doubled)
+    words: dict[tuple[int, int], Word] = {}
+
+    def part(start: int, k: int) -> Word:
+        start %= n
+        word = words.get((start, k))
+        if word is None:
+            runs: tuple[tuple[int, int], ...] = ()
+            if k:
+                stop = start + k
+                i, j = owner[start], owner[stop - 1]
+                g, e = doubled[i]
+                if i == j:
+                    runs = ((g, k if e > 0 else -k),)
+                else:
+                    head, tail = starts[i + 1] - start, stop - starts[j]
+                    g2, e2 = doubled[j]
+                    runs = ((g, head if e > 0 else -head), *doubled[i + 1 : j], (g2, tail if e2 > 0 else -tail))
+                    if i < seam <= j:
+                        runs = _reduce(runs)
+            word = words[start, k] = Word(basis, runs)
+        return word
+
+    return code, part
+
+
 def _matches(w: Word, kind: Kind) -> Iterator[WicksMatch]:
     """The positional matches, one cyclic shift at a time: each shift's
     matches sorted by form and then part words."""
-    letters = list(w.letters())
-    n = len(letters)
+    n = len(w)
     if n == 0 or n % 2:
         return
-    basis = w.basis
-    doubled = letters + letters
-    code = [(g + 1) * e for g, e in doubled]
-    # each part word and its text once per core, by its start mod n and length
-    words: dict[tuple[int, int], Word] = {}
-    texts: dict[tuple[int, int], str] = {}
-
-    def part(start: int, k: int) -> Word:
-        word = words.get((start % n, k))
-        if word is None:
-            word = words[start % n, k] = Word.from_syllables(basis, doubled[start : start + k])
-        return word
+    code, part = _doubled(w)
+    texts: dict[tuple[int, int], str] = {}  # each part's text once per core
 
     def text(start: int, k: int) -> str:
         label = texts.get((start % n, k))
@@ -270,7 +313,7 @@ def _matches(w: Word, kind: Kind) -> Iterator[WicksMatch]:
             # no ties: two layouts of a form differ in some part's length.
             # The key's tuple is built from a list, see words._inverse
             layouts.sort(key=lambda layout: (layout[0], tuple([text(start, k) for _, start, k in layout[1]])))
-        u_prefix = Word.from_syllables(basis, letters[:shift])
+        u_prefix = part(0, shift)
         for form, spans in layouts:
             yield WicksMatch(shift, form, {name: part(start, k) for name, start, k in spans}, u_prefix)
 

@@ -5,8 +5,12 @@ large powers appearing in table fixtures stay cheap.  Generator 0 prints as
 ``a``/``A`` and generator 1 as ``b``/``B``; in the adapted basis they stand
 for the generators usually written alpha and beta.
 
-Cost model, in syllables: a product cancels only at the seam of its two
-reduced factors, so it costs the length of the result; basis change and
+Cost model, in syllables: a product tests its two tags for identity
+before it compares them, since the words of a basis share one tag, and
+cancels only at the seam of its two reduced factors, so it costs the length
+of the result; an inverse maps the shared table of inverse syllables over
+the reversed syllables in C; ``sgn`` sums the exponents of every other
+syllable, since a reduced word alternates its generators; basis change and
 powers gather syllables first and reduce once, so they are linear in the
 syllables of their result; a one-syllable power is O(1), and the powers 1
 and -1 are the word itself and its inverse, with no cyclic reduction.  The
@@ -14,8 +18,8 @@ parser appends every letter, ``R^k`` and ``conj(u)^k`` (u, then the
 relator's syllables |k| times, then u^-1) straight into the syllable list of
 the enclosing level and reduces each level once, so it builds no word for a
 term and is linear in the syllables it appends: the 512 inputs of the traced
-seed-1 ``derived_large`` benchmark run parse in 0.068 s of self time on a
-2-vCPU x86 container with Python 3.11.
+seed-1 ``derived_large`` benchmark run parse in 0.040-0.045 s of self time
+(three traced runs) on a 2-vCPU x86 container with Python 3.11.
 ``primitive_root`` compares the syllables of the cyclically reduced core
 with their shifts by the divisors of the syllable count, shortest first,
 one pass each; squares and exact powers read it and expand no letters.
@@ -27,7 +31,8 @@ from __future__ import annotations
 
 import re
 from functools import cache
-from typing import Iterable, Iterator, Literal, NamedTuple, Optional, get_args
+from operator import itemgetter
+from typing import Iterable, Literal, NamedTuple, Optional, get_args
 
 from .errors import BasisMismatch, InvalidSpec, WordSyntaxError
 from .record import Record
@@ -81,7 +86,17 @@ class BasisTag(Record):
 # parser, _reduce and Word.inv: a stored word then costs 8 bytes per such
 # syllable, not 64.
 _SYL = {(gen, exp): (gen, exp) for gen in (0, 1) for exp in range(-64, 65)}
-_INV_SYL = {syl: _SYL[syl[0], -syl[1]] for syl in _SYL.values()}
+
+
+class _InverseTable(dict):
+    """The inverse of each shared syllable; one outside the table, with an
+    exponent beyond -64..64, is inverted on the miss."""
+
+    def __missing__(self, syl: tuple[int, int]) -> tuple[int, int]:
+        return syl[0], -syl[1]
+
+
+_INV_SYL = _InverseTable({syl: _SYL[syl[0], -syl[1]] for syl in _SYL.values()})
 
 
 def _reduce(syllables: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -107,12 +122,12 @@ def _reduce(syllables: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]
 
 def _inverse(syls: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
     """The syllables of the inverse word, shared ones where there are any."""
-    inverse = _INV_SYL.get
-    # from a list: CPython builds a tuple from a generator at 10 slots and
-    # resizes it, and a resized tuple of under 20 items that dies stays on
-    # the free list of its length until a full collection, so built from a
-    # generator these lists, and the pools they pin, would grow with every call
-    return tuple([inverse(s) or (s[0], -s[1]) for s in reversed(syls)])
+    # from a list: CPython builds a tuple from an iterator of unknown length
+    # at 10 slots and resizes it, and a resized tuple of under 20 items that
+    # dies stays on the free list of its length until a full collection, so
+    # built from an iterator these lists, and the pools they pin, would grow
+    # with every call
+    return tuple(list(map(_INV_SYL.__getitem__, syls[::-1])))
 
 
 class Word(Record):
@@ -147,12 +162,10 @@ class Word(Record):
     def from_syllables(basis: BasisTag, syllables: list[tuple[int, int]]) -> "Word":
         return Word(basis, _reduce(syllables))
 
-    def _check(self, other: "Word") -> None:
-        if self.basis != other.basis:
-            raise BasisMismatch(f"{self.basis} vs {other.basis}")
-
     def __mul__(self, other: "Word") -> "Word":
-        self._check(other)
+        # the words of a basis share its tag, so the compare rarely runs
+        if other.basis is not self.basis and other.basis != self.basis:
+            raise BasisMismatch(f"{self.basis} vs {other.basis}")
         left, right = self.syls, other.syls
         i, j = len(left), 0
         while i and j < len(right) and left[i - 1][0] == right[j][0]:
@@ -189,13 +202,6 @@ class Word(Record):
 
     def __len__(self) -> int:
         return sum(abs(e) for _, e in self.syls)
-
-    def letters(self) -> Iterator[tuple[int, int]]:
-        """Yield ``(generator, +1/-1)`` letter by letter."""
-        for gen, exp in self.syls:
-            step = 1 if exp > 0 else -1
-            for _ in range(abs(exp)):
-                yield gen, step
 
     def __str__(self) -> str:
         if not self.syls:
@@ -286,6 +292,9 @@ def square_root(w: Word, shape: Optional[tuple[Word, int]] = None) -> Optional[W
     return root ** (e // 2)
 
 
+_exponent = itemgetter(1)
+
+
 def sgn(w: Word) -> int:
     """Orientation character: every classic generator maps to epsilon."""
     eps = w.basis.epsilon
@@ -293,7 +302,12 @@ def sgn(w: Word) -> int:
         return 1
     if w.basis.kind == "classic":
         return -1 if len(w) % 2 else 1
-    exp_b = sum(e for g, e in w.syls if g == 1)
+    syls = w.syls
+    if not syls:
+        return 1
+    # a reduced word alternates its generators, so its b syllables are every
+    # other one, from the first when that is a b
+    exp_b = sum(map(_exponent, syls[syls[0][0] ^ 1 :: 2]))
     return -1 if exp_b % 2 else 1
 
 
@@ -569,7 +583,7 @@ def verify_solution(
     lies in the relator subgroup is left to the callers that read it."""
     basis = spec.basis
     for w in (v, first, second):
-        if w.basis != basis:
+        if w.basis is not basis and w.basis != basis:
             raise BasisMismatch(f"expected words in {basis}")
     holds = equation_lhs(spec, first, second) == (equation_rhs(spec, v) if rhs is None else rhs)
     return VerifyResult(holds, solution_is_faithful(spec, first, second))

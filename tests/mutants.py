@@ -109,6 +109,38 @@ MUTANTS = (
             "tests/test_wicks.py::TestLongCoreReference::test_periodic_cores_up_to_300_letters",
         ),
     ),
+    Mutant(
+        # a part word sliced across the seam keeps the core's last and first
+        # syllables apart when they share a generator
+        "part_slice_no_seam_merge",
+        "wicks",
+        "                    if i < seam <= j:\n                        runs = _reduce(runs)\n",
+        "",
+        (
+            "tests/test_wicks.py::TestPartWords::test_every_part_and_prefix_is_its_letters",
+            "tests/test_wicks.py::TestMatcherOracle::test_every_form_matched_with_and_without_empty_parts",
+        ),
+    ),
+    Mutant(
+        # sgn sums the a syllables of an adapted word instead of its b ones
+        "sgn_stride_parity",
+        "words",
+        "syls[syls[0][0] ^ 1 :: 2]",
+        "syls[syls[0][0] :: 2]",
+        (
+            "tests/test_words.py::TestKernels::test_sgn_is_the_all_syllable_sum",
+            "tests/test_words.py::TestSgn::test_adapted_values",
+        ),
+    ),
+    Mutant(
+        # a product refuses two words whose tags are equal but not the same
+        # object
+        "mul_identity_only",
+        "words",
+        "if other.basis is not self.basis and other.basis != self.basis:",
+        "if other.basis is not self.basis:",
+        ("tests/test_words.py::TestKernels::test_equal_tags_that_are_distinct_objects_multiply",),
+    ),
 )
 
 

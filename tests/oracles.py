@@ -91,6 +91,11 @@ from fgquad.orbits import _Translation
 from fgquad.wicks import WicksMatch
 
 
+def letters_of(w: Word) -> list[tuple[int, int]]:
+    """The ``(generator, +1/-1)`` letters of ``w``, in order."""
+    return [(gen, 1 if exp > 0 else -1) for gen, exp in w.syls for _ in range(abs(exp))]
+
+
 def reduce_syllables(syllables: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """Merge adjacent runs of the same generator, cascading cancellations."""
     out: list[tuple[int, int]] = []
@@ -165,7 +170,7 @@ def naive_cyclic_reduce(w: Word) -> tuple[Word, Word]:
 def naive_square_root(w: Word) -> Word | None:
     """Compare the two halves of the cyclically reduced core letter by letter."""
     core, t = naive_cyclic_reduce(w)
-    letters = list(core.letters())
+    letters = letters_of(core)
     if len(letters) % 2:
         return None
     half = len(letters) // 2
@@ -179,7 +184,7 @@ def naive_primitive_root(w: Word) -> tuple[Word, int]:
     """Largest e with w == root**e, from the letters of the cyclically
     reduced core: the fewest equal chunks that spell it."""
     core, t = naive_cyclic_reduce(w)
-    letters = list(core.letters())
+    letters = letters_of(core)
     m = len(letters)
     for e in range(m, 1, -1):
         if m % e:
@@ -841,7 +846,7 @@ def _try_layout(
 
 def naive_wicks_decompositions(w: Word, kind: str, allow_empty: bool = True) -> list[WicksMatch]:
     """All positional matches, every composition rebuilt and compared per shift."""
-    letters = list(w.letters())
+    letters = letters_of(w)
     n = len(letters)
     out: list[WicksMatch] = []
     seen: set[tuple] = set()

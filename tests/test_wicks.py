@@ -31,7 +31,7 @@ from fgquad import (
 from fgquad import cli
 from fgquad.tables import all_fixtures, locate
 from fgquad.words import swap_frame
-from oracles import naive_wicks_decompositions, nonempty, reference_layouts
+from oracles import letters_of, naive_wicks_decompositions, nonempty, reference_layouts
 
 
 class TestRhs:
@@ -161,7 +161,7 @@ def periodic_part(rng, basis, root, a=None):
         return (root if pick == 0 else root.inv()) ** rng.randint(0, 12)
     if pick == 2:
         return letter_word(rng, basis, rng.randint(0, 3))
-    return Word.from_syllables(basis, list(a.letters())[: rng.randint(0, len(a))])
+    return Word.from_syllables(basis, letters_of(a)[: rng.randint(0, len(a))])
 
 
 def match_rows(matches):
@@ -281,7 +281,7 @@ def long_core(rng, basis, family, lo, hi):
 
 def assert_same_layouts(core, kind):
     """The matcher lists the reference's layouts at every shift."""
-    letters = list(core.letters())
+    letters = letters_of(core)
     n = len(letters)
     code = [(g + 1) * e for g, e in letters + letters]
     inverse = [-c for c in reversed(code)]
@@ -299,7 +299,7 @@ def periodic_core(rng, basis, lo, hi, root_len):
         root = cyclic_reduce(letter_word(rng, basis, root_len))[0]
         if len(root) != root_len:
             continue
-        letters = list((root ** (rng.randint(lo, hi) // len(root))).letters())
+        letters = letters_of(root ** (rng.randint(lo, hi) // len(root)))
         for _ in range(rng.choice((0, 0, 1, 3))):
             letters[rng.randrange(len(letters))] = (rng.randrange(2), rng.choice((-1, 1)))
         core = cyclic_reduce(Word.from_syllables(basis, letters))[0]
@@ -338,7 +338,7 @@ class TestLongCoreReference:
         # every |a| and |b| at each shift took 2.0 s to list them on a 2-vCPU
         # x86 container (Python 3.11), the square and piece tables 0.09 s
         core = parse_word("(a B)^240", ADAPTED_MINUS)
-        letters = list(core.letters())
+        letters = letters_of(core)
         code = [(g + 1) * e for g, e in letters + letters]
         started = time.perf_counter()
         count = sum(len(layouts) for layouts in fgquad.wicks._layouts(code, len(letters), "two_squares"))
@@ -354,6 +354,43 @@ class TestLongCoreReference:
             core = long_core(rng, BASES[index % 2], family, lo, hi)
             for kind in ("commutator", "two_squares"):
                 assert_same_layouts(core, kind)
+
+
+def sliced_cores(rng, basis):
+    """Even cyclically reduced cores of each syllable shape that the part
+    slicer meets: random ones, periodic (a B)^k, one syllable a^k, and cores
+    whose first and last syllables share a generator, so that the doubled
+    core merges them at its seam, with exponents inside and beyond the
+    shared syllable table."""
+    a, b = Word.gen(basis, "a"), Word.gen(basis, "b")
+    cores = [a * b * a**2, a**70 * b.inv() * a**5, b**-3 * a * b**-65 * a**4 * b**-1, (a * b.inv()) ** 9]
+    cores += [a**k for k in (2, 8, 130)]
+    cores += [long_core(rng, basis, "random", 10, 60) for _ in range(6)]
+    while len(cores) < 20:
+        core = long_core(rng, basis, "random", 10, 60)
+        if core.syls[0][0] == core.syls[-1][0]:
+            cores.append(core)
+    return cores
+
+
+class TestPartWords:
+    """Each part word and shift prefix is a slice of the doubled core's
+    syllable runs; it equals the word reduced from the same letters."""
+
+    @pytest.mark.parametrize("basis", BASES)
+    def test_every_part_and_prefix_is_its_letters(self, basis):
+        rng = random.Random(28)
+        for core in sliced_cores(rng, basis):
+            letters = letters_of(core)
+            n, doubled = len(letters), letters + letters
+            assert n % 2 == 0 and cyclic_reduce(core)[0] == core, str(core)
+            code, part = fgquad.wicks._doubled(core)
+            assert code == [(g + 1) * e for g, e in doubled]
+            for start in range(n):
+                assert part(0, start) == Word.from_syllables(basis, letters[:start]), (str(core), start)
+                for k in range(n // 2 + 1):
+                    want = Word.from_syllables(basis, doubled[start : start + k])
+                    assert part(start, k) == want and part(start + n, k) == want, (str(core), start, k)
 
 
 class TestExtraction:

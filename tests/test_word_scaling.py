@@ -242,6 +242,17 @@ def test_pattern_witness_takes_one_primitive_root(monkeypatch):
     assert calls == [v]
 
 
+def test_pattern_witness_builds_one_right_hand_side(monkeypatch):
+    # every candidate of every family is checked against the same v R^theta
+    # v^-1 R; no candidate for this v is faithful, so all five are checked
+    spec = EquationSpec(1, -1, 1, "faithful", "adapted_xy")
+    v = parse_word("R b b", spec.basis)
+    checks = counted(monkeypatch, [fgquad.words, classify_module], "verify_solution")
+    calls = counted(monkeypatch, [fgquad.words, classify_module], "equation_rhs")
+    assert pattern_witness(spec, v) is None
+    assert len(checks) == 5 and calls == [spec]
+
+
 def test_substitution_check_makes_no_cyclic_reduction(monkeypatch):
     # x y x^-delta y^-1 at delta = -1 and R^theta raise only to +-1
     rng = random.Random(15)

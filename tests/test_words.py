@@ -1,5 +1,6 @@
 import os
 from pathlib import Path
+import random
 import subprocess
 import sys
 
@@ -28,6 +29,7 @@ from fgquad import (
 )
 import fgquad
 from fgquad.words import solution_is_faithful, swap_frame
+from oracles import letters_of, reduce_syllables
 
 
 class TestParse:
@@ -152,6 +154,81 @@ class TestAlgebra:
         assert w**-2 == (w.inv()) * (w.inv())
 
 
+def seam_pair(rng, basis):
+    """Two reduced words whose product cancels several syllables at the seam,
+    then merges or stops: ``v`` starts with the inverse of a tail of ``u``
+    and goes on with one syllable of the generator left next to the seam,
+    or with any word."""
+    u = random_word(rng, basis, 30)
+    tail = u.syls[len(u.syls) - rng.randint(0, len(u.syls)) :]
+    head = Word(basis, tail).inv().syls
+    rest = u.syls[: len(u.syls) - len(tail)]
+    if rest and rng.random() < 0.5:
+        more = ((rest[-1][0], rng.choice((-70, -3, -1, 1, 2, 65))),)
+    else:
+        more = ()
+    return u, Word.from_syllables(basis, [*head, *more, *random_word(rng, basis, 6).syls])
+
+
+class TestKernels:
+    """The product, inverse and orientation character against letter-level
+    and all-syllable references."""
+
+    @pytest.mark.parametrize("basis", [CLASSIC_MINUS, ADAPTED_MINUS])
+    def test_product_cancels_and_merges_at_the_seam(self, basis):
+        rng = random.Random(28)
+        for _ in range(2000):
+            u, v = seam_pair(rng, basis)
+            want = reduce_syllables(letters_of(u) + letters_of(v))
+            assert (u * v).syls == want, (str(u), str(v))
+            assert (v * u).syls == reduce_syllables(letters_of(v) + letters_of(u))
+
+    def test_equal_tags_that_are_distinct_objects_multiply(self):
+        for kind, tag in [("adapted", BasisTag.adapted), ("classic", BasisTag.classic)]:
+            for epsilon in (1, -1):
+                fresh, shared = BasisTag(kind, epsilon), tag(epsilon)
+                assert fresh == shared and fresh is not shared
+                u, v = Word(fresh, ((0, 2), (1, -1))), Word(shared, ((1, 1), (0, 3)))
+                assert (u * v).syls == ((0, 5),) and (v * u).syls == ((1, 1), (0, 5), (1, -1))
+        with pytest.raises(BasisMismatch):
+            Word(BasisTag("adapted", 1), ((0, 1),)) * Word(BasisTag.adapted(-1), ((0, 1),))
+        with pytest.raises(BasisMismatch):
+            Word(BasisTag("classic", -1), ((0, 1),)) * Word(BasisTag("adapted", -1), ((0, 1),))
+
+    def test_inverse_beyond_the_syllable_table(self):
+        w = Word(ADAPTED_MINUS, ((0, 65), (1, -64), (0, -1000), (1, 3), (0, 64), (1, -65)))
+        assert w.inv().syls == ((1, 65), (0, -64), (1, -3), (0, 1000), (1, 64), (0, -65))
+        assert w.inv().inv() == w and (w * w.inv()).is_identity
+        table = fgquad.words._SYL
+        for syl in w.inv().syls:
+            assert (syl is table[syl]) if abs(syl[1]) <= 64 else syl not in table
+
+    def test_inverse_keeps_the_shared_syllables(self, rng):
+        table = fgquad.words._SYL
+        for _ in range(200):
+            w = random_word(rng, ADAPTED_MINUS, 10)
+            assert all(syl is table[syl] for syl in w.inv().syls)
+            assert w.inv().syls == tuple((g, -e) for g, e in reversed(w.syls))
+
+    def test_sgn_is_the_all_syllable_sum(self):
+        def reference(w):
+            if w.basis.epsilon == 1:
+                return 1
+            total = sum(abs(e) if w.basis.kind == "classic" else (e if g == 1 else 0) for g, e in w.syls)
+            return -1 if total % 2 else 1
+
+        rng = random.Random(7)
+        for basis in (CLASSIC_MINUS, ADAPTED_MINUS, CLASSIC_PLUS, ADAPTED_PLUS):
+            words = [Word.identity(basis)]
+            words += [Word(basis, ((g, e),)) for g in (0, 1) for e in (-3, -2, -1, 1, 2, 3, 65)]
+            words += [random_word(rng, basis, 12) for _ in range(2000)]
+            for w in words:
+                assert sgn(w) == reference(w), str(w)
+            if basis == ADAPTED_MINUS:  # both signs, from either first generator
+                for first in (0, 1):
+                    assert {sgn(w) for w in words if w.syls and w.syls[0][0] == first} == {1, -1}
+
+
 class TestCyclicReduce:
     def test_one_conjugating_letter(self):
         core, t = cyclic_reduce(parse_word("a b A", CLASSIC_PLUS))
@@ -166,7 +243,7 @@ class TestCyclicReduce:
     def test_decomposition(self, w):
         core, t = cyclic_reduce(w)
         assert t * core * t.inv() == w
-        letters = list(core.letters())
+        letters = letters_of(core)
         if letters:
             g1, e1 = letters[0]
             g2, e2 = letters[-1]
