@@ -31,7 +31,7 @@ from .errors import (
 from .groupring import RingElement, exact_divide, fox_derivative, q_n
 from .orbits import HatAbs, HatL, Tilde, TildeL, augment, odd_part, orbit_key, same_orbit
 from .quotient import p_q
-from .surface import PiElement, project
+from .surface import project
 from .tables import verify_tables
 from .wicks import WicksMatch, WicksReport, extract_solution, wicks_decompositions, wicks_search
 from .words import (
@@ -63,7 +63,7 @@ __all__ = [
     "RingElement", "exact_divide", "fox_derivative", "q_n",
     "HatAbs", "HatL", "Tilde", "TildeL", "augment", "odd_part", "orbit_key", "same_orbit",
     "p_q",
-    "PiElement", "project",
+    "project",
     "verify_tables",
     "WicksMatch", "WicksReport", "extract_solution", "wicks_decompositions", "wicks_search",
     "BasisTag", "EquationSpec", "VerifyResult", "Word", "change_basis", "comm", "conj",

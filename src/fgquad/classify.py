@@ -104,7 +104,7 @@ def pattern_witness(spec: EquationSpec, v: Word) -> Optional[tuple[Word, Word]]:
     for family in MIXED:
         for pair in family.pairs(v, *shape):
             res = verify_solution(spec, v, *pair, rhs)
-            if res.holds and res.faithful == faithful and project(pair[0]).is_identity:
+            if res.holds and res.faithful == faithful and project(pair[0]) == (0, 0):
                 return pair
     return None
 

@@ -15,7 +15,7 @@ from .classify import DEFAULT_ENUM_BOUND, Budgets, classify
 from .derived import ConjData, analyze_v, first_solutions, second_decide
 from .errors import FgquadError
 from .groupring import q_n
-from .surface import PiElement, project
+from .surface import Pair, project
 from .tables import locate, verify_tables
 from .wicks import DEFAULT_WICKS_LEN, wicks_search
 from .words import BasisTag, EquationSpec, Word, parse_word
@@ -72,8 +72,8 @@ def _budgets(args: argparse.Namespace) -> Budgets:
 # ---------------------------------------------------------------------------
 
 
-def _vbar(g: PiElement) -> dict:
-    return {"r": g.r, "s": g.s}
+def _vbar(g: Pair) -> dict:
+    return {"r": g[0], "s": g[1]}
 
 
 def _pair(first: Word, second: Word) -> dict:

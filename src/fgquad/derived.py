@@ -14,9 +14,11 @@ off its word by ``q_n`` and checked against the equation.  Solvability of
 the second derived equation (in the quotient Q) is decided exactly, by orbit
 augmentations for the squares families and by a finite translation-parameter
 search for the beta-power families, over a window that ``_beta_decide``
-proves complete, so it has no knob.  Ring terms are ``(r, s)`` pairs, and so
-are the orbit keys, the chain and pair candidates and the bases the search
-augments at; the products u_L * g run ``surface.mul``, the one product rule.
+proves complete, so it has no knob.  Every element of the quotient is an
+``(r, s)`` pair: vbar, ybar and the squares action's translation element as
+``surface.project`` returns them, the ring terms, the orbit keys, the chain
+and pair candidates and the bases the search augments at; the products
+u_L * g run ``surface.mul``, the one product rule.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import CaseMismatch, NotMixedCase
 from .groupring import RingElement, alt_geom_terms, geom_terms, q_n, series_word
 from .orbits import HatAbs, HatL, Tilde, TildeL, augment, odd_part, orbit_key
 from .quotient import p_q
-from .surface import Pair, PiElement, inv, mul, project
+from .surface import Pair, inv, mul, project
 from .tables import Branch, CaseKind
 from .words import BasisTag, Word
 
@@ -75,12 +77,8 @@ class MixedCase(NamedTuple):
         return Word.from_syllables(basis, [(0, self.m // d), (1, self.scale * self.n // (2 * d))])
 
     @property
-    def c_bar(self) -> PiElement:
-        return project(self.c_word)
-
-    @property
-    def vbar(self) -> PiElement:
-        return PiElement(self.epsilon, 2 * self.m, self.scale * self.n)
+    def vbar(self) -> Pair:
+        return 2 * self.m, self.scale * self.n
 
     @property
     def v0_word(self) -> Word:
@@ -101,18 +99,20 @@ class ConjData(NamedTuple):
     V: RingElement
 
 
-def analyze_v(v: Word, vbar: PiElement, branch: Branch) -> ConjData:
+def analyze_v(v: Word, vbar: Pair, branch: Branch) -> ConjData:
     """Decompose v = v0 * (product of relator conjugates) for a mixed case.
 
     Takes what ``tables.locate`` returns: ``v`` in the adapted basis, its
-    projection and its table branch, which must be a mixed one.
+    projected ``(r, s)`` pair and its table branch, which must be a mixed
+    one.
     """
     if branch.case is None:
         raise NotMixedCase(
             f"parameters fall in branch {branch.row} ({branch.kind}), not a mixed case",
             branch=branch.row,
         )
-    case = MixedCase(branch.case, n=vbar.s // _CASE_PARAMS[branch.case][2], m=vbar.r // 2)
+    r, s = vbar
+    case = MixedCase(branch.case, n=s // _CASE_PARAMS[branch.case][2], m=r // 2)
     return ConjData(case, q_n(case.v0_word.inv() * v))
 
 
@@ -125,7 +125,7 @@ class FirstSolution(NamedTuple):
     L: Optional[int]
     ell: int
     xtilde: RingElement
-    ybar: PiElement
+    ybar: Pair
     x_word: Word
     y_word: Word
 
@@ -146,8 +146,8 @@ def _divisors(n: int, bound: int, odd_only: bool) -> list[int]:
 def _check_first(case: MixedCase, sol: FirstSolution) -> FirstSolution:
     eps = case.epsilon
     one = RingElement.one(eps)
-    lhs = (one - RingElement.monomial(eps, sol.ybar.pair, case.delta)) * sol.xtilde
-    rhs = one - RingElement.monomial(eps, case.vbar.pair)
+    lhs = (one - RingElement.monomial(eps, sol.ybar, case.delta)) * sol.xtilde
+    rhs = one - RingElement.monomial(eps, case.vbar)
     if lhs != rhs:
         raise CaseMismatch(f"first derived equation fails for {sol}")
     return sol
@@ -223,7 +223,7 @@ def _squares_decide(case: MixedCase, v_elt: RingElement) -> DecideResult:
     """Theorem for the two-parameter families with vbar != 1."""
     trace: dict = {"case": case.label(), "branch": "hat_orbit_parity"}
     v2 = v_elt.reduce_mod2()
-    action = HatAbs(case.c_bar**case.d)
+    action = HatAbs(case.epsilon, project(case.c_word**case.d))
     # one pass: every orbit meeting the support by its key, with its first
     # element in support order and its augmentation
     reps: dict[Pair, Pair] = {}

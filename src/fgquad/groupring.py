@@ -292,7 +292,7 @@ def q_n(w: Word) -> RingElement:
     """
     if w.basis.kind != "adapted":
         w = change_basis(w, BasisTag.adapted(w.basis.epsilon))
-    if not project(w).is_identity:
+    if project(w) != (0, 0):
         raise NotInKernel("word does not project to the identity")
     d_alpha, d_beta = _fox_pairs(w)
     eps = w.basis.epsilon

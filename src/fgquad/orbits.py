@@ -2,11 +2,13 @@
 
 Four action kinds act on the quotient group:
 
-* ``HatAbs(u)``    -- left translation by powers of a fixed element plus
-                      inversion (both signs of epsilon);
-* ``Tilde(n)``     -- left translation by beta^{2n} plus inversion;
-* ``TildeL(n, L)`` -- Tilde extended by the reflection j_L;
-* ``HatL(n, L)``   -- left translation by alpha^L beta^{l_max} plus inversion.
+* ``HatAbs(epsilon, u)`` -- left translation by powers of a fixed
+                            orientation-preserving pair u plus inversion
+                            (both signs of epsilon);
+* ``Tilde(n)``           -- left translation by beta^{2n} plus inversion;
+* ``TildeL(n, L)``       -- Tilde extended by the reflection j_L;
+* ``HatL(n, L)``         -- left translation by alpha^L beta^{l_max} plus
+                            inversion.
 
 Elements are the ``(r, s)`` pairs that key the group ring's terms, moved by
 ``surface.mul`` and ``surface.inv``, the one product rule.  Each action
@@ -31,7 +33,7 @@ import math
 from .errors import EpsilonMismatch, InconsistentSign, InvalidSpec, SingularBase
 from .groupring import RingElement
 from .record import Record
-from .surface import Pair, PiElement, inv, mul
+from .surface import Pair, inv, mul
 
 
 def odd_part(n: int) -> int:
@@ -45,12 +47,16 @@ def odd_part(n: int) -> int:
 
 
 class HatAbs(Record):
-    __slots__ = ("u",)
-    u: PiElement
+    __slots__ = ("epsilon", "u")
+    epsilon: int
+    u: Pair
 
-    def __init__(self, u: PiElement) -> None:
-        if u.epsilon == -1 and u.w_eps() != 1:
+    def __init__(self, epsilon: int, u: Pair) -> None:
+        if epsilon not in (1, -1):
+            raise InvalidSpec("epsilon must be +1 or -1")
+        if epsilon == -1 and u[1] % 2:
             raise InvalidSpec("translation element must be orientation-preserving")
+        object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "u", u)
 
 
@@ -148,13 +154,13 @@ def orbit_key(action: HatAbs, g: Pair) -> Pair:
     The orbit of g is the two cosets of a lattice through g and g^-1, and the
     key is the lesser of their lattice representatives.  Orientation-preserving
     elements move by Z*u.  On the Klein bottle an orientation-reversing g also
-    moves by two-sided translates, giving the lattice Z*u + Z*(0, 2*u.s), and
-    its inverse is (r, -s).
+    moves by two-sided translates, giving the lattice Z*u + Z*(0, 2*us) for
+    u = (ur, us), and its inverse is (r, -s).
     """
-    u, (r, s) = action.u, g
-    if u.epsilon == -1 and s & 1:
-        return min(_lattice_rep(r, s, u.r, u.s, 2 * u.s), _lattice_rep(r, -s, u.r, u.s, 2 * u.s))
-    return min(_lattice_rep(r, s, u.r, u.s, 0), _lattice_rep(-r, -s, u.r, u.s, 0))
+    (ur, us), (r, s) = action.u, g
+    if action.epsilon == -1 and s & 1:
+        return min(_lattice_rep(r, s, ur, us, 2 * us), _lattice_rep(r, -s, ur, us, 2 * us))
+    return min(_lattice_rep(r, s, ur, us, 0), _lattice_rep(-r, -s, ur, us, 0))
 
 
 def same_orbit(action: HatAbs, g: Pair, h: Pair) -> bool:

@@ -7,7 +7,8 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from fgquad import BasisTag, PiElement, RingElement, Word
+from fgquad import BasisTag, RingElement, Word
+from oracles import PiElement
 
 
 def random_word(rng: random.Random, basis: BasisTag, max_len: int = 8) -> Word:

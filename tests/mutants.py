@@ -141,6 +141,78 @@ MUTANTS = (
         "if other.basis is not self.basis:",
         ("tests/test_words.py::TestKernels::test_equal_tags_that_are_distinct_objects_multiply",),
     ),
+    Mutant(
+        # the product of pairs drops the Klein-bottle twist: beta^s with odd
+        # s no longer inverts the alpha-degree it moves past
+        "mul_no_twist",
+        "surface",
+        "    return (r - y[0] if epsilon == -1 and s & 1 else r + y[0]), s + y[1]",
+        "    return r + y[0], s + y[1]",
+        (
+            "tests/test_surface.py::TestProductRule::test_pairs_multiply_and_invert_as_words",
+            "tests/test_surface.py::TestProductRule::test_klein_twist",
+            "tests/test_groupring.py::TestRingAlgebra::test_product_is_the_convolution_of_word_products",
+        ),
+    ),
+    Mutant(
+        # p_q stores c*g as +c*g^-1 instead of -c*g^-1
+        "p_q_fold_sign",
+        "quotient",
+        "items.append((inv(p.epsilon, g), -c))",
+        "items.append((inv(p.epsilon, g), c))",
+        (
+            "tests/test_quotient.py::TestPq::test_matches_the_pairwise_oracle[0-1]",
+            "tests/test_quotient.py::TestPq::test_matches_the_pairwise_oracle[0--1]",
+            "tests/test_quotient.py::TestPq::test_folding_coefficients",
+        ),
+    ),
+    Mutant(
+        # Table 2 (3b) reads only s: alpha^r beta^s with odd r and even s is
+        # sent to the mixed family instead of refused
+        "table_3b_one_coordinate",
+        "tables",
+        "        if r % 2 or s % 2:",
+        "        if s % 2:",
+        (
+            "tests/test_tables.py::test_square_rows_read_both_coordinates_of_vbar",
+            "tests/test_census.py::test_census_matches_golden",
+            "tests/test_census.py::test_frames_agree_on_every_census_word",
+        ),
+    ),
+    Mutant(
+        # locate reads the orientation character off the parity of r, not s
+        "locate_sign_from_r",
+        "tables",
+        "vbar[1] & 1",
+        "vbar[0] & 1",
+        (
+            "tests/test_surface.py::TestProject::test_locate_passes_the_orientation_of_v",
+            "tests/test_classify.py::TestTables::test_classify_agrees_with_fixture_rows",
+        ),
+    ),
+    Mutant(
+        # the Klein-bottle lattice of an orientation-reversing element moves
+        # by (0, us) instead of (0, 2 us), merging orbits
+        "orbit_key_klein_lattice",
+        "orbits",
+        "        return min(_lattice_rep(r, s, ur, us, 2 * us), _lattice_rep(r, -s, ur, us, 2 * us))",
+        "        return min(_lattice_rep(r, s, ur, us, us), _lattice_rep(r, -s, ur, us, us))",
+        (
+            "tests/test_orbits.py::TestOrbitKey::test_keys_are_bfs_orbits[HatAbs(u=PiElement(epsilon=-1, r=2, s=4))]",
+            "tests/test_census.py::test_bench_census_matches_golden",
+        ),
+    ),
+    Mutant(
+        # the translation search scans only L = 0, short of its proven window
+        "beta_window_zero",
+        "derived",
+        "    bound = 2 * r_alpha + 1\n",
+        "    bound = 0\n",
+        (
+            "tests/test_word_oracles.py::TestBetaDecide::test_a_wider_window_changes_no_answer",
+            "tests/test_box_oracle.py::TestBetaPowerBoxOracle::test_no_false_rejections",
+        ),
+    ),
 )
 
 

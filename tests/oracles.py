@@ -1,6 +1,11 @@
 """Naive reference implementations of the word and quotient algebra.
 
-These are the step-by-step forms the library used before its word layer
+``PiElement`` is the reference quotient element alpha^r * beta^s, with its
+product, inverse and powers written out from the collection rule; the
+library holds the same element as an ``(r, s)`` pair and multiplies pairs
+with ``surface.mul``, which no oracle here calls.
+
+The others are the step-by-step forms the library used before its word layer
 became linear: every product re-reduces the whole concatenation, a power is
 repeated multiplication, a square root compares the halves of the core
 letter by letter, a primitive root splits the core's letters into the
@@ -70,9 +75,9 @@ from fgquad import (
     HatAbs,
     HatL,
     InconsistentSign,
+    InvalidSpec,
     NotDivisible,
     NotInKernel,
-    PiElement,
     RingElement,
     SingularBase,
     Tilde,
@@ -82,13 +87,68 @@ from fgquad import (
     augment,
     odd_part,
     p_q,
-    project,
 )
 from fgquad.derived import DecideResult, MixedCase
 from fgquad.errors import DomainMismatch, EpsilonMismatch
 from fgquad.groupring import alt_geom_terms, conjugate_power_product, geom_terms, relator_jacobian_alpha
 from fgquad.orbits import _Translation
 from fgquad.wicks import WicksMatch
+
+
+@dataclass(frozen=True)
+class PiElement:
+    """The element alpha^r * beta^s of the quotient, the tests' reference
+    algebra.  Its product and inverse are written out from the collection
+    rule alpha^r beta^s alpha^r' beta^s' = alpha^(r + eps^s r') beta^(s + s'),
+    apart from the library's ``surface.mul`` and ``surface.inv``, so the
+    oracles built on it check the library's product rule."""
+
+    epsilon: int
+    r: int
+    s: int
+
+    def __post_init__(self) -> None:
+        if self.epsilon not in (1, -1):
+            raise InvalidSpec("epsilon must be +1 or -1")
+
+    @staticmethod
+    def identity(epsilon: int) -> "PiElement":
+        return PiElement(epsilon, 0, 0)
+
+    @property
+    def pair(self) -> tuple[int, int]:
+        return self.r, self.s
+
+    @property
+    def is_identity(self) -> bool:
+        return self.r == 0 and self.s == 0
+
+    def w_eps(self) -> int:
+        """The orientation character eps^s."""
+        return self.epsilon ** (self.s % 2)
+
+    def __mul__(self, other: "PiElement") -> "PiElement":
+        if self.epsilon != other.epsilon:
+            raise EpsilonMismatch(f"{self.epsilon} vs {other.epsilon}")
+        return PiElement(self.epsilon, self.r + self.w_eps() * other.r, self.s + other.s)
+
+    def inv(self) -> "PiElement":
+        # beta^-s alpha^-r = alpha^(-eps^s r) beta^-s
+        return PiElement(self.epsilon, -self.w_eps() * self.r, -self.s)
+
+    def __pow__(self, k: int) -> "PiElement":
+        if k < 0:
+            return self.inv() ** -k
+        out, base = PiElement.identity(self.epsilon), self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def __str__(self) -> str:
+        return f"({self.r},{self.s})"
 
 
 def letters_of(w: Word) -> list[tuple[int, int]]:
@@ -376,7 +436,7 @@ def relator_jacobian_beta(epsilon: int) -> RingElement:
 def naive_q_n(w: Word) -> RingElement:
     """The projection test, then the division of the alpha-derivative and the
     beta-column check, each on group-ring elements."""
-    if not project(w).is_identity:
+    if not naive_project(w).is_identity:
         raise NotInKernel("word does not project to the identity")
     eps = w.basis.epsilon
     try:
@@ -471,9 +531,8 @@ Action = Union[HatAbs, _Translation]
 def _check_eps(action: Action, *elements: PiElement) -> None:
     """The oracles' own epsilon check: the library's orbit layer takes
     ``(r, s)`` pairs, which carry no epsilon."""
-    eps = action.u.epsilon if isinstance(action, HatAbs) else action.epsilon
     for g in elements:
-        if g.epsilon != eps:
+        if g.epsilon != action.epsilon:
             raise EpsilonMismatch("element epsilon does not match the action")
 
 
@@ -486,7 +545,7 @@ def naive_same_orbit(action: Action, g: PiElement, h: PiElement) -> bool:
     """Orbit membership by testing ``h`` against each family through ``g``."""
     _check_eps(action, g, h)
     if isinstance(action, HatAbs):
-        u = action.u
+        u = PiElement(action.epsilon, *action.u)
         if u.epsilon == -1 and g.w_eps() != h.w_eps():
             return False
         if u.epsilon == -1 and g.w_eps() == -1:
@@ -555,11 +614,17 @@ def naive_augment(action: Action, v: RingElement, base: PiElement) -> int:
     return naive_twisted_augment(action, v, base)
 
 
+def squares_u(case: MixedCase) -> PiElement:
+    """cbar**d, the translation element of the squares decider's action,
+    projected one syllable at a time."""
+    return naive_project(case.c_word) ** case.d
+
+
 def naive_squares_decide(case: MixedCase, v_elt: RingElement) -> DecideResult:
     """The squares decider partitioning the support pairwise into orbits."""
     trace: dict = {"case": case.label(), "branch": "hat_orbit_parity"}
     v2 = v_elt.reduce_mod2()
-    action = HatAbs(case.c_bar**case.d)
+    action = HatAbs(case.epsilon, squares_u(case).pair)
     identity = PiElement.identity(case.epsilon)
     reps: list[PiElement] = []
     for g in (PiElement(case.epsilon, r, s) for r, s in v2.support()):
@@ -744,7 +809,7 @@ def orbit_in_box(action: Action, g: PiElement, radius: int) -> set[PiElement]:
                     out.add(PiElement(eps, fam.head.r, s))
                 s += period
         return out
-    u = action.u
+    u = PiElement(eps, *action.u)
     heads = [g, g.inv()]
     if u.epsilon == -1 and g.w_eps() == -1:
         um, un2 = u.r, u.s
@@ -1013,8 +1078,8 @@ def q_nf_commutator(
     [prod_i (u_i R u_i^-1)^{n_i}, prod_j (v_j R v_j^-1)^{m_j}] maps to the
     class of sum_{i,j} n_i m_j * class(u_i)^-1 class(v_j).
     """
-    lefts = [(project(u), n) for u, n in left]
-    rights = [(project(v), m) for v, m in right]
+    lefts = [(naive_project(u), n) for u, n in left]
+    rights = [(naive_project(v), m) for v, m in right]
     eps = (lefts or rights)[0][0].epsilon if (lefts or rights) else 1
     items = [
         ((ubar.inv() * vbar).pair, n * m)

@@ -13,7 +13,6 @@ from fgquad import (
     EquationSpec,
     HatAbs,
     MixedCase,
-    PiElement,
     RingElement,
     Word,
     classify,
@@ -30,7 +29,7 @@ from fgquad import (
     wicks_search,
 )
 from fgquad.groupring import conjugate_power_product
-from oracles import geom_ratio, naive_wicks_decompositions, nonempty, one_minus_pow
+from oracles import PiElement, geom_ratio, naive_wicks_decompositions, nonempty, one_minus_pow, squares_u
 from test_cli import GOLDEN_DIR, GOLDEN_INVOCATIONS, run_cli
 from test_orbits import HAT_ABS_MINUS, HAT_ABS_PLUS, HAT_L, TILDE, TILDE_L, assert_box_agreement
 from test_quotient import congruent
@@ -80,9 +79,9 @@ def test_criterion_3_first_derived():
         # external re-verification of the ring identity per entry (the word
         # checks run inside the enumerator)
         one = RingElement.one(case.epsilon)
-        rhs = one + mono(case.vbar, -1)
+        rhs = one + RingElement.monomial(case.epsilon, case.vbar, -1)
         for sol in sols:
-            lhs = (one - mono(sol.ybar, case.delta)) * sol.xtilde
+            lhs = (one - RingElement.monomial(case.epsilon, sol.ybar, case.delta)) * sol.xtilde
             assert lhs == rhs
         return len(sols)
 
@@ -110,7 +109,7 @@ def test_criterion_4_qn_oracle():
             for _ in range(rng.randint(1, 3))
         ]
         w = conjugate_power_product(eps, factors)
-        assert q_n(w) == RingElement.make(eps, [(project(u).pair, k) for u, k in factors])
+        assert q_n(w) == RingElement.make(eps, [(project(u), k) for u, k in factors])
     for _ in range(200):
         eps = rng.choice([1, -1])
         basis = BasisTag.adapted(eps)
@@ -118,7 +117,7 @@ def test_criterion_4_qn_oracle():
         w2 = conjugate_power_product(eps, [(random_word(rng, basis, 3), rng.randint(-2, 2))])
         assert q_n(w1 * w2) == q_n(w1) + q_n(w2)
         g = random_word(rng, basis, 3)
-        assert q_n(g * w1 * g.inv()) == mono(project(g)) * q_n(w1)
+        assert q_n(g * w1 * g.inv()) == RingElement.monomial(eps, project(g)) * q_n(w1)
     report(4, "group-ring projection oracle", started, 5.0)
 
 
@@ -137,7 +136,7 @@ def test_criterion_5_lemma_suite():
     for n in [k for k in range(-4, 5) if k]:
         for L in range(-4, 5):
             w = beta_w ** (-2 * n) * (beta_w * alpha_w**-L) ** (2 * n)
-            assert project(w).is_identity
+            assert project(w) == (0, 0)
             expected = mono(beta, -1) * geom_ratio(beta, -2 * n, 2)
             expected = expected * geom_ratio(alpha, -L, 1) if L else RingElement.zero(-1)
             assert q_n(w) == expected
@@ -204,7 +203,7 @@ def test_criterion_7_decider_fuzz():
             continue
         case = MixedCase(kind, n=n, m=m)
         eps = case.epsilon
-        u = case.c_bar**case.d
+        u = squares_u(case)
         z = RingElement.make(eps, [(random_pi(rng, eps, 4).pair, rng.randint(-2, 2)) for _ in range(3)])
         v = (RingElement.one(eps) - mono(u)) * z
         for _ in range(rng.randint(0, 3)):
@@ -221,7 +220,7 @@ def test_criterion_7_decider_fuzz():
             continue
         case = MixedCase(kind, n=n, m=m)
         g = random_pi(rng, case.epsilon, 5)
-        if same_orbit(HatAbs(case.c_bar**case.d), g.pair, (0, 0)):
+        if same_orbit(HatAbs(case.epsilon, squares_u(case).pair), g.pair, (0, 0)):
             continue
         result = second_decide(case, mono(g))
         assert not result.solvable and result.certificate is not None
@@ -235,7 +234,7 @@ def test_criterion_7_decider_fuzz():
         eps = case.epsilon
         v = RingElement.make(eps, [(random_pi(rng, eps, 4).pair, rng.randint(-2, 2)) for _ in range(3)])
         base = second_decide(case, v).solvable
-        u = case.c_bar**case.d
+        u = squares_u(case)
         z = RingElement.make(eps, [(random_pi(rng, eps, 4).pair, rng.randint(-2, 2)) for _ in range(2)])
         perturbed = v + (RingElement.one(eps) - mono(u)) * z
         g = random_pi(rng, eps, 4)

@@ -42,7 +42,6 @@ PUBLIC = [
     "NotDivisible",
     "NotInKernel",
     "NotMixedCase",
-    "PiElement",
     "RingElement",
     "SingularBase",
     "Tilde",
@@ -112,15 +111,15 @@ def test_import_loads_no_code_generating_modules():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: fgquad.PiElement(0, 1, 2),
+        lambda: fgquad.HatAbs(0, (0, 0)),
         lambda: fgquad.BasisTag("adapted", 0),
         lambda: fgquad.BasisTag("canonical", 1),
         lambda: fgquad.odd_part(0),
-        lambda: fgquad.HatAbs(fgquad.PiElement(-1, 0, 1)),
+        lambda: fgquad.HatAbs(-1, (0, 1)),
         lambda: fgquad.Tilde(0),
         lambda: fgquad.fox_derivative(fgquad.Word.identity(fgquad.BasisTag.adapted(1)), "c"),
     ],
-    ids=["PiElement", "BasisTag-epsilon", "BasisTag-kind", "odd_part", "HatAbs", "Tilde", "fox_derivative"],
+    ids=["HatAbs-epsilon", "BasisTag-epsilon", "BasisTag-kind", "odd_part", "HatAbs", "Tilde", "fox_derivative"],
 )
 def test_parameter_out_of_domain_is_a_typed_error(build):
     # every failure is an FgquadError; a bad parameter is still a ValueError
@@ -132,7 +131,7 @@ def test_parameter_out_of_domain_is_a_typed_error(build):
 def test_records_refuse_assignment_and_deletion():
     records = [
         (fgquad.Word.identity(fgquad.BasisTag.adapted(1)), "syls"),
-        (fgquad.PiElement(-1, 1, 2), "r"),
+        (fgquad.HatAbs(-1, (1, 2)), "u"),
         (fgquad.EquationSpec(1, -1, -1, "faithful", "adapted_xy"), "frame"),
     ]
     for record, field in records:

@@ -11,9 +11,9 @@ a decider rejection together with a box solution would expose a bug.
 import random
 
 from conftest import mono, random_pi
-from fgquad import MixedCase, PiElement, RingElement, p_q, second_decide
+from fgquad import MixedCase, RingElement, p_q, second_decide
 from fgquad.orbits import odd_part
-from oracles import geom_ratio
+from oracles import PiElement, geom_ratio, naive_project, squares_u
 
 
 def _q_support(elt: RingElement) -> frozenset:
@@ -64,7 +64,7 @@ class TestSquaresBoxOracle:
     """(1 - u) Z' = V' in the quotient, u = c^d: direct span membership."""
 
     def _generators(self, case: MixedCase, radius: int) -> list[frozenset]:
-        u = case.c_bar**case.d
+        u = squares_u(case)
         one_minus_u = RingElement.one(case.epsilon) - mono(u)
         gens = []
         for g in _box_elements(case.epsilon, radius):
@@ -88,7 +88,8 @@ class TestSquaresBoxOracle:
             )
             checked += 1
             target = _q_support(v)
-            radius = 3 + 3 * (abs(case.c_bar.r) + abs(case.c_bar.s)) * case.d + 3
+            c_bar = naive_project(case.c_word)
+            radius = 3 + 3 * (abs(c_bar.r) + abs(c_bar.s)) * case.d + 3
             box = _gf2_member(target, self._generators(case, radius))
             decider = second_decide(case, v).solvable
             if box:

@@ -37,7 +37,7 @@ from itertools import product
 from pathlib import Path
 
 import fgquad.wicks
-from fgquad import EquationSpec, classify, parse_word, wicks_search
+from fgquad import EquationSpec, change_basis, classify, parse_word, wicks_search
 from oracles import naive_wicks_decompositions
 
 GOLDEN = Path(__file__).parent / "golden" / "census.jsonl"
@@ -135,6 +135,24 @@ def test_census_matches_golden():
 
 def test_bench_census_matches_golden():
     assert bench_census() == BENCH_GOLDEN.read_text()
+
+
+def test_frames_agree_on_every_census_word():
+    # adapted_xy and original_z state one equation in two bases of F2, so
+    # v in the adapted frame and its image in the classic basis in the
+    # original frame get the same outcome; locate projects the one directly
+    # and the other after a basis change
+    outcomes: Counter = Counter()
+    for delta, epsilon, theta in product((1, -1), repeat=3):
+        for solution_class in ("faithful", "nonfaithful"):
+            adapted = EquationSpec(delta, epsilon, theta, solution_class, "adapted_xy")
+            original = EquationSpec(delta, epsilon, theta, solution_class, "original_z")
+            for text in reduced_words(MAX_LEN):
+                v = parse_word(text, adapted.basis)
+                outcome = classify(adapted, v).outcome
+                assert classify(original, change_basis(v, original.basis)).outcome == outcome, (adapted, text)
+                outcomes[outcome] += 1
+    assert outcomes == {"exists": 2046, "not_exists": 4516, "undetermined": 1198}
 
 
 def has_wicks_solution(spec: EquationSpec, v) -> bool:

@@ -17,13 +17,12 @@ from fgquad import (
     comm,
     parse_word,
     pattern_witness,
-    project,
     relator_in,
     verify_solution,
     verify_tables,
 )
 from fgquad.tables import all_fixtures
-from oracles import naive_wicks_decompositions, rank1_check
+from oracles import naive_project, naive_wicks_decompositions, rank1_check
 
 
 class TestClassifyExamples:
@@ -151,7 +150,7 @@ class TestTables:
             verdict = classify(fx.spec, fx.v)
             assert verdict.outcome == "exists"
             x, y = verdict.witness
-            k = rank1_check(project(fx.v), project(y), fx.spec.delta, fx.spec.theta)
+            k = rank1_check(naive_project(fx.v), naive_project(y), fx.spec.delta, fx.spec.theta)
             assert k is not None, fx.row
 
 

@@ -7,7 +7,6 @@ from fgquad import (
     BasisTag,
     NotDivisible,
     NotInKernel,
-    PiElement,
     RingElement,
     Word,
     exact_divide,
@@ -18,7 +17,7 @@ from fgquad import (
     relator_in,
 )
 from fgquad.groupring import alt_geom_terms, conjugate_power_product, geom_terms, relator_jacobian_alpha
-from oracles import alt_geom_ratio, geom_ratio, naive_project, one_minus_pow, relator_jacobian_beta
+from oracles import PiElement, alt_geom_ratio, geom_ratio, naive_project, one_minus_pow, relator_jacobian_beta
 
 
 def elt(eps, *terms):
@@ -50,8 +49,8 @@ class TestRingAlgebra:
             for _ in range(200):
                 left = [(random_word(rng, basis, 4), rng.randint(-3, 3)) for _ in range(rng.randint(0, 4))]
                 right = [(random_word(rng, basis, 4), rng.randint(-3, 3)) for _ in range(rng.randint(0, 4))]
-                p = RingElement.make(eps, [(project(u).pair, c) for u, c in left])
-                q = RingElement.make(eps, [(project(w).pair, d) for w, d in right])
+                p = RingElement.make(eps, [(project(u), c) for u, c in left])
+                q = RingElement.make(eps, [(project(w), d) for w, d in right])
                 expected = [(naive_project(u * w).pair, c * d) for u, c in left for w, d in right]
                 assert p * q == RingElement.make(eps, expected)
 
@@ -137,7 +136,7 @@ class TestFoxDerivative:
             v = random_word(rng, ADAPTED_MINUS, 4)
             for gen in "ab":
                 got = fox_derivative(u * v, gen)
-                expected = fox_derivative(u, gen) + RingElement.monomial(-1, project(u).pair) * fox_derivative(v, gen)
+                expected = fox_derivative(u, gen) + RingElement.monomial(-1, project(u)) * fox_derivative(v, gen)
                 assert got == expected
 
 
@@ -184,7 +183,7 @@ class TestQn:
                 for _ in range(rng.randint(1, 4))
             ]
             w = conjugate_power_product(eps, factors)
-            expected = RingElement.make(eps, [(project(u).pair, n) for u, n in factors])
+            expected = RingElement.make(eps, [(project(u), n) for u, n in factors])
             assert q_n(w) == expected
 
     def test_additivity_equivariance(self, rng):
@@ -199,7 +198,7 @@ class TestQn:
             )
             assert q_n(w1 * w2) == q_n(w1) + q_n(w2)
             g = random_word(rng, basis, 3)
-            assert q_n(g * w1 * g.inv()) == RingElement.monomial(eps, project(g).pair) * q_n(w1)
+            assert q_n(g * w1 * g.inv()) == RingElement.monomial(eps, project(g)) * q_n(w1)
 
     def test_beta_column_consistency(self, rng):
         for eps in (1, -1):
@@ -235,7 +234,7 @@ class TestLemmaFixtures:
             for L in range(-4, 5):
                 c_l = beta * alpha**-L
                 w = beta ** (-2 * n) * c_l ** (2 * n)
-                assert project(w).is_identity
+                assert project(w) == (0, 0)
                 expected = RingElement.monomial(-1, beta_bar.pair, -1)
                 expected = expected * geom_ratio(beta_bar, -2 * n, 2)
                 if L:
@@ -251,5 +250,5 @@ class TestLemmaFixtures:
         for L in range(-3, 4):
             for ell in (-3, -1, 1, 3):
                 w = alpha**L * beta**ell * alpha**L * beta**-ell
-                assert project(w).is_identity
+                assert project(w) == (0, 0)
                 q_n(w)  # raises if the membership fails

@@ -8,14 +8,13 @@ from fgquad import (
     DomainMismatch,
     EpsilonMismatch,
     MixedCase,
-    PiElement,
     RingElement,
     Word,
     p_q,
     parse_word,
     second_decide,
 )
-from oracles import alt_geom_ratio, geom_ratio, naive_q_classes, one_minus_pow, q_nf_commutator
+from oracles import PiElement, alt_geom_ratio, geom_ratio, naive_q_classes, one_minus_pow, q_nf_commutator
 from test_groupring import random_ring
 
 

@@ -6,16 +6,17 @@ from conftest import ADAPTED_MINUS, ADAPTED_PLUS, CLASSIC_MINUS, CLASSIC_PLUS, r
 from fgquad import (
     BasisTag,
     EpsilonMismatch,
-    PiElement,
+    EquationSpec,
     Word,
     change_basis,
     parse_word,
     project,
     relator_in,
     sgn,
+    tables,
 )
 from fgquad.surface import inv, mul
-from oracles import apply_phi
+from oracles import PiElement, apply_phi
 
 
 def pi_elements(epsilon: int):
@@ -26,28 +27,43 @@ def pi_elements(epsilon: int):
 
 class TestProject:
     def test_relator_dies(self):
-        assert project(parse_word("a b a B", ADAPTED_MINUS)).is_identity
-        assert project(relator_in(BasisTag.adapted(1))).is_identity
+        assert project(parse_word("a b a B", ADAPTED_MINUS)) == (0, 0)
+        assert project(relator_in(BasisTag.adapted(1))) == (0, 0)
 
     def test_klein_relation(self):
-        assert project(parse_word("b a", ADAPTED_MINUS)) == PiElement(-1, -1, 1)
+        assert project(parse_word("b a", ADAPTED_MINUS)) == (-1, 1)
 
     def test_torus_collection(self):
-        assert project(parse_word("a b a", BasisTag.adapted(1))) == PiElement(1, 2, 1)
+        assert project(parse_word("a b a", BasisTag.adapted(1))) == (2, 1)
 
     @given(words_strategy(ADAPTED_MINUS, 5), words_strategy(ADAPTED_MINUS, 5))
     def test_homomorphism(self, u, v):
-        assert project(u * v) == project(u) * project(v)
+        # against the reference product of tests/oracles.py
+        assert project(u * v) == (PiElement(-1, *project(u)) * PiElement(-1, *project(v))).pair
 
     def test_classic_words_convert_first(self, rng):
         for _ in range(300):
             w = random_word(rng, CLASSIC_MINUS, 5)
             assert project(w) == project(change_basis(w, ADAPTED_MINUS))
 
-    @given(st.sampled_from([ADAPTED_MINUS, ADAPTED_PLUS, CLASSIC_MINUS, CLASSIC_PLUS]).flatmap(words_strategy))
-    def test_orientation_is_read_from_the_projection(self, w):
-        # table_branch is given the orientation of v as project(v).w_eps()
-        assert project(w).w_eps() == sgn(w)
+    def test_locate_passes_the_orientation_of_v(self, rng, monkeypatch):
+        # locate reads v_sign off the parity of the projected s, with no word
+        # operation; table_branch must get the orientation character sgn(v)
+        seen = []
+        table_branch = tables.table_branch
+
+        def spy(spec, vbar, v_sign):
+            seen.append(v_sign)
+            return table_branch(spec, vbar, v_sign)
+
+        monkeypatch.setattr(tables, "table_branch", spy)
+        for basis in (ADAPTED_MINUS, ADAPTED_PLUS, CLASSIC_MINUS, CLASSIC_PLUS):
+            spec = EquationSpec(-1, basis.epsilon, -1, "nonfaithful", "adapted_xy")
+            for _ in range(300):
+                w = random_word(rng, basis, 6)
+                seen.clear()
+                tables.locate(spec, w)
+                assert seen == [sgn(w)]
 
 
 class TestProductRule:
@@ -59,8 +75,8 @@ class TestProductRule:
             basis = BasisTag.adapted(eps)
             for _ in range(500):
                 u, w = random_word(rng, basis), random_word(rng, basis)
-                assert mul(eps, project(u).pair, project(w).pair) == project(u * w).pair
-                assert inv(eps, project(u).pair) == project(u.inv()).pair
+                assert mul(eps, project(u), project(w)) == project(u * w)
+                assert inv(eps, project(u)) == project(u.inv())
 
     def test_klein_twist(self):
         assert mul(-1, (0, 1), (1, 0)) == (-1, 1)
@@ -115,7 +131,7 @@ def _phi_word_oracle(L: int, x: PiElement) -> PiElement:
     out = Word.identity(basis)
     for g, e in word.syls:
         out = out * (alpha if g == 0 else beta_img) ** e
-    return project(out)
+    return PiElement(-1, *project(out))
 
 
 class TestPhi:
@@ -126,7 +142,7 @@ class TestPhi:
         assert apply_phi(2, PiElement(-1, 3, 4)) == PiElement(-1, 3, 4)
 
     def test_relator_fixed(self):
-        assert apply_phi(5, project(relator_in(ADAPTED_MINUS))).is_identity
+        assert apply_phi(5, PiElement(-1, *project(relator_in(ADAPTED_MINUS)))).is_identity
 
     def test_epsilon_guard(self):
         with pytest.raises(EpsilonMismatch):

@@ -3,7 +3,7 @@
 import sys
 from collections import Counter
 
-from fgquad import BasisTag, EquationSpec, Word, classify, project, tables, verify_tables
+from fgquad import BasisTag, EquationSpec, Word, classify, project, sgn, tables, verify_tables
 from fgquad.tables import Fixture, FixtureFailure, TableReport, all_fixtures, instantiate_witness, table_branch
 
 # Every fixture row the explicit-solution tables checked before the registry
@@ -97,10 +97,22 @@ def test_closed_branches_point_at_the_family_of_their_rows():
     closed = [fx for fx in all_fixtures() if fx.row.startswith(("Table 1", "Table 2"))]
     assert len(closed) == 20
     for fx in closed:
-        vbar = project(fx.v)
-        branch = table_branch(fx.spec, vbar, vbar.w_eps())
+        branch = table_branch(fx.spec, project(fx.v), sgn(fx.v))
         assert (branch.row, branch.kind) == (fx.row, "exists")
         assert instantiate_witness(branch.family, fx.v) == (fx.first, fx.second)
+
+
+def test_square_rows_read_both_coordinates_of_vbar():
+    # the non-faithful theta = -1 rows of the torus and the Klein bottle
+    # refuse a vbar that is no square, alpha^2m beta^2n or alpha^2m beta^4n
+    # (Table 2 (3b), (4d)), and send the squares to their mixed families
+    torus = EquationSpec(-1, 1, -1, "nonfaithful", "adapted_xy")
+    klein = EquationSpec(-1, -1, -1, "nonfaithful", "adapted_xy")
+    for r in range(-4, 5):
+        for s in range(-8, 9, 2):
+            assert table_branch(torus, (r, s), 1).row == ("Table 2 (3b)" if r % 2 else "Table 2 (3c)")
+            assert table_branch(torus, (r, s + 1), 1).row == "Table 2 (3b)"
+            assert table_branch(klein, (r, s), 1).row == ("Table 2 (4d)" if r % 2 or s % 4 else "Table 2 (4e)")
 
 
 def test_classify_builds_witnesses_without_parsing(monkeypatch):

@@ -17,11 +17,10 @@ from time import perf_counter
 
 from conftest import ADAPTED_MINUS, random_word
 import fgquad.words
-from fgquad import tables
+from fgquad import groupring, tables
 from fgquad import (
     EquationSpec,
     MixedCase,
-    PiElement,
     RingElement,
     Word,
     cyclic_reduce,
@@ -172,31 +171,29 @@ def test_q_n_of_a_long_conjugate_product(monkeypatch):
     # 2000 factors (u R u^-1)^n, about 23k letters: one walk, then the division
     # and the beta-column check on integer pairs, with no group-ring product
     # or sum built on the way.  The result holds the division's pair dict as
-    # it is: no make pass over its terms, and no group element but the one
-    # projection of w
+    # it is: no make pass over its terms, and no projection but the one of w
     rng = random.Random(2000)
     factors = [(random_word(rng, ADAPTED_MINUS, 5), rng.choice((-2, -1, 1, 2))) for _ in range(2000)]
     w = conjugate_power_product(-1, factors)
     assert len(w) > 20000
-    expected = RingElement.make(-1, [(project(u).pair, n) for u, n in factors])
-    elements = 0
-    build = PiElement.__init__
+    expected = RingElement.make(-1, [(project(u), n) for u, n in factors])
+    projections = 0
 
-    def counting(self, *args):
-        nonlocal elements
-        elements += 1
-        build(self, *args)
+    def counting(word):
+        nonlocal projections
+        projections += 1
+        return project(word)
 
     def refuse(*args):
         raise AssertionError("group-ring arithmetic inside q_n")
 
     monkeypatch.setattr(RingElement, "__mul__", refuse)
     monkeypatch.setattr(RingElement, "make", staticmethod(refuse))
-    monkeypatch.setattr(PiElement, "__init__", counting)
+    monkeypatch.setattr(groupring, "project", counting)
     start = perf_counter()
     got = q_n(w)
     assert perf_counter() - start < 1.0
-    assert elements == 1
+    assert projections == 1
     assert got == expected
 
 
