@@ -14,12 +14,14 @@ syllable, since a reduced word alternates its generators; basis change and
 powers gather syllables first and reduce once, so they are linear in the
 syllables of their result; a one-syllable power is O(1), and the powers 1
 and -1 are the word itself and its inverse, with no cyclic reduction.  The
-parser appends every letter, ``R^k`` and ``conj(u)^k`` (u, then the
-relator's syllables |k| times, then u^-1) straight into the syllable list of
-the enclosing level and reduces each level once, so it builds no word for a
-term and is linear in the syllables it appends: the 512 inputs of the traced
-seed-1 ``derived_large`` benchmark run parse in 0.040-0.045 s of self time
-(three traced runs) on a 2-vCPU x86 container with Python 3.11.
+parser is one recursive function, one frame per level of brackets: a C
+regex reads each run of plain letters and one token regex the term after
+it.  Every letter, ``R^k`` and ``conj(u)^k`` (u, then the relator's
+syllables |k| times, then u^-1) goes straight into the syllable list of the
+enclosing level, which is reduced once, so the parser builds no word for a
+term and is linear in the syllables it appends: the first 1024 seed-1
+``derived_large`` benchmark inputs parse in 55-59 ms (best of 15 passes) on
+a 2-vCPU x86 container with Python 3.11.
 ``primitive_root`` compares the syllables of the cyclically reduced core
 with their shifts by the divisors of the syllable count, shortest first,
 one pass each; squares and exact powers read it and expand no letters.
@@ -349,10 +351,14 @@ def relator_in(basis: BasisTag) -> Word:
 # ---------------------------------------------------------------------------
 
 
-# A letter with an optional exponent, as parse_term reads it (exponents are
-# ASCII digits only).  The lookahead leaves to parse_term every letter with a
+# A run of plain letters, each with an optional exponent (ASCII digits only),
+# is read by one C match; the lookahead leaves to _TOKEN every letter with a
 # '^' not followed by an integer, so that errors and their offsets come from
-# one place.
+# one place.  _TOKEN reads the next token after the white space: an opener
+# (group 1), a comma (group 2), or an atom or closing bracket (group 3) with
+# its exponent (group 4), where a '^' with no integer after it is matched up
+# to where the digits should start.  At the end of the text, or at a
+# character that starts no token, no group matches.
 _LETTER_TERM = r"\s*([abAB])(?:\s*\^\s*(-?[0-9]+)|(?!\s*\^))"
 _LETTER_RUN = re.compile(f"(?:{_LETTER_TERM})*")
 _LETTER_TERMS = re.compile(_LETTER_TERM)
@@ -362,126 +368,79 @@ _TERM_SYL = {
     for letter, (gen, sign) in _LETTER_SYL.items()
     for text in ["", *map(str, range(-64, 65))]
 }
+_TOKEN = re.compile(r"\s*(?:(conj\(|[(\[])|(,)|([abAB1R)\]])(?:\s*\^\s*(-?[0-9]*))?)?")
 
 
-class _Parser:
-    """Appends the syllables of every term straight into the list of the
-    enclosing level and reduces each level once; only a bracketed group with
-    an exponent other than 1 builds a ``Word`` to raise."""
+def _relator_power(basis: BasisTag, k: int) -> tuple[tuple[int, int], ...]:
+    """The syllables of R^k: the first and last syllables of the relator
+    have different generators in every basis, so its repeats never merge."""
+    rel = relator_in(basis).syls
+    return (rel if k > 0 else _inverse(rel)) * abs(k)
 
-    def __init__(self, text: str, basis: BasisTag) -> None:
-        self.text = text
-        self.basis = basis
-        self.pos = 0
-        self.relator = relator_in(basis).syls
 
-    def error(self, message: str) -> WordSyntaxError:
-        return WordSyntaxError(message, self.pos)
+def _parse(text: str, pos: int, stop: str, basis: BasisTag) -> tuple[tuple[tuple[int, int], ...], int, int]:
+    """Read one bracket level from ``pos`` up to its closing ``stop``, one of
+    ``)``, ``,`` and ``]``, or up to the end of the text when ``stop`` is
+    empty: the reduced syllables of the level, the exponent after its
+    closing bracket and the offset after that exponent.
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def parse_int(self) -> int:
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        if not "0" <= self.peek() <= "9":
-            raise self.error("expected integer")
-        while "0" <= self.peek() <= "9":
-            self.pos += 1
-        return int(self.text[start : self.pos])
-
-    def parse_word(self, out: list[tuple[int, int]], stop: str = "") -> None:
-        """Append the syllables of the terms up to the end or a ``stop`` character."""
-        text = self.text
-        while True:
-            end = _LETTER_RUN.match(text, self.pos).end()
-            for term in _LETTER_TERMS.findall(text, self.pos, end):
-                syl = _TERM_SYL.get(term)
-                if syl is None:
-                    gen, sign = _LETTER_SYL[term[0]]
-                    syl = (gen, sign * int(term[1]))
-                out.append(syl)
-            self.pos = end
-            self.skip_ws()
-            ch = self.peek()
-            if not ch or ch in stop:
-                return
-            self.parse_term(out)
-
-    def parse_group(self, stop: str) -> tuple[tuple[int, int], ...]:
-        """The reduced syllables of a bracketed word, its closing ``stop`` read."""
-        syls: list[tuple[int, int]] = []
-        self.parse_word(syls, stop)
-        self.expect(stop)
-        return _reduce(syls)
-
-    def relator_power(self, k: int) -> tuple[tuple[int, int], ...]:
-        """The syllables of R^k: the first and last syllables of the relator
-        have different generators in every basis, so its repeats never merge."""
-        return (self.relator if k > 0 else _inverse(self.relator)) * abs(k)
-
-    def parse_exponent(self) -> int:
-        self.skip_ws()
-        if self.peek() != "^":
-            return 1
-        self.pos += 1
-        self.skip_ws()
-        return self.parse_int()
-
-    def parse_term(self, out: list[tuple[int, int]]) -> None:
-        """Append the syllables of one atom raised to its exponent."""
-        ch = self.peek()
-        if self.text.startswith("conj(", self.pos):
-            self.pos += len("conj(")
-            u = self.parse_group(")")
-            out += u  # conj(u)^k = u R^k u^-1
-            out += self.relator_power(self.parse_exponent())
-            out += _inverse(u)
-        elif ch == "1":
-            self.pos += 1
-            self.parse_exponent()
-        elif ch in _LETTER_SYL:
-            self.pos += 1
-            gen, sign = _LETTER_SYL[ch]
-            out.append((gen, sign * self.parse_exponent()))
-        elif ch == "R":
-            self.pos += 1
-            out += self.relator_power(self.parse_exponent())
-        elif ch == "(":
-            self.pos += 1
-            syls = self.parse_group(")")
-            k = self.parse_exponent()
-            out += syls if k == 1 else (Word(self.basis, syls) ** k).syls
-        elif ch == "[":
-            self.pos += 1
-            left = self.parse_group(",")
-            right = self.parse_group("]")
-            k = self.parse_exponent()
-            syls = left + right + _inverse(left) + _inverse(right)
-            out += syls if k == 1 else (Word(self.basis, _reduce(syls)) ** k).syls
-        else:
-            raise self.error(f"unexpected character {ch!r}" if ch else "unexpected end of input")
+    Every term goes straight into the syllable list of its level, which is
+    reduced once; ``conj(u)^k`` goes in as u, then the relator's syllables
+    |k| times, then u^-1.  Only a bracketed group with an exponent other
+    than 1 builds a ``Word`` to raise.  Each level of nesting is one frame,
+    and a level that the stack cannot hold is the syntax error ``nesting too
+    deep`` at its opening bracket.
+    """
+    out: list[tuple[int, int]] = []
+    while True:
+        end = _LETTER_RUN.match(text, pos).end()
+        for term in _LETTER_TERMS.findall(text, pos, end):
+            syl = _TERM_SYL.get(term)
+            if syl is None:
+                gen, sign = _LETTER_SYL[term[0]]
+                syl = (gen, sign * int(term[1]))
+            out.append(syl)
+        token = _TOKEN.match(text, end)
+        opener, comma, atom, exp = token.groups()
+        pos = token.end()
+        if opener:
+            try:
+                syls, k, pos = _parse(text, pos, "," if opener == "[" else ")", basis)
+                if opener == "[":
+                    right, k, pos = _parse(text, pos, "]", basis)
+            except RecursionError:
+                raise WordSyntaxError("nesting too deep", token.start(1)) from None
+            if opener == "conj(":
+                out += syls
+                out += _relator_power(basis, k)
+                out += _inverse(syls)
+                continue
+            if opener == "[":
+                syls = syls + right + _inverse(syls) + _inverse(right)
+            out += syls if k == 1 else (Word(basis, _reduce(syls)) ** k).syls
+            continue
+        char = comma or atom
+        if char is None:
+            if pos < len(text):
+                raise WordSyntaxError(f"unexpected character {text[pos]!r}", pos)
+            if stop:
+                raise WordSyntaxError(f"expected {stop!r}", pos)
+            return _reduce(out), 1, pos
+        if char in ",)]" and char != stop:
+            raise WordSyntaxError(f"unexpected character {char!r}", token.start(2 if comma else 3))
+        if exp in ("", "-"):  # a '^' with no integer, as after every letter _LETTER_RUN left
+            raise WordSyntaxError("expected integer", pos)
+        k = int(exp) if exp else 1
+        if char in ",)]":  # the stop of this level
+            return _reduce(out), k, pos
+        if char == "R":
+            out += _relator_power(basis, k)
+        # else "1", the identity, which appends nothing
 
 
 def parse_word(text: str, basis: BasisTag) -> Word:
     """Parse the word grammar; ``R`` is the relator and ``conj(w)`` is w R w**-1."""
-    parser = _Parser(text, basis)
-    syls: list[tuple[int, int]] = []
-    try:
-        parser.parse_word(syls)  # returns only at the end of the text
-    except RecursionError:  # the parser recurses once per level of nesting
-        raise parser.error("nesting too deep") from None
-    return Word(basis, _reduce(syls))
+    return Word(basis, _parse(text, 0, "", basis)[0])
 
 
 # ---------------------------------------------------------------------------

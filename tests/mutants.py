@@ -200,6 +200,7 @@ MUTANTS = (
         (
             "tests/test_orbits.py::TestOrbitKey::test_keys_are_bfs_orbits[HatAbs(u=PiElement(epsilon=-1, r=2, s=4))]",
             "tests/test_census.py::test_bench_census_matches_golden",
+            "tests/test_word_oracles.py::TestSquaresDecide::test_against_pairwise_partition",
         ),
     ),
     Mutant(
@@ -212,6 +213,91 @@ MUTANTS = (
             "tests/test_word_oracles.py::TestBetaDecide::test_a_wider_window_changes_no_answer",
             "tests/test_box_oracle.py::TestBetaPowerBoxOracle::test_no_false_rejections",
         ),
+    ),
+    Mutant(
+        # p_q keeps the wrong member of each pair {g, g^-1} on the s == 0 line
+        "p_q_representative_s0",
+        "quotient",
+        "        if s > 0 or (s == 0 and r > 0):",
+        "        if s > 0 or (s == 0 and r < 0):",
+        (
+            "tests/test_quotient.py::TestPq::test_folding_coefficients",
+            "tests/test_quotient.py::TestPq::test_matches_the_pairwise_oracle",
+            "tests/test_census.py::test_census_matches_golden",
+        ),
+    ),
+    Mutant(
+        # the abelian obstruction also fires on the torus, where the relator
+        # abelianizes to zero and obstructs nothing
+        "abelian_obstruction_any_epsilon",
+        "tables",
+        "    return spec.delta == 1 and spec.epsilon == -1 and spec.theta == 1",
+        "    return spec.delta == 1 and spec.theta == 1",
+        (
+            "tests/test_classify.py::TestTables::test_classify_agrees_with_fixture_rows",
+            "tests/test_classify.py::TestConsistencyCorpus::test_never_contradicts_oracle",
+            "tests/test_acceptance.py::test_criterion_8_oracle_consistency",
+        ),
+    ),
+    Mutant(
+        # classify accepts a witness that solves the equation in the other
+        # solution class
+        "exists_ignores_solution_class",
+        "classify",
+        '    if not (result.holds and result.faithful == (spec.solution_class == "faithful")):',
+        "    if not result.holds:",
+        ("tests/test_classify.py::TestWitnessCheck::test_witness_of_the_other_class_is_refused",),
+    ),
+    Mutant(
+        # conj(u)^k appends u R^k without its trailing u^-1
+        "conj_no_trailing_inverse",
+        "words",
+        "                out += _relator_power(basis, k)\n                out += _inverse(syls)\n",
+        "                out += _relator_power(basis, k)\n",
+        (
+            "tests/test_words.py::TestParse::test_conj_and_commutator",
+            "tests/test_words.py::TestParse::test_group_exponent_with_leading_zero",
+            "tests/test_word_oracles.py::TestParser::test_conjugates_relator_powers_and_seams",
+        ),
+    ),
+    Mutant(
+        # [u, v] appends u v u^-1 v, the right part not inverted
+        "commutator_right_not_inverted",
+        "words",
+        "_inverse(syls) + _inverse(right)",
+        "_inverse(syls) + right",
+        (
+            "tests/test_words.py::TestParse::test_conj_and_commutator",
+            "tests/test_word_oracles.py::TestParser::test_conjugates_relator_powers_and_seams",
+        ),
+    ),
+    Mutant(
+        # the exponent after a closing ')' or ']' is read but dropped
+        "group_exponent_dropped",
+        "words",
+        '        if char in ",)]":  # the stop of this level\n            return _reduce(out), k, pos\n',
+        '        if char in ",)]":  # the stop of this level\n            return _reduce(out), 1, pos\n',
+        (
+            "tests/test_words.py::TestParse::test_group_exponent_with_leading_zero",
+            "tests/test_word_oracles.py::TestParser::test_conjugates_relator_powers_and_seams",
+        ),
+    ),
+    Mutant(
+        # any closing bracket or comma closes the open group, so ',' closes
+        # a '(' group and ']' a conj( one
+        "stop_check_dropped",
+        "words",
+        'if char in ",)]" and char != stop:',
+        'if char in ",)]" and not stop:',
+        ("tests/test_word_oracles.py::TestParser::test_conjugates_relator_powers_and_seams",),
+    ),
+    Mutant(
+        # the offset of "expected integer" is taken before a '-' sign
+        "expected_integer_before_sign",
+        "words",
+        'raise WordSyntaxError("expected integer", pos)',
+        'raise WordSyntaxError("expected integer", pos - len(exp))',
+        ("tests/test_words.py::TestParse::test_exponent_errors[a^--3]",),
     ),
 )
 

@@ -199,6 +199,21 @@ class TestWitnessCheck:
         assert isinstance(exc.value, FgquadError)
         assert isinstance(exc.value, ArithmeticError)
 
+    @pytest.mark.parametrize(
+        "spec, text, row",
+        [
+            (EquationSpec(1, 1, -1, "faithful", "adapted_xy"), "a b a", r"Table 1 \(1\)"),
+            (EquationSpec(-1, 1, 1, "nonfaithful", "adapted_xy"), "a", r"Table 2 \(3a\)"),
+        ],
+    )
+    def test_witness_of_the_other_class_is_refused(self, monkeypatch, spec, text, row):
+        # the pair solves the equation but lies in the other solution class
+        classify_module = importlib.import_module("fgquad.classify")
+        other_class = spec.solution_class != "faithful"
+        monkeypatch.setattr(classify_module, "verify_solution", lambda *args: VerifyResult(True, other_class))
+        with pytest.raises(WitnessUnverified, match=row):
+            classify(spec, parse_word(text, spec.basis))
+
     @pytest.mark.parametrize("frame", ["adapted_xy", "original_z"])
     def test_failed_degree_two_witness_is_typed(self, monkeypatch, frame):
         classify_module = importlib.import_module("fgquad.classify")

@@ -486,7 +486,11 @@ class TestEveryAugmentation:
 @st.composite
 def squares_cases(draw):
     """Random elements plus terms spread over a few orbits, the identity's
-    among them, so that orbits meet the support more than once."""
+    among them, so that orbits meet the support more than once.  On the
+    Klein bottle some orientation-reversing terms come in pairs one
+    ``(0, us)`` apart, for u = (ur, us), with odd coefficients: the lattice
+    Z*u + Z*(0, 2 us) of such an element keeps the two in different orbits,
+    so a key that steps by ``(0, us)`` would merge two odd orbits."""
     kind = draw(st.sampled_from(["eq3_nf", "eq4_nf"]))
     m, n = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
     assume(m or n)
@@ -505,6 +509,10 @@ def squares_cases(draw):
     for g, k, inverse, right, c in draw(st.lists(spread, max_size=10)):
         g = g.inv() if inverse else g
         terms.append(((g * u**k if right else u**k * g).pair, c))
+    if eps == -1:
+        odd = st.integers(-2, 1).map(lambda k: 2 * k + 1)
+        for r, s, c, c2 in draw(st.lists(st.tuples(st.integers(-4, 4), odd, odd, odd), max_size=2)):
+            terms += [((r, s), c), ((r, s + u.s), c2)]
     v = draw(ring_elements(eps, span=6, far=12)) + RingElement.make(eps, terms)
     return case, v
 
